@@ -1,14 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench realbench real-race fuzz-short fault-race metricscheck reportcheck servgate ci
+.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench realbench real-race fuzz-short fault-race metricscheck reportcheck servgate perfbench-selftest ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file in the tree is not gofmt-formatted
+# (gofmt -l lists the offenders).
+GOFMT ?= gofmt
 vet:
 	$(GO) vet ./...
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs when the binary is available (CI installs it; local
 # runs without it just skip).
@@ -164,4 +168,12 @@ servgate:
 	$(GO) run ./cmd/packserve -requests $(SERVGATE_REQUESTS) -seed 1 -gate-p99 $(SERVGATE_P99_US)
 	$(GO) run ./cmd/packserve -requests $(SERVSOAK_REQUESTS) -seed 1 -soak -mix small
 
-ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench realbench metricscheck reportcheck servgate
+# perfbench-selftest runs the repo benchmark's own test suite
+# (perfbench/selftest_test.go: a short smoke run of every workload with
+# its outputs verified). perfbench is a separate Go module that replaces
+# packunpack with this checkout, so `go test ./...` at the root never
+# reaches it.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
+
+ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench realbench metricscheck reportcheck servgate perfbench-selftest

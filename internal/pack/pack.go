@@ -282,30 +282,32 @@ func geomOf(l *dist.Layout) sliceGeom {
 	return sliceGeom{l0: l.Dims[0].L(), w0: l.Dims[0].W, t0: l.Dims[0].T(), slices: l.Slices()}
 }
 
-func (g sliceGeom) base(slice int) int {
-	return ranking.SliceBase(slice, g.l0, g.w0, g.t0)
-}
-
-// collectSlice appends the data values of the selected elements of a
-// slice, in order, to buf, charging the scan per the chosen policy:
-// stop as soon as all count elements are found (the paper's measured
-// default) or always scan the whole slice.
+// collectSlice writes the data values of the slice's count selected
+// elements, in order, to buf[:count] and returns that prefix; buf must
+// hold W_0 values and count must be the slice's PS_c entry. The host
+// loop reads the whole slice without a data-dependent branch: every
+// element is written at the next free position, and only a selected
+// element advances it. The charge is the paper's second scan under the
+// chosen policy, plus one datum write per selected element: the
+// stop-early default reads up to the slice's last selected element
+// (the slice holds exactly count of them), WholeSliceScan all W_0.
 func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, count int, whole bool, buf []T) []T {
-	base := g.base(slice)
-	found := 0
-	scanned := 0
-	for i := 0; i < g.w0; i++ {
-		scanned++
-		if m[base+i] {
-			buf = append(buf, a[base+i])
-			found++
-			if found == count && !whole {
-				break
-			}
+	base := slice * g.w0
+	ms := m[base : base+g.w0]
+	as := a[base : base+len(ms)]
+	k := 0
+	for i, b := range ms {
+		buf[k] = as[i]
+		if b {
+			k++
 		}
 	}
+	scanned := len(ms)
+	for !whole && scanned > 0 && !ms[scanned-1] {
+		scanned-- // stop early: up to the last selected element
+	}
 	p.Charge(scanned + count) // element reads + datum writes
-	return buf
+	return buf[:count]
 }
 
 // forEachRankRun walks the rank runs of the compact schemes: for every
@@ -340,16 +342,15 @@ func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []boo
 	counts := make([]int, len(send))
 	forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) { counts[dst] += cnt })
 	carvePairArena(send, counts)
-	tmp := make([]T, 0, g.w0)
+	buf := make([]T, g.w0)
 	p.Charge(g.slices) // check the counter array, one read per slice
 	for slice := 0; slice < g.slices; slice++ {
 		n := rnk.PSc[slice]
 		if n == 0 {
 			continue
 		}
-		tmp = collectSlice(p, g, a, m, slice, n, whole, tmp[:0])
 		r0 := rnk.PSf[slice]
-		for i, datum := range tmp {
+		for i, datum := range collectSlice(p, g, a, m, slice, n, whole, buf) {
 			r := r0 + i
 			dst, _ := vec.Owner(r)
 			send[dst] = append(send[dst], pair[T]{Datum: datum, Rank: r})
@@ -391,14 +392,14 @@ func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []
 	}
 	dataArena := make([]T, totalData)
 	dOff := 0
-	tmp := make([]T, 0, g.w0)
+	buf := make([]T, g.w0)
 	p.Charge(g.slices) // check the counter array, one read per slice
 	for slice := 0; slice < g.slices; slice++ {
 		n := rnk.PSc[slice]
 		if n == 0 {
 			continue
 		}
-		tmp = collectSlice(p, g, a, m, slice, n, whole, tmp[:0])
+		got := collectSlice(p, g, a, m, slice, n, whole, buf)
 		r := rnk.PSf[slice]
 		taken := 0
 		for taken < n {
@@ -407,7 +408,7 @@ func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []
 			cnt := min(fit, n-taken)
 			data := dataArena[dOff : dOff+cnt : dOff+cnt]
 			dOff += cnt
-			copy(data, tmp[taken:taken+cnt])
+			copy(data, got[taken:taken+cnt])
 			send[dst] = append(send[dst], segMsg[T]{Base: r, Data: data})
 			p.Charge(2) // segment header (base rank + count)
 			r += cnt

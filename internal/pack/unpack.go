@@ -2,6 +2,7 @@ package pack
 
 import (
 	"fmt"
+	"slices"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
@@ -185,13 +186,9 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	p.SetPhase(prev)
 
 	// ---- Place: field values where the mask is false, vector data
-	// where it is true. ----
-	res := &UnpackResult[T]{A: make([]T, l.LocalSize()), Ranking: rnk}
-	for off, sel := range m {
-		if !sel {
-			res.A[off] = field[off]
-		}
-	}
+	// where it is true. The field array is copied whole and the
+	// placement below overwrites every selected position. ----
+	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
 	if opt.Scheme == SchemeSSS {
 		for src, data := range gotData {
@@ -203,10 +200,11 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 		}
 	} else {
 		g := geomOf(l)
+		offs := make([]int, g.w0)
 		for src, data := range gotData {
 			pos := 0
 			for _, pl := range placement[src] {
-				pos += placeIntoSlice(p, g, res.A, m, pl.slice, pl.skip, pl.count, data[pos:], opt.WholeSliceScan)
+				pos += placeIntoSlice(p, g, res.A, m, pl.slice, pl.skip, pl.count, data[pos:], opt.WholeSliceScan, offs)
 			}
 		}
 	}
@@ -240,34 +238,35 @@ func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, g
 	return replies
 }
 
-// placeIntoSlice scatters data into the slice's selected positions,
-// skipping the first skip selected positions, writing count elements.
-// It returns count. The rescan mirrors the compact storage scheme's
-// collectSlice.
-func placeIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, skip, count int, data []T, whole bool) int {
-	base := g.base(slice)
-	seen := 0
-	written := 0
-	scanned := 0
-	for i := 0; i < g.w0; i++ {
-		scanned++
-		if m[base+i] {
-			if seen >= skip && written < count {
-				a[base+i] = data[written]
-				written++
-				if written == count && !whole {
-					break
-				}
-			}
-			seen++
-			if seen >= skip+count && !whole {
-				break
-			}
+// placeIntoSlice writes data[:count] to the slice's selected positions
+// number skip .. skip+count-1 (in slice order) and returns count; offs
+// is scratch for W_0 offsets. The host first packs the local offsets of
+// the slice's selected elements into offs without a data-dependent
+// branch (every offset is written at the next free position, and only
+// a selected element advances it), then writes straight to them. The
+// charge is the paper's rescan under the chosen policy plus one write
+// per element, as in collectSlice: the stop-early default reads up to
+// the last written position, WholeSliceScan all W_0.
+func placeIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, skip, count int, data []T, whole bool, offs []int) int {
+	base := slice * g.w0
+	n := 0
+	for i, b := range m[base : base+g.w0] {
+		offs[n] = base + i
+		if b {
+			n++
 		}
 	}
-	p.Charge(scanned + count)
-	if written != count {
-		panic(fmt.Sprintf("pack: internal error: placed %d of %d elements in slice %d", written, count, slice))
+	if n < skip+count {
+		panic(fmt.Sprintf("pack: internal error: placed %d of %d elements in slice %d", max(n-skip, 0), count, slice))
 	}
+	data = data[:count]
+	for j, off := range offs[skip : skip+count] {
+		a[off] = data[j]
+	}
+	scanned := g.w0
+	if !whole {
+		scanned = offs[skip+count-1] + 1 - base
+	}
+	p.Charge(scanned + count)
 	return count
 }

@@ -169,20 +169,22 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 	res := &Result{}
 	ps := make([][]int, d)
 	ps[0] = make([]int, geo.size(0))
-	l0 := l.Dims[0].L()
-	w0 := l.Dims[0].W
-	t0 := l.Dims[0].T()
-	for off, sel := range mask {
-		if !sel {
-			continue
-		}
-		rest := off / l0
-		slice := rest*t0 + (off%l0)/w0
-		if opt.KeepRecords {
+	if opt.KeepRecords {
+		l0 := l.Dims[0].L()
+		w0 := l.Dims[0].W
+		t0 := l.Dims[0].T()
+		for off, sel := range mask {
+			if !sel {
+				continue
+			}
+			rest := off / l0
+			slice := rest*t0 + (off%l0)/w0
 			res.Records = append(res.Records, Record{Off: off, Slice: slice, InitRank: ps[0][slice]})
+			ps[0][slice]++
+			res.LocalTrue++
 		}
-		ps[0][slice]++
-		res.LocalTrue++
+	} else {
+		res.LocalTrue = countSlices(mask, l.Dims[0].W, ps[0])
 	}
 	p.Charge(len(mask)) // read every mask element
 	if opt.KeepRecords {
@@ -351,6 +353,32 @@ func (r *Result) IterRecords(l0, w0, t0 int, mask []bool, fn func(Record)) {
 			}
 		}
 	}
+}
+
+// countSlices is the compact schemes' initial scan: it stores the number
+// of selected elements of every slice in ps0 and returns their sum.
+// Because dist.Dim.Validate makes L_0 a multiple of W_0, slice s is
+// exactly mask[s*w0 : (s+1)*w0], so the scan needs no division. The
+// conditional increment compiles to a conditional move: the loop has no
+// data-dependent branch for a random mask to mispredict. It is kept out
+// of line because, inlined into Rank, its counters spill to the stack:
+// a one-processor Rank of a 2^19-element mask at density 0.5 then took
+// 1.7 instead of 1.1 ns per element (Go 1.24, 2-vCPU Xeon).
+//
+//go:noinline
+func countSlices(mask []bool, w0 int, ps0 []int) int {
+	total := 0
+	for s := range ps0 {
+		c := 0
+		for _, b := range mask[s*w0 : (s+1)*w0] {
+			if b {
+				c++
+			}
+		}
+		ps0[s] = c
+		total += c
+	}
+	return total
 }
 
 func cloneInts(v []int) []int {

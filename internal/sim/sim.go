@@ -735,7 +735,7 @@ type Proc struct {
 	faults      FaultCounters
 	phaseFaults map[string]FaultCounters
 	held        []heldMsg // reorder-faulted messages awaiting overtake
-	commState   any // opaque slot for the reliable transport (CommState)
+	commState   any       // opaque slot for the reliable transport (CommState)
 }
 
 // Metrics returns the telemetry registry attached via Config.Metrics,

@@ -125,33 +125,33 @@ func WriteChrome(w io.Writer, c *Capture) error {
 					Ts: e.Time, Tid: rank,
 				})
 			case sim.EvDedup:
-					// Receiver-side recovery: Peer is the duplicate's source.
-					evs = append(evs, chromeEvent{
-						Name: "dedup", Cat: "fault", Ph: "i", S: "t",
-						Ts: e.Time, Tid: rank,
-						Args: &chromeArgs{Kind: "dedup", Src: intp(e.Peer), Dst: intp(rank), Tag: intp(e.Tag)},
-					})
-				case sim.EvFaultDrop, sim.EvFaultDup, sim.EvFaultReorder, sim.EvFaultDelay,
-					sim.EvRetry:
-					// Injection and recovery markers from the fault layer
-					// (sim/fault.go). Rendered as thread-scoped instants in
-					// their own "fault" category so Perfetto can filter
-					// them; fault-free captures emit none, keeping the
-					// golden export unchanged.
-					evs = append(evs, chromeEvent{
-						Name: e.Kind.String(), Cat: "fault", Ph: "i", S: "t",
-						Ts: e.Time, Tid: rank,
-						Args: &chromeArgs{Kind: e.Kind.String(), Dst: intp(e.Peer), Tag: intp(e.Tag), Words: intp(e.Words)},
-					})
-				case sim.EvFaultStall:
-					// Stalls have real virtual duration, so draw them as a
-					// slice on the stalled processor's track.
-					evs = append(evs, chromeEvent{
-						Name: "fault-stall", Cat: "fault", Ph: "X",
-						Ts: e.Time - e.Dur, Dur: e.Dur, Tid: rank,
-						Args: &chromeArgs{Kind: "fault-stall"},
-					})
-				case sim.EvCharge:
+				// Receiver-side recovery: Peer is the duplicate's source.
+				evs = append(evs, chromeEvent{
+					Name: "dedup", Cat: "fault", Ph: "i", S: "t",
+					Ts: e.Time, Tid: rank,
+					Args: &chromeArgs{Kind: "dedup", Src: intp(e.Peer), Dst: intp(rank), Tag: intp(e.Tag)},
+				})
+			case sim.EvFaultDrop, sim.EvFaultDup, sim.EvFaultReorder, sim.EvFaultDelay,
+				sim.EvRetry:
+				// Injection and recovery markers from the fault layer
+				// (sim/fault.go). Rendered as thread-scoped instants in
+				// their own "fault" category so Perfetto can filter
+				// them; fault-free captures emit none, keeping the
+				// golden export unchanged.
+				evs = append(evs, chromeEvent{
+					Name: e.Kind.String(), Cat: "fault", Ph: "i", S: "t",
+					Ts: e.Time, Tid: rank,
+					Args: &chromeArgs{Kind: e.Kind.String(), Dst: intp(e.Peer), Tag: intp(e.Tag), Words: intp(e.Words)},
+				})
+			case sim.EvFaultStall:
+				// Stalls have real virtual duration, so draw them as a
+				// slice on the stalled processor's track.
+				evs = append(evs, chromeEvent{
+					Name: "fault-stall", Cat: "fault", Ph: "X",
+					Ts: e.Time - e.Dur, Dur: e.Dur, Tid: rank,
+					Args: &chromeArgs{Kind: "fault-stall"},
+				})
+			case sim.EvCharge:
 				// Slices already show the computation; a counter-style
 				// instant would only duplicate them. Expose the batch ops
 				// as an instant only when there is no span timeline.

@@ -378,12 +378,12 @@ type realProc struct {
 
 	// Telemetry state; zero/nil when the machine has none configured,
 	// so every hot-path guard below is a single predictable branch.
-	tr       bool          // record/stream trace events
-	met      *procMeters   // pre-resolved metric handles, nil = off
-	events   []sim.Event   // per-rank event buffer (RealConfig.Trace)
-	seq      uint64        // per-rank event sequence number
-	sends    uint64        // per-rank message counter for MsgID
-	stashLen int           // current tag-mismatch stash size, all sources
+	tr       bool        // record/stream trace events
+	met      *procMeters // pre-resolved metric handles, nil = off
+	events   []sim.Event // per-rank event buffer (RealConfig.Trace)
+	seq      uint64      // per-rank event sequence number
+	sends    uint64      // per-rank message counter for MsgID
+	stashLen int         // current tag-mismatch stash size, all sources
 }
 
 func (p *realProc) Rank() int          { return p.rank }
