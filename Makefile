@@ -32,11 +32,9 @@ race:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# smoke proves the parallel sweep engine end to end on one experiment,
-# under both emulator scheduling modes.
+# smoke proves the parallel sweep engine end to end on one experiment.
 smoke:
-	$(GO) run ./cmd/packbench -exp fig3 -quick -parallel 4 -sched coop
-	$(GO) run ./cmd/packbench -exp fig3 -quick -parallel 4 -sched goroutine
+	$(GO) run ./cmd/packbench -exp fig3 -quick -parallel 4
 
 # smoke-trace proves the observability layer end to end: the Gantt,
 # matrix, and critical-path renderers, and a Chrome trace that parses
@@ -69,7 +67,7 @@ PERFGATE_BASELINE ?= BENCH_pr10.json
 PERFGATE_OUT      ?= /tmp/packbench-perfgate.json
 PERFGATE_DELTA    ?= /tmp/packdiff-delta.md
 perfgate:
-	$(GO) run ./cmd/packbench -exp all -quick -seed 1 -parallel 1 -sched coop \
+	$(GO) run ./cmd/packbench -exp all -quick -seed 1 -parallel 1 \
 		-samples 5 -service 1000000 -json $(PERFGATE_OUT) >/dev/null
 	$(GO) run ./cmd/packdiff -o $(PERFGATE_DELTA) $(PERFGATE_BASELINE) $(PERFGATE_OUT)
 
@@ -79,7 +77,7 @@ perfgate:
 # representative configuration (packbench exits non-zero below either
 # threshold).
 planbench:
-	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -parallel 1 -sched coop -plan-gate
+	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -parallel 1 -plan-gate
 
 # realbench runs the measured-vs-modeled speedup family on the real
 # shared-memory backend and gates on the P=8-over-P=1 wall speedup of

@@ -15,7 +15,6 @@ import (
 // not get a clean-looking run that quietly did neither.
 var simOnlyFlags = map[string]string{
 	"faults":     "fault injection is a modelling device of the emulator's omniscient network",
-	"sched":      "emulator scheduling modes do not apply to the real backend's OS threads",
 	"trace-dir":  "per-point trace dumps cover the virtual-time experiment grid; use packtrace -backend real for a wall-clock trace",
 	"plan-gate":  "the plan-cache amortization measurement runs on the virtual-time sweep",
 	"flight-dir": "the sweep flight recorder covers the virtual-time experiment grid; use packtrace -backend real -flight-dir for one real run",

@@ -7,7 +7,6 @@
 //	packbench -exp fig3           # one artifact: fig3|fig4|fig5|table1|table2|scale|prs|ablate
 //	packbench -exp table2 -quick  # trimmed parameter sets (seconds instead of minutes)
 //	packbench -parallel 1         # serial sweep (output is identical either way)
-//	packbench -sched goroutine    # concurrent emulator mode (default: coop)
 //	packbench -json perf.json     # also write a host-performance report
 //	packbench -samples 5          # repeat each replay 5x for robust wall stats
 //	packbench -exp faults -quick  # fault-injection robustness sweep (hidden from 'all')
@@ -52,7 +51,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("out", "", "also write the tables to this file")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "host worker pool size for the sweep engine (1 = serial)")
-	schedFlag := flag.String("sched", "coop", "emulator scheduling mode: coop (cooperative, virtual-clock ordered) or goroutine (concurrent)")
 	jsonPath := flag.String("json", "", "write a host-performance report (schema "+bench.PerfSchema+") to this file")
 	traceDir := flag.String("trace-dir", "", "run every experiment point with event tracing on and dump one Chrome trace-event JSON per point into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (samples carry experiment/stage/scheme labels)")
@@ -73,11 +71,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	sched, err := sim.ParseSched(*schedFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-		os.Exit(2)
-	}
 	backend, err := transport.ParseBackend(*backendFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
@@ -94,7 +87,6 @@ func main() {
 
 	suite := bench.NewSuite(*quick, *seed)
 	suite.Workers = *parallel
-	suite.Sched = sched
 	suite.Samples = *samples
 	if *faultsFlag != "" {
 		f, err := sim.ParseFaults(*faultsFlag)
@@ -202,7 +194,7 @@ func main() {
 				GoVersion: runtime.Version(),
 				NumCPU:    runtime.NumCPU(),
 				Parallel:  *parallel,
-				Sched:     sched.String(),
+				Scheduler: bench.Scheduler,
 				Quick:     *quick,
 				Seed:      *seed,
 				Samples:   *samples,
@@ -335,7 +327,7 @@ func main() {
 	// "service" object and exact-compared by packdiff.
 	var servicePerf *bench.ServicePerf
 	if *serviceN > 0 {
-		lr, err := loadgen.Run(loadgen.Config{Seed: *seed, Requests: *serviceN, Sched: sched})
+		lr, err := loadgen.Run(loadgen.Config{Seed: *seed, Requests: *serviceN})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "packbench: service soak: %v\n", err)
 			os.Exit(1)
@@ -361,7 +353,7 @@ func main() {
 	// host-independent, but anyone comparing the wall figures needs to
 	// know what they were measured under.
 	env := suite.Environment()
-	fmt.Printf("packbench: %s (quick=%v, seed=%d, sched=%s)\n", *exp, *quick, *seed, sched)
+	fmt.Printf("packbench: %s (quick=%v, seed=%d)\n", *exp, *quick, *seed)
 	fmt.Printf("env: %s\n", env)
 	fmt.Printf("machine model: CM-5-flavoured two-level cost model; times are virtual ms\n\n")
 	bench.RenderAll(os.Stdout, tables)
@@ -384,7 +376,7 @@ func main() {
 			GoVersion:   runtime.Version(),
 			NumCPU:      runtime.NumCPU(),
 			Parallel:    *parallel,
-			Sched:       sched.String(),
+			Scheduler:   bench.Scheduler,
 			Quick:       *quick,
 			Seed:        *seed,
 			Samples:     *samples,

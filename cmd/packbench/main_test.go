@@ -37,7 +37,7 @@ func TestBackendNeutralFlagsPass(t *testing.T) {
 			t.Errorf("real backend rejected %v: %v", set, err)
 		}
 	}
-	if err := checkBackendFlags(transport.BackendSim, []string{"faults", "sched", "trace-dir", "plan-gate", "flight-dir", "exp"}); err != nil {
+	if err := checkBackendFlags(transport.BackendSim, []string{"faults", "trace-dir", "plan-gate", "flight-dir", "exp"}); err != nil {
 		t.Errorf("sim backend rejected sim flags: %v", err)
 	}
 }

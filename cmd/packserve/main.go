@@ -46,7 +46,6 @@ func main() {
 		workers  = flag.Int("workers", 8, "service worker-pool size")
 		queue    = flag.Int("queue", 256, "admission-queue capacity")
 		backend  = flag.String("backend", "sim", "backend: sim (virtual clock, deterministic) or real (wall clock, paced)")
-		sched    = flag.String("sched", "coop", "sim scheduling mode: coop or goroutine")
 		soak     = flag.Bool("soak", false, "execute every request through the server, byte-verified (sim)")
 		mix      = flag.String("mix", "default", "workload mix: default (small/medium/large) or small (tiny layouts, budget for million-request execute soaks)")
 		chaos    = flag.String("chaos", "", "chaos mode fault spec, e.g. \"7:drop=0.2,stall=0.1\" (sim only)")
@@ -60,14 +59,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc, err := sim.ParseSched(*sched)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := loadgen.Config{
 		Seed: *seed, Requests: *requests, RatePerSec: *rate,
-		Workers: *workers, Queue: *queue,
-		Sched: sc, Execute: *soak,
+		Workers: *workers, Queue: *queue, Execute: *soak,
 	}
 	switch *mix {
 	case "default":

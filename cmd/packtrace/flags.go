@@ -14,7 +14,6 @@ import (
 // the user believes are something else.
 var simOnlyFlags = map[string]string{
 	"critpath": "the critical path is defined over the virtual cost model, not wall time",
-	"sched":    "emulator scheduling modes do not apply to the real backend's OS threads",
 }
 
 // setFlagNames returns the names of the flags explicitly set on the

@@ -70,7 +70,6 @@ func main() {
 	outPath := flag.String("o", "", "write the chrome trace to this file (default stdout)")
 	matrix := flag.Bool("matrix", false, "print the P x P communication matrix (messages/words, per phase)")
 	critpath := flag.Bool("critpath", false, "print the virtual-time critical path (blocking chain ending at the makespan)")
-	schedFlag := flag.String("sched", "coop", "emulator scheduling mode: coop (cooperative, deterministic event order) or goroutine (concurrent)")
 	backendFlag := flag.String("backend", "sim", "transport backend: sim traces the virtual-clock emulator, real traces the shared-memory parallel backend in wall-clock microseconds")
 	jsonlPath := flag.String("jsonl", "", "stream every trace event to this file as JSON Lines (one event per line; bounded memory regardless of run size)")
 	flightDir := flag.String("flight-dir", "", "attach the always-on flight recorder and dump its window (Chrome trace + text post-mortem) into this directory if the run deadlocks or exhausts a fault budget")
@@ -105,10 +104,6 @@ func main() {
 	}
 	if *format != "gantt" && *format != "chrome" {
 		log.Fatalf("unknown format %q (want gantt or chrome)", *format)
-	}
-	sched, err := sim.ParseSched(*schedFlag)
-	if err != nil {
-		log.Fatal(err)
 	}
 	backend, err := transport.ParseBackend(*backendFlag)
 	if err != nil {
@@ -158,7 +153,6 @@ func main() {
 	}
 	machine, err := transport.New(backend, sim.Config{
 		Procs:   layout.Procs(),
-		Sched:   sched,
 		Params:  sim.CM5Params(),
 		Record:  true,
 		Trace:   true,
@@ -252,8 +246,8 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s %s, shape %s, %s (P=%d), density %.0f%%, Size=%d, sched %s, backend %s\n\n",
-		*op, scheme, *shapeFlag, hpf.Format(layout.Dims), layout.Procs(), *density*100, size, sched, backend)
+	fmt.Printf("%s %s, shape %s, %s (P=%d), density %.0f%%, Size=%d, backend %s\n\n",
+		*op, scheme, *shapeFlag, hpf.Format(layout.Dims), layout.Procs(), *density*100, size, backend)
 	trace.GanttUnit(os.Stdout, capture.Spans, *width, timeUnit)
 	fmt.Println()
 	trace.Summary(os.Stdout, capture.Stats)

@@ -27,7 +27,7 @@ func TestSimOnlyFlagsFailFastUnderRealBackend(t *testing.T) {
 // TestSimOnlyFlagsAllowedOnSimBackend: the same flags are fine on the
 // emulator, and unrelated flags are fine on the real backend.
 func TestSimOnlyFlagsAllowedOnSimBackend(t *testing.T) {
-	if err := checkBackendFlags(transport.BackendSim, []string{"critpath", "sched", "matrix"}); err != nil {
+	if err := checkBackendFlags(transport.BackendSim, []string{"critpath", "matrix"}); err != nil {
 		t.Errorf("sim backend rejected sim flags: %v", err)
 	}
 	if err := checkBackendFlags(transport.BackendReal, []string{"matrix", "format", "o", "jsonl", "flight-dir"}); err != nil {

@@ -11,11 +11,9 @@ import (
 )
 
 // This file is the cross-backend conformance suite: the same PACK and
-// UNPACK workload runs on the emulator in both scheduler modes and on
-// the real shared-memory backend, and the gathered results must be
-// byte-identical everywhere (and equal to the sequential oracle). It
-// extends the PR 2 cross-mode Stats-equivalence grid one axis outward:
-// scheduler modes were two executions of one machine; backends are two
+// UNPACK workload runs on the emulator and on the real shared-memory
+// backend, and the gathered results must be byte-identical everywhere
+// (and equal to the sequential oracle). The backends are two different
 // machines, so only the results — not the virtual metrics — can be
 // compared.
 
@@ -26,17 +24,9 @@ type conformanceMachine struct {
 }
 
 var conformanceMachines = []conformanceMachine{
-	{"sim-goroutine", func(t *testing.T, procs int) packunpack.ParallelMachine {
-		m, err := packunpack.NewBackendMachine(packunpack.BackendSim,
-			packunpack.Config{Procs: procs, Params: packunpack.CM5Params(), Sched: packunpack.SchedGoroutine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}},
 	{"sim-coop", func(t *testing.T, procs int) packunpack.ParallelMachine {
 		m, err := packunpack.NewBackendMachine(packunpack.BackendSim,
-			packunpack.Config{Procs: procs, Params: packunpack.CM5Params(), Sched: packunpack.SchedCooperative})
+			packunpack.Config{Procs: procs, Params: packunpack.CM5Params()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +107,7 @@ func conformanceWorkload(layout *packunpack.Layout, n int) (locals, fields [][]i
 }
 
 // TestCrossBackendConformance pins sim-vs-real byte-identical PACK and
-// UNPACK results for every scheme x scheduler x P of the grid,
+// UNPACK results for every scheme x backend x P of the grid,
 // including non-power-of-two machine sizes.
 func TestCrossBackendConformance(t *testing.T) {
 	const n = 48
@@ -270,33 +260,33 @@ func TestCrossBackendExplicitPlanAPI(t *testing.T) {
 }
 
 // TestConformanceVirtualMetricsSimOnly documents the metric contract of
-// the suite: the two sim scheduler modes agree on virtual metrics
-// exactly (the PR 2 grid), while the real backend shares only the
-// op/message/word counters' meaning — its clocks are wall time.
+// the suite: two emulator runs agree on virtual metrics exactly, while
+// the real backend shares only the op/message/word counters' meaning —
+// its clocks are wall time.
 func TestConformanceVirtualMetricsSimOnly(t *testing.T) {
 	const n, p = 48, 4
 	layout := packunpack.MustLayout(packunpack.Dim{N: n, P: p, W: 3})
 	locals, fields, maskLocals, _, _, _ := conformanceWorkload(layout, n)
 	opt := packunpack.Options{Scheme: packunpack.CMS}
 
-	var stats [3][]packunpack.Stats
-	var clocks [3]float64
-	for i, cm := range conformanceMachines {
+	run := func(cm conformanceMachine) ([]packunpack.Stats, float64) {
 		m := cm.build(t, p)
 		runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
-		stats[i] = m.Stats()
-		clocks[i] = m.MaxClock()
+		return m.Stats(), m.MaxClock()
 	}
-	// Sim modes: full virtual equality, clock included.
-	if !reflect.DeepEqual(stats[0], stats[1]) || clocks[0] != clocks[1] {
-		t.Errorf("sim scheduler modes disagree on virtual metrics")
+	simCM, realCM := conformanceMachines[0], conformanceMachines[1]
+	simStats, simClock := run(simCM)
+	// Sim: full virtual equality on a fresh machine, clock included.
+	if again, clock := run(simCM); !reflect.DeepEqual(again, simStats) || clock != simClock {
+		t.Errorf("repeated sim runs disagree on virtual metrics")
 	}
 	// Real: identical message/word traffic (same algorithm decisions),
 	// wall clocks that cannot meaningfully equal the virtual ones.
+	realStats, _ := run(realCM)
 	for r := 0; r < p; r++ {
-		if stats[2][r].MsgsSent != stats[0][r].MsgsSent || stats[2][r].WordsSent != stats[0][r].WordsSent {
+		if realStats[r].MsgsSent != simStats[r].MsgsSent || realStats[r].WordsSent != simStats[r].WordsSent {
 			t.Errorf("rank %d: real traffic (%d msgs/%d words) != sim traffic (%d msgs/%d words)",
-				r, stats[2][r].MsgsSent, stats[2][r].WordsSent, stats[0][r].MsgsSent, stats[0][r].WordsSent)
+				r, realStats[r].MsgsSent, realStats[r].WordsSent, simStats[r].MsgsSent, simStats[r].WordsSent)
 		}
 	}
 }
@@ -320,8 +310,7 @@ func TestCrossBackendConformanceWithMetrics(t *testing.T) {
 		cfg  packunpack.Config
 		b    packunpack.Backend
 	}{
-		{"sim-goroutine", packunpack.Config{Procs: 8, Params: packunpack.CM5Params(), Sched: packunpack.SchedGoroutine}, packunpack.BackendSim},
-		{"sim-coop", packunpack.Config{Procs: 8, Params: packunpack.CM5Params(), Sched: packunpack.SchedCooperative}, packunpack.BackendSim},
+		{"sim-coop", packunpack.Config{Procs: 8, Params: packunpack.CM5Params()}, packunpack.BackendSim},
 		{"real", packunpack.Config{Procs: 8, Params: packunpack.CM5Params()}, packunpack.BackendReal},
 	}
 	var first *packOutcome
@@ -366,7 +355,7 @@ func TestRealLinkBytesReconcileWithSimStats(t *testing.T) {
 	opt := packunpack.Options{Scheme: packunpack.CMS}
 
 	simM, err := packunpack.NewBackendMachine(packunpack.BackendSim,
-		packunpack.Config{Procs: p, Params: packunpack.CM5Params(), Sched: packunpack.SchedCooperative})
+		packunpack.Config{Procs: p, Params: packunpack.CM5Params()})
 	if err != nil {
 		t.Fatal(err)
 	}

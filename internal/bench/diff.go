@@ -546,7 +546,7 @@ func (d *Diff) describe(r *PerfReport, path string) string {
 		samples = 1
 	}
 	return fmt.Sprintf("%s (%s, sched=%s, parallel=%d, samples=%d)",
-		name, r.Schema, orDash(r.Sched), r.Parallel, samples)
+		name, r.Schema, orDash(r.Scheduler), r.Parallel, samples)
 }
 
 func orDash(s string) string {

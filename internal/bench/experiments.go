@@ -31,12 +31,6 @@ type Suite struct {
 	// the fully serial behaviour. Whatever the value, rendered tables
 	// are byte-identical (the determinism invariant of DESIGN.md §7).
 	Workers int
-	// Sched is the emulator execution mode every measured machine
-	// runs under. NewSuite defaults it to sim.SchedCooperative: the
-	// sweep engine is already host-parallel across experiment points,
-	// so within-machine goroutine concurrency only oversubscribes the
-	// host (DESIGN.md §8). Either mode produces identical tables.
-	Sched sim.Sched
 	// Faults, when non-nil, installs this fault-injection plan on every
 	// measured machine that does not carry its own (packbench -faults).
 	// The canonical experiments stay fault-free unless the caller asks;
@@ -105,7 +99,7 @@ type Suite struct {
 
 // NewSuite builds a suite with a shared measurement cache.
 func NewSuite(quick bool, seed uint64) Suite {
-	return Suite{Quick: quick, Seed: seed, Sched: sim.SchedCooperative, cache: newRunCache(), counters: &perfCounters{}}
+	return Suite{Quick: quick, Seed: seed, cache: newRunCache(), counters: &perfCounters{}}
 }
 
 // sampleCount resolves the Samples field: 0 means one sample.
@@ -218,7 +212,6 @@ func (s Suite) packArrays() []arraySpec {
 // collect mode the point is only recorded for the parallel prefetcher
 // and a zero Metrics is returned (the dry pass's tables are discarded).
 func (s Suite) measure(r Run) Metrics {
-	r.Sched = s.Sched // experiments leave the mode to the suite
 	if r.Faults == nil {
 		r.Faults = s.Faults
 	}
@@ -550,7 +543,7 @@ type prsPoint struct {
 // prsKey identifies a PRS point in the suite's shared memo cache (the
 // "prs|" prefix keeps it disjoint from the PACK/UNPACK run keys).
 func (s Suite) prsKey(pt prsPoint) string {
-	return fmt.Sprintf("prs|%d|%d|%v|%v", pt.p, pt.m, pt.algo, s.Sched)
+	return fmt.Sprintf("prs|%d|%d|%v", pt.p, pt.m, pt.algo)
 }
 
 // prsExecute runs one bare PRS collective and books it like any other
@@ -569,7 +562,7 @@ func (s Suite) prsExecute(pt prsPoint) (met Metrics) {
 func (s Suite) prsExecutePoint(pt prsPoint) Metrics {
 	traced := s.TraceDir != ""
 	machine := sim.MustNew(sim.Config{
-		Procs: pt.p, Params: sim.CM5Params(), Sched: s.Sched,
+		Procs: pt.p, Params: sim.CM5Params(),
 		Record: traced, Trace: traced,
 	})
 	err := machine.Run(func(proc *sim.Proc) {

@@ -27,7 +27,6 @@ func TestFlightDumpOnFaultAbort(t *testing.T) {
 		Gen:    mask.NewRandom(0.5, 1, 256),
 		Opt:    pack.Options{Scheme: pack.SchemeCMS},
 		Mode:   ModePack,
-		Sched:  sim.SchedCooperative,
 		Faults: &sim.FaultConfig{Seed: 1, Drop: 1, MaxRetries: 3},
 	}
 	defer func() {
@@ -72,7 +71,6 @@ func TestFlightDirCleanSweepWritesNothing(t *testing.T) {
 		Gen:    mask.NewRandom(0.5, 1, 256),
 		Opt:    pack.Options{Scheme: pack.SchemeCMS},
 		Mode:   ModePack,
-		Sched:  sim.SchedCooperative,
 	}
 	met := s.executePoint(r)
 	if met.TotalMS <= 0 {

@@ -68,15 +68,12 @@ func (c *runCache) len() int {
 	return len(c.m)
 }
 
-// runKey identifies a measurement configuration for memoization. The
-// scheduler mode is part of the key out of caution — the two modes
-// produce identical metrics (the cross-mode equivalence contract), but
-// a cache must never be able to blur a configuration distinction.
+// runKey identifies a measurement configuration for memoization.
 func runKey(r Run) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v|%d|%v|%v|%v|%v|%v|%v|%v|%s|%d|%v",
+	return fmt.Sprintf("%s|%s|%v|%v|%v|%d|%v|%v|%v|%v|%v|%v|%s|%d|%v",
 		r.Layout.String(), r.Gen.Name(), r.Opt.Scheme, r.Mode, r.Opt.PRS,
 		r.Opt.VectorW, r.Opt.WholeSliceScan, r.Opt.A2A, r.Opt.SeparatePrefixReduce,
-		r.SelfSendFree, r.Params, r.Sched, r.Trace, r.Faults.String(),
+		r.SelfSendFree, r.Params, r.Trace, r.Faults.String(),
 		r.Repeat, r.Planned)
 }
 

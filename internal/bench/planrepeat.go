@@ -131,7 +131,7 @@ func (s Suite) MeasurePlanRepeat() PlanRepeatPerf {
 	calls := s.planRepeatCalls()
 	layout := dist.MustLayout(dist.Dim{N: n, P: p, W: w})
 	gen := mask.NewRandom(0.5, s.Seed+99, n)
-	base := Run{Layout: layout, Gen: gen, Opt: pack.Options{Scheme: pack.SchemeSSS}, Mode: ModePack, Repeat: calls, Sched: s.Sched}
+	base := Run{Layout: layout, Gen: gen, Opt: pack.Options{Scheme: pack.SchemeSSS}, Mode: ModePack, Repeat: calls}
 
 	const reps = 3
 	out := PlanRepeatPerf{

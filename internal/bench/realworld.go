@@ -106,9 +106,9 @@ func (s Suite) MeasureRealWorld() (RealWorldResult, error) {
 		}
 		pt := RealWorldPoint{P: p}
 
-		// Model half: one emulated call under the cooperative scheduler
-		// (deterministic; repeats would scale the virtual time linearly).
-		simMachine, err := sim.New(sim.Config{Procs: p, Params: sim.CM5Params(), Sched: sim.SchedCooperative})
+		// Model half: one emulated call (deterministic; repeats would
+		// scale the virtual time linearly).
+		simMachine, err := sim.New(sim.Config{Procs: p, Params: sim.CM5Params()})
 		if err != nil {
 			return res, err
 		}

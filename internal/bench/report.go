@@ -83,23 +83,28 @@ const PerfSchema = "packbench-perf/v7"
 // numbers without touching virtual ones.
 type Environment struct {
 	sim.Fingerprint
-	Sched    string `json:"sched"`
-	Parallel int    `json:"parallel"`
-	Samples  int    `json:"samples"`
+	Scheduler string `json:"sched"`
+	Parallel  int    `json:"parallel"`
+	Samples   int    `json:"samples"`
 }
+
+// Scheduler is the emulator scheduling mode every report records. The
+// cooperative scheduler is the only one; the field stays in the
+// schema so reports remain comparable with the committed baselines.
+const Scheduler = "coop"
 
 // String renders the environment on one line for table headers, so a
 // pasted table is self-describing.
 func (e Environment) String() string {
 	return fmt.Sprintf("%s; sched=%s parallel=%d samples=%d",
-		e.Fingerprint, e.Sched, e.Parallel, e.Samples)
+		e.Fingerprint, e.Scheduler, e.Parallel, e.Samples)
 }
 
 // Environment captures the suite's measurement environment.
 func (s Suite) Environment() Environment {
 	return Environment{
 		Fingerprint: sim.HostFingerprint(),
-		Sched:       s.Sched.String(),
+		Scheduler:   Scheduler,
 		Parallel:    s.workerCount(),
 		Samples:     s.sampleCount(),
 	}
@@ -109,13 +114,13 @@ func (s Suite) Environment() Environment {
 // one entry per requested experiment plus a summed total. Virtual
 // times (the paper's results) are invariant under host parallelism;
 // the wall-clock and allocation figures are what the -parallel flag
-// and the scheduler mode are expected to move.
+// is expected to move.
 type PerfReport struct {
 	Schema      string           `json:"schema"`
 	GoVersion   string           `json:"go_version"`
 	NumCPU      int              `json:"num_cpu"`
 	Parallel    int              `json:"parallel"`
-	Sched       string           `json:"sched"`
+	Scheduler   string           `json:"sched"`
 	Quick       bool             `json:"quick"`
 	Seed        uint64           `json:"seed"`
 	Samples     int              `json:"samples,omitempty"`

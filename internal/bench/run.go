@@ -138,12 +138,6 @@ type Run struct {
 	Mode   Mode
 	// Params are the machine constants; zero value means CM5Params.
 	Params sim.Params
-	// Sched selects the emulator's execution mode. The sweep engine
-	// defaults to the cooperative scheduler (machines are already
-	// host-parallel across experiment points, so within-machine
-	// goroutine concurrency only adds contention); the zero value is
-	// the concurrent goroutine mode, matching sim.Config.
-	Sched sim.Sched
 	// SelfSendFree shortcuts self messages to zero cost (ablation of
 	// the paper's policy of routing them through the network).
 	SelfSendFree bool
@@ -249,7 +243,7 @@ func (r Run) exec() (Metrics, *trace.Capture, error) {
 		params = sim.CM5Params()
 	}
 	machine, err := sim.New(sim.Config{
-		Procs: r.Layout.Procs(), Params: params, SelfSendFree: r.SelfSendFree, Sched: r.Sched,
+		Procs: r.Layout.Procs(), Params: params, SelfSendFree: r.SelfSendFree,
 		Record: r.Trace, Trace: r.Trace, Faults: r.Faults, Metrics: r.Metrics, Flight: r.Flight,
 		Sink: r.Sink,
 	})

@@ -5,7 +5,6 @@ import (
 
 	"packunpack/internal/mask"
 	"packunpack/internal/pack"
-	"packunpack/internal/sim"
 	"packunpack/internal/trace"
 )
 
@@ -21,10 +20,7 @@ import (
 // machine's Stats counters, or the engine panics.
 //
 // Hidden (run with `packbench -exp scale1k`) so the canonical BENCH
-// reports and the packdiff baselines keep their exact shape. The
-// cooperative scheduler is forced regardless of Suite.Sched: at P=1024
-// a goroutine per rank oversubscribes any host, and the ISSUE's memory
-// bound is defined over the deterministic coop event order.
+// reports and the packdiff baselines keep their exact shape.
 func (s Suite) Scale1K() []*Table {
 	const procs = 1024
 	n := 1 << 20
@@ -46,7 +42,7 @@ func (s Suite) Scale1K() []*Table {
 		met, err := Run{
 			Layout: oneD(n, procs, 64), Gen: gen,
 			Opt: pack.Options{Scheme: scheme}, Mode: ModePack,
-			Sched: sim.SchedCooperative, Sink: agg,
+			Sink: agg,
 		}.Execute()
 		if err != nil {
 			panic(fmt.Sprintf("bench: scale1k: %v", err))

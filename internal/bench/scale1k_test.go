@@ -19,8 +19,7 @@ func scaleAggRun(t *testing.T, procs, n, reps int) (*trace.AggSink, []sim.Stats)
 	layout := oneD(n, procs, 64)
 	gen := mask.NewRandom(0.5, 1, n)
 	machine := sim.MustNew(sim.Config{
-		Procs: procs, Params: sim.CM5Params(), Sched: sim.SchedCooperative,
-		Sink: agg,
+		Procs: procs, Params: sim.CM5Params(), Sink: agg,
 	})
 	if err := machine.Run(func(p *sim.Proc) {
 		lm := mask.FillLocal(layout, p.Rank(), gen)

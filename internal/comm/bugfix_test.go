@@ -193,7 +193,7 @@ func TestBarrierSubsetGroupNonPowerOfTwo(t *testing.T) {
 
 // ---- Retry budget accounting (MaxRetries semantics) ----
 
-// countingEndpoint is a fake transport.Endpoint for exercising the
+// countingEndpoint is a fake transport.FaultEndpoint for exercising the
 // reliable sender's retry loop in isolation: every delivery attempt
 // fails, and the hooks tally how the loop drives them.
 type countingEndpoint struct {
@@ -215,8 +215,6 @@ func (c *countingEndpoint) Charge(ops int)                            {}
 func (c *countingEndpoint) Send(dst, tag int, payload any, words int) {}
 func (c *countingEndpoint) SendFree(dst, tag int, payload any)        {}
 func (c *countingEndpoint) Recv(src, tag int) (any, int)              { return nil, 0 }
-func (c *countingEndpoint) SendInts(dst, tag int, v []int)            {}
-func (c *countingEndpoint) RecvInts(src, tag int) []int               { return nil }
 func (c *countingEndpoint) Faults() *sim.FaultConfig                  { return &c.faults }
 func (c *countingEndpoint) RetryWait(dst, tag int)                    { c.waits++ }
 func (c *countingEndpoint) NoteDedup(src, tag int)                    {}
@@ -269,40 +267,38 @@ func TestMaxRetriesAttemptAccounting(t *testing.T) {
 // TestMaxRetriesBudgetOnMachine runs the same accounting end-to-end on
 // the emulator under a drop-everything schedule: the machine must abort
 // with a FaultBudgetError whose Attempts is exactly MaxRetries+1, and
-// the fault report's counters must agree, under both scheduler modes.
+// the fault report's counters must agree.
 func TestMaxRetriesBudgetOnMachine(t *testing.T) {
 	const retries = 4
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		m := sim.MustNew(sim.Config{Procs: 2, Params: sim.CM5Params(), Sched: sched,
-			Faults: &sim.FaultConfig{Seed: 3, Drop: 1, MaxRetries: retries}})
-		err := m.Run(func(p *sim.Proc) {
-			g := World(p)
-			if g.Index() == 0 {
-				g.send(1, tagGather, []int{1}, 1)
-			} else {
-				g.recv(0, tagGather)
-			}
-		})
-		if !sim.IsFaultBudget(err) {
-			t.Fatalf("sched %v: want FaultBudgetError, got %v", sched, err)
+	m := sim.MustNew(sim.Config{Procs: 2, Params: sim.CM5Params(),
+		Faults: &sim.FaultConfig{Seed: 3, Drop: 1, MaxRetries: retries}})
+	err := m.Run(func(p *sim.Proc) {
+		g := World(p)
+		if g.Index() == 0 {
+			g.send(1, tagGather, []int{1}, 1)
+		} else {
+			g.recv(0, tagGather)
 		}
-		var budget *sim.FaultBudgetError
-		if !errors.As(err, &budget) {
-			t.Fatalf("sched %v: FaultBudgetError not unwrappable from %v", sched, err)
-		}
-		if budget.Attempts != retries+1 {
-			t.Errorf("sched %v: gave up after %d attempts, want %d (1 original + %d retries)",
-				sched, budget.Attempts, retries+1, retries)
-		}
-		rep := m.FaultReport()
-		if rep == nil {
-			t.Fatalf("sched %v: no fault report", sched)
-		}
-		sender := rep.PerRank[0]
-		if sender.Attempts != retries+1 || sender.Retries != retries || sender.Drops != retries+1 {
-			t.Errorf("sched %v: sender counters %+v, want Attempts=%d Retries=%d Drops=%d",
-				sched, sender, retries+1, retries, retries+1)
-		}
+	})
+	if !sim.IsFaultBudget(err) {
+		t.Fatalf("want FaultBudgetError, got %v", err)
+	}
+	var budget *sim.FaultBudgetError
+	if !errors.As(err, &budget) {
+		t.Fatalf("FaultBudgetError not unwrappable from %v", err)
+	}
+	if budget.Attempts != retries+1 {
+		t.Errorf("gave up after %d attempts, want %d (1 original + %d retries)",
+			budget.Attempts, retries+1, retries)
+	}
+	rep := m.FaultReport()
+	if rep == nil {
+		t.Fatal("no fault report")
+	}
+	sender := rep.PerRank[0]
+	if sender.Attempts != retries+1 || sender.Retries != retries || sender.Drops != retries+1 {
+		t.Errorf("sender counters %+v, want Attempts=%d Retries=%d Drops=%d",
+			sender, retries+1, retries, retries+1)
 	}
 }
 

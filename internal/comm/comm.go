@@ -40,6 +40,7 @@ const (
 // rank; prefix operations accumulate in group-rank order.
 type Group struct {
 	p     transport.Endpoint
+	f     transport.FaultEndpoint // p under a fault plan, else nil (reliable.go)
 	ranks []int
 	me    int // my index within ranks
 }
@@ -62,7 +63,11 @@ func NewGroup(p transport.Endpoint, ranks []int) (Group, error) {
 	}
 	cp := make([]int, len(ranks))
 	copy(cp, ranks)
-	return Group{p: p, ranks: cp, me: me}, nil
+	g := Group{p: p, ranks: cp, me: me}
+	if f, ok := p.(transport.FaultEndpoint); ok && f.Faults() != nil {
+		g.f = f
+	}
+	return g, nil
 }
 
 // World returns the group of all processors in machine order.

@@ -61,93 +61,77 @@ func collectiveWorkload(results [][]int) func(g Group) {
 	}
 }
 
-func runFaultWorkload(t *testing.T, sched sim.Sched, faults *sim.FaultConfig, trace bool) ([][]int, *sim.Machine) {
+func runFaultWorkload(t *testing.T, faults *sim.FaultConfig, trace bool) ([][]int, *sim.Machine) {
 	t.Helper()
 	const n = 6
 	results := make([][]int, n)
-	m := sim.MustNew(sim.Config{Procs: n, Params: sim.CM5Params(), Sched: sched, Trace: trace, Faults: faults})
+	m := sim.MustNew(sim.Config{Procs: n, Params: sim.CM5Params(), Trace: trace, Faults: faults})
 	if err := m.Run(func(p *sim.Proc) { collectiveWorkload(results)(World(p)) }); err != nil {
-		t.Fatalf("sched %v faults %v: %v", sched, faults, err)
+		t.Fatalf("faults %v: %v", faults, err)
 	}
 	return results, m
 }
 
 // TestCollectivesUnderFaults is the core reliable-delivery guarantee:
 // every collective returns values identical to the fault-free run under
-// any seeded fault schedule, on both schedulers.
+// any seeded fault schedule.
 func TestCollectivesUnderFaults(t *testing.T) {
-	baseline, _ := runFaultWorkload(t, sim.SchedCooperative, nil, false)
+	baseline, _ := runFaultWorkload(t, nil, false)
 	schedules := []*sim.FaultConfig{
 		{Seed: 1, Drop: 0.02, Dup: 0.02, Reorder: 0.05, Delay: 0.05, Stall: 0.01},
 		{Seed: 2, Drop: 0.25},
 		{Seed: 3, Dup: 0.2, Reorder: 0.3},
 		{Seed: 4, Drop: 0.1, Dup: 0.1, Reorder: 0.1, Delay: 0.1, Stall: 0.05},
 	}
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		for _, f := range schedules {
-			got, m := runFaultWorkload(t, sched, f, false)
-			if !reflect.DeepEqual(got, baseline) {
-				t.Errorf("sched %v faults %v: results diverge from fault-free run", sched, f)
-			}
-			rep := m.FaultReport()
-			if rep == nil || rep.Total.Injected() == 0 {
-				t.Errorf("sched %v faults %v: nothing injected", sched, f)
-			}
-			if rep.Total.Drops > 0 && rep.Total.Retries == 0 {
-				t.Errorf("sched %v faults %v: drops but no retries recorded", sched, f)
-			}
-			if rep.Total.Dups > 0 && rep.Total.Dedups == 0 && rep.Total.Residual == 0 {
-				t.Errorf("sched %v faults %v: dups neither deduped nor residual", sched, f)
-			}
+	for _, f := range schedules {
+		got, m := runFaultWorkload(t, f, false)
+		if !reflect.DeepEqual(got, baseline) {
+			t.Errorf("faults %v: results diverge from fault-free run", f)
+		}
+		rep := m.FaultReport()
+		if rep == nil || rep.Total.Injected() == 0 {
+			t.Errorf("faults %v: nothing injected", f)
+		}
+		if rep.Total.Drops > 0 && rep.Total.Retries == 0 {
+			t.Errorf("faults %v: drops but no retries recorded", f)
+		}
+		if rep.Total.Dups > 0 && rep.Total.Dedups == 0 && rep.Total.Residual == 0 {
+			t.Errorf("faults %v: dups neither deduped nor residual", f)
 		}
 	}
 }
 
 // TestFaultScheduleDeterminism is the determinism satellite: the same
-// seed replays an identical fault schedule — same FaultReport and same
-// per-rank event streams — on both schedulers, while different seeds
-// hit different (non-empty) injection points.
+// seed replays an identical fault schedule on a fresh machine — same
+// FaultReport, same Stats and same event streams, sequence numbers
+// included — while different seeds hit different (non-empty)
+// injection points.
 func TestFaultScheduleDeterminism(t *testing.T) {
 	f := &sim.FaultConfig{Seed: 9, Drop: 0.08, Dup: 0.08, Reorder: 0.1, Delay: 0.1, Stall: 0.03}
-	_, coop := runFaultWorkload(t, sim.SchedCooperative, f, true)
-	_, gor := runFaultWorkload(t, sim.SchedGoroutine, f, true)
+	_, first := runFaultWorkload(t, f, true)
+	_, replay := runFaultWorkload(t, f, true)
 
-	repC, repG := coop.FaultReport(), gor.FaultReport()
-	if repC.Total.Injected() == 0 {
+	rep := first.FaultReport()
+	if rep.Total.Injected() == 0 {
 		t.Fatal("schedule injected nothing")
 	}
-	if !reflect.DeepEqual(repC, repG) {
-		t.Errorf("fault reports differ across schedulers:\n%+v\nvs\n%+v", repC.Total, repG.Total)
+	if !reflect.DeepEqual(replay.FaultReport(), rep) {
+		t.Errorf("same seed did not replay the same fault report:\n%+v\nvs\n%+v", rep.Total, replay.FaultReport().Total)
 	}
-	if !reflect.DeepEqual(coop.Stats(), gor.Stats()) {
-		t.Error("stats differ across schedulers under faults")
+	if !reflect.DeepEqual(replay.Stats(), first.Stats()) {
+		t.Error("same seed did not replay the same stats")
 	}
-	// Event Seq numbering is machine-global under the cooperative
-	// scheduler and per-rank under the goroutine one; everything else
-	// in the per-rank streams must agree.
-	norm := func(rows [][]sim.Event) [][]sim.Event {
-		for _, row := range rows {
-			for i := range row {
-				row[i].Seq = 0
-			}
-		}
-		return rows
-	}
-	if !reflect.DeepEqual(norm(coop.Events()), norm(gor.Events())) {
-		t.Error("per-rank event streams differ across schedulers under faults")
+	if !reflect.DeepEqual(replay.Events(), first.Events()) {
+		t.Error("same seed did not replay the same event streams")
 	}
 
-	_, again := runFaultWorkload(t, sim.SchedCooperative, f, true)
-	if !reflect.DeepEqual(again.FaultReport(), repC) {
-		t.Error("same seed did not replay the same fault schedule")
-	}
 	other := &sim.FaultConfig{Seed: 10, Drop: 0.08, Dup: 0.08, Reorder: 0.1, Delay: 0.1, Stall: 0.03}
-	_, diff := runFaultWorkload(t, sim.SchedCooperative, other, true)
+	_, diff := runFaultWorkload(t, other, true)
 	repO := diff.FaultReport()
 	if repO.Total.Injected() == 0 {
 		t.Error("seed 10 injected nothing")
 	}
-	if reflect.DeepEqual(repO.PerRank, repC.PerRank) {
+	if reflect.DeepEqual(repO.PerRank, rep.PerRank) {
 		t.Error("different seeds produced identical injection points")
 	}
 }
@@ -156,20 +140,18 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 // the retry budget and surfaces as a structured FaultBudgetError, with
 // the FaultReport still available for post-mortem.
 func TestFaultBudgetExhaustion(t *testing.T) {
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(), Sched: sched,
-			Faults: &sim.FaultConfig{Seed: 1, Drop: 1, MaxRetries: 3}})
-		err := m.Run(func(p *sim.Proc) {
-			g := World(p)
-			g.Bcast(0, []int{1, 2, 3})
-		})
-		if !sim.IsFaultBudget(err) {
-			t.Fatalf("sched %v: want FaultBudgetError, got %v", sched, err)
-		}
-		rep := m.FaultReport()
-		if rep == nil || rep.Total.Drops == 0 || rep.Total.Retries == 0 {
-			t.Errorf("sched %v: report after exhaustion: %+v", sched, rep)
-		}
+	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(),
+		Faults: &sim.FaultConfig{Seed: 1, Drop: 1, MaxRetries: 3}})
+	err := m.Run(func(p *sim.Proc) {
+		g := World(p)
+		g.Bcast(0, []int{1, 2, 3})
+	})
+	if !sim.IsFaultBudget(err) {
+		t.Fatalf("want FaultBudgetError, got %v", err)
+	}
+	rep := m.FaultReport()
+	if rep == nil || rep.Total.Drops == 0 || rep.Total.Retries == 0 {
+		t.Errorf("report after exhaustion: %+v", rep)
 	}
 }
 
@@ -178,7 +160,7 @@ func TestFaultBudgetExhaustion(t *testing.T) {
 // traffic is bit-identical to the raw path.
 func TestReliableStreamHeaderCharge(t *testing.T) {
 	run := func(f *sim.FaultConfig) []sim.Stats {
-		m := sim.MustNew(sim.Config{Procs: 2, Params: sim.CM5Params(), Sched: sim.SchedCooperative, Faults: f})
+		m := sim.MustNew(sim.Config{Procs: 2, Params: sim.CM5Params(), Faults: f})
 		if err := m.Run(func(p *sim.Proc) {
 			g := World(p)
 			if g.Index() == 0 {

@@ -45,7 +45,7 @@ func FuzzPrefixReductionSum(f *testing.F) {
 
 		gotP := make([][]int, procs)
 		gotT := make([][]int, procs)
-		mach := sim.MustNew(sim.Config{Procs: procs, Sched: sim.SchedCooperative})
+		mach := sim.MustNew(sim.Config{Procs: procs})
 		if err := mach.Run(func(p *sim.Proc) {
 			g := World(p)
 			gotP[p.Rank()], gotT[p.Rank()] = g.PrefixReductionSum(vecs[p.Rank()], algo)

@@ -1,18 +1,20 @@
 package comm
 
 // This file is the reliable-delivery transport every collective in
-// this package rides on. With fault injection off (the default,
-// Endpoint.Faults() == nil — always the case on the real backend) the
-// wrappers are exact pass-throughs to Endpoint.Send/Recv — not one
-// extra word, charge, or allocation — so the perf-gate contract
-// (virtual metrics bit-for-bit against the committed baseline) is
-// untouched. With fault injection on, every logical message becomes a
-// sequence-numbered envelope sent through the fault-injectable
-// Endpoint.TrySend and recovered on both sides:
+// this package rides on. The fault-injection hooks live on the
+// optional transport.FaultEndpoint, which NewGroup looks up once: the
+// group keeps it only when the endpoint implements it and a fault plan
+// is installed (never on the real backend). Without one the wrappers
+// are exact pass-throughs to Endpoint.Send/Recv — not one extra word,
+// charge, allocation, or per-message hook call — so the perf-gate
+// contract (virtual metrics bit-for-bit against the committed
+// baseline) is untouched. With fault injection on, every logical
+// message becomes a sequence-numbered envelope sent through the
+// fault-injectable FaultEndpoint.TrySend and recovered on both sides:
 //
 //   - Sender: a dropped attempt costs the retransmission timeout
-//     (Endpoint.RetryWait models the acknowledgement that never came)
-//     and is re-sent, up to the plan's MaxRetries budget; past the
+//     (FaultEndpoint.RetryWait models the acknowledgement that never
+//     came) and is re-sent, up to the plan's MaxRetries budget; past the
 //     budget the run aborts with a sim.FaultBudgetError while the
 //     machine's FaultReport keeps the full injection/recovery tally.
 //   - Receiver: envelopes are consumed strictly in sequence order per
@@ -26,8 +28,8 @@ package comm
 // why every collective (barrier, broadcast, gather, prefix-reduction-
 // sum, all-to-all) completes with byte-identical results under any
 // fault schedule. Determinism is inherited from the fault layer: all
-// decisions hash from (seed, rank, attempt counter), so both
-// scheduler modes replay identical faults and identical recoveries.
+// decisions hash from (seed, rank, attempt counter), so a seed replays
+// identical faults and identical recoveries.
 //
 // The SkipEmpty probe channel (SendFree) stays outside the protocol:
 // it is documented as zero-cost out-of-band knowledge, i.e. modelled
@@ -75,7 +77,7 @@ type xport struct {
 	stash   map[stashKey]stashVal
 }
 
-func xportOf(p transport.Endpoint) *xport {
+func xportOf(p transport.FaultEndpoint) *xport {
 	slot := p.CommState()
 	if *slot == nil {
 		*slot = &xport{
@@ -92,10 +94,9 @@ func xportOf(p transport.Endpoint) *xport {
 // machine words; the envelope header adds one word on the faulted
 // path.
 func (g Group) send(dst, tag int, payload any, words int) {
-	p := g.p
-	f := p.Faults()
-	if f == nil {
-		p.Send(dst, tag, payload, words)
+	p := g.f
+	if p == nil {
+		g.p.Send(dst, tag, payload, words)
 		return
 	}
 	st := xportOf(p)
@@ -108,7 +109,7 @@ func (g Group) send(dst, tag int, payload any, words int) {
 		if p.TrySend(dst, tag, env, words+1) {
 			return
 		}
-		if attempt > f.MaxRetries {
+		if attempt > p.Faults().MaxRetries {
 			p.FaultGiveUp(dst, tag, attempt)
 		}
 		p.RetryWait(dst, tag)
@@ -119,9 +120,9 @@ func (g Group) send(dst, tag int, payload any, words int) {
 // discarding duplicates and holding overtakers until their turn. With
 // fault injection off it is exactly Endpoint.Recv.
 func (g Group) recv(src, tag int) (payload any, words int) {
-	p := g.p
-	if p.Faults() == nil {
-		return p.Recv(src, tag)
+	p := g.f
+	if p == nil {
+		return g.p.Recv(src, tag)
 	}
 	st := xportOf(p)
 	k := streamKey{peer: src, tag: tag}

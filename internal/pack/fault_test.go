@@ -10,11 +10,11 @@ import (
 )
 
 // runGeneralOracle drives PackGeneral and UnpackGeneral end to end on a
-// machine with the given scheduler and fault plan and compares both
+// machine with the given fault plan and compares both
 // results against the sequential reference. Element values are a fixed
 // function of the global position, so a faulted run must reproduce them
 // exactly.
-func runGeneralOracle(t *testing.T, dims []dist.Dim, maskAt func(int) bool, opt Options, sched sim.Sched, faults *sim.FaultConfig) {
+func runGeneralOracle(t *testing.T, dims []dist.Dim, maskAt func(int) bool, opt Options, faults *sim.FaultConfig) {
 	t.Helper()
 	gl := dist.MustGeneralLayout(dims...)
 	n := gl.GlobalSize()
@@ -43,7 +43,7 @@ func runGeneralOracle(t *testing.T, dims []dist.Dim, maskAt func(int) bool, opt 
 		uopt.Scheme = SchemeCSS
 	}
 
-	m := sim.MustNew(sim.Config{Procs: nprocs, Params: sim.CM5Params(), Sched: sched, Faults: faults})
+	m := sim.MustNew(sim.Config{Procs: nprocs, Params: sim.CM5Params(), Faults: faults})
 	packRes := make([]*Result[int], nprocs)
 	unpackOut := make([][]int, nprocs)
 	if err := m.Run(func(p *sim.Proc) {
@@ -62,7 +62,7 @@ func runGeneralOracle(t *testing.T, dims []dist.Dim, maskAt func(int) bool, opt 
 		}
 		unpackOut[p.Rank()] = ur.A
 	}); err != nil {
-		t.Fatalf("dims %v sched %v faults %v: %v", dims, sched, faults, err)
+		t.Fatalf("dims %v faults %v: %v", dims, faults, err)
 	}
 
 	got := make([]int, len(want))
@@ -76,13 +76,13 @@ func runGeneralOracle(t *testing.T, dims []dist.Dim, maskAt func(int) bool, opt 
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("dims %v sched %v faults %v: pack[%d] = %d, want %d", dims, sched, faults, i, got[i], want[i])
+			t.Fatalf("dims %v faults %v: pack[%d] = %d, want %d", dims, faults, i, got[i], want[i])
 		}
 	}
 	gotUnpack := dist.GatherGeneral(gl, unpackOut)
 	for i := range wantUnpack {
 		if gotUnpack[i] != wantUnpack[i] {
-			t.Fatalf("dims %v sched %v faults %v: unpack[%d] = %d, want %d", dims, sched, faults, i, gotUnpack[i], wantUnpack[i])
+			t.Fatalf("dims %v faults %v: unpack[%d] = %d, want %d", dims, faults, i, gotUnpack[i], wantUnpack[i])
 		}
 	}
 }
@@ -94,19 +94,17 @@ var faultSchedules = []*sim.FaultConfig{
 	{Seed: 23, Dup: 0.2, Reorder: 0.3},
 }
 
-// TestPackSchemesUnderFaults: every scheme on both schedulers under
-// several fault schedules remains byte-identical to the sequential
-// reference.
+// TestPackSchemesUnderFaults: every scheme under several fault
+// schedules remains byte-identical to the sequential reference. The
+// "coop" in the subtest names is the emulator's cooperative scheduler.
 func TestPackSchemesUnderFaults(t *testing.T) {
 	dims := []dist.Dim{{N: 10, P: 2, W: 3}, {N: 7, P: 3, W: 2}}
 	maskAt := func(i int) bool { return i%3 != 1 }
 	for _, scheme := range []Scheme{SchemeSSS, SchemeCSS, SchemeCMS} {
-		for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-			for fi, f := range faultSchedules {
-				t.Run(fmt.Sprintf("%v/%v/f%d", scheme, sched, fi), func(t *testing.T) {
-					runGeneralOracle(t, dims, maskAt, Options{Scheme: scheme}, sched, f)
-				})
-			}
+		for fi, f := range faultSchedules {
+			t.Run(fmt.Sprintf("%v/coop/f%d", scheme, fi), func(t *testing.T) {
+				runGeneralOracle(t, dims, maskAt, Options{Scheme: scheme}, f)
+			})
 		}
 	}
 }
@@ -130,11 +128,9 @@ func TestPackEdgeCasesUnderDrops(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, scheme := range []Scheme{SchemeSSS, SchemeCMS} {
-			for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-				t.Run(fmt.Sprintf("%s/%v/%v", tc.name, scheme, sched), func(t *testing.T) {
-					runGeneralOracle(t, tc.dims, tc.maskAt, Options{Scheme: scheme}, sched, drops)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%v/coop", tc.name, scheme), func(t *testing.T) {
+				runGeneralOracle(t, tc.dims, tc.maskAt, Options{Scheme: scheme}, drops)
+			})
 		}
 	}
 }
@@ -151,7 +147,7 @@ func TestPackFaultReportPhases(t *testing.T) {
 	}
 	locals := dist.ScatterGeneral(gl, global)
 	maskLocals := dist.ScatterGeneral(gl, gmask)
-	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(), Sched: sim.SchedCooperative,
+	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(),
 		Faults: &sim.FaultConfig{Seed: 44, Drop: 0.2, Dup: 0.2}})
 	if err := m.Run(func(p *sim.Proc) {
 		if _, err := PackGeneral(p, gl, locals[p.Rank()], maskLocals[p.Rank()], Options{Scheme: SchemeCMS}); err != nil {

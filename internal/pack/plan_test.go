@@ -10,6 +10,7 @@ import (
 	"packunpack/internal/mask"
 	"packunpack/internal/seq"
 	"packunpack/internal/sim"
+	"packunpack/internal/transport"
 )
 
 // planLayouts is the subset of the correctness layouts the plan tests
@@ -35,8 +36,8 @@ type planOutputs struct {
 	size    int
 }
 
-func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched sim.Sched,
-	body func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int])) planOutputs {
+func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, backend transport.Backend,
+	body func(p transport.Endpoint, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int])) planOutputs {
 	t.Helper()
 	n := l.GlobalSize()
 	global := make([]int, n)
@@ -58,10 +59,13 @@ func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched
 	locals := dist.Scatter(l, global)
 	fLocals := dist.Scatter(l, fGlobal)
 
-	m := sim.MustNew(sim.Config{Procs: l.Procs(), Sched: sched})
+	m, err := transport.New(backend, sim.Config{Procs: l.Procs()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := planOutputs{packV: make([][]int, l.Procs()), size: size}
 	aLocals := make([][]int, l.Procs())
-	err = m.Run(func(p *sim.Proc) {
+	err = m.Run(func(p transport.Endpoint) {
 		lm := mask.FillLocal(l, p.Rank(), gen)
 		vLocal := make([]int, vdist.LocalLen(p.Rank()))
 		for i := range vLocal {
@@ -78,9 +82,14 @@ func planExecCase(t *testing.T, l *dist.Layout, gen mask.Gen, opt Options, sched
 	return out
 }
 
+// planSchedules are the two ways every plan case schedules its ranks,
+// named sched0 and sched1 in the subtests: concurrently on the real
+// backend, and one at a time on the emulator.
+var planSchedules = []transport.Backend{transport.BackendReal, transport.BackendSim}
+
 // TestPlanMatchesUnplanned sweeps layouts, masks, schemes, vector block
-// sizes and both schedulers, executing each configuration three ways —
-// unplanned, explicit CompilePlan+PlanPack/PlanUnpack, and the
+// sizes and both rank schedules, executing each configuration three
+// ways — unplanned, explicit CompilePlan+PlanPack/PlanUnpack, and the
 // transparent cache path called twice (cold compile, then cache hit) —
 // and requires byte-identical vector and array results.
 func TestPlanMatchesUnplanned(t *testing.T) {
@@ -97,7 +106,7 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 		for mname, gen := range gens {
 			for _, scheme := range []Scheme{SchemeSSS, SchemeCSS, SchemeCMS} {
 				for _, vw := range []int{0, 3} {
-					for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
+					for sched, backend := range planSchedules {
 						opt := Options{Scheme: scheme, VectorW: vw}
 						uopt := opt
 						if scheme == SchemeCMS {
@@ -105,7 +114,7 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 						}
 						name := fmt.Sprintf("%s/%s/%s/w%d/sched%d", lname, mname, scheme, vw, sched)
 						t.Run(name, func(t *testing.T) {
-							base := planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+							base := planExecCase(t, l, gen, opt, backend, func(p transport.Endpoint, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
 								pr, err := Pack(p, l, a, m, opt)
 								if err != nil {
 									panic(err)
@@ -117,7 +126,7 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 								return pr, ur
 							})
 
-							explicit := planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+							explicit := planExecCase(t, l, gen, opt, backend, func(p transport.Endpoint, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
 								pl, err := CompilePlan(p, l, m, opt)
 								if err != nil {
 									panic(err)
@@ -142,7 +151,7 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 							copt.Plans, cuopt.Plans = cache, cache
 							var warm planOutputs
 							for call := 0; call < 2; call++ {
-								warm = planExecCase(t, l, gen, opt, sched, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+								warm = planExecCase(t, l, gen, opt, backend, func(p transport.Endpoint, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
 									pr, err := Pack(p, l, a, m, copt)
 									if err != nil {
 										panic(err)
@@ -191,7 +200,7 @@ func TestPlanCacheCounters(t *testing.T) {
 	opt := Options{Scheme: SchemeCSS, Plans: cache}
 	const calls = 5
 	for call := 0; call < calls; call++ {
-		planExecCase(t, l, gen, Options{Scheme: SchemeCSS}, sim.SchedCooperative, func(p *sim.Proc, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
+		planExecCase(t, l, gen, Options{Scheme: SchemeCSS}, transport.BackendSim, func(p transport.Endpoint, a []int, m []bool, v []int, nPrime int, field []int) (*Result[int], *UnpackResult[int]) {
 			pr, err := Pack(p, l, a, m, opt)
 			if err != nil {
 				panic(err)
@@ -215,10 +224,11 @@ func TestPlanCacheCounters(t *testing.T) {
 }
 
 // TestPlanCacheRaceSharedAcrossMachines hammers one cache from several
-// concurrently running goroutine-scheduled machines (run under
-// -race in CI): the unanimity vote must keep every machine consistent
-// even while another machine's compiled plans land in the shared map
-// mid-lookup, and every machine must still produce the oracle result.
+// concurrently running real-backend machines, whose ranks also run
+// concurrently (run under -race in CI): the unanimity vote must keep
+// every machine consistent even while another machine's compiled plans
+// land in the shared map mid-lookup, and every machine must still
+// produce the oracle result.
 func TestPlanCacheRaceSharedAcrossMachines(t *testing.T) {
 	l := dist.MustLayout(dist.Dim{N: 96, P: 4, W: 8})
 	gen := mask.NewRandom(0.5, 11, 96)
@@ -239,9 +249,9 @@ func TestPlanCacheRaceSharedAcrossMachines(t *testing.T) {
 		wg.Add(1)
 		go func(mi int) {
 			defer wg.Done()
-			m := sim.MustNew(sim.Config{Procs: l.Procs(), Sched: sim.SchedGoroutine})
+			m := transport.MustNewReal(transport.RealConfig{Procs: l.Procs()})
 			results := make([]*Result[int], l.Procs())
-			err := m.Run(func(p *sim.Proc) {
+			err := m.Run(func(p transport.Endpoint) {
 				lm := mask.FillLocal(l, p.Rank(), gen)
 				res, err := Pack(p, l, locals[p.Rank()], lm, opt)
 				if err != nil {

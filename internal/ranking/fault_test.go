@@ -10,7 +10,7 @@ import (
 
 // TestRankUnderFaults: the ranking stage — pure prefix/reduction
 // arithmetic over the wire — returns identical base-rank arrays,
-// counters and records under any fault schedule on either scheduler.
+// counters and records under any fault schedule.
 func TestRankUnderFaults(t *testing.T) {
 	l := dist.MustLayout(dist.Dim{N: 12, P: 2, W: 3}, dist.Dim{N: 8, P: 2, W: 2})
 	gmask := make([]bool, l.GlobalSize())
@@ -19,10 +19,10 @@ func TestRankUnderFaults(t *testing.T) {
 	}
 	maskLocals := dist.Scatter(l, gmask)
 
-	run := func(sched sim.Sched, faults *sim.FaultConfig) []*Result {
+	run := func(faults *sim.FaultConfig) []*Result {
 		t.Helper()
 		out := make([]*Result, l.Procs())
-		m := sim.MustNew(sim.Config{Procs: l.Procs(), Params: sim.CM5Params(), Sched: sched, Faults: faults})
+		m := sim.MustNew(sim.Config{Procs: l.Procs(), Params: sim.CM5Params(), Faults: faults})
 		if err := m.Run(func(p *sim.Proc) {
 			res, err := Rank(p, l, maskLocals[p.Rank()], Options{KeepRecords: true})
 			if err != nil {
@@ -30,21 +30,19 @@ func TestRankUnderFaults(t *testing.T) {
 			}
 			out[p.Rank()] = res
 		}); err != nil {
-			t.Fatalf("sched %v faults %v: %v", sched, faults, err)
+			t.Fatalf("faults %v: %v", faults, err)
 		}
 		return out
 	}
 
-	baseline := run(sim.SchedCooperative, nil)
+	baseline := run(nil)
 	schedules := []*sim.FaultConfig{
 		{Seed: 51, Drop: 0.15, Dup: 0.1, Reorder: 0.15, Delay: 0.1},
 		{Seed: 52, Drop: 0.35},
 	}
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		for _, f := range schedules {
-			if got := run(sched, f); !reflect.DeepEqual(got, baseline) {
-				t.Errorf("sched %v faults %v: ranking results diverge from fault-free run", sched, f)
-			}
+	for _, f := range schedules {
+		if got := run(f); !reflect.DeepEqual(got, baseline) {
+			t.Errorf("faults %v: ranking results diverge from fault-free run", f)
 		}
 	}
 }

@@ -27,22 +27,20 @@ func TestRedistributeUnderFaults(t *testing.T) {
 	}
 	locals := dist.Scatter(src, global)
 
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		for _, f := range redistFaultSchedules {
-			out := make([][]int, src.Procs())
-			m := sim.MustNew(sim.Config{Procs: src.Procs(), Params: sim.CM5Params(), Sched: sched, Faults: f})
-			if err := m.Run(func(p *sim.Proc) {
-				b, err := Redistribute(p, src, dst, locals[p.Rank()])
-				if err != nil {
-					panic(err)
-				}
-				out[p.Rank()] = b
-			}); err != nil {
-				t.Fatalf("sched %v faults %v: %v", sched, f, err)
+	for _, f := range redistFaultSchedules {
+		out := make([][]int, src.Procs())
+		m := sim.MustNew(sim.Config{Procs: src.Procs(), Params: sim.CM5Params(), Faults: f})
+		if err := m.Run(func(p *sim.Proc) {
+			b, err := Redistribute(p, src, dst, locals[p.Rank()])
+			if err != nil {
+				panic(err)
 			}
-			if got := dist.Gather(dst, out); !reflect.DeepEqual(got, global) {
-				t.Errorf("sched %v faults %v: redistribution corrupted data", sched, f)
-			}
+			out[p.Rank()] = b
+		}); err != nil {
+			t.Fatalf("faults %v: %v", f, err)
+		}
+		if got := dist.Gather(dst, out); !reflect.DeepEqual(got, global) {
+			t.Errorf("faults %v: redistribution corrupted data", f)
 		}
 	}
 }
@@ -74,31 +72,29 @@ func TestPackRedistUnderFaults(t *testing.T) {
 		}},
 	}
 	for _, pl := range pipelines {
-		for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-			for _, f := range redistFaultSchedules {
-				results := make([]*pack.Result[int], src.Procs())
-				m := sim.MustNew(sim.Config{Procs: src.Procs(), Params: sim.CM5Params(), Sched: sched, Faults: f})
-				if err := m.Run(func(p *sim.Proc) {
-					res, err := pl.run(p)
-					if err != nil {
-						panic(err)
-					}
-					results[p.Rank()] = res
-				}); err != nil {
-					t.Fatalf("%s sched %v faults %v: %v", pl.name, sched, f, err)
+		for _, f := range redistFaultSchedules {
+			results := make([]*pack.Result[int], src.Procs())
+			m := sim.MustNew(sim.Config{Procs: src.Procs(), Params: sim.CM5Params(), Faults: f})
+			if err := m.Run(func(p *sim.Proc) {
+				res, err := pl.run(p)
+				if err != nil {
+					panic(err)
 				}
-				got := make([]int, len(want))
-				for rank, res := range results {
-					if res.Ranking.Size != len(want) {
-						t.Fatalf("%s: rank %d counted %d, want %d", pl.name, rank, res.Ranking.Size, len(want))
-					}
-					for i, v := range res.V {
-						got[res.Vec.ToGlobal(rank, i)] = v
-					}
+				results[p.Rank()] = res
+			}); err != nil {
+				t.Fatalf("%s faults %v: %v", pl.name, f, err)
+			}
+			got := make([]int, len(want))
+			for rank, res := range results {
+				if res.Ranking.Size != len(want) {
+					t.Fatalf("%s: rank %d counted %d, want %d", pl.name, rank, res.Ranking.Size, len(want))
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s sched %v faults %v: packed vector diverges from reference", pl.name, sched, f)
+				for i, v := range res.V {
+					got[res.Vec.ToGlobal(rank, i)] = v
 				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s faults %v: packed vector diverges from reference", pl.name, f)
 			}
 		}
 	}

@@ -344,7 +344,7 @@ func overviewTable(sb *strings.Builder, files []*File) {
 		`<th class="num">samples</th><th class="num">experiments</th><th class="num">machine runs</th>` +
 		`<th class="num">cache hits</th><th class="num">wall ms</th><th class="num">virtual ms</th></tr>` + "\n")
 	for _, f := range files {
-		sched := f.Perf.Sched
+		sched := f.Perf.Scheduler
 		if sched == "" {
 			sched = "—"
 		}

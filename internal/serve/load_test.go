@@ -132,8 +132,8 @@ func submitAll(t *testing.T, s *Server, cases []*loadCase, nSub int) {
 
 // TestCorrectnessUnderLoad is the correctness-under-load property
 // test: N random concurrent jobs through one server, every response
-// byte-identical to the sequential reference — across sim-coop,
-// sim-goroutine, and real backends.
+// byte-identical to the sequential reference — on the sim and real
+// backends.
 func TestCorrectnessUnderLoad(t *testing.T) {
 	const seed = 1
 	n := 64
@@ -143,11 +143,9 @@ func TestCorrectnessUnderLoad(t *testing.T) {
 	backends := []struct {
 		name    string
 		backend transport.Backend
-		sched   sim.Sched
 	}{
-		{"sim-coop", transport.BackendSim, sim.SchedCooperative},
-		{"sim-goroutine", transport.BackendSim, sim.SchedGoroutine},
-		{"real", transport.BackendReal, 0},
+		{"sim-coop", transport.BackendSim},
+		{"real", transport.BackendReal},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
@@ -158,7 +156,7 @@ func TestCorrectnessUnderLoad(t *testing.T) {
 			}
 			s := newTestServer(t, Config{
 				Workers: 4, Queue: n,
-				Backend: b.backend, Sched: b.sched,
+				Backend: b.backend,
 			})
 			submitAll(t, s, cases, 8)
 		})
@@ -258,8 +256,8 @@ func TestChaosJobsSucceedOrFailStructured(t *testing.T) {
 	t.Logf("chaos: %d/%d succeeded byte-identically, %d structured budget failures", okN, n, budgetN)
 
 	// The server must still be healthy after budget failures: a clean
-	// job on a fresh machine (chaos still on, but the fault schedule
-	// restarts per rebuilt machine) completes or fails structured.
+	// job (chaos still on, the fault schedule restarting with every
+	// machine run) completes or fails structured.
 	fut, err := s.Submit(cases[0].job)
 	if err != nil {
 		t.Fatalf("post-chaos submit: %v", err)

@@ -138,8 +138,6 @@ type Config struct {
 	// Backend selects the execute-phase backend (default sim; RunWall
 	// defaults to real).
 	Backend transport.Backend
-	// Sched is the sim scheduling mode for measurement and execution.
-	Sched sim.Sched
 	// Spans caps the retained per-request spans (default 256, for the
 	// Chrome trace export).
 	Spans int
@@ -278,7 +276,7 @@ func verify(job *serve.Job, resp *serve.Response, want []int, wantCount int) err
 func measureClasses(cfg Config) ([]uint64, error) {
 	srv, err := serve.New(serve.Config{
 		Workers: 1, Queue: len(cfg.Mix) + 1,
-		Backend: transport.BackendSim, Sched: cfg.Sched, Params: cfg.Params,
+		Backend: transport.BackendSim, Params: cfg.Params,
 	})
 	if err != nil {
 		return nil, err
@@ -560,7 +558,7 @@ func (res *Result) simulate(cfg Config, svcUS []uint64, rate float64) error {
 func (res *Result) execute(cfg Config) error {
 	srv, err := serve.New(serve.Config{
 		Workers: cfg.Workers, Queue: cfg.Queue,
-		Backend: cfg.Backend, Sched: cfg.Sched, Params: cfg.Params,
+		Backend: cfg.Backend, Params: cfg.Params,
 		Metrics: cfg.Metrics, Chaos: cfg.Chaos,
 	})
 	if err != nil {
@@ -662,7 +660,7 @@ func RunWall(cfg Config) (*Result, error) {
 	}
 	srv, err := serve.New(serve.Config{
 		Workers: cfg.Workers, Queue: cfg.Queue,
-		Backend: cfg.Backend, Sched: cfg.Sched, Params: cfg.Params,
+		Backend: cfg.Backend, Params: cfg.Params,
 		Metrics: cfg.Metrics, Chaos: cfg.Chaos,
 	})
 	if err != nil {

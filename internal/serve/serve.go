@@ -89,10 +89,12 @@ type Job struct {
 	VectorW int
 
 	// gate, when non-nil, stalls the job at execution start until the
-	// channel closes. Admission/backpressure tests use it to hold
-	// workers busy deterministically; there is no exported way to set
-	// it.
+	// channel closes; the worker first closes held, so a caller can
+	// wait until the job occupies it. Admission/backpressure tests use
+	// the pair to hold workers busy deterministically; there is no
+	// exported way to set them.
 	gate <-chan struct{}
+	held chan struct{}
 }
 
 // Response is the outcome of one job. All result buffers are owned by

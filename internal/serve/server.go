@@ -29,10 +29,6 @@ type Config struct {
 	// BackendSim (virtual clock, deterministic, the default) or
 	// BackendReal (host-parallel, wall clock).
 	Backend transport.Backend
-	// Sched is the sim backend's scheduling mode (ignored by the real
-	// backend). SchedCooperative gives per-job deterministic virtual
-	// makespans.
-	Sched sim.Sched
 	// Params are the cost-model constants each machine carries.
 	Params sim.Params
 	// Metrics, when non-nil, instruments the service (and every
@@ -251,7 +247,6 @@ func (s *Server) machineFor(cache map[int]transport.Machine, procs int) (transpo
 	m, err := transport.New(s.cfg.Backend, sim.Config{
 		Procs:   procs,
 		Params:  s.cfg.Params,
-		Sched:   s.cfg.Sched,
 		Metrics: s.cfg.Metrics,
 		Faults:  s.cfg.Chaos,
 	})
@@ -271,6 +266,7 @@ func (s *Server) worker() {
 		s.mDepth.Set(d)
 		start := time.Now()
 		if t.job.gate != nil {
+			close(t.job.held)
 			<-t.job.gate
 		}
 		s.jobsStarted.Add(1)
@@ -295,21 +291,15 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job on the worker's machine, rebuilding the machine
-// after an errored run (an aborted machine may hold residual state; a
-// fresh one is cheap and provably clean).
+// execute runs one job on the worker's machine. A machine is reused
+// after an errored run too: every Run leaves it empty, whatever it
+// returned.
 func (s *Server) execute(machines map[int]transport.Machine, job *Job) (*Response, error) {
-	procs := job.Layout.Procs()
-	m, err := s.machineFor(machines, procs)
+	m, err := s.machineFor(machines, job.Layout.Procs())
 	if err != nil {
 		return nil, err
 	}
-	resp, err := runJob(m, job, s.planCacheFor(job.Tenant))
-	if err != nil {
-		delete(machines, procs)
-		return nil, err
-	}
-	return resp, nil
+	return runJob(m, job, s.planCacheFor(job.Tenant))
 }
 
 // noteService folds one wall service time into the EWMA (alpha 1/8)

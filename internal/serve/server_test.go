@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"packunpack/internal/dist"
 	"packunpack/internal/metrics"
@@ -46,9 +45,6 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	if cfg.Params == (sim.Params{}) {
 		cfg.Params = sim.CM5Params()
-	}
-	if cfg.Sched == 0 {
-		cfg.Sched = sim.SchedCooperative
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -129,22 +125,17 @@ func TestSubmitUnpackMatchesSequentialReference(t *testing.T) {
 func TestOverloadedDeterministic(t *testing.T) {
 	l := testLayout(t)
 	s := newTestServer(t, Config{Workers: 1, Queue: 2})
-	gate := make(chan struct{})
+	gate, held := make(chan struct{}), make(chan struct{})
 
 	blocker := fillJob(l, 1, pack.SchemeSSS)
-	blocker.gate = gate
+	blocker.gate, blocker.held = gate, held
 	bfut, err := s.Submit(blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the worker to pick the blocker up (depth drains to 0),
+	// Wait for the worker to hold the blocker (it has left the queue),
 	// so the queue capacity below is exactly the two slots.
-	for i := 0; s.depth.Load() != 0; i++ {
-		if i > 10_000 {
-			t.Fatal("worker never picked up the gated job")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	<-held
 
 	var queued []*Future
 	for i := 0; i < 2; i++ {

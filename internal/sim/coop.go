@@ -5,15 +5,14 @@ import (
 	"strings"
 )
 
-// This file is the cooperative execution mode (Config.Sched =
-// SchedCooperative). The P processor bodies still live on goroutines —
-// each needs its own stack to block in the middle of an algorithm —
-// but they run strictly one at a time: the runnable processor with the
-// smallest virtual clock (ties broken by rank, so runs are fully
-// deterministic) holds the baton until it blocks in Recv with no
-// matching message, finishes, or panics, and then resumes its successor
-// directly. Handoffs go through one-slot channels — the sender performs
-// no scheduler work after the send, which enforces the
+// This file is the emulator's scheduler. The P processor bodies live
+// on goroutines — each needs its own stack to block in the middle of
+// an algorithm — but they run strictly one at a time: the runnable
+// processor with the smallest virtual clock (ties broken by rank, so
+// runs are fully deterministic) holds the baton until it blocks in
+// Recv with no matching message, finishes, or panics, and then resumes
+// its successor directly. Handoffs go through one-slot channels — the
+// sender performs no scheduler work after the send, which enforces the
 // one-runner-at-a-time invariant, and the send happens-before the
 // matching receive, which makes the lock-free mailbox access race-safe.
 //
@@ -22,9 +21,8 @@ import (
 // timing: the moment no processor is runnable while some are blocked,
 // the machine is proven deadlocked (no matching message exists anywhere
 // for any waiter) and every waiter is unwound immediately with a full
-// wait-for diagnostic. The goroutine mode's polling watch, its 2 ms
-// trip latency, and its epoch/stability heuristics have no counterpart
-// here.
+// wait-for diagnostic — no ticker, no trip latency, no host-load
+// sensitivity.
 //
 // Two design points keep the scheduling overhead off the critical path
 // on large machines:
@@ -163,10 +161,13 @@ func (c *coopSched) yieldBlocked(rank, src, tag int) bool {
 	return <-c.resume[rank]
 }
 
-// takeCoop is the cooperative-mode receive: scan the queue, and if no
-// message matches, hand the baton to the next processor. No locks — the
-// scheduler guarantees exclusive access.
-func (b *mailbox) takeCoop(c *coopSched, rank, src, tag int) message {
+// take removes and returns the first message matching (src, tag),
+// handing the baton to the next processor while none is queued.
+// Messages from a given source with a given tag are delivered in send
+// order. No locks — the scheduler guarantees exclusive access. If the
+// machine deadlocks while this processor waits, take panics with a
+// deadlockError (recovered by Run into an error).
+func (b *mailbox) take(c *coopSched, rank, src, tag int) message {
 	for {
 		for i := range b.queue {
 			if b.queue[i].src == src && b.queue[i].tag == tag {
@@ -200,7 +201,7 @@ func (c *coopSched) deadlockDiagnostic(m *Machine) error {
 	return fmt.Errorf("%w: all %d live processors blocked on receives no send will ever satisfy: %s", ErrDeadlock, blocked, sb.String())
 }
 
-// runCoop executes body under the cooperative scheduler.
+// runCoop executes body once per processor under the scheduler.
 func (m *Machine) runCoop(body func(p *Proc)) error {
 	n := m.cfg.Procs
 	c := &coopSched{
@@ -221,11 +222,20 @@ func (m *Machine) runCoop(body func(p *Proc)) error {
 	for i := range c.resume {
 		c.resume[i] = make(chan bool, 1)
 	}
-	procs := m.newProcs()
+	procs := make([]*Proc, n)
+	for i := range procs {
+		procs[i] = &Proc{
+			rank:  i,
+			m:     m,
+			cs:    c,
+			box:   &m.boxes[i],
+			phase: "default",
+			stats: Stats{Rank: i, Phases: make(map[string]PhaseStats)},
+		}
+	}
 	c.procs = procs
 	errs := make([]error, n)
 	for _, p := range procs {
-		p.cs = c
 		go func(p *Proc) {
 			defer func() {
 				if r := recover(); r != nil {

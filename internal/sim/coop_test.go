@@ -1,80 +1,29 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// schedModes enumerates both execution modes for cross-mode tests.
-var schedModes = []Sched{SchedGoroutine, SchedCooperative}
+// sendInts and recvInts move []int payloads, one machine word per
+// element.
+func sendInts(p *Proc, dst, tag int, v []int) { p.Send(dst, tag, v, len(v)) }
 
-// irregularBody is a deterministic exchange pattern with phases,
-// uneven message sizes, and rank-dependent local work — a workload
-// whose stats expose any divergence between the two schedulers.
-func irregularBody(p *Proc) {
-	n := p.NProcs()
-	p.Charge(p.Rank()*3 + 1)
-	p.SetPhase("exchange")
-	for r := 1; r < n; r++ {
-		dst := (p.Rank() + r) % n
-		buf := make([]int, (p.Rank()*r+dst)%5)
-		for i := range buf {
-			buf[i] = dst
-		}
-		p.SendInts(dst, r, buf)
-	}
-	for r := 1; r < n; r++ {
-		src := (p.Rank() - r + n) % n
-		v := p.RecvInts(src, r)
-		for _, x := range v {
-			if x != p.Rank() {
-				panic("misrouted payload")
-			}
-		}
-	}
-	p.SetPhase("post")
-	p.Charge((n - p.Rank()) * 2)
-	if p.Rank() == 0 {
-		p.Send(n-1, 99, nil, 7)
-	}
-	if p.Rank() == n-1 {
-		p.Recv(0, 99)
-	}
-}
-
-// TestCoopMatchesGoroutineStats is the cross-mode equivalence
-// contract: identical per-processor Stats (clock, ops, msgs, words,
-// phase breakdowns) and identical recorded timelines, whatever the
-// scheduler.
-func TestCoopMatchesGoroutineStats(t *testing.T) {
-	for _, procs := range []int{2, 4, 8, 16} {
-		var stats [][]Stats
-		var spans [][][]Span
-		for _, sched := range schedModes {
-			m := MustNew(Config{Procs: procs, Params: CM5Params(), Sched: sched, Record: true})
-			if err := m.Run(irregularBody); err != nil {
-				t.Fatalf("P=%d %v: %v", procs, sched, err)
-			}
-			stats = append(stats, m.Stats())
-			spans = append(spans, m.Spans())
-		}
-		if !reflect.DeepEqual(stats[0], stats[1]) {
-			t.Errorf("P=%d: stats differ between schedulers:\ngoroutine: %+v\ncoop:      %+v", procs, stats[0], stats[1])
-		}
-		if !reflect.DeepEqual(spans[0], spans[1]) {
-			t.Errorf("P=%d: spans differ between schedulers", procs)
-		}
-	}
+func recvInts(p *Proc, src, tag int) []int {
+	payload, _ := p.Recv(src, tag)
+	v, _ := payload.([]int)
+	return v
 }
 
 // TestCoopVirtualClockOrder pins the scheduling contract: among
 // runnable processors the smallest virtual clock runs next (ties to the
 // lowest rank). Appending to the shared log without synchronization is
-// safe precisely because the cooperative mode runs one body at a time.
+// safe precisely because the scheduler runs one body at a time.
 func TestCoopVirtualClockOrder(t *testing.T) {
 	var log []string
-	m := MustNew(Config{Procs: 4, Params: Params{Tau: 1, Delta: 1}, Sched: SchedCooperative})
+	m := MustNew(Config{Procs: 4, Params: Params{Tau: 1, Delta: 1}})
 	err := m.Run(func(p *Proc) {
 		switch p.Rank() {
 		case 0:
@@ -107,12 +56,13 @@ func TestCoopVirtualClockOrder(t *testing.T) {
 	}
 }
 
-// TestCoopDeadlockExactAndDeterministic: a mismatched receive must be
-// reported as a deadlock error instantly (no ticker, no sleeps) and
-// with a byte-identical diagnostic on every run.
+// TestCoopDeadlockExactAndDeterministic: a wait cycle on a zero-value
+// machine must be reported as a deadlock error instantly (no ticker,
+// no sleeps) with the full wait-for table, byte-identical on every
+// run.
 func TestCoopDeadlockExactAndDeterministic(t *testing.T) {
 	run := func() string {
-		m := MustNew(Config{Procs: 3, Sched: SchedCooperative})
+		m := MustNew(Config{Procs: 3})
 		err := m.Run(func(p *Proc) {
 			p.Recv((p.Rank()+1)%3, 42)
 		})
@@ -125,6 +75,10 @@ func TestCoopDeadlockExactAndDeterministic(t *testing.T) {
 	if !strings.Contains(first, "deadlock") {
 		t.Fatalf("diagnostic lacks 'deadlock': %q", first)
 	}
+	if !strings.Contains(first, "all 3 live processors blocked") ||
+		!strings.Contains(first, "processor 1 waits for (src=2, tag=42)") {
+		t.Fatalf("diagnostic lacks the blocked count or a waiter: %q", first)
+	}
 	if !strings.Contains(first, "processor 0 waits for (src=1, tag=42)") ||
 		!strings.Contains(first, "processor 2 waits for (src=0, tag=42)") {
 		t.Fatalf("diagnostic lacks the wait-for table: %q", first)
@@ -136,10 +90,10 @@ func TestCoopDeadlockExactAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoopDeadlockPartial mirrors the goroutine-mode test: one clean
-// finisher must not hide the wedge of the rest.
+// TestCoopDeadlockPartial: one clean finisher must not hide the wedge
+// of the rest, and must not be listed as a waiter.
 func TestCoopDeadlockPartial(t *testing.T) {
-	m := MustNew(Config{Procs: 3, Sched: SchedCooperative})
+	m := MustNew(Config{Procs: 3})
 	err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			return
@@ -152,12 +106,18 @@ func TestCoopDeadlockPartial(t *testing.T) {
 	if strings.Contains(err.Error(), "processor 0 waits") {
 		t.Fatalf("finished processor listed as a waiter: %v", err)
 	}
+	if !strings.Contains(err.Error(), "all 2 live processors blocked") ||
+		!strings.Contains(err.Error(), "processor 1 waits for (src=2, tag=7)") ||
+		!strings.Contains(err.Error(), "processor 2 waits for (src=1, tag=7)") {
+		t.Fatalf("diagnostic lacks the wait-for table: %v", err)
+	}
 }
 
 // TestCoopLongPingPong drives many block/resume cycles through the
-// scheduler (the pattern that stressed the goroutine-mode monitor).
+// scheduler: a long serial dependency chain must never be mistaken for
+// a deadlock.
 func TestCoopLongPingPong(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Sched: SchedCooperative})
+	m := MustNew(Config{Procs: 2})
 	err := m.Run(func(p *Proc) {
 		other := 1 - p.Rank()
 		for i := 0; i < 2000; i++ {
@@ -176,9 +136,11 @@ func TestCoopLongPingPong(t *testing.T) {
 }
 
 // TestCoopRunReusable: repeated runs restart clocks and leave no
-// scheduler state behind.
+// scheduler or mailbox state behind — also after a run that failed
+// with messages still queued, whose leftovers must not be received by
+// the next run.
 func TestCoopRunReusable(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Params: Params{Delta: 1}, Sched: SchedCooperative})
+	m := MustNew(Config{Procs: 2, Params: Params{Delta: 1}})
 	for i := 0; i < 3; i++ {
 		if err := m.Run(func(p *Proc) { p.Charge(4) }); err != nil {
 			t.Fatal(err)
@@ -187,18 +149,53 @@ func TestCoopRunReusable(t *testing.T) {
 			t.Fatalf("run %d: clock %v, want 4", i, m.MaxClock())
 		}
 	}
+
+	failures := []struct {
+		name string
+		body func(p *Proc)
+	}{
+		{"undelivered", func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Send(1, 5, "stale", 1)
+			}
+		}},
+		{"panic", func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Send(1, 5, "stale", 1)
+				return
+			}
+			panic("receiver failed")
+		}},
+	}
+	for _, f := range failures {
+		if err := m.Run(f.body); err == nil {
+			t.Fatalf("%s: failing run returned nil", f.name)
+		}
+		err := m.Run(func(p *Proc) {
+			if p.Rank() == 0 {
+				p.Send(1, 5, "fresh", 1)
+				return
+			}
+			if got, _ := p.Recv(0, 5); got != "fresh" {
+				panic(fmt.Sprintf("received %v, want this run's message", got))
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: run after a failed run: %v", f.name, err)
+		}
+	}
 }
 
-// TestCoopUndeliveredMessages: the post-run mailbox check works the
-// same in cooperative mode.
+// TestCoopUndeliveredMessages: a message nobody receives fails the run
+// with the post-run mailbox check.
 func TestCoopUndeliveredMessages(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Sched: SchedCooperative})
+	m := MustNew(Config{Procs: 2})
 	err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, 7, nil, 0)
 		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "undelivered") {
+	if err == nil || err.Error() != "sim: processor 1 finished with 1 undelivered messages" {
 		t.Fatalf("expected undelivered-message error, got %v", err)
 	}
 }
@@ -207,26 +204,23 @@ func TestCoopUndeliveredMessages(t *testing.T) {
 // masked-root-cause bug: when one processor panics, its peers wedge
 // waiting for messages it will never send, and before the fix Run
 // returned the lowest-rank error — usually a secondary deadlock
-// diagnostic — instead of the originating panic. Both modes must name
-// the real panic.
+// diagnostic — instead of the originating panic.
 func TestPanicPreferredOverInducedDeadlock(t *testing.T) {
-	for _, sched := range schedModes {
-		m := MustNew(Config{Procs: 4, Sched: sched})
-		err := m.Run(func(p *Proc) {
-			if p.Rank() == 2 {
-				panic("root cause on rank 2")
-			}
-			p.Recv(2, 5) // rank 2 dies before sending: peers wedge
-		})
-		if err == nil {
-			t.Fatalf("%v: no error surfaced", sched)
+	m := MustNew(Config{Procs: 4})
+	err := m.Run(func(p *Proc) {
+		if p.Rank() == 2 {
+			panic("root cause on rank 2")
 		}
-		if !strings.Contains(err.Error(), "processor 2 panicked: root cause on rank 2") {
-			t.Errorf("%v: root-cause panic masked: %v", sched, err)
-		}
-		if strings.Contains(err.Error(), "deadlock") {
-			t.Errorf("%v: induced deadlock diagnostics not suppressed: %v", sched, err)
-		}
+		p.Recv(2, 5) // rank 2 dies before sending: peers wedge
+	})
+	if err == nil {
+		t.Fatal("no error surfaced")
+	}
+	if !strings.Contains(err.Error(), "processor 2 panicked: root cause on rank 2") {
+		t.Errorf("root-cause panic masked: %v", err)
+	}
+	if strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("induced deadlock diagnostics not suppressed: %v", err)
 	}
 }
 
@@ -234,20 +228,18 @@ func TestPanicPreferredOverInducedDeadlock(t *testing.T) {
 // reported, aggregated with errors.Join (before the fix only the
 // lowest-rank error surfaced).
 func TestRunJoinsConcurrentErrors(t *testing.T) {
-	for _, sched := range schedModes {
-		m := MustNew(Config{Procs: 4, Sched: sched})
-		err := m.Run(func(p *Proc) {
-			if p.Rank() == 1 || p.Rank() == 3 {
-				panic("boom")
-			}
-		})
-		if err == nil {
-			t.Fatalf("%v: no error surfaced", sched)
+	m := MustNew(Config{Procs: 4})
+	err := m.Run(func(p *Proc) {
+		if p.Rank() == 1 || p.Rank() == 3 {
+			panic("boom")
 		}
-		for _, want := range []string{"processor 1 panicked", "processor 3 panicked"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%v: aggregated error misses %q: %v", sched, want, err)
-			}
+	})
+	if err == nil {
+		t.Fatal("no error surfaced")
+	}
+	for _, want := range []string{"processor 1 panicked", "processor 3 panicked"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("aggregated error misses %q: %v", want, err)
 		}
 	}
 }
@@ -256,12 +248,12 @@ func TestRunJoinsConcurrentErrors(t *testing.T) {
 // retention leak: compacting the queue must clear the vacated tail
 // slot so the removed message's payload becomes collectable.
 func TestTakeZeroesVacatedSlot(t *testing.T) {
-	b := newMailbox()
-	b.put(message{src: 0, tag: 1, payload: "keep"})
-	b.put(message{src: 0, tag: 2, payload: "leak"})
+	b := &mailbox{queue: []message{
+		{src: 0, tag: 1, payload: "keep"},
+		{src: 0, tag: 2, payload: "leak"},
+	}}
 	backing := b.queue[:2]
-	w := newWatch(1, []*mailbox{b})
-	if got := b.take(w, 0, 0, 1); got.payload != "keep" {
+	if got := b.removeAt(0); got.payload != "keep" {
 		t.Fatalf("took %v, want the tag-1 message", got.payload)
 	}
 	if backing[1].payload != nil {
@@ -269,21 +261,5 @@ func TestTakeZeroesVacatedSlot(t *testing.T) {
 	}
 	if len(b.queue) != 1 || b.queue[0].payload != "leak" {
 		t.Fatalf("queue corrupted by compaction: %+v", b.queue)
-	}
-}
-
-func TestParseSched(t *testing.T) {
-	cases := map[string]Sched{"goroutine": SchedGoroutine, "coop": SchedCooperative, "cooperative": SchedCooperative}
-	for in, want := range cases {
-		got, err := ParseSched(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSched(%q) = %v, %v", in, got, err)
-		}
-		if got.String() == "" {
-			t.Errorf("Sched(%v).String empty", got)
-		}
-	}
-	if _, err := ParseSched("preemptive"); err == nil {
-		t.Error("unknown scheduler accepted")
 	}
 }

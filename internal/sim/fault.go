@@ -11,13 +11,10 @@ package sim
 // Determinism is the design constraint everything here bends to. Fault
 // decisions are pure functions of (seed, sender rank, the sender's
 // running attempt counter): no host randomness, no wall clocks, no
-// scheduler state. Each logical processor executes the same operation
-// sequence under both scheduler modes (the cross-mode equivalence
-// contract of DESIGN.md §8), so its attempt counter advances
-// identically, every fault fires at the same virtual instant with the
-// same effect, and the two modes keep producing bit-identical virtual
-// results even while the network misbehaves. With Faults nil the fault
-// path costs one pointer check and nothing else changes — the
+// scheduler state. A processor's operation sequence fixes its attempt
+// counter, so the same seed fires every fault at the same virtual
+// instant with the same effect, run after run. With Faults nil the
+// fault path costs one pointer check and nothing else changes — the
 // perf-gate contract (virtual metrics bit-for-bit against the
 // committed baseline) is preserved.
 //
@@ -41,9 +38,8 @@ import (
 // the subsystem entirely.
 type FaultConfig struct {
 	// Seed selects the schedule. Two runs with the same seed (and the
-	// same workload) inject exactly the same faults at the same points
-	// under either scheduler; different seeds give independent
-	// schedules.
+	// same workload) inject exactly the same faults at the same points;
+	// different seeds give independent schedules.
 	Seed uint64
 	// Drop is the probability a delivery attempt never reaches the
 	// destination mailbox (the sender still pays the full wire
@@ -57,11 +53,8 @@ type FaultConfig struct {
 	// next surviving delivery to the same destination (which thereby
 	// overtakes it), or unovertaken at the sender's next receive or the
 	// end of its run. Holding on the sender keeps the fault schedule a
-	// pure function of the sender's operation sequence; enqueuing at
-	// the front of the destination mailbox (the previous definition)
-	// made the overtake depend on how much of the queue the receiver
-	// had already drained — a real-time race under the goroutine
-	// scheduler that broke cross-scheduler determinism.
+	// pure function of the sender's operation sequence, independent of
+	// how much of its queue the receiver has already drained.
 	Reorder float64
 	// Delay is the probability the message's arrival time slips by an
 	// extra, deterministically chosen amount up to DelayMax.
@@ -314,8 +307,7 @@ func faultMix64(x uint64) uint64 {
 
 // faultUniform returns a uniform in [0, 1) for decision slot `slot` of
 // the processor's current delivery attempt. It depends only on the
-// seed, the rank, the per-rank attempt counter, and the slot — all
-// scheduler-independent quantities.
+// seed, the rank, the per-rank attempt counter, and the slot.
 func (p *Proc) faultUniform(slot uint64) float64 {
 	h := faultMix64(p.m.cfg.Faults.Seed ^ faultMix64(uint64(p.rank)<<32|p.faultSeq<<3|slot))
 	return float64(h>>11) / (1 << 53)
@@ -460,7 +452,7 @@ type heldMsg struct {
 // hold order; dst < 0 flushes every destination. Flush points are all
 // sender-local, so the delivery order of every (sender, destination)
 // pair — the only order receive matching can observe — is a pure
-// function of the sender's operation sequence on either scheduler:
+// function of the sender's operation sequence:
 //
 //   - a surviving TrySend to the same destination (the overtake);
 //   - the sender entering Recv (it may block there, and a held message

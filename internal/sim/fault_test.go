@@ -113,77 +113,60 @@ func faultStorm(p *Proc) {
 	}
 }
 
-func stormConfig(sched Sched, seed uint64) Config {
+func stormConfig(seed uint64) Config {
 	return Config{
-		Procs: 6, Params: CM5Params(), Sched: sched, Trace: true,
+		Procs: 6, Params: CM5Params(), Trace: true,
 		Faults: &FaultConfig{Seed: seed, Drop: 0.1, Dup: 0.08, Reorder: 0.1, Delay: 0.1, Stall: 0.05},
 	}
 }
 
-// normalizeEvents strips the Seq numbering, which is machine-global
-// under the cooperative scheduler and per-rank under the goroutine
-// scheduler; everything else in the per-rank streams must agree.
-func normalizeEvents(rows [][]Event) [][]Event {
-	for _, row := range rows {
-		for i := range row {
-			row[i].Seq = 0
-		}
-	}
-	return rows
-}
-
+// TestFaultDeterminismAcrossSchedulers: a fault storm replayed with the
+// same seed on a fresh machine reproduces the fault report, the stats
+// and the full event streams, sequence numbers included, while a
+// different seed injects at different points.
 func TestFaultDeterminismAcrossSchedulers(t *testing.T) {
-	run := func(sched Sched, seed uint64) *Machine {
-		m := MustNew(stormConfig(sched, seed))
+	run := func(seed uint64) *Machine {
+		m := MustNew(stormConfig(seed))
 		if err := m.Run(faultStorm); err != nil {
-			t.Fatalf("sched %v seed %d: %v", sched, seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		return m
 	}
-	coop := run(SchedCooperative, 11)
-	gor := run(SchedGoroutine, 11)
+	first, replay := run(11), run(11)
 
-	repC, repG := coop.FaultReport(), gor.FaultReport()
-	if repC == nil || repG == nil {
+	rep := first.FaultReport()
+	if rep == nil {
 		t.Fatal("missing fault report")
 	}
-	if repC.Total.Injected() == 0 {
+	if rep.Total.Injected() == 0 {
 		t.Fatal("no faults injected — the storm parameters are too tame")
 	}
-	if repC.Total.Drops == 0 || repC.Total.Dups == 0 || repC.Total.Reorders == 0 ||
-		repC.Total.Delays == 0 || repC.Total.Stalls == 0 || repC.Total.Retries == 0 {
-		t.Errorf("some fault kind never fired: %+v", repC.Total)
+	if rep.Total.Drops == 0 || rep.Total.Dups == 0 || rep.Total.Reorders == 0 ||
+		rep.Total.Delays == 0 || rep.Total.Stalls == 0 || rep.Total.Retries == 0 {
+		t.Errorf("some fault kind never fired: %+v", rep.Total)
 	}
-	if !reflect.DeepEqual(repC, repG) {
-		t.Errorf("fault reports differ across schedulers:\n%+v\nvs\n%+v", repC, repG)
+	if !reflect.DeepEqual(replay.FaultReport(), rep) {
+		t.Errorf("same seed did not replay the same fault report:\n%+v\nvs\n%+v", rep, replay.FaultReport())
 	}
-	if !reflect.DeepEqual(coop.Stats(), gor.Stats()) {
-		t.Error("stats differ across schedulers under faults")
+	if !reflect.DeepEqual(replay.Stats(), first.Stats()) {
+		t.Error("same seed did not replay the same stats")
 	}
-	evC := normalizeEvents(coop.Events())
-	evG := normalizeEvents(gor.Events())
-	if !reflect.DeepEqual(evC, evG) {
-		t.Error("per-rank event streams differ across schedulers under faults")
+	if !reflect.DeepEqual(replay.Events(), first.Events()) {
+		t.Error("same seed did not replay the same event streams")
 	}
 
-	// Reruns replay the same schedule; a different seed gives a
-	// different (still non-empty) one.
-	coop2 := run(SchedCooperative, 11)
-	if !reflect.DeepEqual(coop2.FaultReport(), repC) {
-		t.Error("same seed did not replay the same fault schedule")
-	}
-	other := run(SchedCooperative, 12)
+	other := run(12)
 	repO := other.FaultReport()
 	if repO.Total.Injected() == 0 {
 		t.Error("seed 12 injected nothing")
 	}
-	if reflect.DeepEqual(repO.PerRank, repC.PerRank) {
+	if reflect.DeepEqual(repO.PerRank, rep.PerRank) {
 		t.Error("different seeds produced identical injection points")
 	}
 }
 
 func TestFaultResidualDuplicates(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Params: CM5Params(), Sched: SchedCooperative,
+	m := MustNew(Config{Procs: 2, Params: CM5Params(),
 		Faults: &FaultConfig{Seed: 1, Dup: 1}})
 	if err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
@@ -214,7 +197,7 @@ func TestFaultResidualDuplicates(t *testing.T) {
 }
 
 func TestFaultBudgetError(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Params: CM5Params(), Sched: SchedCooperative,
+	m := MustNew(Config{Procs: 2, Params: CM5Params(),
 		Faults: &FaultConfig{Seed: 1, Drop: 1, MaxRetries: 4}})
 	err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
@@ -245,7 +228,7 @@ func TestFaultBudgetError(t *testing.T) {
 }
 
 func TestFaultStatsFold(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Params: CM5Params(), Sched: SchedCooperative,
+	m := MustNew(Config{Procs: 2, Params: CM5Params(),
 		Faults: &FaultConfig{Seed: 5, Drop: 0.3}})
 	if err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {

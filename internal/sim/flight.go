@@ -13,10 +13,9 @@ package sim
 //
 // Concurrency contract: like every other piece of tracing state, each
 // ring is owned by its rank — only the processor whose events they are
-// writes into ring r. Under the cooperative scheduler all writes are
-// serialized anyway; under the goroutine scheduler and on the real
-// backend, ranks write concurrently to disjoint rings, which is
-// race-free without locks. Snapshot must only be called once the run
+// writes into ring r. On the emulator all writes are serialized
+// anyway; on the real backend ranks write concurrently to disjoint
+// rings, which is race-free without locks. Snapshot must only be called once the run
 // has finished (Machine.Run returned), the same rule the Stats/Events
 // accessors follow.
 

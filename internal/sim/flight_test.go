@@ -12,7 +12,7 @@ import (
 func TestFlightRecorderWindow(t *testing.T) {
 	const ringCap = 8
 	fr := MustNewFlightRecorder(2, ringCap)
-	m := MustNew(Config{Procs: 2, Sched: SchedCooperative, Params: Params{Delta: 1}, Flight: fr})
+	m := MustNew(Config{Procs: 2, Params: Params{Delta: 1}, Flight: fr})
 	err := m.Run(func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			p.Charge(1)
@@ -55,7 +55,7 @@ func TestFlightRecorderWindow(t *testing.T) {
 // buffers on the machine.
 func TestFlightOnlyTracing(t *testing.T) {
 	fr := MustNewFlightRecorder(2, 16)
-	m := MustNew(Config{Procs: 2, Sched: SchedCooperative, Params: Params{Tau: 1}, Flight: fr})
+	m := MustNew(Config{Procs: 2, Params: Params{Tau: 1}, Flight: fr})
 	err := m.Run(func(p *Proc) {
 		peer := 1 - p.Rank()
 		p.Send(peer, 7, nil, 4)
@@ -99,22 +99,20 @@ func TestFlightRecorderTooSmall(t *testing.T) {
 	}
 }
 
-// TestErrDeadlockSentinel pins that both schedulers' deadlock run
-// errors match sim.ErrDeadlock via errors.Is, so dump triggers can
-// classify without parsing message text.
+// TestErrDeadlockSentinel pins that the scheduler's deadlock run error
+// matches sim.ErrDeadlock via errors.Is, so dump triggers can classify
+// without parsing message text.
 func TestErrDeadlockSentinel(t *testing.T) {
-	for _, sched := range []Sched{SchedCooperative, SchedGoroutine} {
-		m := MustNew(Config{Procs: 2, Sched: sched})
-		err := m.Run(func(p *Proc) {
-			if p.Rank() == 0 {
-				p.Recv(1, 99) // never sent
-			}
-		})
-		if err == nil {
-			t.Fatalf("%v: wedged run returned nil", sched)
+	m := MustNew(Config{Procs: 2})
+	err := m.Run(func(p *Proc) {
+		if p.Rank() == 0 {
+			p.Recv(1, 99) // never sent
 		}
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("%v: deadlock error %v does not match ErrDeadlock", sched, err)
-		}
+	})
+	if err == nil {
+		t.Fatal("wedged run returned nil")
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlock error %v does not match ErrDeadlock", err)
 	}
 }

@@ -3,19 +3,21 @@
 // private local memories connected by an interconnection network that
 // behaves like a virtual crossbar.
 //
-// Each logical processor runs as a goroutine in SPMD style and owns a
-// virtual clock measured in microseconds. The clock advances according
-// to the paper's two-level cost model:
+// Each logical processor runs the SPMD body on its own goroutine and
+// owns a virtual clock measured in microseconds. The clock advances
+// according to the paper's two-level cost model:
 //
 //   - a local elementary operation costs Delta,
 //   - sending an m-word message costs Tau + Mu*m, independent of the
 //     distance between sender and receiver and of link congestion.
 //
-// Data really moves between processors (over channels guarded by
+// Data really moves between processors (through per-processor
 // mailboxes), so algorithms built on the emulator are exercised
 // end-to-end; the virtual clocks merely attribute a reproducible cost to
-// every step. The maximum clock over all processors at the end of a run
-// plays the role of the wall-clock time the paper measures on the CM-5.
+// every step. The processors run one at a time under a deterministic
+// cooperative scheduler (coop.go). The maximum clock over all
+// processors at the end of a run plays the role of the wall-clock time
+// the paper measures on the CM-5.
 package sim
 
 import (
@@ -24,7 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"packunpack/internal/metrics"
 )
@@ -51,58 +52,24 @@ func CM5Params() Params {
 	return Params{Tau: 86, Mu: 0.5, Delta: 0.15}
 }
 
-// Sched selects how the machine schedules its logical processors on
-// the host. The two modes produce identical virtual results (clocks,
-// stats, phase breakdowns, payload routing); they differ only in host
-// cost and in how deadlocks are detected.
+// Sched was the selector between two scheduling modes.
+//
+// Deprecated: the cooperative scheduler (coop.go) is the emulator's
+// only mode, and Config.Sched is ignored.
 type Sched int
 
-const (
-	// SchedGoroutine runs the P processor bodies as freely scheduled
-	// goroutines: within-machine host parallelism, mailboxes guarded by
-	// mutex/condvar, and a polling monitor that detects deadlock
-	// heuristically (a stable all-blocked picture across a 2 ms scan).
-	SchedGoroutine Sched = iota
-	// SchedCooperative runs the bodies as coroutine-style goroutines
-	// scheduled one at a time in virtual-clock order: the runnable
-	// processor with the smallest clock runs until it blocks in Recv.
-	// Exactly one body runs at any moment, so mailbox access needs no
-	// locks, and the scheduler sees every blocked receive, which makes
-	// deadlock an exact structural condition (all live processors
-	// blocked with no matching message anywhere) detected instantly
-	// with a full wait-for diagnostic — no ticker, no trip latency, no
-	// host-load sensitivity. Preferred when machines are already run in
-	// parallel across experiment points (the sweep engine's default).
-	SchedCooperative
-)
-
-func (s Sched) String() string {
-	switch s {
-	case SchedGoroutine:
-		return "goroutine"
-	case SchedCooperative:
-		return "coop"
-	}
-	return fmt.Sprintf("Sched(%d)", int(s))
-}
-
-// ParseSched maps the packbench -sched flag values to a Sched.
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "goroutine":
-		return SchedGoroutine, nil
-	case "coop", "cooperative":
-		return SchedCooperative, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want goroutine or coop)", s)
-}
+// SchedCooperative names the cooperative scheduler.
+//
+// Deprecated: it is the only mode; setting it changes nothing.
+const SchedCooperative Sched = 1
 
 // Config describes a machine to build.
 type Config struct {
 	// Procs is the number of logical processors, P >= 1.
 	Procs int
-	// Sched selects the execution mode; the zero value is
-	// SchedGoroutine, the historical concurrent mode.
+	// Sched is ignored.
+	//
+	// Deprecated: every machine runs the cooperative scheduler.
 	Sched Sched
 	// Params are the cost-model constants. Zero values are allowed
 	// (they produce a free machine, useful in unit tests).
@@ -177,32 +144,17 @@ type message struct {
 // mailbox is an unbounded, tag-matched receive queue. Sends never
 // block (eager protocol), so a correct SPMD exchange pattern can never
 // deadlock regardless of send/receive ordering; a receive that no
-// matching send will ever satisfy still can, which the machine's
-// deadlock monitor (watch) detects.
+// matching send will ever satisfy still can, which the cooperative
+// scheduler proves structurally (coop.go). Only the running processor
+// touches any mailbox, so none needs a lock.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []message
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *mailbox) put(m message) {
-	b.mu.Lock()
-	b.queue = append(b.queue, m)
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // removeAt deletes and returns queue[i], compacting the queue and
 // zeroing the vacated tail slot so the removed message's payload does
 // not stay reachable through the slice's spare capacity (a payload
-// retention leak across long runs otherwise). Caller must hold b.mu in
-// goroutine mode; in cooperative mode access is already serialized.
+// retention leak across long runs otherwise).
 func (b *mailbox) removeAt(i int) message {
 	m := b.queue[i]
 	last := len(b.queue) - 1
@@ -213,17 +165,17 @@ func (b *mailbox) removeAt(i int) message {
 }
 
 // ErrDeadlock is the sentinel every deadlock-shaped run error matches
-// via errors.Is: the goroutine-mode per-rank unwind, the cooperative
-// scheduler's machine-level wait-for diagnostic, and the real
-// backend's watchdog abort all identify as ErrDeadlock. Callers (the
-// bench harness's flight-recorder dump trigger, tests) should test
-// errors.Is(err, sim.ErrDeadlock) rather than matching message text.
+// via errors.Is: the cooperative scheduler's machine-level wait-for
+// diagnostic and the real backend's watchdog abort both identify as
+// ErrDeadlock. Callers (the bench harness's flight-recorder dump
+// trigger, tests) should test errors.Is(err, sim.ErrDeadlock) rather
+// than matching message text.
 var ErrDeadlock = errors.New("sim: deadlock")
 
 // deadlockError is the panic value raised in a processor that is
-// unblocked because the machine is wedged (the cooperative scheduler
-// proved it, or the goroutine-mode monitor tripped). Run recognizes it
-// so induced deadlock diagnostics never mask a root-cause panic.
+// unwound because the cooperative scheduler proved the machine wedged.
+// Run recognizes it so induced deadlock unwinds never mask a
+// root-cause panic.
 type deadlockError struct {
 	rank, src, tag int
 }
@@ -235,155 +187,9 @@ func (e deadlockError) Error() string {
 // Is makes errors.Is(err, ErrDeadlock) hold for per-rank unwinds.
 func (e deadlockError) Is(target error) bool { return target == ErrDeadlock }
 
-// take removes and returns the first message matching (src, tag),
-// blocking until one arrives. Messages from a given source with a given
-// tag are delivered in send order. If the machine's deadlock monitor
-// trips while this processor is blocked, take panics with a diagnostic
-// (recovered by Run into an error).
-func (b *mailbox) take(w *watch, rank, src, tag int) message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for i, m := range b.queue {
-			if m.src == src && m.tag == tag {
-				return b.removeAt(i)
-			}
-		}
-		w.register(rank, src, tag)
-		if w.dead.Load() {
-			w.unregister(rank)
-			panic(deadlockError{rank: rank, src: src, tag: tag})
-		}
-		b.cond.Wait()
-		w.unregister(rank)
-		if w.dead.Load() {
-			panic(deadlockError{rank: rank, src: src, tag: tag})
-		}
-	}
-}
-
-// matches reports whether the queue holds a message for (src, tag).
-// Caller must hold b.mu.
-func (b *mailbox) matchesLocked(src, tag int) bool {
-	for _, m := range b.queue {
-		if m.src == src && m.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // waitInfo records what a blocked processor is waiting for.
 type waitInfo struct {
 	src, tag int
-}
-
-// watch is the machine's deadlock monitor. Blocked receivers register
-// what they wait for; a background goroutine (one per Run) checks
-// periodically whether every still-running processor is blocked with
-// no matching message anywhere — the definition of a wedged machine —
-// and if the picture is stable across the scan, trips: sets the dead
-// flag and wakes every waiter, which then panic with a diagnostic
-// instead of hanging the test suite.
-type watch struct {
-	mu       sync.Mutex
-	waiting  map[int]waitInfo
-	finished int
-	epoch    uint64
-	total    int
-	boxes    []*mailbox
-	dead     atomic.Bool
-	stop     chan struct{}
-}
-
-func newWatch(total int, boxes []*mailbox) *watch {
-	return &watch{waiting: make(map[int]waitInfo), total: total, boxes: boxes, stop: make(chan struct{})}
-}
-
-func (w *watch) register(rank, src, tag int) {
-	w.mu.Lock()
-	w.waiting[rank] = waitInfo{src: src, tag: tag}
-	w.epoch++
-	w.mu.Unlock()
-}
-
-func (w *watch) unregister(rank int) {
-	w.mu.Lock()
-	delete(w.waiting, rank)
-	w.epoch++
-	w.mu.Unlock()
-}
-
-func (w *watch) finish() {
-	w.mu.Lock()
-	w.finished++
-	w.epoch++
-	w.mu.Unlock()
-}
-
-// check performs one deadlock scan; it returns true if it tripped.
-func (w *watch) check() bool {
-	w.mu.Lock()
-	if len(w.waiting)+w.finished != w.total || len(w.waiting) == 0 {
-		w.mu.Unlock()
-		return false
-	}
-	epoch := w.epoch
-	snapshot := make(map[int]waitInfo, len(w.waiting))
-	for r, i := range w.waiting {
-		snapshot[r] = i
-	}
-	w.mu.Unlock()
-
-	// A blocked receiver with a matching queued message is merely slow
-	// to wake (the broadcast already happened), not deadlocked.
-	for rank, info := range snapshot {
-		b := w.boxes[rank]
-		b.mu.Lock()
-		ok := b.matchesLocked(info.src, info.tag)
-		b.mu.Unlock()
-		if ok {
-			return false
-		}
-	}
-
-	// Confirm nothing moved while we scanned.
-	w.mu.Lock()
-	stable := w.epoch == epoch
-	w.mu.Unlock()
-	if !stable {
-		return false
-	}
-
-	w.dead.Store(true)
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
-	return true
-}
-
-// monitor polls until stopped or tripped.
-func (w *watch) monitor() {
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-			if w.check() {
-				return
-			}
-		}
-	}
-}
-
-func (b *mailbox) pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue)
 }
 
 // PhaseStats is the virtual-time breakdown attributed to one named
@@ -412,7 +218,7 @@ type Stats struct {
 // crossbar network.
 type Machine struct {
 	cfg   Config
-	boxes []*mailbox
+	boxes []mailbox
 
 	// running guards against concurrent Run calls on one machine (the
 	// mailboxes are shared between runs). Distinct Machine values share
@@ -420,9 +226,9 @@ type Machine struct {
 	// parallel sweep harness relies on that.
 	running atomic.Bool
 
-	// seq is the machine-global event sequence counter of the
-	// cooperative scheduler (only the running processor touches it, and
-	// handoffs order every access); reset at the start of each Run.
+	// seq is the machine-global event sequence counter (only the
+	// running processor touches it, and scheduler handoffs order every
+	// access); reset at the start of each Run.
 	seq uint64
 
 	mu          sync.Mutex
@@ -448,11 +254,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Flight != nil && cfg.Flight.Procs() < cfg.Procs {
 		return nil, fmt.Errorf("sim: flight recorder built for %d ranks cannot cover P=%d", cfg.Flight.Procs(), cfg.Procs)
 	}
-	m := &Machine{cfg: cfg, boxes: make([]*mailbox, cfg.Procs)}
-	for i := range m.boxes {
-		m.boxes[i] = newMailbox()
-	}
-	return m, nil
+	return &Machine{cfg: cfg, boxes: make([]mailbox, cfg.Procs)}, nil
 }
 
 // MustNew is New for configurations known to be valid (tests, examples).
@@ -472,38 +274,22 @@ func (m *Machine) Params() Params { return m.cfg.Params }
 
 // Run executes body once per processor, SPMD style, and blocks until
 // every processor finishes. It returns an error if any processor
-// panicked or if any message was left undelivered (which would indicate
-// a mismatched communication pattern).
+// panicked, if the machine deadlocked, or if any message was left
+// undelivered (which would indicate a mismatched communication
+// pattern).
 //
-// Run may be called repeatedly (each call starts all clocks from
-// zero) but not concurrently: the machine's mailboxes are shared
-// between runs. Concurrent calls are detected and return an error.
-// Distinct machines are fully independent and safe to run in parallel.
+// Run may be called repeatedly (each call starts all clocks from zero
+// and empty mailboxes, whatever the previous call returned) but not
+// concurrently: the machine's mailboxes are shared between runs.
+// Concurrent calls are detected and return an error. Distinct machines
+// are fully independent and safe to run in parallel.
 func (m *Machine) Run(body func(p *Proc)) error {
 	if !m.running.CompareAndSwap(false, true) {
 		return fmt.Errorf("sim: Machine.Run called concurrently on the same machine")
 	}
 	defer m.running.Store(false)
 	m.seq = 0
-	if m.cfg.Sched == SchedCooperative {
-		return m.runCoop(body)
-	}
-	return m.runGoroutine(body)
-}
-
-// newProcs builds the per-run processor values, clocks at zero.
-func (m *Machine) newProcs() []*Proc {
-	procs := make([]*Proc, m.cfg.Procs)
-	for i := range procs {
-		procs[i] = &Proc{
-			rank:  i,
-			m:     m,
-			box:   m.boxes[i],
-			phase: "default",
-			stats: Stats{Rank: i, Phases: make(map[string]PhaseStats)},
-		}
-	}
-	return procs
+	return m.runCoop(body)
 }
 
 // recoverRankErr converts a recovered panic value into a per-rank
@@ -519,61 +305,41 @@ func recoverRankErr(rank int, r any) error {
 	return fmt.Errorf("sim: processor %d panicked: %v", rank, r)
 }
 
-// runGoroutine is the concurrent mode: one goroutine per processor,
-// locked mailboxes, and the polling deadlock monitor.
-func (m *Machine) runGoroutine(body func(p *Proc)) error {
-	w := newWatch(m.cfg.Procs, m.boxes)
-	go w.monitor()
-	defer close(w.stop)
-	procs := m.newProcs()
-	for _, p := range procs {
-		p.w = w
-	}
-	errs := make([]error, m.cfg.Procs)
-	var wg sync.WaitGroup
-	wg.Add(m.cfg.Procs)
-	for i := range procs {
-		go func(p *Proc) {
-			defer wg.Done()
-			defer w.finish()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[p.rank] = recoverRankErr(p.rank, r)
-				}
-			}()
-			body(p)
-			p.flushHeld(-1) // release reorder-held messages before finishing
-		}(procs[i])
-	}
-	wg.Wait()
-	return m.finishRun(procs, errs, nil)
-}
-
-// finishRun publishes the run's statistics and folds the per-rank
-// errors into the run result. Non-deadlock errors are preferred: when a
-// processor panics, its peers are typically woken with induced
-// "deadlock" panics, and reporting one of those would mask the root
-// cause. Remaining errors of the winning class are aggregated with
-// errors.Join; diag, when non-nil, is the cooperative scheduler's
+// finishRun publishes the run's statistics, empties the mailboxes and
+// folds the per-rank errors into the run result. Non-deadlock errors
+// are preferred: when a processor panics, its peers typically wedge
+// waiting for it, and reporting the induced deadlock would mask the
+// root cause. Remaining errors of the winning class are aggregated
+// with errors.Join; diag, when non-nil, is the scheduler's
 // machine-level wait-for diagnostic and stands in for the per-rank
 // deadlock unwind errors.
 func (m *Machine) finishRun(procs []*Proc, errs []error, diag error) error {
+	// Every exit path leaves the mailboxes empty, so a later Run never
+	// receives this one's leftovers. Under a fault plan, trailing
+	// duplicates a receiver had no reason to consume are an expected
+	// end state rather than a protocol error: they count as residual,
+	// attributed to the destination rank.
+	var undelivered error
+	for i := range m.boxes {
+		b := &m.boxes[i]
+		n := len(b.queue)
+		if n == 0 {
+			continue
+		}
+		if m.cfg.Faults != nil {
+			procs[i].faults.Residual += int64(n)
+		} else if undelivered == nil {
+			undelivered = fmt.Errorf("sim: processor %d finished with %d undelivered messages", i, n)
+		}
+		b.queue = nil
+	}
+
 	m.mu.Lock()
 	m.stats = make([]Stats, m.cfg.Procs)
 	m.spans = make([][]Span, m.cfg.Procs)
 	m.events = make([][]Event, m.cfg.Procs)
 	m.faultReport = nil
 	if m.cfg.Faults != nil {
-		// Trailing duplicates a receiver had no reason to consume are an
-		// expected end state of a faulted run, not a protocol error:
-		// count them as residual (attributed to the destination rank)
-		// and drain the mailboxes so a later Run starts clean.
-		for i, b := range m.boxes {
-			if n := len(b.queue); n > 0 {
-				procs[i].faults.Residual += int64(n)
-				b.queue = nil
-			}
-		}
 		m.faultReport = buildFaultReport(m.cfg.Faults.Seed, procs)
 	}
 	for i, p := range procs {
@@ -608,15 +374,7 @@ func (m *Machine) finishRun(procs []*Proc, errs []error, diag error) error {
 	case len(deadlocks) > 0:
 		return errors.Join(deadlocks...)
 	}
-	if m.cfg.Faults != nil {
-		return nil // leftovers were folded into the report's residual
-	}
-	for i, b := range m.boxes {
-		if n := b.pending(); n != 0 {
-			return fmt.Errorf("sim: processor %d finished with %d undelivered messages", i, n)
-		}
-	}
-	return nil
+	return undelivered
 }
 
 // Stats returns the per-processor statistics of the most recent Run,
@@ -713,8 +471,7 @@ func (m *Machine) PhaseNames() []string {
 type Proc struct {
 	rank  int
 	m     *Machine
-	w     *watch     // goroutine mode only
-	cs    *coopSched // cooperative mode only
+	cs    *coopSched
 	box   *mailbox
 	clock float64
 	phase string
@@ -723,7 +480,6 @@ type Proc struct {
 
 	// Event-tracing state (trace.go); all zero when tracing is off.
 	events      []Event
-	seq         uint64 // per-rank event counter (goroutine mode)
 	sends       uint64 // per-rank message counter for MsgID
 	chargeOpen  bool   // a charge batch is pending
 	chargeStart float64
@@ -851,22 +607,18 @@ func (p *Proc) Send(dst, tag int, payload any, words int) {
 	p.deliver(dst, message{src: p.rank, tag: tag, payload: payload, words: words, arrival: p.clock, id: id})
 }
 
-// deliver appends a message to dst's mailbox. In cooperative mode
-// exactly one processor runs at a time (handoffs through the scheduler
-// establish the ordering), so the queue is appended to directly; in
-// goroutine mode the locked put wakes any blocked receiver.
+// deliver appends a message to dst's mailbox and lets the scheduler
+// wake dst if the message satisfies its pending receive. Exactly one
+// processor runs at a time (handoffs through the scheduler establish
+// the ordering), so the queue is appended to directly.
 func (p *Proc) deliver(dst int, m message) {
 	if p.tracing() {
 		p.flushCharge()
 		p.emit(Event{Kind: EvDeliver, Peer: dst, Tag: m.tag, Words: m.words, Time: m.arrival, MsgID: m.id})
 	}
-	if p.cs != nil {
-		b := p.m.boxes[dst]
-		b.queue = append(b.queue, m)
-		p.cs.noteDeliver(dst, m.src, m.tag)
-		return
-	}
-	p.m.boxes[dst].put(m)
+	b := &p.m.boxes[dst]
+	b.queue = append(b.queue, m)
+	p.cs.noteDeliver(dst, m.src, m.tag)
 }
 
 // SendFree transmits a zero-cost control message: it charges nothing,
@@ -904,12 +656,7 @@ func (p *Proc) Recv(src, tag int) (payload any, words int) {
 		p.flushCharge()
 		p.emit(Event{Kind: EvRecvBlock, Peer: src, Tag: tag, Time: p.clock})
 	}
-	var msg message
-	if p.cs != nil {
-		msg = p.box.takeCoop(p.cs, p.rank, src, tag)
-	} else {
-		msg = p.box.take(p.w, p.rank, src, tag)
-	}
+	msg := p.box.take(p.cs, p.rank, src, tag)
 	if msg.arrival > p.clock {
 		p.addComm(msg.arrival - p.clock)
 	}
@@ -917,19 +664,4 @@ func (p *Proc) Recv(src, tag int) (payload any, words int) {
 		p.emit(Event{Kind: EvRecvWake, Peer: src, Tag: tag, Words: msg.words, Time: p.clock, Dur: p.clock - blockClock, MsgID: msg.id})
 	}
 	return msg.payload, msg.words
-}
-
-// SendInts is Send for the common []int payload, charging one machine
-// word per element.
-func (p *Proc) SendInts(dst, tag int, v []int) {
-	p.Send(dst, tag, v, len(v))
-}
-
-// RecvInts is Recv for []int payloads.
-func (p *Proc) RecvInts(src, tag int) []int {
-	payload, _ := p.Recv(src, tag)
-	if payload == nil {
-		return nil
-	}
-	return payload.([]int)
 }

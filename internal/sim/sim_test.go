@@ -105,7 +105,7 @@ func TestSendRecvCostModel(t *testing.T) {
 				panic(fmt.Sprintf("sender clock %v, want 20", p.Clock()))
 			}
 		} else {
-			v := p.RecvInts(0, 1)
+			v := recvInts(p, 0, 1)
 			if !reflect.DeepEqual(v, []int{1, 2, 3, 4, 5}) {
 				panic("payload corrupted")
 			}
@@ -169,19 +169,19 @@ func TestTagMatchingAndFIFO(t *testing.T) {
 	m := MustNew(Config{Procs: 2})
 	err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendInts(1, 5, []int{50})
-			p.SendInts(1, 3, []int{30})
-			p.SendInts(1, 5, []int{51})
+			sendInts(p, 1, 5, []int{50})
+			sendInts(p, 1, 3, []int{30})
+			sendInts(p, 1, 5, []int{51})
 		} else {
 			// Receive out of tag order: tag 3 first, then the two
 			// tag-5 messages must come back in send order.
-			if v := p.RecvInts(0, 3); v[0] != 30 {
+			if v := recvInts(p, 0, 3); v[0] != 30 {
 				panic("tag 3 mismatched")
 			}
-			if v := p.RecvInts(0, 5); v[0] != 50 {
+			if v := recvInts(p, 0, 5); v[0] != 50 {
 				panic("tag 5 not FIFO")
 			}
-			if v := p.RecvInts(0, 5); v[0] != 51 {
+			if v := recvInts(p, 0, 5); v[0] != 51 {
 				panic("tag 5 second message wrong")
 			}
 		}
@@ -237,11 +237,11 @@ func TestDeterminism(t *testing.T) {
 			for r := 1; r < n; r++ {
 				dst := (p.Rank() + r) % n
 				buf := make([]int, (p.Rank()*r)%7)
-				p.SendInts(dst, r, buf)
+				sendInts(p, dst, r, buf)
 			}
 			for r := 1; r < n; r++ {
 				src := (p.Rank() - r + n) % n
-				p.RecvInts(src, r)
+				recvInts(p, src, r)
 			}
 			p.Charge(p.Rank() * 10)
 		})
@@ -370,7 +370,7 @@ func TestDeadlockDetectionPartial(t *testing.T) {
 
 func TestNoFalseDeadlockOnSlowPingPong(t *testing.T) {
 	// A long serial dependency chain with queued-but-unconsumed
-	// messages must NOT trip the monitor.
+	// messages must NOT be reported as a deadlock.
 	m := MustNew(Config{Procs: 2})
 	err := m.Run(func(p *Proc) {
 		other := 1 - p.Rank()

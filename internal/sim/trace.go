@@ -16,9 +16,8 @@ package sim
 // calls in the same phase collapse into a single pending batch that is
 // flushed lazily (on the next communication event, phase switch, or at
 // body end), so a tight scan loop of N Charge calls produces one event,
-// not N. Events carry no pointers into simulator state; buffers are
-// per-processor and only the owning processor appends, which keeps the
-// goroutine mode race-free without locks.
+// not N. Events carry no pointers into simulator state, and buffers are
+// per-processor: only the owning processor appends.
 
 // EventKind enumerates the structured trace event types.
 type EventKind uint8
@@ -114,10 +113,10 @@ type Event struct {
 	// Kind discriminates the record; see the EventKind constants for
 	// which of the remaining fields are meaningful.
 	Kind EventKind
-	// Seq is the event's sequence number. Under the cooperative
-	// scheduler it is a machine-global counter, so the total order of
-	// events is deterministic across runs; under the goroutine scheduler
-	// it is per-processor (per-rank streams are still ordered, but the
+	// Seq is the event's sequence number. On the emulator it is a
+	// machine-global counter, so the total order of events is
+	// deterministic across runs; the real backend numbers each rank's
+	// events on its own (per-rank streams are still ordered, but the
 	// interleaving between ranks is whatever the host produced).
 	Seq uint64
 	// Rank is the processor whose timeline the event belongs to.
@@ -142,26 +141,25 @@ type Event struct {
 	// recorded (for EvPhase, the phase being switched to).
 	Phase string
 	// MsgID identifies a message across its send, delivery, and receive
-	// events; it is unique within a run and deterministic in both
-	// scheduler modes (rank-qualified send counter). Zero means "not a
-	// message event" or "tracing was off when the message was sent".
+	// events; it is unique within a run and deterministic
+	// (rank-qualified send counter). Zero means "not a message event"
+	// or "tracing was off when the message was sent".
 	MsgID uint64
 }
 
 // EventSink receives every trace event as it is produced, in timeline
 // order per processor. Emit is called by the logical processor that
-// owns the event: under the cooperative scheduler calls are fully
-// serialized, under the goroutine scheduler different ranks call
-// concurrently and the sink must be safe for that. Implementations
-// must be cheap — they run on the emulator's hot path.
+// owns the event: on the emulator calls are fully serialized, on the
+// real backend different ranks call concurrently and the sink must be
+// safe for that. Implementations must be cheap — they run on the hot
+// path.
 type EventSink interface {
 	Emit(Event)
 }
 
 // msgID builds the rank-qualified message id: the sender's rank in the
-// high bits, its running send count in the low bits. Deterministic in
-// both scheduler modes because each processor numbers only its own
-// sends.
+// high bits, its running send count in the low bits. Deterministic
+// because each processor numbers only its own sends.
 func msgID(rank int, n uint64) uint64 {
 	return uint64(rank)<<40 | n
 }
@@ -181,22 +179,12 @@ func (p *Proc) tracing() bool {
 	return p.m.cfg.Trace || p.m.cfg.Sink != nil || p.m.cfg.Flight != nil
 }
 
-// nextSeq returns the next event sequence number: machine-global (and
-// therefore deterministic) under the cooperative scheduler, per-rank
-// under the goroutine scheduler.
-func (p *Proc) nextSeq() uint64 {
-	if p.cs != nil {
-		p.m.seq++
-		return p.m.seq
-	}
-	p.seq++
-	return p.seq
-}
-
-// emit stamps and records one event. Callers must have flushed any
-// pending charge batch first so the stream stays in timeline order.
+// emit stamps and records one event with the next machine-global
+// sequence number. Callers must have flushed any pending charge batch
+// first so the stream stays in timeline order.
 func (p *Proc) emit(ev Event) {
-	ev.Seq = p.nextSeq()
+	p.m.seq++
+	ev.Seq = p.m.seq
 	ev.Rank = p.rank
 	if ev.Phase == "" {
 		ev.Phase = p.phase

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -23,9 +22,9 @@ func tracedBody(p *Proc) {
 	p.Charge(4)
 }
 
-func tracedMachine(t *testing.T, sched Sched) *Machine {
+func tracedMachine(t *testing.T) *Machine {
 	t.Helper()
-	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Sched: sched, Record: true, Trace: true})
+	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Record: true, Trace: true})
 	if err := m.Run(tracedBody); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func tracedMachine(t *testing.T, sched Sched) *Machine {
 }
 
 func TestEventStream(t *testing.T) {
-	m := tracedMachine(t, SchedCooperative)
+	m := tracedMachine(t)
 	ev := m.Events()
 	if len(ev) != 2 {
 		t.Fatalf("want 2 event rows, got %d", len(ev))
@@ -80,12 +79,12 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
-// TestEventSeqDeterministicCoop locks in the cooperative-mode
+// TestEventSeqDeterministicCoop locks in the emulator's
 // determinism contract: two identical runs produce identical event
 // streams, including the machine-global sequence numbers.
 func TestEventSeqDeterministicCoop(t *testing.T) {
-	a := tracedMachine(t, SchedCooperative).Events()
-	b := tracedMachine(t, SchedCooperative).Events()
+	a := tracedMachine(t).Events()
+	b := tracedMachine(t).Events()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("cooperative event streams differ across runs:\n%v\nvs\n%v", a, b)
 	}
@@ -105,25 +104,6 @@ func TestEventSeqDeterministicCoop(t *testing.T) {
 	}
 }
 
-// TestEventsModeEquivalent checks that both schedulers produce the same
-// per-rank event streams up to sequence numbering (virtual times and
-// message identity are schedule-independent).
-func TestEventsModeEquivalent(t *testing.T) {
-	strip := func(rows [][]Event) [][]Event {
-		for _, row := range rows {
-			for i := range row {
-				row[i].Seq = 0
-			}
-		}
-		return rows
-	}
-	coop := strip(tracedMachine(t, SchedCooperative).Events())
-	gor := strip(tracedMachine(t, SchedGoroutine).Events())
-	if !reflect.DeepEqual(coop, gor) {
-		t.Fatalf("event streams differ between modes:\ncoop %v\ngoroutine %v", coop, gor)
-	}
-}
-
 func TestEventsOffByDefault(t *testing.T) {
 	m := MustNew(Config{Procs: 1, Params: Params{Delta: 1}})
 	if err := m.Run(func(p *Proc) { p.Charge(5) }); err != nil {
@@ -134,22 +114,17 @@ func TestEventsOffByDefault(t *testing.T) {
 	}
 }
 
-// captureSink records emitted events (mutex-guarded: the goroutine
-// mode emits from several ranks at once).
+// captureSink records emitted events. The emulator runs one rank at a
+// time, so Emit calls never overlap.
 type captureSink struct {
-	mu  sync.Mutex
 	evs []Event
 }
 
-func (s *captureSink) Emit(e Event) {
-	s.mu.Lock()
-	s.evs = append(s.evs, e)
-	s.mu.Unlock()
-}
+func (s *captureSink) Emit(e Event) { s.evs = append(s.evs, e) }
 
 func TestEventSinkStreams(t *testing.T) {
 	sink := &captureSink{}
-	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Sched: SchedCooperative, Sink: sink})
+	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Sink: sink})
 	if err := m.Run(tracedBody); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +135,7 @@ func TestEventSinkStreams(t *testing.T) {
 	if row := m.Events(); row[0] != nil || row[1] != nil {
 		t.Fatalf("Sink without Trace should not buffer, got %v", row)
 	}
-	// Cooperative mode: the sink stream is globally seq-ordered.
+	// The sink stream is globally seq-ordered.
 	for i := 1; i < len(sink.evs); i++ {
 		if sink.evs[i].Seq != sink.evs[i-1].Seq+1 {
 			t.Fatalf("sink stream out of order at %d: %+v after %+v", i, sink.evs[i], sink.evs[i-1])
@@ -169,7 +144,7 @@ func TestEventSinkStreams(t *testing.T) {
 }
 
 func TestSendFreeTracedDeliverOnly(t *testing.T) {
-	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Sched: SchedCooperative, Trace: true})
+	m := MustNew(Config{Procs: 2, Params: Params{Tau: 10, Mu: 1, Delta: 1}, Trace: true})
 	err := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.SendFree(1, 3, "ctl")
@@ -194,7 +169,7 @@ func TestSendFreeTracedDeliverOnly(t *testing.T) {
 // with internal state, so mutating a result (or running again)
 // corrupted earlier snapshots.
 func TestStatsSnapshotIsolated(t *testing.T) {
-	m := tracedMachine(t, SchedCooperative)
+	m := tracedMachine(t)
 
 	first := m.Stats()
 	firstSpans := m.Spans()

@@ -19,13 +19,12 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // tracedRun executes a deterministic two-processor exchange with full
-// observability on under the cooperative scheduler.
+// observability on.
 func tracedRun(t *testing.T) *Capture {
 	t.Helper()
 	m := sim.MustNew(sim.Config{
 		Procs:  2,
 		Params: sim.Params{Tau: 10, Mu: 1, Delta: 1},
-		Sched:  sim.SchedCooperative,
 		Record: true,
 		Trace:  true,
 	})
@@ -55,7 +54,7 @@ func packCapture(t *testing.T) *Capture {
 		t.Fatal(err)
 	}
 	gen := mask.NewRandom(0.5, 1, 256)
-	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(), Sched: sim.SchedCooperative, Record: true, Trace: true})
+	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(), Record: true, Trace: true})
 	err = m.Run(func(p *sim.Proc) {
 		lm := mask.FillLocal(layout, p.Rank(), gen)
 		a := make([]int, layout.LocalSize())
@@ -209,7 +208,7 @@ func TestMatrixTotals(t *testing.T) {
 }
 
 func TestMatrixHeatmapLargeP(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 32, Params: sim.Params{Tau: 1}, Sched: sim.SchedCooperative, Trace: true})
+	m := sim.MustNew(sim.Config{Procs: 32, Params: sim.Params{Tau: 1}, Trace: true})
 	err := m.Run(func(p *sim.Proc) {
 		next := (p.Rank() + 1) % p.NProcs()
 		p.Send(next, 0, nil, p.Rank())
@@ -237,7 +236,7 @@ func TestMatrixHeatmapLargeP(t *testing.T) {
 // Makespan 95 = p1 tail (60) + message release at 35 determined by p0:
 // segment p0 [0,35] then p1 [35,95].
 func TestCriticalPathChain(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}, Sched: sim.SchedCooperative, Record: true, Trace: true})
+	m := sim.MustNew(sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}, Record: true, Trace: true})
 	err := m.Run(func(p *sim.Proc) {
 		if p.Rank() == 0 {
 			p.Charge(20)

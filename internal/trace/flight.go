@@ -8,8 +8,8 @@ package trace
 // (PAPERS.md): a long-running redistribution system must explain its
 // failures after the fact, so the recorder is cheap enough to leave on
 // and the dump path triggers itself on the error classes that leave no
-// other evidence: structural deadlock (both schedulers and the real
-// backend's watchdog identify as sim.ErrDeadlock) and exhausted
+// other evidence: structural deadlock (the emulator's scheduler and the
+// real backend's watchdog identify as sim.ErrDeadlock) and exhausted
 // fault-retry budgets (sim.FaultBudgetError).
 
 import (
@@ -25,9 +25,8 @@ import (
 
 // ShouldDumpFlight classifies a run error: true for the failure modes
 // whose post-mortem lives in the flight recorder — structural deadlock
-// (cooperative proof, goroutine-mode monitor, or the real backend's
-// watchdog abort; all match sim.ErrDeadlock) and fault-budget
-// exhaustion. Root-cause panics carry their own stack and do not
+// (the emulator scheduler's proof or the real backend's watchdog
+// abort; both match sim.ErrDeadlock) and fault-budget exhaustion. Root-cause panics carry their own stack and do not
 // trigger a dump.
 func ShouldDumpFlight(err error) bool {
 	return err != nil && (errors.Is(err, sim.ErrDeadlock) || sim.IsFaultBudget(err))

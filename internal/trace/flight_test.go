@@ -39,7 +39,7 @@ func TestShouldDumpFlight(t *testing.T) {
 func TestFlightDumpOnDeadlock(t *testing.T) {
 	fr := sim.MustNewFlightRecorder(3, 64)
 	m := sim.MustNew(sim.Config{
-		Procs: 3, Sched: sim.SchedCooperative,
+		Procs:  3,
 		Params: sim.Params{Tau: 10, Mu: 1, Delta: 1},
 		Flight: fr,
 	})

@@ -22,9 +22,9 @@ package trace
 // never message-sampled or kind-filtered away, so the op accounting of
 // whatever survives stays exact (DESIGN.md §15).
 //
-// Concurrency: Emit is called by the rank that owns the event. Under
-// the cooperative scheduler calls are serialized; under the goroutine
-// scheduler and the real backend ranks call concurrently. RetainSink
+// Concurrency: Emit is called by the rank that owns the event. On the
+// emulator calls are serialized; on the real backend ranks call
+// concurrently. RetainSink
 // and AggSink exploit ownership (per-rank state, no locks on the hot
 // path; the histograms are atomic); JSONLSink serializes on a mutex
 // because its output is one shared stream.

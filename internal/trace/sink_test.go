@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"packunpack/internal/sim"
+	"packunpack/internal/transport"
 )
 
 // allToAllBody is a small two-phase SPMD exchange: a charge-heavy
 // "compose" phase, then every rank sends one message of a distinct
 // size to every rank (itself included) and receives them all.
-func allToAllBody(p *sim.Proc) {
+func allToAllBody(p transport.Endpoint) {
 	n := p.NProcs()
 	prev := p.SetPhase("compose")
 	p.Charge(10 * (p.Rank() + 1))
@@ -30,33 +31,43 @@ func allToAllBody(p *sim.Proc) {
 // sinkRun executes allToAllBody on a fresh machine with the given sink
 // attached (and full tracing on, so tests can compare against the
 // retained baseline).
-func sinkRun(t *testing.T, procs int, sched sim.Sched, sink sim.EventSink) *sim.Machine {
+func sinkRun(t *testing.T, procs int, sink sim.EventSink) *sim.Machine {
 	t.Helper()
 	m := sim.MustNew(sim.Config{
-		Procs: procs, Sched: sched,
+		Procs:  procs,
 		Params: sim.Params{Tau: 10, Mu: 1, Delta: 0.5},
 		Trace:  true, Record: true, Sink: sink,
 	})
-	if err := m.Run(allToAllBody); err != nil {
+	if err := m.Run(func(p *sim.Proc) { allToAllBody(p) }); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// TestRetainSinkMatchesTraceBuffers: the retain sink keeps exactly the
+// per-rank streams the Trace buffers hold, on the emulator and on the
+// real backend, whose ranks emit concurrently.
 func TestRetainSinkMatchesTraceBuffers(t *testing.T) {
-	for _, sched := range []sim.Sched{sim.SchedCooperative, sim.SchedGoroutine} {
-		rs := NewRetainSink(4)
-		m := sinkRun(t, 4, sched, rs)
-		if !reflect.DeepEqual(rs.Events(), m.Events()) {
-			t.Fatalf("%v: retain sink diverges from Config.Trace buffers", sched)
-		}
+	rs := NewRetainSink(4)
+	m := sinkRun(t, 4, rs)
+	if !reflect.DeepEqual(rs.Events(), m.Events()) {
+		t.Fatal("sim: retain sink diverges from Config.Trace buffers")
+	}
+
+	rs = NewRetainSink(4)
+	rm := transport.MustNewReal(transport.RealConfig{Procs: 4, Trace: true, Sink: rs})
+	if err := rm.Run(allToAllBody); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rs.Events(), rm.Events()) {
+		t.Fatal("real: retain sink diverges from the Trace buffers")
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	js := NewJSONLSink(&buf)
-	m := sinkRun(t, 3, sim.SchedCooperative, js)
+	m := sinkRun(t, 3, js)
 	if err := js.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -75,7 +86,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 	const procs = 4
 	agg := NewAggSink(procs)
-	m := sinkRun(t, procs, sim.SchedCooperative, agg)
+	m := sinkRun(t, procs, agg)
 
 	if err := agg.CheckStats(m.Stats()); err != nil {
 		t.Fatalf("CheckStats: %v", err)
@@ -131,7 +142,7 @@ func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 func TestSamplingKindAndRankFilter(t *testing.T) {
 	inner := NewRetainSink(4)
 	pol := SamplePolicy{Ranks: []int{1, 2}, Kinds: []sim.EventKind{sim.EvSend}}
-	m := sinkRun(t, 4, sim.SchedCooperative, NewSamplingSink(inner, pol))
+	m := sinkRun(t, 4, NewSamplingSink(inner, pol))
 
 	full := m.Events()
 	got := inner.Events()
@@ -169,7 +180,7 @@ func TestSamplingKindAndRankFilter(t *testing.T) {
 func TestSamplingKeepsMessagesWhole(t *testing.T) {
 	const procs = 4
 	inner := NewRetainSink(procs)
-	m := sinkRun(t, procs, sim.SchedCooperative, NewSamplingSink(inner, SamplePolicy{MsgEvery: 3}))
+	m := sinkRun(t, procs, NewSamplingSink(inner, SamplePolicy{MsgEvery: 3}))
 
 	// Kinds per message id in the full stream and in the sampled one.
 	collect := func(rows [][]sim.Event) map[uint64]map[sim.EventKind]int {

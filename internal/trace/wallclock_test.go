@@ -25,12 +25,12 @@ func runTracedReal(t *testing.T, procs int) *transport.RealMachine {
 		p.SetPhase("exchange")
 		for d := 0; d < p.NProcs(); d++ {
 			if d != p.Rank() {
-				p.SendInts(d, 11, []int{p.Rank(), d})
+				p.Send(d, 11, []int{p.Rank(), d}, 2)
 			}
 		}
 		for s := 0; s < p.NProcs(); s++ {
 			if s != p.Rank() {
-				p.RecvInts(s, 11)
+				p.Recv(s, 11)
 			}
 		}
 	})

@@ -20,13 +20,13 @@ package transport
 // same message-id scheme — and with RealConfig.Metrics it records the
 // telemetry families of realmeters.go. What does NOT carry over is the
 // model side: virtual clocks, cost charging, and fault injection are
-// emulator devices (they need an omniscient network), so Faults() is
-// always nil here and the reliable transport's fault path never
-// engages.
+// emulator devices (they need an omniscient network), so realProc is
+// a plain Endpoint, not a FaultEndpoint, and the reliable transport's
+// fault path never engages.
 //
-// Deadlock handling is heuristic, like the emulator's goroutine mode:
-// a watchdog samples a global progress counter, and when every live
-// processor has been parked in Recv with no delivery for several
+// Deadlock handling is heuristic, unlike the emulator's structural
+// proof: a watchdog samples a global progress counter, and when every
+// live processor has been parked in Recv with no delivery for several
 // consecutive scans, the run is declared wedged and every waiter is
 // unwound with a diagnostic instead of hanging the process. A panic in
 // one body likewise unwinds the peers through the same abort channel.
@@ -70,8 +70,8 @@ type RealConfig struct {
 	// counterpart of sim.Config.Trace.
 	Trace bool
 	// Sink, when non-nil, additionally streams every event as it is
-	// produced. Ranks call Emit concurrently (like the emulator's
-	// goroutine mode); the sink must be safe for that.
+	// produced. Ranks call Emit concurrently; the sink must be safe
+	// for that.
 	Sink sim.EventSink
 	// Flight, when non-nil, keeps the most recent events of every rank
 	// in fixed-size ring buffers (sim/flight.go) regardless of Trace —
@@ -166,7 +166,8 @@ func (m *RealMachine) Backend() Backend   { return BackendReal }
 
 // Run executes body once per processor, each on its own goroutine, and
 // blocks until every processor finishes. Like the emulator it may be
-// called repeatedly (queues are reused) but not concurrently.
+// called repeatedly (queues are reused, and every exit path leaves
+// them empty) but not concurrently.
 func (m *RealMachine) Run(body func(Endpoint)) error {
 	if !m.running.CompareAndSwap(false, true) {
 		return fmt.Errorf("transport: RealMachine.Run called concurrently on the same machine")
@@ -242,6 +243,20 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 	}
 	m.mu.Unlock()
 
+	// Drain on every exit path, so a later Run never receives this
+	// one's leftovers.
+	leftover := 0
+	for _, row := range m.queues {
+		for _, q := range row {
+			leftover += q.drainCount()
+		}
+	}
+	for _, p := range procs {
+		for _, stash := range p.pending {
+			leftover += len(stash)
+		}
+	}
+
 	var primary, unwinds []error
 	for _, err := range errs {
 		if err == nil {
@@ -259,19 +274,7 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 		return errors.Join(primary...)
 	case len(unwinds) > 0:
 		return errors.Join(unwinds...)
-	}
-	leftover := 0
-	for _, row := range m.queues {
-		for _, q := range row {
-			leftover += q.drainCount()
-		}
-	}
-	for _, p := range procs {
-		for _, stash := range p.pending {
-			leftover += len(stash)
-		}
-	}
-	if leftover != 0 {
+	case leftover != 0:
 		return fmt.Errorf("transport: run finished with %d undelivered messages", leftover)
 	}
 	return nil
@@ -297,9 +300,8 @@ func (m *RealMachine) abort(peerPanic bool) {
 
 // watchdog declares the machine wedged when every live processor has
 // been parked in Recv with zero message traffic across several
-// consecutive scans. Heuristic by design (like the emulator's
-// goroutine-mode monitor): a notify token can be in flight during one
-// scan, but not across 50 ms of total stillness.
+// consecutive scans. Heuristic by design: a notify token can be in
+// flight during one scan, but not across 50 ms of total stillness.
 func (m *RealMachine) watchdog(stop chan struct{}) {
 	const scans = 5
 	ticker := time.NewTicker(10 * time.Millisecond)
@@ -374,7 +376,6 @@ type realProc struct {
 	pending [][]rmsg     // per-src stash of tag-mismatched arrivals
 	phase   string
 	stats   sim.Stats
-	comm    any
 
 	// Telemetry state; zero/nil when the machine has none configured,
 	// so every hot-path guard below is a single predictable branch.
@@ -528,46 +529,6 @@ func (p *realProc) recvMatch(src, tag int) (rmsg, int64) {
 		}
 	}
 }
-
-func (p *realProc) SendInts(dst, tag int, v []int) { p.Send(dst, tag, v, len(v)) }
-
-func (p *realProc) RecvInts(src, tag int) []int {
-	payload, _ := p.Recv(src, tag)
-	if payload == nil {
-		return nil
-	}
-	return payload.([]int)
-}
-
-// TrySend is Send: the real network is not under our control, so there
-// is no injected failure to report.
-func (p *realProc) TrySend(dst, tag int, payload any, words int) bool {
-	p.Send(dst, tag, payload, words)
-	return true
-}
-
-// Faults is always nil: fault injection is an emulator modelling
-// device (DESIGN.md §13), so the reliable transport's recovery path
-// never engages on the real backend.
-func (p *realProc) Faults() *sim.FaultConfig { return nil }
-
-func (p *realProc) RetryWait(dst, tag int) {
-	panic("transport: RetryWait without a fault plan (fault injection is sim-only)")
-}
-
-func (p *realProc) FaultGiveUp(dst, tag, attempts int) {
-	panic("transport: FaultGiveUp without a fault plan (fault injection is sim-only)")
-}
-
-func (p *realProc) NoteDedup(src, tag int) {
-	panic("transport: NoteDedup without a fault plan (fault injection is sim-only)")
-}
-
-func (p *realProc) NoteStash(src, tag int) {
-	panic("transport: NoteStash without a fault plan (fault injection is sim-only)")
-}
-
-func (p *realProc) CommState() *any { return &p.comm }
 
 // Metrics returns the machine's telemetry registry, nil when off.
 func (p *realProc) Metrics() *metrics.Registry { return p.m.cfg.Metrics }

@@ -151,9 +151,9 @@ func (mt *procMeters) notePhaseEnd(phase string, now float64) {
 func (p *realProc) tracing() bool { return p.tr }
 
 // emit stamps and records one event, mirroring the emulator's emit:
-// Seq is per-rank (like the goroutine scheduler — the real machine has
-// no deterministic global order to offer), timestamps are wall-clock
-// microseconds since the run started.
+// Seq is per-rank (the real machine has no deterministic global order
+// to offer), timestamps are wall-clock microseconds since the run
+// started.
 func (p *realProc) emit(ev sim.Event) {
 	p.seq++
 	ev.Seq = p.seq

@@ -20,8 +20,8 @@ func ringBody(p Endpoint) {
 	p.Send(next, 7, []int{p.Rank()}, p.Rank()+1)
 	p.Recv(prev, 7)
 	p.SetPhase("second")
-	p.SendInts(next, 8, []int{p.Rank(), p.Rank()})
-	p.RecvInts(prev, 8)
+	sendInts(p, next, 8, []int{p.Rank(), p.Rank()})
+	recvInts(p, prev, 8)
 }
 
 func TestRealBackendTraceEvents(t *testing.T) {

@@ -18,12 +18,13 @@ type SimMachine struct {
 // WrapSim adapts an existing emulator machine.
 func WrapSim(m *sim.Machine) *SimMachine { return &SimMachine{M: m} }
 
-// Both backends must present the full transport surface.
+// Both backends present the point-to-point surface; only the emulator
+// adds fault injection.
 var (
-	_ Endpoint = (*sim.Proc)(nil)
-	_ Machine  = (*SimMachine)(nil)
-	_ Endpoint = (*realProc)(nil)
-	_ Machine  = (*RealMachine)(nil)
+	_ FaultEndpoint = (*sim.Proc)(nil)
+	_ Machine       = (*SimMachine)(nil)
+	_ Endpoint      = (*realProc)(nil)
+	_ Machine       = (*RealMachine)(nil)
 )
 
 func (s *SimMachine) Procs() int         { return s.M.Procs() }

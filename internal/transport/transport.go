@@ -1,11 +1,14 @@
 // Package transport is the pluggable communication layer the
-// algorithms program against. It defines two interfaces:
+// algorithms program against. It defines three interfaces:
 //
-//   - Endpoint, the per-processor handle inside an SPMD run — point-to-
-//     point send/receive, the fault-injectable delivery attempt, cost
-//     charging, and the clock/stats hooks. Everything in internal/comm,
-//     internal/ranking, internal/pack and internal/redist takes an
-//     Endpoint, never a concrete machine type.
+//   - Endpoint, the per-processor handle inside an SPMD run: point-to-
+//     point send/receive, cost charging, and the clock/phase/metrics
+//     hooks. Everything in internal/comm, internal/ranking,
+//     internal/pack and internal/redist takes an Endpoint, never a
+//     concrete machine type.
+//   - FaultEndpoint, the optional fault-injection surface layered on
+//     an Endpoint. Only the emulator implements it; the reliable
+//     transport in internal/comm looks it up by type assertion.
 //   - Machine, the runner that executes an SPMD body once per
 //     processor and exposes the run's statistics afterwards.
 //
@@ -44,10 +47,12 @@ import (
 	"packunpack/internal/sim"
 )
 
-// Endpoint is the per-processor transport handle of an SPMD run. It is
-// only valid inside the body function passed to Machine.Run and must
-// not be shared between goroutines. *sim.Proc implements it for the
-// emulator; realProc implements it for the shared-memory backend.
+// Endpoint is the point-to-point core of the per-processor transport
+// handle of an SPMD run; collectives are layered on top of it in
+// internal/comm. It is only valid inside the body function passed to
+// Machine.Run and must not be shared between goroutines. *sim.Proc
+// implements it for the emulator; realProc implements it for the
+// shared-memory backend.
 type Endpoint interface {
 	// Rank returns this processor's id in [0, NProcs).
 	Rank() int
@@ -79,19 +84,29 @@ type Endpoint interface {
 	// arrives and returns its payload and word count. Messages of one
 	// (src, tag) stream are delivered in send order.
 	Recv(src, tag int) (payload any, words int)
-	// SendInts / RecvInts are Send/Recv for the common []int payload,
-	// one machine word per element.
-	SendInts(dst, tag int, v []int)
-	RecvInts(src, tag int) []int
 
-	// TrySend is the fault-injectable delivery attempt the reliable
-	// transport in internal/comm is built on. Without a fault plan it
-	// is exactly Send and always reports success.
-	TrySend(dst, tag int, payload any, words int) bool
+	// Metrics returns the machine's telemetry registry
+	// (internal/metrics), nil when telemetry is off. Instrumented
+	// layers resolve handles through it; every handle off a nil
+	// registry is a nil no-op, so disabled telemetry costs one
+	// predictable branch per recording site.
+	Metrics() *metrics.Registry
+}
+
+// FaultEndpoint is an Endpoint whose network can misbehave under a
+// seeded fault plan. Fault injection is a modelling device of the
+// emulator's omniscient network (DESIGN.md §13), so *sim.Proc is the
+// only implementation; the real backend's endpoint is a plain
+// Endpoint. The reliable transport in internal/comm is the one caller.
+type FaultEndpoint interface {
+	Endpoint
 	// Faults returns the machine's fault plan, nil when fault
-	// injection is off. The real backend always returns nil: fault
-	// injection is a modelling device of the emulator (DESIGN.md §13).
+	// injection is off.
 	Faults() *sim.FaultConfig
+	// TrySend is the fault-injectable delivery attempt the reliable
+	// transport is built on. Without a fault plan it is exactly Send
+	// and always reports success.
+	TrySend(dst, tag int, payload any, words int) bool
 	// RetryWait charges the reliable sender's retransmission timeout;
 	// only meaningful with a fault plan installed.
 	RetryWait(dst, tag int)
@@ -104,13 +119,6 @@ type Endpoint interface {
 	// CommState is an opaque per-run slot where a higher communication
 	// layer hangs protocol state off the processor.
 	CommState() *any
-
-	// Metrics returns the machine's telemetry registry
-	// (internal/metrics), nil when telemetry is off. Instrumented
-	// layers resolve handles through it; every handle off a nil
-	// registry is a nil no-op, so disabled telemetry costs one
-	// predictable branch per recording site.
-	Metrics() *metrics.Registry
 }
 
 // Machine runs SPMD bodies over one of the backends.
@@ -170,12 +178,14 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // New builds a Machine of the requested backend from a sim.Config.
-// The sim backend honours every Config field. The real backend maps
-// Procs, Params, Metrics, and the tracing switches (Trace/Record/Sink
-// — events carry wall-clock microsecond timestamps instead of virtual
-// time; Record is subsumed by Trace because real spans are synthesized
-// from the event stream, see internal/trace) and rejects only fault
-// injection, which genuinely needs the emulator's omniscient network.
+// The sim backend honours every Config field, and its endpoints are
+// FaultEndpoints. The real backend maps Procs, Params, Metrics, and
+// the tracing switches (Trace/Record/Sink — events carry wall-clock
+// microsecond timestamps instead of virtual time; Record is subsumed
+// by Trace because real spans are synthesized from the event stream,
+// see internal/trace); its endpoints are plain Endpoints, and it
+// rejects fault injection, which genuinely needs the emulator's
+// omniscient network.
 func New(b Backend, cfg sim.Config) (Machine, error) {
 	switch b {
 	case BackendSim:

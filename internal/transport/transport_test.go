@@ -10,6 +10,16 @@ import (
 	"packunpack/internal/sim"
 )
 
+// sendInts and recvInts move []int payloads, one machine word per
+// element.
+func sendInts(e Endpoint, dst, tag int, v []int) { e.Send(dst, tag, v, len(v)) }
+
+func recvInts(e Endpoint, src, tag int) []int {
+	payload, _ := e.Recv(src, tag)
+	v, _ := payload.([]int)
+	return v
+}
+
 func TestBackendStringAndParse(t *testing.T) {
 	cases := []struct {
 		b Backend
@@ -144,8 +154,8 @@ func TestRealMachineRingExchange(t *testing.T) {
 	err := m.Run(func(e Endpoint) {
 		me, n := e.Rank(), e.NProcs()
 		e.Charge(3)
-		e.SendInts((me+1)%n, 7, []int{me * 10})
-		v := e.RecvInts((me-1+n)%n, 7)
+		sendInts(e, (me+1)%n, 7, []int{me * 10})
+		v := recvInts(e, (me-1+n)%n, 7)
 		got[me] = v[0]
 	})
 	if err != nil {
@@ -177,19 +187,43 @@ func TestRealMachineRingExchange(t *testing.T) {
 	}
 }
 
+// TestRealMachineReusableAcrossRuns: queues are reused across runs and
+// come back empty — also after a run that failed with a message still
+// queued, which the next run must not receive.
 func TestRealMachineReusableAcrossRuns(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 2})
 	for round := 0; round < 3; round++ {
 		err := m.Run(func(e Endpoint) {
 			if e.Rank() == 0 {
-				e.SendInts(1, round, []int{round})
-			} else if v := e.RecvInts(0, round); v[0] != round {
+				sendInts(e, 1, round, []int{round})
+			} else if v := recvInts(e, 0, round); v[0] != round {
 				t.Errorf("round %d delivered %d", round, v[0])
 			}
 		})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+
+	err := m.Run(func(e Endpoint) {
+		if e.Rank() == 0 {
+			e.Send(1, 5, "stale", 1)
+			return
+		}
+		panic("receiver failed")
+	})
+	if err == nil || !strings.Contains(err.Error(), "receiver failed") {
+		t.Fatalf("failing run = %v, want the receiver's panic", err)
+	}
+	err = m.Run(func(e Endpoint) {
+		if e.Rank() == 0 {
+			e.Send(1, 5, "fresh", 1)
+		} else if got, _ := e.Recv(0, 5); got != "fresh" {
+			t.Errorf("run after a failed run received %v, want its own message", got)
+		}
+	})
+	if err != nil {
+		t.Fatalf("run after a failed run: %v", err)
 	}
 }
 
@@ -198,15 +232,15 @@ func TestRealMachineTagMismatchStash(t *testing.T) {
 	err := m.Run(func(e Endpoint) {
 		switch e.Rank() {
 		case 0:
-			e.SendInts(1, 100, []int{1})
-			e.SendInts(1, 200, []int{2})
+			sendInts(e, 1, 100, []int{1})
+			sendInts(e, 1, 200, []int{2})
 		case 1:
 			// Consume in the opposite order of arrival: tag 100 must be
 			// parked while tag 200 is claimed, then served from the stash.
-			if v := e.RecvInts(0, 200); v[0] != 2 {
+			if v := recvInts(e, 0, 200); v[0] != 2 {
 				t.Errorf("tag 200 delivered %d, want 2", v[0])
 			}
-			if v := e.RecvInts(0, 100); v[0] != 1 {
+			if v := recvInts(e, 0, 100); v[0] != 1 {
 				t.Errorf("tag 100 delivered %d, want 1", v[0])
 			}
 		}
@@ -222,11 +256,11 @@ func TestRealMachineStreamFIFO(t *testing.T) {
 	err := m.Run(func(e Endpoint) {
 		if e.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				e.SendInts(1, 1, []int{i})
+				sendInts(e, 1, 1, []int{i})
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if v := e.RecvInts(0, 1); v[0] != i {
+				if v := recvInts(e, 0, 1); v[0] != i {
 					t.Errorf("message %d arrived as %d (stream order broken)", i, v[0])
 					return
 				}
@@ -261,10 +295,10 @@ func TestRealMachineFlightRecorder(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 2, Flight: fr})
 	err := m.Run(func(e Endpoint) {
 		if e.Rank() == 0 {
-			e.SendInts(1, 1, []int{42})
+			sendInts(e, 1, 1, []int{42})
 			e.Recv(1, 9) // never sent: wedged after one real exchange
 		} else {
-			e.RecvInts(0, 1)
+			recvInts(e, 0, 1)
 		}
 	})
 	if !errors.Is(err, sim.ErrDeadlock) {
@@ -318,7 +352,7 @@ func TestRealMachineLeftoverMessagesReported(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 2})
 	err := m.Run(func(e Endpoint) {
 		if e.Rank() == 0 {
-			e.SendInts(1, 5, []int{1}) // never received
+			sendInts(e, 1, 5, []int{1}) // never received
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "undelivered") {
@@ -326,20 +360,22 @@ func TestRealMachineLeftoverMessagesReported(t *testing.T) {
 	}
 }
 
+// TestRealMachineFaultHooksArePanics: fault injection is sim-only, so
+// the real endpoint carries no fault hooks at all — it is not a
+// FaultEndpoint — while the emulator's is.
 func TestRealMachineFaultHooksArePanics(t *testing.T) {
-	m := MustNewReal(RealConfig{Procs: 1})
-	err := m.Run(func(e Endpoint) {
-		if e.Faults() != nil {
-			t.Error("real backend reported a fault plan")
+	for _, b := range []Backend{BackendReal, BackendSim} {
+		m, err := New(b, sim.Config{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !e.TrySend(0, 1, nil, 0) {
-			t.Error("TrySend failed on the real backend")
+		var isFault bool
+		if err := m.Run(func(e Endpoint) { _, isFault = e.(FaultEndpoint) }); err != nil {
+			t.Fatalf("%v: Run: %v", b, err)
 		}
-		e.Recv(0, 1)
-		e.RetryWait(0, 1) // must panic: sim-only
-	})
-	if err == nil || !strings.Contains(err.Error(), "sim-only") {
-		t.Fatalf("Run = %v, want sim-only panic surfaced as error", err)
+		if want := b == BackendSim; isFault != want {
+			t.Errorf("%v endpoint implements FaultEndpoint = %v, want %v", b, isFault, want)
+		}
 	}
 }
 
@@ -352,6 +388,9 @@ func TestRealMachineInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestRealProcPhaseAndCommState: phases switch and report the previous
+// one, and the real endpoint has no CommState slot — protocol state of
+// the reliable transport hangs off FaultEndpoints only.
 func TestRealProcPhaseAndCommState(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 1})
 	err := m.Run(func(e Endpoint) {
@@ -361,13 +400,8 @@ func TestRealProcPhaseAndCommState(t *testing.T) {
 		if prev := e.SetPhase("transfer"); prev != "ranking" {
 			t.Errorf("SetPhase returned previous %q, want ranking", prev)
 		}
-		slot := e.CommState()
-		if *slot != nil {
-			t.Error("CommState not nil at run start")
-		}
-		*slot = "state"
-		if *e.CommState() != any("state") {
-			t.Error("CommState slot did not persist")
+		if _, ok := e.(interface{ CommState() *any }); ok {
+			t.Error("real endpoint still carries a CommState slot")
 		}
 		if e.Clock() < 0 {
 			t.Error("wall Clock went negative")
@@ -388,9 +422,9 @@ func TestSimMachineAdapter(t *testing.T) {
 	got := make([]int, 2)
 	err = m.Run(func(e Endpoint) {
 		if e.Rank() == 0 {
-			e.SendInts(1, 3, []int{17})
+			sendInts(e, 1, 3, []int{17})
 		} else {
-			got[1] = e.RecvInts(0, 3)[0]
+			got[1] = recvInts(e, 0, 3)[0]
 		}
 	})
 	if err != nil {

@@ -11,11 +11,11 @@
 // redistributes them with many-to-many personalized communication.
 //
 // Because no CM-5 is at hand, the library ships its own coarse-grained
-// machine: P logical processors as goroutines exchanging real messages
-// over channels, with per-processor virtual clocks advanced by the
-// paper's two-level cost model (start-up tau, per-word mu, per-op
-// delta). Algorithms therefore run end-to-end and report reproducible
-// CM-5-flavoured timings.
+// machine: P logical processors exchanging real messages under one
+// deterministic scheduler, with per-processor virtual clocks advanced
+// by the paper's two-level cost model (start-up tau, per-word mu,
+// per-op delta). Algorithms therefore run end-to-end and report
+// reproducible CM-5-flavoured timings.
 //
 // A minimal PACK looks like this:
 //
@@ -138,16 +138,16 @@ type Stats = sim.Stats
 // PhaseStats is a per-phase virtual-time breakdown.
 type PhaseStats = sim.PhaseStats
 
-// Sched selects the machine's execution mode (Config.Sched).
+// Sched was the machine's execution-mode selector (Config.Sched).
+//
+// Deprecated: every machine runs the cooperative scheduler, and
+// Config.Sched is ignored.
 type Sched = sim.Sched
 
-const (
-	// SchedGoroutine runs the processors concurrently on goroutines.
-	SchedGoroutine = sim.SchedGoroutine
-	// SchedCooperative runs them one at a time in deterministic
-	// (virtual clock, rank) order with exact deadlock detection.
-	SchedCooperative = sim.SchedCooperative
-)
+// SchedCooperative names the cooperative scheduler.
+//
+// Deprecated: it is the only mode; setting it changes nothing.
+const SchedCooperative = sim.SchedCooperative
 
 // FaultConfig is a seeded, deterministic fault-injection plan for the
 // emulated network (Config.Faults): message drop, duplication,

@@ -3,8 +3,8 @@ package packunpack_test
 // Property-based differential test: random layouts (rank 1-7, arbitrary
 // extents including zero, arbitrary BLOCK(b)/CYCLIC(b) per dimension,
 // arbitrary grids), random mask densities (including all-true and
-// all-false), every scheme, both schedulers and optional fault
-// schedules are driven through distributed PACK and UNPACK and compared
+// all-false), every scheme and optional fault schedules are driven
+// through distributed PACK and UNPACK and compared
 // against the sequential reference of internal/seq. Every case then
 // replays through the transparent plan cache (a cold compiling call
 // and a cache-hit call) and must stay byte-identical to the unplanned
@@ -25,15 +25,14 @@ type propCase struct {
 	maskKind int     // 0 random, 1 all-true, 2 all-false
 	density  float64 // for maskKind 0
 	scheme   pu.Scheme
-	sched    pu.Sched
 	vectorW  int
 	faults   *pu.FaultConfig
 	valSeed  int64 // seeds array values and mask draws
 }
 
 func (c propCase) String() string {
-	return fmt.Sprintf("dims=%v maskKind=%d density=%.2f scheme=%v sched=%v vectorW=%d faults=%v valSeed=%d",
-		c.dims, c.maskKind, c.density, c.scheme, c.sched, c.vectorW, c.faults.String(), c.valSeed)
+	return fmt.Sprintf("dims=%v maskKind=%d density=%.2f scheme=%v vectorW=%d faults=%v valSeed=%d",
+		c.dims, c.maskKind, c.density, c.scheme, c.vectorW, c.faults.String(), c.valSeed)
 }
 
 // drawCase derives one configuration from a case seed. Extent products
@@ -65,7 +64,6 @@ func drawCase(rng *rand.Rand) propCase {
 	c := propCase{
 		dims:    dims,
 		scheme:  []pu.Scheme{pu.SSS, pu.CSS, pu.CMS}[rng.Intn(3)],
-		sched:   []pu.Sched{pu.SchedCooperative, pu.SchedGoroutine}[rng.Intn(2)],
 		vectorW: []int{0, 1, 2, 3}[rng.Intn(4)],
 		valSeed: rng.Int63(),
 	}
@@ -132,7 +130,7 @@ func runPropCase(c propCase) error {
 		uscheme = pu.CSS // CMS is PACK-only
 	}
 
-	m := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Sched: c.sched, Faults: c.faults})
+	m := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Faults: c.faults})
 	packRes := make([]*pu.PackResult[int], nprocs)
 	unpackOut := make([][]int, nprocs)
 	err = m.Run(func(p *pu.Proc) {
@@ -176,11 +174,11 @@ func runPropCase(c propCase) error {
 	// Replay the same case through the transparent plan cache on a
 	// fresh machine: call 1 compiles per rank (a miss), call 2 hits,
 	// and both calls must be byte-identical to the unplanned results
-	// above — under the same scheduler and fault schedule.
+	// above — under the same fault schedule.
 	cache := pu.NewPlanCache()
 	plannedV := make([][2][]int, nprocs)
 	plannedA := make([][2][]int, nprocs)
-	pm := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Sched: c.sched, Faults: c.faults})
+	pm := pu.NewMachine(pu.Config{Procs: nprocs, Params: pu.CM5Params(), Faults: c.faults})
 	err = pm.Run(func(p *pu.Proc) {
 		for call := 0; call < 2; call++ {
 			opt := pu.Options{Scheme: c.scheme, VectorW: c.vectorW, Plans: cache}
