@@ -37,13 +37,17 @@ smoke:
 	$(GO) run ./cmd/packbench -exp fig3 -quick -parallel 4
 
 # smoke-trace proves the observability layer end to end: the Gantt,
-# matrix, and critical-path renderers, and a Chrome trace that parses
-# as JSON (Go's encoder wrote it, so a cheap well-formedness check via
-# the json tooling suffices).
+# matrix, and critical-path renderers, the real backend's matrix (built
+# from the same event stream), a Chrome trace that parses as JSON (Go's
+# encoder wrote it, so a cheap well-formedness check via the json
+# tooling suffices), and a traced sweep under delay faults, whose
+# critical paths must all terminate.
 smoke-trace:
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" -matrix -critpath
+	$(GO) run ./cmd/packtrace -backend real -shape 4096 -dist "CYCLIC(4) ONTO 8" -matrix
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" -format chrome -o /tmp/packtrace-smoke.json
 	$(GO) run ./internal/tools/jsoncheck /tmp/packtrace-smoke.json traceEvents
+	$(GO) run ./cmd/packbench -exp fig3 -quick -faults 42:delay=0.05 -trace-dir /tmp/packbench-delay-trace >/dev/null
 
 # validate-perf checks the packbench -json report: it must parse and
 # carry the current schema marker (packbench exits non-zero on either

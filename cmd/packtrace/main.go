@@ -22,10 +22,10 @@
 // With -backend real the same configuration executes on the real
 // shared-memory backend: every timestamp in the output is wall-clock
 // microseconds instead of virtual time (never both in one capture),
-// the Gantt axis says so, and the -matrix picture is rebuilt from the
-// telemetry counter registry instead of the event stream — the
-// critical path is unavailable there (it is defined over the virtual
-// cost model).
+// and the Gantt axis says so. Both backends feed one event stream, so
+// the timeline and the -matrix picture are derived from it the same
+// way; the critical path is unavailable on the real backend (it is
+// defined over the virtual cost model).
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 	"packunpack/internal/dist"
 	"packunpack/internal/hpf"
 	"packunpack/internal/mask"
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/sim"
 	"packunpack/internal/trace"
@@ -123,16 +122,11 @@ func main() {
 	}
 	gen := mask.NewRandom(*density, *seed, shape...)
 
-	// The real backend's -matrix picture comes from the telemetry
-	// counter registry rather than the event stream, so attach one.
-	var reg *metrics.Registry
-	if backend == transport.BackendReal {
-		reg = metrics.NewRegistry()
-	}
-
-	// Streaming sink (-jsonl) and flight recorder (-flight-dir): both
-	// ride the same event feed as the retained capture and work on
-	// either backend.
+	// One event stream feeds the retained capture every view is
+	// derived from, plus the optional JSONL stream (-jsonl) and flight
+	// recorder (-flight-dir); all of them work on either backend.
+	retain := trace.NewRetainSink(layout.Procs())
+	sinks := []sim.EventSink{retain}
 	var jsonlFile *os.File
 	var jsonlSink *trace.JSONLSink
 	if *jsonlPath != "" {
@@ -141,24 +135,18 @@ func main() {
 			log.Fatal(err)
 		}
 		jsonlSink = trace.NewJSONLSink(jsonlFile)
+		sinks = append(sinks, jsonlSink)
 	}
-	var fr *sim.FlightRecorder
+	var fr *trace.FlightRecorder
 	if *flightDir != "" {
-		fr = sim.MustNewFlightRecorder(layout.Procs(), sim.DefaultFlightCap)
+		fr = trace.MustNewFlightRecorder(layout.Procs(), trace.DefaultFlightCap)
+		sinks = append(sinks, fr)
 	}
 
-	var sink sim.EventSink
-	if jsonlSink != nil {
-		sink = jsonlSink
-	}
 	machine, err := transport.New(backend, sim.Config{
-		Procs:   layout.Procs(),
-		Params:  sim.CM5Params(),
-		Record:  true,
-		Trace:   true,
-		Metrics: reg,
-		Sink:    sink,
-		Flight:  fr,
+		Procs:  layout.Procs(),
+		Params: sim.CM5Params(),
+		Sink:   trace.NewTee(sinks...),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -211,16 +199,10 @@ func main() {
 	if jsonlSink != nil {
 		fmt.Fprintf(os.Stderr, "streamed events to %s (JSON Lines)\n", *jsonlPath)
 	}
-	var capture *trace.Capture
+	capture := trace.NewCapture(machine, retain)
 	timeUnit := "virtual time"
-	switch m := machine.(type) {
-	case *transport.SimMachine:
-		capture = trace.CaptureMachine(m.M)
-	case *transport.RealMachine:
-		capture = trace.CaptureReal(m)
+	if backend == transport.BackendReal {
 		timeUnit = "wall time"
-	default:
-		log.Fatalf("unknown machine type %T", machine)
 	}
 
 	if *format == "chrome" {
@@ -253,17 +235,7 @@ func main() {
 	trace.Summary(os.Stdout, capture.Stats)
 	if *matrix {
 		fmt.Println()
-		if reg != nil {
-			// Real backend: the same P×P picture, rebuilt from the
-			// telemetry counters (bytes/8 = words) instead of events.
-			m, err := trace.MatrixFromMetrics(reg.Snapshot(), layout.Procs())
-			if err != nil {
-				log.Fatal(err)
-			}
-			trace.WriteMatrix(os.Stdout, m)
-		} else {
-			trace.WriteMatrix(os.Stdout, trace.BuildMatrix(capture))
-		}
+		trace.WriteMatrix(os.Stdout, trace.BuildMatrix(capture))
 	}
 	if *critpath {
 		fmt.Println()

@@ -560,11 +560,13 @@ func (s Suite) prsExecute(pt prsPoint) (met Metrics) {
 }
 
 func (s Suite) prsExecutePoint(pt prsPoint) Metrics {
-	traced := s.TraceDir != ""
-	machine := sim.MustNew(sim.Config{
-		Procs: pt.p, Params: sim.CM5Params(),
-		Record: traced, Trace: traced,
-	})
+	cfg := sim.Config{Procs: pt.p, Params: sim.CM5Params()}
+	var retain *trace.RetainSink
+	if s.TraceDir != "" {
+		retain = trace.NewRetainSink(pt.p)
+		cfg.Sink = retain
+	}
+	machine := sim.MustNew(cfg)
 	err := machine.Run(func(proc *sim.Proc) {
 		vec := make([]int, pt.m)
 		for i := range vec {
@@ -577,8 +579,8 @@ func (s Suite) prsExecutePoint(pt prsPoint) Metrics {
 	}
 	m := metricsFrom(machine)
 	s.counters.record(m)
-	if traced {
-		s.dumpTrace(s.prsKey(pt), trace.CaptureMachine(machine))
+	if retain != nil {
+		s.dumpTrace(s.prsKey(pt), trace.NewCapture(machine, retain))
 	}
 	return m
 }

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"packunpack/internal/sim"
+	"packunpack/internal/trace"
 )
 
 // This file is the host-parallel sweep engine. Experiment points are
@@ -296,7 +296,7 @@ func (s Suite) executePoint(r Run) Metrics {
 	// always-on flight recorder; on an abort the bounded window is
 	// dumped before the engine panic propagates (flightdump.go).
 	if s.FlightDir != "" && r.Flight == nil {
-		r.Flight = sim.MustNewFlightRecorder(r.Layout.Procs(), sim.DefaultFlightCap)
+		r.Flight = trace.MustNewFlightRecorder(r.Layout.Procs(), trace.DefaultFlightCap)
 	}
 	if s.TraceDir != "" {
 		m, capture, err := r.ExecuteTrace()

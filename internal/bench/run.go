@@ -146,10 +146,10 @@ type Run struct {
 	// over the reliable transport and Metrics.FaultStats reports the
 	// injection activity. Nil measures the exact fault-free machine.
 	Faults *sim.FaultConfig
-	// Trace enables the emulator's observability layer for this run
-	// (sim.Config.Record + Trace): ExecuteTrace then returns the
-	// capture, and the critical-path metrics join Metrics.Derived.
-	// Tracing never changes virtual times; it only records them.
+	// Trace retains the run's event stream (a trace.RetainSink on the
+	// machine's Sink): ExecuteTrace then returns the capture, and the
+	// critical-path metrics join Metrics.Derived. Tracing never changes
+	// virtual times; it only records them.
 	Trace bool
 	// Verify additionally checks the result against the sequential
 	// oracle (slower; used by the harness tests).
@@ -172,16 +172,18 @@ type Run struct {
 	// cross-backend conformance tests pin that invariant.
 	Metrics *metrics.Registry
 	// Flight attaches an always-on flight recorder to the measured
-	// machine (sim.Config.Flight / packbench -flight-dir). Like Metrics,
-	// it is NOT part of the memoization key: the recorder observes the
-	// event feed and never perturbs virtual results. The sweep engine
-	// dumps its window when a machine aborts (parallel.go).
-	Flight *sim.FlightRecorder
+	// machine's Sink (packbench -flight-dir). Like Metrics, it is NOT
+	// part of the memoization key: the recorder observes the event feed
+	// and never perturbs virtual results. The sweep engine dumps its
+	// window when a machine aborts (parallel.go).
+	Flight *trace.FlightRecorder
 	// Sink attaches a streaming event sink to the measured machine
 	// (sim.Config.Sink) — e.g. trace.NewAggSink for the bounded-memory
 	// P >= 1024 observability sweep (scale1k.go). Like Metrics and
 	// Flight, NOT part of the memoization key, and unlike Trace it
 	// retains no events: memory stays O(P) however long the run.
+	// Trace, Flight and Sink share the machine's one Sink through a
+	// trace.Tee.
 	Sink sim.EventSink
 	// failRank is a test seam: when set, it is consulted after the
 	// operation and its non-nil error is reported as that rank's
@@ -242,10 +244,18 @@ func (r Run) exec() (Metrics, *trace.Capture, error) {
 	if params == (sim.Params{}) {
 		params = sim.CM5Params()
 	}
+	sinks := []sim.EventSink{r.Sink}
+	var retain *trace.RetainSink
+	if r.Trace {
+		retain = trace.NewRetainSink(r.Layout.Procs())
+		sinks = append(sinks, retain)
+	}
+	if r.Flight != nil {
+		sinks = append(sinks, r.Flight)
+	}
 	machine, err := sim.New(sim.Config{
 		Procs: r.Layout.Procs(), Params: params, SelfSendFree: r.SelfSendFree,
-		Record: r.Trace, Trace: r.Trace, Faults: r.Faults, Metrics: r.Metrics, Flight: r.Flight,
-		Sink: r.Sink,
+		Faults: r.Faults, Metrics: r.Metrics, Sink: trace.NewTee(sinks...),
 	})
 	if err != nil {
 		return Metrics{}, nil, err
@@ -345,7 +355,7 @@ func (r Run) exec() (Metrics, *trace.Capture, error) {
 	}
 	var capture *trace.Capture
 	if r.Trace {
-		capture = trace.CaptureMachine(machine)
+		capture = trace.NewCapture(machine, retain)
 		crit, err := trace.CriticalPath(capture)
 		if err != nil {
 			return met, capture, fmt.Errorf("bench: critical-path analysis: %w", err)

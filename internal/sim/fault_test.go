@@ -94,77 +94,6 @@ func TestTrySendWithoutFaultsIsSend(t *testing.T) {
 	}
 }
 
-// faultStorm is a communication-free injection workload: every rank
-// fires a burst of delivery attempts at its neighbours with a naive
-// bounded retry, and nobody receives — with faults on, the leftovers
-// become residual instead of an undelivered-messages error. It
-// exercises every injection path without needing a protocol.
-func faultStorm(p *Proc) {
-	n := p.NProcs()
-	for i := 0; i < 120; i++ {
-		dst := (p.Rank() + 1 + i%(n-1)) % n
-		for attempt := 0; attempt < 3; attempt++ {
-			if p.TrySend(dst, 5, i, 1) {
-				break
-			}
-			p.RetryWait(dst, 5)
-		}
-		p.Charge(3)
-	}
-}
-
-func stormConfig(seed uint64) Config {
-	return Config{
-		Procs: 6, Params: CM5Params(), Trace: true,
-		Faults: &FaultConfig{Seed: seed, Drop: 0.1, Dup: 0.08, Reorder: 0.1, Delay: 0.1, Stall: 0.05},
-	}
-}
-
-// TestFaultDeterminismAcrossSchedulers: a fault storm replayed with the
-// same seed on a fresh machine reproduces the fault report, the stats
-// and the full event streams, sequence numbers included, while a
-// different seed injects at different points.
-func TestFaultDeterminismAcrossSchedulers(t *testing.T) {
-	run := func(seed uint64) *Machine {
-		m := MustNew(stormConfig(seed))
-		if err := m.Run(faultStorm); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		return m
-	}
-	first, replay := run(11), run(11)
-
-	rep := first.FaultReport()
-	if rep == nil {
-		t.Fatal("missing fault report")
-	}
-	if rep.Total.Injected() == 0 {
-		t.Fatal("no faults injected — the storm parameters are too tame")
-	}
-	if rep.Total.Drops == 0 || rep.Total.Dups == 0 || rep.Total.Reorders == 0 ||
-		rep.Total.Delays == 0 || rep.Total.Stalls == 0 || rep.Total.Retries == 0 {
-		t.Errorf("some fault kind never fired: %+v", rep.Total)
-	}
-	if !reflect.DeepEqual(replay.FaultReport(), rep) {
-		t.Errorf("same seed did not replay the same fault report:\n%+v\nvs\n%+v", rep, replay.FaultReport())
-	}
-	if !reflect.DeepEqual(replay.Stats(), first.Stats()) {
-		t.Error("same seed did not replay the same stats")
-	}
-	if !reflect.DeepEqual(replay.Events(), first.Events()) {
-		t.Error("same seed did not replay the same event streams")
-	}
-
-	other := run(12)
-	repO := other.FaultReport()
-	if repO.Total.Injected() == 0 {
-		t.Error("seed 12 injected nothing")
-	}
-	if reflect.DeepEqual(repO.PerRank, rep.PerRank) {
-		t.Error("different seeds produced identical injection points")
-	}
-}
-
 func TestFaultResidualDuplicates(t *testing.T) {
 	m := MustNew(Config{Procs: 2, Params: CM5Params(),
 		Faults: &FaultConfig{Seed: 1, Dup: 1}})

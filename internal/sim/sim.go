@@ -81,28 +81,20 @@ type Config struct {
 	// default (false) charges self messages like any other; the flag
 	// exists for ablation.
 	SelfSendFree bool
-	// Record, when set, keeps a per-processor timeline of virtual-time
-	// spans (phase, computation/communication, start, end) retrievable
-	// via Machine.Spans after a run. Contiguous spans of the same kind
-	// are merged, so the overhead is modest; leave it off for large
-	// parameter sweeps.
-	Record bool
-	// Trace, when set, records structured events (sends, deliveries,
-	// receives, wake-ups, phase transitions, charge batches — see
-	// trace.go) into per-processor buffers retrievable via
-	// Machine.Events after a run. Independent of Record; the exporters
-	// in internal/trace want both.
-	Trace bool
-	// Sink, when non-nil, additionally streams every trace event to the
-	// sink as it is produced (without requiring Trace's buffering). See
-	// EventSink for the concurrency contract.
+	// Sink, when non-nil, receives every structured trace event (sends,
+	// deliveries, receives, wake-ups, phase transitions, charge batches
+	// — see trace.go) as it is produced. It is the machine's only event
+	// output: retention, streaming, aggregation and the flight recorder
+	// are all sinks (internal/trace), and trace.Tee fans one stream out
+	// to several. A sink built for fewer ranks than Procs (SizedSink) is
+	// rejected by New. See EventSink for the concurrency contract.
 	Sink EventSink
 	// Metrics, when non-nil, attaches the backend-agnostic telemetry
 	// registry (internal/metrics): the instrumented layers above the
 	// endpoint (pack, comm) record counters and latency histograms into
 	// it. The emulator itself records nothing — virtual-time accounting
-	// already lives in Stats/Spans/Events — so attaching a registry
-	// never perturbs virtual results. Nil (the default) disables
+	// already lives in Stats and the event stream — so attaching a
+	// registry never perturbs virtual results. Nil (the default) disables
 	// telemetry at one-branch cost in the instrumented paths.
 	Metrics *metrics.Registry
 	// Faults, when non-nil, enables the deterministic fault-injection
@@ -112,23 +104,6 @@ type Config struct {
 	// New validates the plan and stores a normalized private copy. Nil
 	// leaves every communication primitive exact.
 	Faults *FaultConfig
-	// Flight, when non-nil, keeps the most recent events of every rank
-	// in fixed-size ring buffers (flight.go) — a bounded post-mortem
-	// window that stays affordable on long runs where full tracing is
-	// not. On a failed run, snapshot it and hand the rings to
-	// internal/trace's flight dumper. Independent of Trace and Sink;
-	// any combination works.
-	Flight *FlightRecorder
-}
-
-// Span is one recorded interval of a processor timeline: [Start, End)
-// in virtual microseconds, attributed to a phase, either computation
-// or communication (sending, or waiting for a message).
-type Span struct {
-	Phase string
-	Comm  bool
-	Start float64
-	End   float64
 }
 
 // message is an in-flight point-to-point message.
@@ -138,7 +113,7 @@ type message struct {
 	payload any
 	words   int
 	arrival float64 // virtual time at which the message is available
-	id      uint64  // trace message id; zero when tracing is off
+	id      uint64  // trace message id; zero without a Sink
 }
 
 // mailbox is an unbounded, tag-matched receive queue. Sends never
@@ -233,8 +208,6 @@ type Machine struct {
 
 	mu          sync.Mutex
 	stats       []Stats
-	spans       [][]Span
-	events      [][]Event
 	faultReport *FaultReport
 }
 
@@ -251,8 +224,8 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Faults = faults
-	if cfg.Flight != nil && cfg.Flight.Procs() < cfg.Procs {
-		return nil, fmt.Errorf("sim: flight recorder built for %d ranks cannot cover P=%d", cfg.Flight.Procs(), cfg.Procs)
+	if s, ok := cfg.Sink.(SizedSink); ok && s.Procs() < cfg.Procs {
+		return nil, fmt.Errorf("sim: event sink built for %d ranks cannot cover P=%d", s.Procs(), cfg.Procs)
 	}
 	return &Machine{cfg: cfg, boxes: make([]mailbox, cfg.Procs)}, nil
 }
@@ -336,21 +309,15 @@ func (m *Machine) finishRun(procs []*Proc, errs []error, diag error) error {
 
 	m.mu.Lock()
 	m.stats = make([]Stats, m.cfg.Procs)
-	m.spans = make([][]Span, m.cfg.Procs)
-	m.events = make([][]Event, m.cfg.Procs)
 	m.faultReport = nil
 	if m.cfg.Faults != nil {
 		m.faultReport = buildFaultReport(m.cfg.Faults.Seed, procs)
 	}
 	for i, p := range procs {
-		if p.tracing() {
-			p.flushCharge()
-		}
+		p.flushCharge()
 		p.stats.Clock = p.clock
 		p.stats.Faults = p.faults
 		m.stats[i] = p.stats
-		m.spans[i] = p.spans
-		m.events[i] = p.events
 	}
 	m.mu.Unlock()
 
@@ -392,20 +359,6 @@ func (m *Machine) Stats() []Stats {
 		}
 		s.Phases = phases
 		out[i] = s
-	}
-	return out
-}
-
-// Spans returns the recorded per-processor timelines of the most
-// recent Run (nil unless Config.Record was set), ordered by rank. The
-// rows are deep copies: mutating them does not touch the machine's
-// snapshot.
-func (m *Machine) Spans() [][]Span {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]Span, len(m.spans))
-	for i, row := range m.spans {
-		out[i] = append([]Span(nil), row...)
 	}
 	return out
 }
@@ -476,10 +429,8 @@ type Proc struct {
 	clock float64
 	phase string
 	stats Stats
-	spans []Span
 
-	// Event-tracing state (trace.go); all zero when tracing is off.
-	events      []Event
+	// Event-tracing state (trace.go); all zero without a Sink.
 	sends       uint64 // per-rank message counter for MsgID
 	chargeOpen  bool   // a charge batch is pending
 	chargeStart float64
@@ -498,22 +449,6 @@ type Proc struct {
 // nil when telemetry is off (the instrumented layers' nil-registry
 // fast path then short-circuits every recording).
 func (p *Proc) Metrics() *metrics.Registry { return p.m.cfg.Metrics }
-
-// record appends (or extends) a timeline span ending at the current
-// clock.
-func (p *Proc) record(comm bool, start float64) {
-	if !p.m.cfg.Record || p.clock == start {
-		return
-	}
-	if n := len(p.spans); n > 0 {
-		last := &p.spans[n-1]
-		if last.Phase == p.phase && last.Comm == comm && last.End == start {
-			last.End = p.clock
-			return
-		}
-	}
-	p.spans = append(p.spans, Span{Phase: p.phase, Comm: comm, Start: start, End: p.clock})
-}
 
 // Rank returns this processor's id in [0, NProcs).
 func (p *Proc) Rank() int { return p.rank }
@@ -544,23 +479,19 @@ func (p *Proc) SetPhase(name string) (previous string) {
 }
 
 func (p *Proc) addComp(t float64) {
-	start := p.clock
 	p.clock += t
 	p.stats.Comp += t
 	ph := p.stats.Phases[p.phase]
 	ph.Comp += t
 	p.stats.Phases[p.phase] = ph
-	p.record(false, start)
 }
 
 func (p *Proc) addComm(t float64) {
-	start := p.clock
 	p.clock += t
 	p.stats.Comm += t
 	ph := p.stats.Phases[p.phase]
 	ph.Comm += t
 	p.stats.Phases[p.phase] = ph
-	p.record(true, start)
 }
 
 // Charge accounts for ops local elementary operations (cost ops*Delta).

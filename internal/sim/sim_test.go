@@ -446,17 +446,3 @@ func TestSendFreeValidation(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
-
-func TestSpansRecordedInSim(t *testing.T) {
-	m := MustNew(Config{Procs: 1, Params: Params{Delta: 1}, Record: true})
-	if err := m.Run(func(p *Proc) { p.Charge(3); p.SetPhase("x"); p.Charge(2) }); err != nil {
-		t.Fatal(err)
-	}
-	spans := m.Spans()
-	if len(spans) != 1 || len(spans[0]) != 2 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0][1].Phase != "x" || spans[0][1].End != 5 {
-		t.Fatalf("second span wrong: %+v", spans[0][1])
-	}
-}

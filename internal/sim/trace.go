@@ -1,23 +1,25 @@
 package sim
 
 // This file is the structured event-tracing layer of the emulator
-// (Config.Trace / Config.Sink). Where the span recorder (Config.Record)
-// answers "what was each processor doing over time", the event stream
-// answers "which message, from whom, when, and why did it matter":
-// every send, delivery, posted receive, wake-up, phase transition, and
-// charge batch becomes one Event with virtual timestamps and enough
-// identity (message ids, sequence numbers) to reconstruct send→receive
-// flows and blocking chains after the run. The exporters in
-// internal/trace (Chrome/Perfetto JSON, communication matrices, the
-// critical-path analyzer) all consume this stream.
+// (Config.Sink). The event stream answers "what was each processor
+// doing over time" and "which message, from whom, when, and why did it
+// matter": every send, delivery, posted receive, wake-up, phase
+// transition, and charge batch becomes one Event with virtual
+// timestamps and enough identity (message ids, sequence numbers) to
+// reconstruct timelines, send→receive flows and blocking chains after
+// the run. Every clock advance is covered by exactly one event (a
+// charge batch, a send, a receive wake, a fault stall or a retry
+// wait), so the exporters in internal/trace derive the span timelines,
+// Chrome/Perfetto JSON, communication matrices and the critical path
+// from this one stream.
 //
 // Overhead discipline: tracing is opt-in and the hot paths pay exactly
-// one nil/bool check when it is off. When it is on, contiguous Charge
-// calls in the same phase collapse into a single pending batch that is
-// flushed lazily (on the next communication event, phase switch, or at
-// body end), so a tight scan loop of N Charge calls produces one event,
-// not N. Events carry no pointers into simulator state, and buffers are
-// per-processor: only the owning processor appends.
+// one nil check (Sink != nil) when it is off. When it is on, contiguous
+// Charge calls in the same phase collapse into a single pending batch
+// that is flushed lazily (on the next communication event, phase
+// switch, or at body end), so a tight scan loop of N Charge calls
+// produces one event, not N. Events carry no pointers into simulator
+// state.
 
 // EventKind enumerates the structured trace event types.
 type EventKind uint8
@@ -157,6 +159,16 @@ type EventSink interface {
 	Emit(Event)
 }
 
+// SizedSink is an EventSink built for a fixed number of ranks (the
+// retaining, aggregating and flight-recorder sinks of internal/trace,
+// and any fan-out holding one). Procs is the number of ranks it can
+// hold; both backends reject a sink smaller than the machine, which
+// would otherwise drop the extra ranks' events without an error.
+type SizedSink interface {
+	EventSink
+	Procs() int
+}
+
 // msgID builds the rank-qualified message id: the sender's rank in the
 // high bits, its running send count in the low bits. Deterministic
 // because each processor numbers only its own sends.
@@ -173,15 +185,13 @@ func MsgIDSrc(id uint64) int { return int(id >> 40) }
 // send→receive flows identically.
 func MakeMsgID(rank int, n uint64) uint64 { return msgID(rank, n) }
 
-// tracing reports whether the processor records events (full buffers,
-// a streaming sink, or just the flight recorder's bounded window).
-func (p *Proc) tracing() bool {
-	return p.m.cfg.Trace || p.m.cfg.Sink != nil || p.m.cfg.Flight != nil
-}
+// tracing reports whether the processor emits events: the one gate
+// every emit site tests.
+func (p *Proc) tracing() bool { return p.m.cfg.Sink != nil }
 
-// emit stamps and records one event with the next machine-global
-// sequence number. Callers must have flushed any pending charge batch
-// first so the stream stays in timeline order.
+// emit stamps one event with the next machine-global sequence number
+// and hands it to the sink. Callers must have flushed any pending
+// charge batch first so the stream stays in timeline order.
 func (p *Proc) emit(ev Event) {
 	p.m.seq++
 	ev.Seq = p.m.seq
@@ -189,15 +199,7 @@ func (p *Proc) emit(ev Event) {
 	if ev.Phase == "" {
 		ev.Phase = p.phase
 	}
-	if p.m.cfg.Trace {
-		p.events = append(p.events, ev)
-	}
-	if p.m.cfg.Sink != nil {
-		p.m.cfg.Sink.Emit(ev)
-	}
-	if p.m.cfg.Flight != nil {
-		p.m.cfg.Flight.note(ev)
-	}
+	p.m.cfg.Sink.Emit(ev)
 }
 
 // noteCharge folds one Charge call into the pending batch, starting a
@@ -230,18 +232,4 @@ func (p *Proc) flushCharge() {
 		Time: p.chargeEnd,
 		Dur:  p.chargeEnd - p.chargeStart,
 	})
-}
-
-// Events returns the structured event streams of the most recent Run,
-// ordered by rank (nil rows unless Config.Trace was set). Like Stats
-// and Spans, the result is a deep copy: callers may mutate it freely
-// without corrupting the machine's snapshot.
-func (m *Machine) Events() [][]Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]Event, len(m.events))
-	for i, row := range m.events {
-		out[i] = append([]Event(nil), row...)
-	}
-	return out
 }

@@ -21,16 +21,25 @@ import (
 // bounded by ranking computation, by the prefix-reduction-sum, or by
 // the many-to-many exchange — and which processor pair carries it.
 //
-// Correctness rests on two emulator invariants: a processor's clock
-// advances only through charges and sends (so span timelines have no
-// hidden gaps), and a receive that waited resumes exactly at the
-// message's arrival time, which equals the sender's clock at send
-// completion — the jump target on the sender's timeline.
+// Correctness rests on two emulator invariants. A processor's clock
+// advances only through events (charges, sends, receive waits, fault
+// stalls and retry waits), so the derived span timelines have no
+// hidden gaps. And a receive that waited resumes exactly at the
+// message's arrival time. Without a delay fault the arrival is the
+// sender's clock at send completion (up to float rounding), so the
+// wake time is the jump target on the sender's timeline. A delay
+// fault (EvFaultDelay) makes the arrival later than the send
+// completion; for such a message the receiver's segment starts, and
+// the walk continues on the sender, at the message's EvSend time.
+// Jumping at the wake time instead would let the walk land on the
+// same wake forever when the delayed message is a self-message.
 
 // Segment is one processor's stretch of the critical path: the
 // processor ran (computed, sent) from Start to End without any
 // blocking wait. Except for the first, each segment begins at the
-// arrival of the message that released it.
+// arrival of the message that released it — or, for a message a delay
+// fault held back, at its send completion, so the segment also covers
+// the receiver's wait for the delay.
 type Segment struct {
 	Rank       int
 	Start, End float64
@@ -41,7 +50,7 @@ type Segment struct {
 	MsgWords int
 	MsgID    uint64
 	// Comp and Comm attribute the segment's virtual time to phases,
-	// from the span timeline.
+	// from the derived span timeline.
 	Comp map[string]float64
 	Comm map[string]float64
 }
@@ -122,20 +131,24 @@ var ErrNoStats = errors.New("trace: capture has no statistics")
 var ErrMalformedCapture = errors.New("trace: malformed capture")
 
 // CriticalPath walks the blocking chain backwards from the max-clock
-// processor. It needs a capture taken with both Config.Trace (events,
-// for the chain) and Config.Record (spans, for phase attribution).
+// processor. It needs a retained capture (NewCapture): events for the
+// chain, and the spans derived from them for phase attribution.
 // Degenerate captures return typed errors (ErrNoEvents, ErrNoStats,
 // ErrMalformedCapture), never panic.
 func CriticalPath(c *Capture) (*CritReport, error) {
 	if c.Procs < 1 || !c.HasEvents() {
-		return nil, fmt.Errorf("%w (was sim.Config.Trace set?)", ErrNoEvents)
+		return nil, fmt.Errorf("%w (was a RetainSink attached as the machine's Sink?)", ErrNoEvents)
 	}
 	if len(c.Stats) == 0 {
 		return nil, ErrNoStats
 	}
 
-	// Per-rank blocking wakes, in time order (event rows already are).
+	// Per-rank blocking wakes, in time order (event rows already are),
+	// plus the send completion of every message and which messages a
+	// delay fault held back.
 	wakes := make([][]sim.Event, c.Procs)
+	sentAt := map[uint64]float64{}
+	delayed := map[uint64]bool{}
 	var totalEvents int
 	for rank, row := range c.Events {
 		if rank >= c.Procs {
@@ -143,8 +156,15 @@ func CriticalPath(c *Capture) (*CritReport, error) {
 		}
 		totalEvents += len(row)
 		for _, e := range row {
-			if e.Kind == sim.EvRecvWake && e.Dur > 0 {
-				wakes[rank] = append(wakes[rank], e)
+			switch e.Kind {
+			case sim.EvRecvWake:
+				if e.Dur > 0 {
+					wakes[rank] = append(wakes[rank], e)
+				}
+			case sim.EvSend:
+				sentAt[e.MsgID] = e.Time
+			case sim.EvFaultDelay:
+				delayed[e.MsgID] = true
 			}
 		}
 	}
@@ -180,12 +200,17 @@ func CriticalPath(c *Capture) (*CritReport, error) {
 		if w.Peer < 0 || w.Peer >= c.Procs {
 			return nil, fmt.Errorf("%w: wake on rank %d names peer %d outside P=%d", ErrMalformedCapture, cur, w.Peer, c.Procs)
 		}
+		// The jump target: the wake time, or the send completion of a
+		// delayed message (see the invariants above).
 		seg.Start = w.Time
+		if sent, ok := sentAt[w.MsgID]; ok && delayed[w.MsgID] {
+			seg.Start = sent
+		}
 		seg.MsgFrom, seg.MsgTag, seg.MsgWords, seg.MsgID = w.Peer, w.Tag, w.Words, w.MsgID
 		r.Segments = append(r.Segments, seg)
 		r.Msgs++
 		r.Words += int64(w.Words)
-		cur, t = w.Peer, w.Time
+		cur, t = w.Peer, seg.Start
 	}
 
 	// Built back-to-front; flip to time order and attribute phases.

@@ -18,17 +18,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// tracedRun executes a deterministic two-processor exchange with full
-// observability on.
+// tracedRun executes a deterministic two-processor exchange with the
+// event stream retained.
 func tracedRun(t *testing.T) *Capture {
 	t.Helper()
-	m := sim.MustNew(sim.Config{
-		Procs:  2,
-		Params: sim.Params{Tau: 10, Mu: 1, Delta: 1},
-		Record: true,
-		Trace:  true,
-	})
-	err := m.Run(func(p *sim.Proc) {
+	return simCapture(t, sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}}, func(p *sim.Proc) {
 		p.Charge(20)
 		prev := p.SetPhase("prs")
 		if p.Rank() == 0 {
@@ -39,10 +33,6 @@ func tracedRun(t *testing.T) *Capture {
 		p.SetPhase(prev)
 		p.Charge(10)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CaptureMachine(m)
 }
 
 // packCapture runs a real CMS PACK on 4 processors with tracing, the
@@ -54,8 +44,7 @@ func packCapture(t *testing.T) *Capture {
 		t.Fatal(err)
 	}
 	gen := mask.NewRandom(0.5, 1, 256)
-	m := sim.MustNew(sim.Config{Procs: 4, Params: sim.CM5Params(), Record: true, Trace: true})
-	err = m.Run(func(p *sim.Proc) {
+	return simCapture(t, sim.Config{Procs: 4, Params: sim.CM5Params()}, func(p *sim.Proc) {
 		lm := mask.FillLocal(layout, p.Rank(), gen)
 		a := make([]int, layout.LocalSize())
 		for i := range a {
@@ -65,10 +54,6 @@ func packCapture(t *testing.T) *Capture {
 			panic(err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CaptureMachine(m)
 }
 
 func TestChromeGolden(t *testing.T) {
@@ -208,17 +193,13 @@ func TestMatrixTotals(t *testing.T) {
 }
 
 func TestMatrixHeatmapLargeP(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 32, Params: sim.Params{Tau: 1}, Trace: true})
-	err := m.Run(func(p *sim.Proc) {
+	c := simCapture(t, sim.Config{Procs: 32, Params: sim.Params{Tau: 1}}, func(p *sim.Proc) {
 		next := (p.Rank() + 1) % p.NProcs()
 		p.Send(next, 0, nil, p.Rank())
 		p.Recv((p.Rank()+p.NProcs()-1)%p.NProcs(), 0)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	WriteMatrix(&buf, BuildMatrix(CaptureMachine(m)))
+	WriteMatrix(&buf, BuildMatrix(c))
 	if !strings.Contains(buf.String(), "heatmap") {
 		t.Fatalf("P=32 matrix should render as heatmap:\n%s", buf.String())
 	}
@@ -236,8 +217,7 @@ func TestMatrixHeatmapLargeP(t *testing.T) {
 // Makespan 95 = p1 tail (60) + message release at 35 determined by p0:
 // segment p0 [0,35] then p1 [35,95].
 func TestCriticalPathChain(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}, Record: true, Trace: true})
-	err := m.Run(func(p *sim.Proc) {
+	c := simCapture(t, sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}}, func(p *sim.Proc) {
 		if p.Rank() == 0 {
 			p.Charge(20)
 			p.Send(1, 9, nil, 5)
@@ -248,10 +228,7 @@ func TestCriticalPathChain(t *testing.T) {
 			p.Charge(60)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := CriticalPath(CaptureMachine(m))
+	r, err := CriticalPath(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,68 +277,36 @@ func TestCriticalPathChain(t *testing.T) {
 // run: segments partition [0, makespan] and phase attribution sums to
 // the makespan.
 func TestCriticalPathPack(t *testing.T) {
-	c := packCapture(t)
-	r, err := CriticalPath(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Makespan != c.Makespan() {
-		t.Fatalf("report makespan %v != capture %v", r.Makespan, c.Makespan())
-	}
-	prevEnd := 0.0
-	for i, seg := range r.Segments {
-		if i == 0 && seg.Start != 0 {
-			t.Fatalf("path does not start at 0: %+v", seg)
-		}
-		if i > 0 && seg.Start != prevEnd {
-			t.Fatalf("segments not contiguous at %d: %v != %v", i, seg.Start, prevEnd)
-		}
-		prevEnd = seg.End
-	}
-	if prevEnd != r.Makespan {
-		t.Fatalf("path ends at %v, makespan %v", prevEnd, r.Makespan)
-	}
-	var total float64
-	for _, v := range r.Comp {
-		total += v
-	}
-	for _, v := range r.Comm {
-		total += v
-	}
-	if math.Abs(total-r.Makespan) > 1e-6*r.Makespan {
-		t.Fatalf("attribution %v != makespan %v", total, r.Makespan)
-	}
+	checkCritPath(t, "pack", packCapture(t))
 }
 
 func TestCriticalPathNeedsEvents(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 1, Params: sim.Params{Delta: 1}, Record: true})
+	// The retain sink is never attached, so the capture has no events.
+	m := sim.MustNew(sim.Config{Procs: 1, Params: sim.Params{Delta: 1}})
 	if err := m.Run(func(p *sim.Proc) { p.Charge(5) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CriticalPath(CaptureMachine(m)); err == nil {
+	if _, err := CriticalPath(NewCapture(m, NewRetainSink(1))); err == nil {
 		t.Fatal("want an error for a capture without events")
 	}
 }
 
 func TestGanttZeroDurationHint(t *testing.T) {
 	// Spans recorded but the run cost nothing: the hint must not blame
-	// sim.Config.Record.
-	spans := [][]sim.Span{{{Phase: "default", Start: 0, End: 0}}}
+	// a missing RetainSink.
+	spans := [][]Span{{{Phase: "default", Start: 0, End: 0}}}
 	var buf bytes.Buffer
 	Gantt(&buf, spans, 10)
 	out := buf.String()
-	if !strings.Contains(out, "zero duration") || strings.Contains(out, "Record set") {
+	if !strings.Contains(out, "zero duration") || strings.Contains(out, "RetainSink") {
 		t.Fatalf("zero-duration hint wrong: %s", out)
 	}
 }
 
 func TestGanttHugeWidthClamped(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 1, Params: sim.Params{Delta: 1}, Record: true})
-	if err := m.Run(func(p *sim.Proc) { p.Charge(3) }); err != nil {
-		t.Fatal(err)
-	}
+	c := simCapture(t, sim.Config{Procs: 1, Params: sim.Params{Delta: 1}}, func(p *sim.Proc) { p.Charge(3) })
 	var buf bytes.Buffer
-	Gantt(&buf, m.Spans(), 1<<30)
+	Gantt(&buf, c.Spans, 1<<30)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("want header+row+legend, got:\n%s", buf.String())

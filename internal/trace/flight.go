@@ -1,16 +1,24 @@
 package trace
 
-// This file is the post-mortem end of the flight recorder
-// (sim/flight.go): classify a failed run, and turn the recorder's
-// bounded per-rank event window into something a human can open — a
-// Chrome-loadable trace of the machine's final moments plus a text
-// summary of who was doing what when it died. ViPIOS-style reasoning
-// (PAPERS.md): a long-running redistribution system must explain its
-// failures after the fact, so the recorder is cheap enough to leave on
-// and the dump path triggers itself on the error classes that leave no
+// This file is the flight recorder: a ring sink that keeps a
+// fixed-size window of the most recent events of every rank, cheap
+// enough to leave attached during long runs (where a RetainSink is
+// O(total events), the recorder is O(P × capacity)), plus the
+// post-mortem end — classify a failed run, and turn the bounded window
+// into something a human can open: a Chrome-loadable trace of the
+// machine's final moments plus a text summary of who was doing what
+// when it died. ViPIOS-style reasoning (PAPERS.md): a long-running
+// redistribution system must explain its failures after the fact, so
+// the dump path triggers itself on the error classes that leave no
 // other evidence: structural deadlock (the emulator's scheduler and the
 // real backend's watchdog identify as sim.ErrDeadlock) and exhausted
 // fault-retry budgets (sim.FaultBudgetError).
+//
+// Concurrency contract: like every per-rank sink, ring r is written
+// only by rank r's emit path. On the emulator all writes are
+// serialized anyway; on the real backend ranks write concurrently to
+// disjoint rings, which is race-free without locks. Snapshot must only
+// be called once the run has finished.
 
 import (
 	"errors"
@@ -22,6 +30,91 @@ import (
 
 	"packunpack/internal/sim"
 )
+
+// FlightRecorder holds one fixed-capacity event ring per rank. Build
+// one with NewFlightRecorder, attach it as (or inside a Tee on) the
+// machine's Sink, and read it with Snapshot after the run returned an
+// error.
+type FlightRecorder struct {
+	procs int
+	cap   int
+	rings [][]sim.Event // rings[r] has capacity cap, len grows to cap then stays
+	next  []int         // next write position per rank
+}
+
+// DefaultFlightCap is the per-rank ring capacity used by callers that
+// do not want to choose one: large enough to hold the closing
+// exchanges of a phase, small enough that P=4096 recorders stay in the
+// tens of megabytes.
+const DefaultFlightCap = 256
+
+// NewFlightRecorder builds a recorder for procs ranks with the given
+// per-rank ring capacity (DefaultFlightCap when capacity <= 0).
+func NewFlightRecorder(procs, capacity int) (*FlightRecorder, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("trace: flight recorder needs procs >= 1, got %d", procs)
+	}
+	if capacity <= 0 {
+		capacity = DefaultFlightCap
+	}
+	return &FlightRecorder{
+		procs: procs,
+		cap:   capacity,
+		rings: make([][]sim.Event, procs),
+		next:  make([]int, procs),
+	}, nil
+}
+
+// MustNewFlightRecorder is NewFlightRecorder for arguments known to be
+// valid.
+func MustNewFlightRecorder(procs, capacity int) *FlightRecorder {
+	f, err := NewFlightRecorder(procs, capacity)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// Procs returns the rank count the recorder was built for.
+func (f *FlightRecorder) Procs() int { return f.procs }
+
+// Emit records one event into its rank's ring, overwriting the oldest
+// entry once the ring is full. Events with an out-of-range rank are
+// dropped: a bounds branch beats a crash inside the crash recorder.
+func (f *FlightRecorder) Emit(ev sim.Event) {
+	r := ev.Rank
+	if r < 0 || r >= f.procs {
+		return
+	}
+	ring := f.rings[r]
+	if len(ring) < f.cap {
+		f.rings[r] = append(ring, ev)
+	} else {
+		ring[f.next[r]] = ev
+	}
+	f.next[r]++
+	if f.next[r] == f.cap {
+		f.next[r] = 0
+	}
+}
+
+// Snapshot returns each rank's retained events oldest-first. The rows
+// are copies; the caller may keep them across later runs. Only call
+// after the run has finished.
+func (f *FlightRecorder) Snapshot() [][]sim.Event {
+	out := make([][]sim.Event, f.procs)
+	for r, ring := range f.rings {
+		if len(ring) < f.cap {
+			out[r] = append([]sim.Event(nil), ring...)
+			continue
+		}
+		row := make([]sim.Event, 0, f.cap)
+		row = append(row, ring[f.next[r]:]...)
+		row = append(row, ring[:f.next[r]]...)
+		out[r] = row
+	}
+	return out
+}
 
 // ShouldDumpFlight classifies a run error: true for the failure modes
 // whose post-mortem lives in the flight recorder — structural deadlock
@@ -36,7 +129,7 @@ func ShouldDumpFlight(err error) bool {
 // every exporter in this package (Chrome, matrix, the dump below) can
 // consume the bounded window like any other event stream. Stats may be
 // nil when the machine died before publishing them.
-func FlightCapture(procs int, params sim.Params, stats []sim.Stats, fr *sim.FlightRecorder) *Capture {
+func FlightCapture(procs int, params sim.Params, stats []sim.Stats, fr *FlightRecorder) *Capture {
 	return &Capture{
 		Procs:  procs,
 		Params: params,

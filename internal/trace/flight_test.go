@@ -37,11 +37,11 @@ func TestShouldDumpFlight(t *testing.T) {
 // Chrome trace-event JSON file plus a text summary naming the parked
 // receive.
 func TestFlightDumpOnDeadlock(t *testing.T) {
-	fr := sim.MustNewFlightRecorder(3, 64)
+	fr := MustNewFlightRecorder(3, 64)
 	m := sim.MustNew(sim.Config{
 		Procs:  3,
 		Params: sim.Params{Tau: 10, Mu: 1, Delta: 1},
-		Flight: fr,
+		Sink:   fr,
 	})
 	err := m.Run(func(p *sim.Proc) {
 		p.SetPhase("warmup")

@@ -150,12 +150,12 @@ func renderCells(w io.Writer, p int, vals []int64, unit string) {
 // phase, each with message and word counts.
 func WriteMatrix(w io.Writer, m *CommMatrix) {
 	if m.Total == nil {
-		fmt.Fprintln(w, "trace: no communication events (was sim.Config.Trace set?)")
+		fmt.Fprintln(w, "trace: no communication events (was a RetainSink attached as the machine's Sink?)")
 		return
 	}
 	msgs, words := m.Total.Totals()
 	if msgs == 0 {
-		fmt.Fprintln(w, "trace: no messages sent (was sim.Config.Trace set?)")
+		fmt.Fprintln(w, "trace: no messages sent (was a RetainSink attached as the machine's Sink?)")
 		return
 	}
 	sections := append([]string{"total"}, m.PhaseNames()...)

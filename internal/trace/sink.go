@@ -1,13 +1,14 @@
 package trace
 
-// This file is the streaming side of the observability layer: Sink
-// implementations that consume the emulator's (or real backend's)
-// structured event stream as it is produced, so observability no
-// longer requires retaining every event in memory (Capture.Events is
-// O(total events); a P=1024 sweep emits millions). Three strategies:
+// This file holds the Sink implementations that consume a machine's
+// structured event stream (sim.Config.Sink / RealConfig.Sink) as it is
+// produced. The stream is the machine's only event output; every view
+// in this package is derived from what one of these sinks kept:
 //
-//   - RetainSink keeps everything, per rank — exactly Config.Trace's
-//     behavior, but as a sink, so one capture path serves all three.
+//   - RetainSink keeps everything, per rank — the only retained
+//     capture. NewCapture reads it and derives the span timelines, so
+//     the Chrome export, the matrices and the critical path all start
+//     from it. Memory is O(total events).
 //   - JSONLSink streams events to an io.Writer as JSON lines; the
 //     memory cost is one buffered writer, and ReadJSONL round-trips
 //     the stream back into events for offline analysis.
@@ -16,24 +17,29 @@ package trace
 //     message-size histograms (internal/metrics) — and retains no
 //     events at all. Memory is O(active (rank, phase, destination)
 //     triples + P), independent of run length.
+//   - FlightRecorder (flight.go) keeps the last few events per rank in
+//     rings, a bounded post-mortem window.
 //
-// SamplingSink composes in front of any of them: per-rank subsets,
-// event-kind filters, and 1-in-N message sampling. Charge batches are
-// never message-sampled or kind-filtered away, so the op accounting of
+// Tee fans one stream out to several of them, and SamplingSink
+// composes in front of any of them: per-rank subsets, event-kind
+// filters, and 1-in-N message sampling. Charge batches are never
+// message-sampled or kind-filtered away, so the op accounting of
 // whatever survives stays exact (DESIGN.md §15).
 //
 // Concurrency: Emit is called by the rank that owns the event. On the
 // emulator calls are serialized; on the real backend ranks call
-// concurrently. RetainSink
-// and AggSink exploit ownership (per-rank state, no locks on the hot
-// path; the histograms are atomic); JSONLSink serializes on a mutex
-// because its output is one shared stream.
+// concurrently. RetainSink, AggSink and FlightRecorder exploit
+// ownership (per-rank state, no locks on the hot path; the histograms
+// are atomic) and report their rank count through Procs
+// (sim.SizedSink); JSONLSink serializes on a mutex because its output
+// is one shared stream.
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"packunpack/internal/metrics"
@@ -50,9 +56,8 @@ type Sink interface {
 
 // --- full retention ---
 
-// RetainSink keeps every event in per-rank buffers — the sink-shaped
-// equivalent of sim.Config.Trace, for callers that want the capture
-// path to go through one interface regardless of strategy.
+// RetainSink keeps every event in per-rank buffers: the retained
+// capture NewCapture reads.
 type RetainSink struct {
 	rows [][]sim.Event
 }
@@ -73,6 +78,9 @@ func (s *RetainSink) Emit(ev sim.Event) {
 
 // Flush is a no-op; retention has nothing buffered elsewhere.
 func (s *RetainSink) Flush() error { return nil }
+
+// Procs returns the rank count the sink was built for.
+func (s *RetainSink) Procs() int { return len(s.rows) }
 
 // Events returns the retained per-rank streams. The rows are copies;
 // call after the run has finished.
@@ -320,6 +328,9 @@ func (s *AggSink) Emit(ev sim.Event) {
 // Flush is a no-op; aggregation holds no deferred I/O.
 func (s *AggSink) Flush() error { return nil }
 
+// Procs returns the rank count the sink was built for.
+func (s *AggSink) Procs() int { return s.procs }
+
 // Rollups returns the per-rank accumulators, ordered by rank. Call
 // after the run has finished.
 func (s *AggSink) Rollups() []RankRollup {
@@ -510,4 +521,61 @@ func (s *SamplingSink) Flush() error {
 		return f.Flush()
 	}
 	return nil
+}
+
+// Procs returns the rank count the inner sink covers.
+func (s *SamplingSink) Procs() int { return sinkProcs(s.inner) }
+
+// --- fan-out ---
+
+// Tee fans one event stream out to several sinks, in order: a machine
+// has a single Sink, and a Tee is how one run feeds a retained capture,
+// a JSONL stream and a flight recorder at once. It adds no state, so
+// it is safe under concurrent ranks whenever every member is.
+type Tee []sim.EventSink
+
+// NewTee builds the fan-out over the non-nil sinks. It returns nil when
+// there are none, so an all-off configuration keeps the machine's
+// one-nil-check emit gate closed, and the sink itself when there is
+// one.
+func NewTee(sinks ...sim.EventSink) sim.EventSink {
+	var t Tee
+	for _, s := range sinks {
+		if s != nil {
+			t = append(t, s)
+		}
+	}
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
+		return t[0]
+	}
+	return t
+}
+
+// Emit hands the event to every member.
+func (t Tee) Emit(ev sim.Event) {
+	for _, s := range t {
+		s.Emit(ev)
+	}
+}
+
+// Procs returns the rank count the smallest sized member covers, so a
+// machine rejects a Tee holding any sink too small for it.
+func (t Tee) Procs() int {
+	n := math.MaxInt
+	for _, s := range t {
+		n = min(n, sinkProcs(s))
+	}
+	return n
+}
+
+// sinkProcs is the rank count s covers: its Procs when it is sized,
+// unbounded otherwise.
+func sinkProcs(s sim.EventSink) int {
+	if sz, ok := s.(sim.SizedSink); ok {
+		return sz.Procs()
+	}
+	return math.MaxInt
 }

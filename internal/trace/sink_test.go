@@ -28,46 +28,52 @@ func allToAllBody(p transport.Endpoint) {
 	p.Charge(3)
 }
 
-// sinkRun executes allToAllBody on a fresh machine with the given sink
-// attached (and full tracing on, so tests can compare against the
-// retained baseline).
-func sinkRun(t *testing.T, procs int, sink sim.EventSink) *sim.Machine {
+// sinkRun executes allToAllBody on a fresh emulator with the given sink
+// teed next to a RetainSink, and returns the retained capture as the
+// baseline to compare the sink against.
+func sinkRun(t *testing.T, procs int, sink sim.EventSink) *Capture {
 	t.Helper()
-	m := sim.MustNew(sim.Config{
-		Procs:  procs,
-		Params: sim.Params{Tau: 10, Mu: 1, Delta: 0.5},
-		Trace:  true, Record: true, Sink: sink,
-	})
-	if err := m.Run(func(p *sim.Proc) { allToAllBody(p) }); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	cfg := sim.Config{Procs: procs, Params: sim.Params{Tau: 10, Mu: 1, Delta: 0.5}, Sink: sink}
+	return simCapture(t, cfg, func(p *sim.Proc) { allToAllBody(p) })
 }
 
-// TestRetainSinkMatchesTraceBuffers: the retain sink keeps exactly the
-// per-rank streams the Trace buffers hold, on the emulator and on the
-// real backend, whose ranks emit concurrently.
+// TestRetainSinkMatchesTraceBuffers: two sinks on one Tee see the same
+// stream — the RetainSink's per-rank rows equal the JSONL stream read
+// back and regrouped by rank — on the emulator and on the real
+// backend, whose ranks emit concurrently.
 func TestRetainSinkMatchesTraceBuffers(t *testing.T) {
-	rs := NewRetainSink(4)
-	m := sinkRun(t, 4, rs)
-	if !reflect.DeepEqual(rs.Events(), m.Events()) {
-		t.Fatal("sim: retain sink diverges from Config.Trace buffers")
-	}
-
-	rs = NewRetainSink(4)
-	rm := transport.MustNewReal(transport.RealConfig{Procs: 4, Trace: true, Sink: rs})
-	if err := rm.Run(allToAllBody); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rs.Events(), rm.Events()) {
-		t.Fatal("real: retain sink diverges from the Trace buffers")
+	for _, b := range []transport.Backend{transport.BackendSim, transport.BackendReal} {
+		rs := NewRetainSink(4)
+		var buf bytes.Buffer
+		js := NewJSONLSink(&buf)
+		m, err := transport.New(b, sim.Config{Procs: 4, Params: sim.Params{Tau: 10, Mu: 1, Delta: 0.5}, Sink: NewTee(rs, js)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(allToAllBody); err != nil {
+			t.Fatal(err)
+		}
+		if err := js.Flush(); err != nil {
+			t.Fatalf("%v: Flush: %v", b, err)
+		}
+		events, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("%v: ReadJSONL: %v", b, err)
+		}
+		retained := rs.Events()
+		if len(retained[0]) == 0 {
+			t.Fatalf("%v: retain sink kept no events", b)
+		}
+		if !reflect.DeepEqual(EventsByRank(events, 4), retained) {
+			t.Fatalf("%v: retain sink diverges from the JSONL sink on the same Tee", b)
+		}
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	js := NewJSONLSink(&buf)
-	m := sinkRun(t, 3, js)
+	c := sinkRun(t, 3, js)
 	if err := js.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -76,7 +82,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
 	got := EventsByRank(events, 3)
-	want := m.Events()
+	want := c.Events
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("JSONL round trip diverges:\ngot  %d/%d/%d events\nwant %d/%d/%d",
 			len(got[0]), len(got[1]), len(got[2]), len(want[0]), len(want[1]), len(want[2]))
@@ -86,15 +92,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 	const procs = 4
 	agg := NewAggSink(procs)
-	m := sinkRun(t, procs, agg)
+	c := sinkRun(t, procs, agg)
 
-	if err := agg.CheckStats(m.Stats()); err != nil {
+	if err := agg.CheckStats(c.Stats); err != nil {
 		t.Fatalf("CheckStats: %v", err)
 	}
 
 	// The dense matrix materialized from the sparse cells must equal
 	// the one built from the fully retained capture.
-	want := BuildMatrix(CaptureMachine(m))
+	want := BuildMatrix(c)
 	got := agg.Matrix()
 	if !reflect.DeepEqual(got.Total, want.Total) {
 		t.Fatalf("aggregated total matrix diverges from retained BuildMatrix")
@@ -110,7 +116,7 @@ func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 
 	// Busy/Comm/Wait reconcile with the machine stats: charges sum to
 	// Comp, send occupancy plus receive waiting to Comm.
-	for i, st := range m.Stats() {
+	for i, st := range c.Stats {
 		r := agg.Rollups()[i]
 		if math.Abs(r.Busy-st.Comp) > 1e-6 {
 			t.Fatalf("rank %d Busy %.9f != Comp %.9f", i, r.Busy, st.Comp)
@@ -142,9 +148,9 @@ func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 func TestSamplingKindAndRankFilter(t *testing.T) {
 	inner := NewRetainSink(4)
 	pol := SamplePolicy{Ranks: []int{1, 2}, Kinds: []sim.EventKind{sim.EvSend}}
-	m := sinkRun(t, 4, NewSamplingSink(inner, pol))
+	c := sinkRun(t, 4, NewSamplingSink(inner, pol))
 
-	full := m.Events()
+	full := c.Events
 	got := inner.Events()
 	for r := 0; r < 4; r++ {
 		if r != 1 && r != 2 {
@@ -180,7 +186,7 @@ func TestSamplingKindAndRankFilter(t *testing.T) {
 func TestSamplingKeepsMessagesWhole(t *testing.T) {
 	const procs = 4
 	inner := NewRetainSink(procs)
-	m := sinkRun(t, procs, NewSamplingSink(inner, SamplePolicy{MsgEvery: 3}))
+	c := sinkRun(t, procs, NewSamplingSink(inner, SamplePolicy{MsgEvery: 3}))
 
 	// Kinds per message id in the full stream and in the sampled one.
 	collect := func(rows [][]sim.Event) map[uint64]map[sim.EventKind]int {
@@ -198,7 +204,7 @@ func TestSamplingKeepsMessagesWhole(t *testing.T) {
 		}
 		return out
 	}
-	full := collect(m.Events())
+	full := collect(c.Events)
 	sampled := collect(inner.Events())
 	if len(sampled) == 0 || len(sampled) >= len(full) {
 		t.Fatalf("1-in-3 sampling kept %d of %d messages", len(sampled), len(full))

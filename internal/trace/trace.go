@@ -1,8 +1,12 @@
-// Package trace renders the per-processor virtual-time timelines
-// recorded by the machine emulator (sim.Config.Record) as ASCII Gantt
-// charts and phase summaries — a quick way to see where a PACK/UNPACK
-// run spends its time: the ranking scans, the prefix-reduction-sum
-// waves along each grid dimension, and the many-to-many exchange.
+// Package trace is the observability layer over the machines' one
+// structured event stream (sim.Config.Sink / RealConfig.Sink): the
+// sinks that keep, stream, aggregate or ring-buffer it (sink.go,
+// flight.go), and the views derived from a retained capture — per-
+// processor span timelines rendered as ASCII Gantt charts and phase
+// summaries, Chrome/Perfetto JSON, P×P communication matrices and the
+// critical path. They show where a PACK/UNPACK run spends its time:
+// the ranking scans, the prefix-reduction-sum waves along each grid
+// dimension, and the many-to-many exchange.
 package trace
 
 import (
@@ -40,7 +44,7 @@ func glyphFor(phase string, comm bool) byte {
 // between spans, which only arise from receive waits already charged
 // as communication — so '.' is rare and indicates the processor
 // finished early).
-func Gantt(w io.Writer, spans [][]sim.Span, width int) {
+func Gantt(w io.Writer, spans [][]Span, width int) {
 	GanttUnit(w, spans, width, "virtual time")
 }
 
@@ -48,7 +52,7 @@ func Gantt(w io.Writer, spans [][]sim.Span, width int) {
 // for emulator captures, "wall time" for real-backend ones (the chart
 // logic is identical — only the meaning of the microseconds differs,
 // and the label keeps the reader from mixing them up).
-func GanttUnit(w io.Writer, spans [][]sim.Span, width int, unit string) {
+func GanttUnit(w io.Writer, spans [][]Span, width int, unit string) {
 	if width <= 0 {
 		width = 72
 	}
@@ -70,14 +74,13 @@ func GanttUnit(w io.Writer, spans [][]sim.Span, width int, unit string) {
 		}
 	}
 	if end == 0 {
-		// Distinguish "nothing was recorded" (recording off, or nothing
-		// ran) from "spans exist but the run took zero virtual time"
-		// (all cost parameters zero) — the old hint blamed
-		// sim.Config.Record for both.
+		// Distinguish "nothing was recorded" (no retained events, or
+		// nothing ran) from "spans exist but the run took zero virtual
+		// time" (all cost parameters zero).
 		if haveSpans {
 			fmt.Fprintln(w, "trace: all recorded spans have zero duration (zero-cost run; nothing to chart)")
 		} else {
-			fmt.Fprintln(w, "trace: no recorded spans (was sim.Config.Record set?)")
+			fmt.Fprintln(w, "trace: no recorded spans (was a RetainSink attached as the machine's Sink?)")
 		}
 		return
 	}

@@ -8,10 +8,23 @@ import (
 	"packunpack/internal/sim"
 )
 
-func recordedRun(t *testing.T) *sim.Machine {
+// simCapture runs body on a fresh emulator built from cfg, with a
+// RetainSink on its Sink (teed with cfg.Sink when one is set), and
+// returns the capture: the span timelines are derived from the events.
+func simCapture(t *testing.T, cfg sim.Config, body func(p *sim.Proc)) *Capture {
 	t.Helper()
-	m := sim.MustNew(sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}, Record: true})
-	err := m.Run(func(p *sim.Proc) {
+	rs := NewRetainSink(cfg.Procs)
+	cfg.Sink = NewTee(rs, cfg.Sink)
+	m := sim.MustNew(cfg)
+	if err := m.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	return NewCapture(m, rs)
+}
+
+func recordedRun(t *testing.T) *Capture {
+	t.Helper()
+	return simCapture(t, sim.Config{Procs: 2, Params: sim.Params{Tau: 10, Mu: 1, Delta: 1}}, func(p *sim.Proc) {
 		p.Charge(20)
 		prev := p.SetPhase("prs")
 		if p.Rank() == 0 {
@@ -22,15 +35,10 @@ func recordedRun(t *testing.T) *sim.Machine {
 		p.SetPhase(prev)
 		p.Charge(10)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 func TestSpansRecorded(t *testing.T) {
-	m := recordedRun(t)
-	spans := m.Spans()
+	spans := recordedRun(t).Spans
 	if len(spans) != 2 {
 		t.Fatalf("want 2 timelines, got %d", len(spans))
 	}
@@ -57,35 +65,21 @@ func TestSpansRecorded(t *testing.T) {
 }
 
 func TestSpansMergeContiguous(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 1, Params: sim.Params{Delta: 1}, Record: true})
-	err := m.Run(func(p *sim.Proc) {
+	c := simCapture(t, sim.Config{Procs: 1, Params: sim.Params{Delta: 1}}, func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			p.Charge(1)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := m.Spans()[0]
+	row := c.Spans[0]
 	if len(row) != 1 || row[0].End != 100 {
 		t.Fatalf("contiguous charges should merge to one span, got %+v", row)
 	}
 }
 
-func TestSpansOffByDefault(t *testing.T) {
-	m := sim.MustNew(sim.Config{Procs: 1, Params: sim.Params{Delta: 1}})
-	if err := m.Run(func(p *sim.Proc) { p.Charge(5) }); err != nil {
-		t.Fatal(err)
-	}
-	if row := m.Spans()[0]; row != nil {
-		t.Fatalf("recording off should keep no spans, got %+v", row)
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
-	m := recordedRun(t)
+	c := recordedRun(t)
 	var buf bytes.Buffer
-	Gantt(&buf, m.Spans(), 40)
+	Gantt(&buf, c.Spans, 40)
 	out := buf.String()
 	for _, want := range []string{"p0", "p1", "legend", "C", "p"} {
 		if !strings.Contains(out, want) {
@@ -108,18 +102,18 @@ func TestGanttEmpty(t *testing.T) {
 }
 
 func TestGanttDefaultWidth(t *testing.T) {
-	m := recordedRun(t)
+	c := recordedRun(t)
 	var buf bytes.Buffer
-	Gantt(&buf, m.Spans(), 0)
+	Gantt(&buf, c.Spans, 0)
 	if !strings.Contains(buf.String(), "p0") {
 		t.Fatal("default width render failed")
 	}
 }
 
 func TestSummary(t *testing.T) {
-	m := recordedRun(t)
+	c := recordedRun(t)
 	var buf bytes.Buffer
-	Summary(&buf, m.Stats())
+	Summary(&buf, c.Stats)
 	out := buf.String()
 	for _, want := range []string{"phase", "default", "prs"} {
 		if !strings.Contains(out, want) {

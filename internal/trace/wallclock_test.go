@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,11 +13,13 @@ import (
 )
 
 // runTracedReal executes a small exchange pattern on a real machine
-// with tracing and metrics on, returning the machine for capture.
-func runTracedReal(t *testing.T, procs int) *transport.RealMachine {
+// with a RetainSink and metrics on, returning the machine and its
+// capture.
+func runTracedReal(t *testing.T, procs int) (*transport.RealMachine, *Capture) {
 	t.Helper()
+	rs := NewRetainSink(procs)
 	m, err := transport.NewReal(transport.RealConfig{
-		Procs: procs, Params: sim.CM5Params(), Trace: true, Metrics: metrics.NewRegistry(),
+		Procs: procs, Params: sim.CM5Params(), Sink: rs, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +40,11 @@ func runTracedReal(t *testing.T, procs int) *transport.RealMachine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, NewCapture(m, rs)
 }
 
 func TestCaptureRealProducesSpansAndEvents(t *testing.T) {
-	m := runTracedReal(t, 4)
-	c := CaptureReal(m)
+	_, c := runTracedReal(t, 4)
 	if !c.HasEvents() {
 		t.Fatal("real capture has no events")
 	}
@@ -72,7 +74,7 @@ func TestSpansFromEventsSynthesis(t *testing.T) {
 		{Kind: sim.EvRecvWake, Time: 20, Dur: 5, Peer: 1, MsgID: 42},
 	}}
 	spans := SpansFromEvents(events, []float64{25})
-	want := []sim.Span{
+	want := []Span{
 		{Phase: "default", Comm: false, Start: 0, End: 10},
 		{Phase: "m2m", Comm: false, Start: 10, End: 15},
 		{Phase: "m2m", Comm: true, Start: 15, End: 20},
@@ -89,8 +91,7 @@ func TestSpansFromEventsSynthesis(t *testing.T) {
 }
 
 func TestWriteChromeRealCapture(t *testing.T) {
-	m := runTracedReal(t, 4)
-	c := CaptureReal(m)
+	_, c := runTracedReal(t, 4)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, c); err != nil {
 		t.Fatal(err)
@@ -134,14 +135,14 @@ func TestWriteChromeRealCapture(t *testing.T) {
 	}
 }
 
+// TestMatrixFromMetricsMatchesEventMatrix cross-checks the two
+// independent records of real-backend traffic: the P×P matrix
+// BuildMatrix derives from the event stream must equal the one read
+// back from the transport_link_* counters, cell by cell.
 func TestMatrixFromMetricsMatchesEventMatrix(t *testing.T) {
-	m := runTracedReal(t, 4)
-	c := CaptureReal(m)
+	m, c := runTracedReal(t, 4)
 	fromEvents := BuildMatrix(c)
-	fromMetrics, err := MatrixFromMetrics(m.Metrics().Snapshot(), m.Procs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromMetrics := matrixFromCounters(t, m.Metrics().Snapshot(), m.Procs())
 	if !matrixEqual(fromEvents.Total, fromMetrics.Total) {
 		t.Errorf("total matrices disagree:\nevents:  %+v\nmetrics: %+v", fromEvents.Total, fromMetrics.Total)
 	}
@@ -150,12 +151,54 @@ func TestMatrixFromMetricsMatchesEventMatrix(t *testing.T) {
 			t.Errorf("phase %q matrices disagree", phase)
 		}
 	}
-	// And the registry path renders through the usual writer.
 	var buf bytes.Buffer
-	WriteMatrix(&buf, fromMetrics)
+	WriteMatrix(&buf, fromEvents)
 	if !strings.Contains(buf.String(), "exchange") {
-		t.Errorf("rendered metrics matrix lacks the phase section:\n%s", buf.String())
+		t.Errorf("rendered event matrix lacks the phase section:\n%s", buf.String())
 	}
+}
+
+// matrixFromCounters reads the real backend's per-link counters
+// (transport_link_* and transport_phase_link_*, see
+// internal/transport/realmeters.go; bytes/8 = words) back into a P×P
+// matrix.
+func matrixFromCounters(t *testing.T, snap metrics.Snapshot, procs int) *CommMatrix {
+	t.Helper()
+	m := &CommMatrix{P: procs, Total: newCells(procs), ByPhase: map[string]*MatrixCells{}}
+	for _, fam := range []struct {
+		name          string
+		phased, bytes bool
+	}{
+		{"transport_link_msgs_total", false, false},
+		{"transport_link_bytes_total", false, true},
+		{"transport_phase_link_msgs_total", true, false},
+		{"transport_phase_link_bytes_total", true, true},
+	} {
+		f, ok := snap.Family(fam.name)
+		if !ok {
+			t.Fatalf("metric family %s missing from the snapshot", fam.name)
+		}
+		for _, child := range f.Children {
+			labels, cells := child.LabelValues, m.Total
+			if fam.phased {
+				if m.ByPhase[labels[0]] == nil {
+					m.ByPhase[labels[0]] = newCells(procs)
+				}
+				cells, labels = m.ByPhase[labels[0]], labels[1:]
+			}
+			src, err1 := strconv.Atoi(labels[0])
+			dst, err2 := strconv.Atoi(labels[1])
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s has malformed link labels %v", fam.name, child.LabelValues)
+			}
+			if fam.bytes {
+				cells.Words[src*procs+dst] += child.Value / 8
+			} else {
+				cells.Msgs[src*procs+dst] += child.Value
+			}
+		}
+	}
+	return m
 }
 
 func matrixEqual(a, b *MatrixCells) bool {
@@ -173,14 +216,8 @@ func matrixEqual(a, b *MatrixCells) bool {
 	return true
 }
 
-func TestMatrixFromMetricsMissingFamily(t *testing.T) {
-	if _, err := MatrixFromMetrics(metrics.NewRegistry().Snapshot(), 2); err == nil {
-		t.Error("empty snapshot did not error")
-	}
-}
-
 func TestGanttUnitLabel(t *testing.T) {
-	spans := [][]sim.Span{{{Phase: "x", Start: 0, End: 100}}}
+	spans := [][]Span{{{Phase: "x", Start: 0, End: 100}}}
 	var buf bytes.Buffer
 	GanttUnit(&buf, spans, 40, "wall time")
 	if !strings.Contains(buf.String(), "wall time 0 ..") {

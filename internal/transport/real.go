@@ -15,7 +15,7 @@ package transport
 // any algorithm written against transport.Endpoint produces
 // byte-identical results on both backends (pinned by the cross-backend
 // conformance suite). Observability carries over too: with
-// RealConfig.Trace the backend emits the same structured sim.Event
+// RealConfig.Sink the backend emits the same structured sim.Event
 // stream — wall-clock microsecond timestamps instead of virtual time,
 // same message-id scheme — and with RealConfig.Metrics it records the
 // telemetry families of realmeters.go. What does NOT carry over is the
@@ -64,20 +64,13 @@ type RealConfig struct {
 	// instrumented layers above the endpoint record theirs. Nil
 	// disables all recording at one-branch cost.
 	Metrics *metrics.Registry
-	// Trace, when set, records structured events (sim.Event schema,
-	// wall-clock microsecond timestamps) into per-processor buffers
-	// retrievable via Events() after a run — the real-backend
-	// counterpart of sim.Config.Trace.
-	Trace bool
-	// Sink, when non-nil, additionally streams every event as it is
-	// produced. Ranks call Emit concurrently; the sink must be safe
-	// for that.
+	// Sink, when non-nil, receives every structured event (sim.Event
+	// schema, wall-clock microsecond timestamps) as it is produced —
+	// the real-backend counterpart of sim.Config.Sink, and like it the
+	// machine's only event output. Ranks call Emit concurrently; the
+	// sink must be safe for that. A sink built for fewer ranks than
+	// Procs (sim.SizedSink) is rejected by NewReal.
 	Sink sim.EventSink
-	// Flight, when non-nil, keeps the most recent events of every rank
-	// in fixed-size ring buffers (sim/flight.go) regardless of Trace —
-	// the bounded post-mortem window the watchdog-abort dump path
-	// reads. Ranks write disjoint rings, so no locking is needed.
-	Flight *sim.FlightRecorder
 }
 
 // RealMachine is a Machine whose processors run genuinely in parallel
@@ -98,7 +91,6 @@ type RealMachine struct {
 
 	mu      sync.Mutex
 	stats   []sim.Stats
-	events  [][]sim.Event
 	elapsed time.Duration
 }
 
@@ -131,8 +123,8 @@ func NewReal(cfg RealConfig) (*RealMachine, error) {
 	if cfg.Params.Tau < 0 || cfg.Params.Mu < 0 || cfg.Params.Delta < 0 {
 		return nil, fmt.Errorf("transport: negative cost parameters %+v", cfg.Params)
 	}
-	if cfg.Flight != nil && cfg.Flight.Procs() < cfg.Procs {
-		return nil, fmt.Errorf("transport: flight recorder built for %d ranks cannot cover P=%d", cfg.Flight.Procs(), cfg.Procs)
+	if s, ok := cfg.Sink.(sim.SizedSink); ok && s.Procs() < cfg.Procs {
+		return nil, fmt.Errorf("transport: event sink built for %d ranks cannot cover P=%d", s.Procs(), cfg.Procs)
 	}
 	m := &RealMachine{cfg: cfg, queues: make([][]*spscQueue, cfg.Procs)}
 	for s := range m.queues {
@@ -193,7 +185,7 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 			pending: make([][]rmsg, n),
 			phase:   "default",
 			stats:   sim.Stats{Rank: i, Phases: make(map[string]sim.PhaseStats)},
-			tr:      m.cfg.Trace || m.cfg.Sink != nil || m.cfg.Flight != nil,
+			tr:      m.cfg.Sink != nil,
 		}
 		if m.cfg.Metrics != nil {
 			procs[i].met = newProcMeters(m.cfg.Metrics, i, n, "default", 0)
@@ -234,12 +226,8 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 	m.mu.Lock()
 	m.elapsed = elapsed
 	m.stats = make([]sim.Stats, n)
-	m.events = make([][]sim.Event, n)
 	for i, p := range procs {
 		m.stats[i] = p.stats
-		if m.cfg.Trace {
-			m.events[i] = p.events
-		}
 	}
 	m.mu.Unlock()
 
@@ -379,9 +367,8 @@ type realProc struct {
 
 	// Telemetry state; zero/nil when the machine has none configured,
 	// so every hot-path guard below is a single predictable branch.
-	tr       bool        // record/stream trace events
+	tr       bool        // emit trace events (RealConfig.Sink set)
 	met      *procMeters // pre-resolved metric handles, nil = off
-	events   []sim.Event // per-rank event buffer (RealConfig.Trace)
 	seq      uint64      // per-rank event sequence number
 	sends    uint64      // per-rank message counter for MsgID
 	stashLen int         // current tag-mismatch stash size, all sources

@@ -2,8 +2,7 @@ package transport
 
 // This file is the real backend's telemetry wiring: the metric
 // families it records (when RealConfig.Metrics is set) and the
-// wall-clock trace-event emission (when RealConfig.Trace or .Sink is
-// set). Both follow the same overhead discipline as the emulator's
+// wall-clock trace-event emission (when RealConfig.Sink is set). Both follow the same overhead discipline as the emulator's
 // one-bool trace guard: with telemetry off, the hot paths pay exactly
 // one nil/bool check; with it on, every handle is pre-resolved so the
 // per-message cost is a couple of atomic adds — no map lookups, no
@@ -146,14 +145,14 @@ func (mt *procMeters) notePhaseEnd(phase string, now float64) {
 
 // --- wall-clock trace events ---
 
-// tracing reports whether this processor records events; cached as a
-// bool on realProc so the hot paths pay one load.
-func (p *realProc) tracing() bool { return p.tr }
-
-// emit stamps and records one event, mirroring the emulator's emit:
-// Seq is per-rank (the real machine has no deterministic global order
-// to offer), timestamps are wall-clock microseconds since the run
-// started.
+// emit stamps one event and hands it to the sink, mirroring the
+// emulator's emit: Seq is per-rank (the real machine has no
+// deterministic global order to offer), timestamps are wall-clock
+// microseconds since the run started. The streams use the same
+// sim.Event schema and message-id scheme as the emulator, so every
+// exporter in internal/trace consumes them unchanged — only the
+// meaning of Time differs (never virtual time; the two units never
+// appear in one capture).
 func (p *realProc) emit(ev sim.Event) {
 	p.seq++
 	ev.Seq = p.seq
@@ -161,30 +160,5 @@ func (p *realProc) emit(ev sim.Event) {
 	if ev.Phase == "" {
 		ev.Phase = p.phase
 	}
-	if p.m.cfg.Trace {
-		p.events = append(p.events, ev)
-	}
-	if p.m.cfg.Sink != nil {
-		p.m.cfg.Sink.Emit(ev)
-	}
-	if p.m.cfg.Flight != nil {
-		p.m.cfg.Flight.Note(ev)
-	}
-}
-
-// Events returns the wall-clock structured event streams of the most
-// recent Run, ordered by rank (nil unless RealConfig.Trace was set).
-// The streams use the same sim.Event schema and message-id scheme as
-// the emulator, so every exporter in internal/trace consumes them
-// unchanged — only the meaning of Time differs (wall microseconds
-// since run start, never virtual time; the two units never appear in
-// one capture).
-func (m *RealMachine) Events() [][]sim.Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]sim.Event, len(m.events))
-	for i, row := range m.events {
-		out[i] = append([]sim.Event(nil), row...)
-	}
-	return out
+	p.m.cfg.Sink.Emit(ev)
 }

@@ -1,8 +1,8 @@
 package transport
 
 // Tests for the real backend's observability layer: wall-clock trace
-// events (RealConfig.Trace/Sink), the metric families of
-// realmeters.go, and the zero-overhead guard for the disabled case.
+// events (RealConfig.Sink), the metric families of realmeters.go, and
+// the zero-overhead guard for the disabled case.
 
 import (
 	"sync"
@@ -10,6 +10,7 @@ import (
 
 	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
+	"packunpack/internal/trace"
 )
 
 // ringBody is the shared workload: every rank sends its rank (rank+1
@@ -26,13 +27,14 @@ func ringBody(p Endpoint) {
 
 func TestRealBackendTraceEvents(t *testing.T) {
 	const procs = 4
-	m := MustNewReal(RealConfig{Procs: procs, Params: sim.CM5Params(), Trace: true})
+	rs := trace.NewRetainSink(procs)
+	m := MustNewReal(RealConfig{Procs: procs, Params: sim.CM5Params(), Sink: rs})
 	if err := m.Run(ringBody); err != nil {
 		t.Fatal(err)
 	}
-	events := m.Events()
+	events := rs.Events()
 	if len(events) != procs {
-		t.Fatalf("Events() rows = %d, want %d", len(events), procs)
+		t.Fatalf("retained rows = %d, want %d", len(events), procs)
 	}
 	sent := map[uint64]int{} // MsgID -> sending rank (EvSend only)
 	for r, row := range events {
@@ -80,12 +82,12 @@ func TestRealBackendTraceEvents(t *testing.T) {
 			}
 		}
 	}
-	// A second run must reset the buffers, not append to them.
+	// A second run streams the same events again into the same sink.
 	if err := m.Run(ringBody); err != nil {
 		t.Fatal(err)
 	}
-	if again := m.Events(); len(again[0]) != len(events[0]) {
-		t.Errorf("second run recorded %d events for rank 0, first recorded %d", len(again[0]), len(events[0]))
+	if again := rs.Events(); len(again[0]) != 2*len(events[0]) {
+		t.Errorf("after two runs rank 0 retained %d events, one run emitted %d", len(again[0]), len(events[0]))
 	}
 }
 
@@ -101,18 +103,42 @@ func (s *collectSink) Emit(ev sim.Event) {
 	s.mu.Unlock()
 }
 
+// TestRealBackendSinkStreamsEvents: a Tee hands every concurrently
+// emitted event to each of its sinks.
 func TestRealBackendSinkStreamsEvents(t *testing.T) {
 	sink := &collectSink{}
-	m := MustNewReal(RealConfig{Procs: 2, Params: sim.CM5Params(), Trace: true, Sink: sink})
+	rs := trace.NewRetainSink(2)
+	m := MustNewReal(RealConfig{Procs: 2, Params: sim.CM5Params(), Sink: trace.NewTee(sink, rs)})
 	if err := m.Run(ringBody); err != nil {
 		t.Fatal(err)
 	}
-	buffered := 0
-	for _, row := range m.Events() {
-		buffered += len(row)
+	retained := 0
+	for _, row := range rs.Events() {
+		retained += len(row)
 	}
-	if len(sink.evs) != buffered {
-		t.Errorf("sink streamed %d events, buffers hold %d", len(sink.evs), buffered)
+	if retained == 0 || len(sink.evs) != retained {
+		t.Errorf("sink streamed %d events, retain sink holds %d", len(sink.evs), retained)
+	}
+}
+
+// TestRealSizedSinkTooSmall: NewReal rejects a sink built for fewer
+// ranks than P, attached directly or inside a Tee, and transport.New
+// maps the check through.
+func TestRealSizedSinkTooSmall(t *testing.T) {
+	for name, sink := range map[string]sim.EventSink{
+		"retain": trace.NewRetainSink(2),
+		"flight": trace.MustNewFlightRecorder(2, 8),
+		"tee":    trace.NewTee(&collectSink{}, trace.NewAggSink(2)),
+	} {
+		if _, err := NewReal(RealConfig{Procs: 4, Sink: sink}); err == nil {
+			t.Errorf("%s: NewReal accepted a sink built for 2 ranks at P=4", name)
+		}
+		if _, err := New(BackendReal, sim.Config{Procs: 4, Sink: sink}); err == nil {
+			t.Errorf("%s: New(real) accepted a sink built for 2 ranks at P=4", name)
+		}
+	}
+	if _, err := NewReal(RealConfig{Procs: 4, Sink: trace.NewRetainSink(4)}); err != nil {
+		t.Errorf("NewReal rejected a sink that covers P=4: %v", err)
 	}
 }
 
@@ -208,7 +234,7 @@ func TestRealSendRecvDisabledAllocs(t *testing.T) {
 }
 
 // TestRealBackendDisabledStatsUnchanged pins that a telemetry-less run
-// behaves exactly as before PR 8: no events retained, Metrics() nil.
+// still counts its traffic and carries no registry.
 func TestRealBackendDisabledStatsUnchanged(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 2, Params: sim.CM5Params()})
 	if err := m.Run(ringBody); err != nil {
@@ -217,9 +243,9 @@ func TestRealBackendDisabledStatsUnchanged(t *testing.T) {
 	if m.Metrics() != nil {
 		t.Error("Metrics() non-nil without a registry")
 	}
-	for r, row := range m.Events() {
-		if len(row) != 0 {
-			t.Errorf("rank %d retained %d events with tracing off", r, len(row))
+	for r, st := range m.Stats() {
+		if st.MsgsSent != 2 {
+			t.Errorf("rank %d sent %d messages, want 2", r, st.MsgsSent)
 		}
 	}
 }

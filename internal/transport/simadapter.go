@@ -7,7 +7,7 @@ import (
 )
 
 // SimMachine adapts *sim.Machine to the Machine interface. The emulator
-// keeps its full concrete API (tracing, spans, fault reports); this
+// keeps its full concrete API (event sink, fault reports); this
 // wrapper only narrows Run to the Endpoint-typed body and measures the
 // host wall time of each run so sim and real report Elapsed uniformly.
 type SimMachine struct {

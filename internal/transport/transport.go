@@ -180,12 +180,10 @@ func ParseBackend(s string) (Backend, error) {
 // New builds a Machine of the requested backend from a sim.Config.
 // The sim backend honours every Config field, and its endpoints are
 // FaultEndpoints. The real backend maps Procs, Params, Metrics, and
-// the tracing switches (Trace/Record/Sink — events carry wall-clock
-// microsecond timestamps instead of virtual time; Record is subsumed
-// by Trace because real spans are synthesized from the event stream,
-// see internal/trace); its endpoints are plain Endpoints, and it
-// rejects fault injection, which genuinely needs the emulator's
-// omniscient network.
+// Sink (events carry wall-clock microsecond timestamps instead of
+// virtual time); its endpoints are plain Endpoints, and it rejects
+// fault injection, which genuinely needs the emulator's omniscient
+// network.
 func New(b Backend, cfg sim.Config) (Machine, error) {
 	switch b {
 	case BackendSim:
@@ -198,10 +196,7 @@ func New(b Backend, cfg sim.Config) (Machine, error) {
 		if cfg.Faults != nil {
 			return nil, fmt.Errorf("transport: fault injection is sim-only (the real network is not under our control); run the fault plan on the sim backend")
 		}
-		return NewReal(RealConfig{
-			Procs: cfg.Procs, Params: cfg.Params, Metrics: cfg.Metrics,
-			Trace: cfg.Trace || cfg.Record, Sink: cfg.Sink, Flight: cfg.Flight,
-		})
+		return NewReal(RealConfig{Procs: cfg.Procs, Params: cfg.Params, Metrics: cfg.Metrics, Sink: cfg.Sink})
 	}
 	return nil, fmt.Errorf("transport: unknown backend %v", b)
 }

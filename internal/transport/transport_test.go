@@ -8,6 +8,7 @@ import (
 
 	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
+	"packunpack/internal/trace"
 )
 
 // sendInts and recvInts move []int payloads, one machine word per
@@ -56,18 +57,19 @@ func TestNewRejectsSimOnlyFeaturesOnReal(t *testing.T) {
 	}
 }
 
-// TestNewAcceptsObservabilityOnReal pins the PR 8 contract: tracing,
-// span recording, and a metrics registry all map onto the real backend
-// (wall-clock event source) instead of being rejected.
+// TestNewAcceptsObservabilityOnReal pins that the event sink and a
+// metrics registry both map onto the real backend (wall-clock event
+// source) instead of being rejected.
 func TestNewAcceptsObservabilityOnReal(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m, err := New(BackendReal, sim.Config{Procs: 2, Params: sim.CM5Params(), Trace: true, Record: true, Metrics: reg})
+	sink := trace.NewRetainSink(2)
+	m, err := New(BackendReal, sim.Config{Procs: 2, Params: sim.CM5Params(), Sink: sink, Metrics: reg})
 	if err != nil {
-		t.Fatalf("New(real, trace+metrics): %v", err)
+		t.Fatalf("New(real, sink+metrics): %v", err)
 	}
 	rm := m.(*RealMachine)
-	if !rm.cfg.Trace {
-		t.Error("Trace flag did not map through")
+	if rm.cfg.Sink != sink {
+		t.Error("Sink did not map through")
 	}
 	if rm.Metrics() != reg {
 		t.Error("Metrics registry did not map through")
@@ -287,12 +289,12 @@ func TestRealMachineDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestRealMachineFlightRecorder pins that a flight recorder attached
-// to the real backend fills from the emit path (without Trace) and
-// still holds the final exchanges after a watchdog abort.
+// TestRealMachineFlightRecorder pins that a flight recorder on the
+// real backend's Sink fills from the emit path and still holds the
+// final exchanges after a watchdog abort.
 func TestRealMachineFlightRecorder(t *testing.T) {
-	fr := sim.MustNewFlightRecorder(2, 32)
-	m := MustNewReal(RealConfig{Procs: 2, Flight: fr})
+	fr := trace.MustNewFlightRecorder(2, 32)
+	m := MustNewReal(RealConfig{Procs: 2, Sink: fr})
 	err := m.Run(func(e Endpoint) {
 		if e.Rank() == 0 {
 			sendInts(e, 1, 1, []int{42})
@@ -311,11 +313,6 @@ func TestRealMachineFlightRecorder(t *testing.T) {
 	last := snap[0][len(snap[0])-1]
 	if last.Kind != sim.EvRecvBlock || last.Peer != 1 || last.Tag != 9 {
 		t.Fatalf("rank 0 last flight event = %+v, want the fatal recv-block on (src=1, tag=9)", last)
-	}
-	for r, row := range m.Events() {
-		if len(row) != 0 {
-			t.Fatalf("rank %d kept %d full-trace events without RealConfig.Trace", r, len(row))
-		}
 	}
 }
 
