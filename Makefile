@@ -67,7 +67,7 @@ validate-perf:
 # only between serial runs (worker completion order perturbs float
 # accumulation; see DESIGN.md §10). -samples 5 gives each row robust
 # wall statistics.
-PERFGATE_BASELINE ?= BENCH_pr10.json
+PERFGATE_BASELINE ?= BENCH_pr16.json
 PERFGATE_OUT      ?= /tmp/packbench-perfgate.json
 PERFGATE_DELTA    ?= /tmp/packdiff-delta.md
 perfgate:
@@ -78,8 +78,11 @@ perfgate:
 # planbench is the plan-cache acceptance gate: the repeat-traffic
 # experiment must show a cache hit rate >= 0.99 after warmup and an
 # amortized wall-time speedup >= 1.3x for the planned path on the
-# representative configuration (packbench exits non-zero below either
-# threshold).
+# representative configuration, and a measured row on the real backend
+# at the repo benchmark's pack-warm shape (N=2^20, P=2, W=64, CMS PACK
+# then CSS UNPACK, one mask per paper density, minimum of 7 alternating
+# round trips each) must show warm round trips summing to no more than
+# cold ones (packbench exits non-zero when any check fails).
 planbench:
 	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -parallel 1 -plan-gate
 
@@ -145,7 +148,8 @@ reportcheck:
 	$(GO) test ./internal/bench/ -run 'FlightDump'
 	$(GO) run ./cmd/packreport -o /tmp/packreport.html \
 		BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr4.json \
-		BENCH_pr5.json BENCH_pr6.json BENCH_pr8.json BENCH_pr10.json
+		BENCH_pr5.json BENCH_pr6.json BENCH_pr8.json BENCH_pr10.json \
+		BENCH_pr16.json
 	grep -q "Scheme crossover model" /tmp/packreport.html
 	grep -q "Serving traffic" /tmp/packreport.html
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" \

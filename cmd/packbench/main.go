@@ -57,7 +57,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	samples := flag.Int("samples", 1, "wall-clock samples per experiment: repeat each warm-cache replay this many times and report median/p10/p90/MAD")
 	faultsFlag := flag.String("faults", "", "run every measured machine under a deterministic fault-injection plan, 'seed[:name=value,...]' (names: drop,dup,reorder,delay,stall,delaymax,stallmax,timeout,retries), e.g. '42:drop=0.01,dup=0.005'")
-	planGate := flag.Bool("plan-gate", false, "measure plan-cache wall-clock amortization (plan_repeat) and fail unless hit rate >= 0.99 and wall speedup >= 1.3x (make planbench)")
+	planGate := flag.Bool("plan-gate", false, "measure plan-cache wall-clock amortization (plan_repeat) and fail unless hit rate >= 0.99 and wall speedup >= 1.3x, and unless warm round trips on the real backend take no longer than cold ones (make planbench)")
 	backendFlag := flag.String("backend", "sim", "transport backend: sim runs the virtual-time experiments; real runs the measured-vs-modeled speedup family (realworld) on the shared-memory parallel backend")
 	realGate := flag.Float64("real-gate", 0, "with -backend real: fail unless the measured P=8 speedup over P=1 reaches this factor (auto-skipped when the host has fewer than 8 CPUs)")
 	metricsFlag := flag.Bool("metrics", false, "attach a wall-clock telemetry registry to every measured machine and print the Prometheus exposition after the tables (tables and virtual times are unaffected)")
@@ -317,6 +317,20 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("plan gate passed: hit rate >= 0.99, wall speedup >= 1.3x\n")
+			wc, err := suite.MeasureWarmCold()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "packbench: warm/cold row: %v\n", err)
+				os.Exit(1)
+			}
+			for i, d := range wc.Densities {
+				fmt.Printf("warm/cold (real backend, N=2^20, P=2, W=64, CMS PACK + CSS UNPACK): density %.2f — cold %.2f ms, warm %.2f ms\n", d, wc.ColdMS[i], wc.WarmMS[i])
+			}
+			cold, warm := wc.Sums()
+			if err := wc.Gate(); err != nil {
+				fmt.Fprintf(os.Stderr, "packbench: plan gate failed: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("plan gate passed: warm round trips %.2f ms <= cold %.2f ms (min of %d per density)\n", warm, cold, bench.WarmColdTrips)
 		}
 	}
 

@@ -172,6 +172,10 @@ type Diff struct {
 	// entry here is a correctness regression of the serving layer or
 	// the cost model — it fails the gate like per-row virtual drift.
 	ServiceDrift []string
+	// ServiceCompared records that both reports carried a service
+	// object under the same configuration, so the objects were compared
+	// field by field (an empty ServiceDrift then means an exact match).
+	ServiceCompared bool
 }
 
 // VirtualMismatches counts rows whose exact-class metrics drifted.
@@ -335,21 +339,24 @@ func DiffReports(old, new *PerfReport, opt DiffOptions) *Diff {
 
 // diffService exact-compares two v7 service objects. A configuration
 // mismatch (different seed, load, or pool shape) makes them
-// incomparable — skew, not drift.
+// incomparable — skew, not drift. The arrival rate is not
+// configuration: packbench derives it from the classes' service times,
+// so it moves whenever they do, and it is compared as drift.
 func (d *Diff) diffService(old, new *ServicePerf) {
 	if old.Seed != new.Seed || old.Requests != new.Requests ||
-		old.Workers != new.Workers || old.Queue != new.Queue ||
-		old.RatePerSec != new.RatePerSec {
+		old.Workers != new.Workers || old.Queue != new.Queue {
 		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
 			"service objects ran different configurations (seed %d/%d, requests %d/%d, workers %d/%d, queue %d/%d) — skipped, not compared",
 			old.Seed, new.Seed, old.Requests, new.Requests, old.Workers, new.Workers, old.Queue, new.Queue))
 		return
 	}
+	d.ServiceCompared = true
 	drift := func(name string, ov, nv any) {
 		if ov != nv {
 			d.ServiceDrift = append(d.ServiceDrift, fmt.Sprintf("%s %v→%v", name, ov, nv))
 		}
 	}
+	drift("rate_per_sec", old.RatePerSec, new.RatePerSec)
 	drift("admitted", old.Admitted, new.Admitted)
 	drift("overloaded", old.Overloaded, new.Overloaded)
 	drift("duration_us", old.DurationUS, new.DurationUS)
@@ -484,7 +491,7 @@ func (d *Diff) WriteMarkdown(w io.Writer) {
 	}
 	if len(d.ServiceDrift) > 0 {
 		fmt.Fprintf(w, "- service metrics: **DRIFTED** — %s\n", strings.Join(d.ServiceDrift, "; "))
-	} else if d.Old.Service != nil && d.New.Service != nil {
+	} else if d.ServiceCompared {
 		fmt.Fprintf(w, "- service metrics: exact match (p50/p99/p999 %d/%d/%d µs)\n",
 			d.New.Service.P50US, d.New.Service.P99US, d.New.Service.P999US)
 	}

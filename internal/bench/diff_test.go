@@ -370,6 +370,22 @@ func TestDiffServiceObject(t *testing.T) {
 		t.Fatalf("markdown missing service drift line:\n%s", md.String())
 	}
 
+	// The arrival rate is derived from the class service times, so a
+	// service-time change moves both: that is drift, not a different
+	// configuration.
+	moved := svc()
+	moved.RatePerSec = 4099.5
+	moved.Classes[1].ServiceUS = 4400
+	d = DiffReports(base(svc()), base(moved), DiffOptions{})
+	if len(d.ServiceDrift) != 2 || len(d.SkewNotes) != 0 {
+		t.Fatalf("rate + service_us move: drift %v, skew %v; want rate_per_sec and class service_us drift, no skew", d.ServiceDrift, d.SkewNotes)
+	}
+	md.Reset()
+	d.WriteMarkdown(&md)
+	if !strings.Contains(md.String(), "service metrics: **DRIFTED**") || strings.Contains(md.String(), "exact match (p50") {
+		t.Fatalf("markdown must report the rate + service_us move as drift:\n%s", md.String())
+	}
+
 	// Different configurations are incomparable: skew, never drift.
 	other := svc()
 	other.Requests = 50_000
@@ -379,5 +395,15 @@ func TestDiffServiceObject(t *testing.T) {
 	}
 	if joined := strings.Join(d.SkewNotes, "\n"); !strings.Contains(joined, "different configurations") {
 		t.Fatalf("skew notes missing config note: %v", d.SkewNotes)
+	}
+
+	// A skipped comparison never renders as an exact match.
+	for _, pair := range [][2]*ServicePerf{{svc(), other}, {nil, svc()}, {svc(), nil}} {
+		d = DiffReports(base(pair[0]), base(pair[1]), DiffOptions{})
+		md.Reset()
+		d.WriteMarkdown(&md)
+		if strings.Contains(md.String(), "service metrics: exact match") {
+			t.Fatalf("skipped service comparison rendered as an exact match:\n%s", md.String())
+		}
 	}
 }

@@ -161,7 +161,7 @@ type Run struct {
 	Repeat int
 	// Planned installs a fresh plan cache (pack.Options.Plans) for the
 	// run, so the first call compiles and every repeat executes the
-	// cached bulk-copy plan; Metrics.PlanStats then reports the cache
+	// cached plan; Metrics.PlanStats then reports the cache
 	// counters and Derived gains plan_hit_rate.
 	Planned bool
 	// Metrics attaches a wall-clock telemetry registry to the measured

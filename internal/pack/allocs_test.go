@@ -77,9 +77,9 @@ func TestComposeHotPathAllocations(t *testing.T) {
 }
 
 // TestPlanComposeAllocations extends the guard to the compiled-plan
-// path: executing a plan composes from the precompiled run list into
-// two exact-sized arenas, so the per-call allocation count must stay a
-// small constant regardless of n — the warm-call cost the plan cache
+// path: executing a plan walks its bitset into exact-sized segment and
+// data arenas, so the per-call allocation count must stay a small
+// constant regardless of n — the warm-call cost the plan cache
 // amortizes toward.
 func TestPlanComposeAllocations(t *testing.T) {
 	const maxAllocs = 10.0
@@ -107,10 +107,10 @@ func TestPlanComposeAllocations(t *testing.T) {
 			a[i] = i
 		}
 		got := testing.AllocsPerRun(20, func() {
-			composePlanSegs(proc, pl, a)
+			composeSegmentsPlanned(proc, pl, a)
 		})
 		if got > maxAllocs {
-			t.Errorf("composePlanSegs(n=%d): %.0f allocs/run, want <= %.0f (plan exec must reuse the compiled runs, not rebuild them)", n, got, maxAllocs)
+			t.Errorf("composeSegmentsPlanned(n=%d): %.0f allocs/run, want <= %.0f (segment and data arenas must be exact-sized)", n, got, maxAllocs)
 		}
 	}
 }

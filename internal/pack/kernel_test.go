@@ -80,23 +80,38 @@ type nopCharge struct{ transport.Endpoint }
 func (nopCharge) Charge(int) {}
 
 // kernelCase is one local mask of a kernel-equivalence layout, with
-// the data array, a distinct field array and the slice counters PS_c.
+// its bitset, the data array, a distinct field array and the slice
+// counters PS_c.
 type kernelCase struct {
 	name     string
 	g        sliceGeom
 	m        []bool
+	sel      []uint64
 	a, field []int
 	counts   []int
 }
 
-// kernelCases builds the kernel-equivalence grid: W_0 in {1, 3, 64},
-// rank 1 and 2, random masks at densities 0, 0.1, 0.5, 0.9 and 1, and
-// an "edges" mask whose non-empty slices hold only their first or only
-// their last element.
+// refBits packs a mask into the plan's bitset layout, element i at bit
+// i%64 of word i/64, one element at a time.
+func refBits(m []bool) []uint64 {
+	sel := make([]uint64, (len(m)+63)/64)
+	for i, b := range m {
+		if b {
+			sel[i/64] |= 1 << (i % 64)
+		}
+	}
+	return sel
+}
+
+// kernelCases builds the kernel-equivalence grid: W_0 in {1, 3, 64,
+// 100} (3 and 100 make slices straddle bitset words), rank 1 and 2,
+// random masks at densities 0, 0.1, 0.5, 0.9 and 1, and an "edges"
+// mask whose non-empty slices hold only their first or only their last
+// element.
 func kernelCases() []kernelCase {
 	var out []kernelCase
 	rng := rand.New(rand.NewSource(5))
-	for _, w0 := range []int{1, 3, 64} {
+	for _, w0 := range []int{1, 3, 64, 100} {
 		d0 := dist.Dim{N: 2 * 8 * w0, P: 2, W: w0}
 		for _, l := range []*dist.Layout{dist.MustLayout(d0), dist.MustLayout(d0, dist.Dim{N: 6, P: 2, W: 1})} {
 			g := geomOf(l)
@@ -118,7 +133,7 @@ func kernelCases() []kernelCase {
 			}
 			masks["edges"] = edges
 			for name, m := range masks {
-				kc := kernelCase{name: fmt.Sprintf("%v/%s", l, name), g: g, m: m, a: make([]int, n), field: make([]int, n), counts: make([]int, g.slices)}
+				kc := kernelCase{name: fmt.Sprintf("%v/%s", l, name), g: g, m: m, sel: refBits(m), a: make([]int, n), field: make([]int, n), counts: make([]int, g.slices)}
 				for i := range kc.a {
 					kc.a[i], kc.field[i] = 1000+i, -1-i
 				}
@@ -220,11 +235,77 @@ func TestPlaceIntoSliceInternalError(t *testing.T) {
 	placeIntoSlice(&chargeLog{}, g, make([]int, 8), m, 0, 1, 2, []int{7, 8}, false, make([]int, 4))
 }
 
+// rankingOf returns the slice arrays a ranking would give a lone
+// processor holding the case's mask: PS_c is the slice counters and
+// PS_f their exclusive prefix sum.
+func (kc kernelCase) rankingOf() *ranking.Result {
+	rnk := &ranking.Result{PSc: kc.counts, PSf: make([]int, len(kc.counts))}
+	for slice, n := range kc.counts {
+		rnk.PSf[slice] = rnk.LocalTrue
+		rnk.LocalTrue += n
+	}
+	rnk.Size = rnk.LocalTrue
+	return rnk
+}
+
+// TestCollectBitsMatchesCollectSlice pins the plan's bitset collect to
+// the cold path's slice collect: walking the whole bitset must yield
+// exactly the concatenation of collectSlice over the non-empty slices.
+func TestCollectBitsMatchesCollectSlice(t *testing.T) {
+	for _, kc := range kernelCases() {
+		var want []int
+		buf := make([]int, kc.g.w0)
+		for slice, n := range kc.counts {
+			if n > 0 {
+				want = append(want, collectSlice(&chargeLog{}, kc.g, kc.a, kc.m, slice, n, false, buf)...)
+			}
+		}
+		got := make([]int, len(want))
+		collectBits(got, kc.a, kc.sel)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: collectBits %v, collectSlice %v", kc.name, got, want)
+		}
+	}
+}
+
+// TestPlaceBitsMatchesPlaceIntoSlice pins the plan's bitset placement
+// to the cold path's: the segments of forEachRankRun, cut at the
+// vector's block boundaries (VectorW 0, and 2, which splits most
+// slices), are placed one at a time by placeIntoSlice and by placeBits
+// resuming its walk, and the arrays must agree after every segment.
+func TestPlaceBitsMatchesPlaceIntoSlice(t *testing.T) {
+	for _, kc := range kernelCases() {
+		rnk := kc.rankingOf()
+		for _, vw := range []int{0, 2} {
+			vec, err := dist.NewVectorDist(rnk.Size, 2, vw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, out := slices.Clone(kc.field), slices.Clone(kc.field)
+			offs := make([]int, kc.g.w0)
+			wi, word := -1, uint64(0)
+			forEachRankRun(rnk, vec, func(slice, _, base, cnt int) {
+				data := make([]int, cnt)
+				for j := range data {
+					data[j] = 1_000_000 + base + j
+				}
+				placeIntoSlice(&chargeLog{}, kc.g, ref, kc.m, slice, base-rnk.PSf[slice], cnt, data, false, offs)
+				wi, word = placeBits(out, kc.sel, wi, word, data)
+				if !slices.Equal(out, ref) {
+					t.Fatalf("%s VectorW=%d slice %d base %d count %d: placeBits %v, placeIntoSlice %v", kc.name, vw, slice, base, cnt, out, ref)
+				}
+			})
+		}
+	}
+}
+
 // kernelBench is one benchmark input: a 2^19-element local array (a P=2
-// rank of a 2^20-element array) with its mask and slice counters.
+// rank of a 2^20-element array) with its mask, bitset and slice
+// counters.
 type kernelBench struct {
 	g        sliceGeom
 	m        []bool
+	sel      []uint64
 	a, field []int
 	counts   []int
 }
@@ -241,6 +322,7 @@ func newKernelBench(w0 int, density float64) kernelBench {
 			kb.counts[i/w0]++
 		}
 	}
+	kb.sel = refBits(kb.m)
 	return kb
 }
 
@@ -260,7 +342,9 @@ func benchKernels(b *testing.B, fn func(b *testing.B, kb kernelBench)) {
 
 // BenchmarkKernelCollect times the compact schemes' second slice scan
 // (collectSlice over every non-empty slice, as CMS compose runs it),
-// branch-free kernel against the branchy reference.
+// branch-free kernel against the branchy reference, and the plan's
+// bitset walk over the whole local array (collectBits, as a planned
+// PACK runs it).
 func BenchmarkKernelCollect(b *testing.B) {
 	var p transport.Endpoint = nopCharge{}
 	variants := []struct {
@@ -288,13 +372,22 @@ func BenchmarkKernelCollect(b *testing.B) {
 			})
 		})
 	}
+	b.Run("bitset", func(b *testing.B) {
+		benchKernels(b, func(b *testing.B, kb kernelBench) {
+			out := make([]int, len(kb.m))
+			for b.Loop() {
+				collectBits(out, kb.a, kb.sel)
+			}
+		})
+	})
 }
 
 // BenchmarkKernelPlace times UNPACK's CSS placement: the field-array
 // transfer followed by one placeIntoSlice per non-empty slice (one
 // segment each, as under the default block vector). The reference
 // variant is the old zeroed result plus branchy field pass and
-// placement.
+// placement; the bitset variant places the same segments with the
+// plan's placeBits walk.
 func BenchmarkKernelPlace(b *testing.B) {
 	var p transport.Endpoint = nopCharge{}
 	variants := []struct {
@@ -321,6 +414,14 @@ func BenchmarkKernelPlace(b *testing.B) {
 				if n > 0 {
 					placeIntoSlice(p, kb.g, out, kb.m, slice, 0, n, data, false, offs)
 				}
+			}
+			return out
+		}},
+		{"bitset", func(kb kernelBench, data []int, _ []int) []int {
+			out := slices.Clone(kb.field)
+			wi, word := -1, uint64(0)
+			for _, n := range kb.counts {
+				wi, word = placeBits(out, kb.sel, wi, word, data[:n])
 			}
 			return out
 		}},

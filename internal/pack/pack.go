@@ -87,7 +87,7 @@ type Options struct {
 	// primitive (ablation; see ranking.Options).
 	SeparatePrefixReduce bool
 	// Plans enables transparent plan caching: calls fingerprint the
-	// (layout, mask, options) configuration, compile a bulk-copy plan
+	// (layout, mask, options) configuration, compile a plan
 	// on the first sighting, and execute the cached plan on repeats,
 	// skipping the ranking stage entirely (see plan.go). The cache may
 	// be shared across machines; nil keeps the per-call paths.
@@ -117,12 +117,28 @@ type segMsg[T any] struct {
 	Data []T
 }
 
-func segWords[T any](segs []segMsg[T]) int {
-	w := 0
-	for _, s := range segs {
-		w += 2 + len(s.Data)
+// exchangeSegments runs the compact message scheme's many-to-many
+// exchange and decomposes the received segments into v, the local
+// result portion: each segment costs its two header words plus one op
+// per datum. Cold and planned PACK share it, so both send the same
+// messages.
+func exchangeSegments[T any](p transport.Endpoint, send [][]segMsg[T], vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
+	words := make([]int, len(send))
+	for dst, segs := range send {
+		for _, s := range segs {
+			words[dst] += 2 + len(s.Data)
+		}
 	}
-	return w
+	prev := p.SetPhase(PhaseM2M)
+	recv := comm.AlltoallVW(comm.World(p), send, words, a2a)
+	p.SetPhase(prev)
+	for _, buf := range recv {
+		for _, seg := range buf {
+			p.Charge(2 + len(seg.Data)) // header + data decomposition
+			_, lo := vec.Owner(seg.Base)
+			copy(v[lo:], seg.Data)
+		}
+	}
 }
 
 // Result is the outcome of Pack on one processor.
@@ -210,20 +226,7 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 	case SchemeCMS:
 		send := make([][]segMsg[T], p.NProcs())
 		composeSegmentsCMS(p, l, a, m, rnk, vec, send, opt.WholeSliceScan)
-		words := make([]int, len(send))
-		for i := range send {
-			words[i] = segWords(send[i])
-		}
-		prev := p.SetPhase(PhaseM2M)
-		recv := comm.AlltoallVW(world, send, words, opt.A2A)
-		p.SetPhase(prev)
-		for _, buf := range recv {
-			for _, seg := range buf {
-				p.Charge(2 + len(seg.Data)) // header + data decomposition
-				_, lo := vec.Owner(seg.Base)
-				copy(res.V[lo:], seg.Data)
-			}
-		}
+		exchangeSegments(p, send, vec, res.V, opt.A2A)
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
@@ -231,13 +234,13 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 	return res, nil
 }
 
-// carvePairArena pre-sizes the per-destination send lists to their
-// exact final lengths: one backing arena, subsliced per destination
-// with zero length and exact capacity, so the append-based compose
-// loops fill without ever reallocating. Destinations with no elements
-// stay nil. The sizing walk is host bookkeeping, not part of the
-// paper's cost model — nothing here is Charged.
-func carvePairArena[T any](send [][]pair[T], counts []int) {
+// carve pre-sizes per-destination lists to their exact final lengths:
+// one backing arena, subsliced per destination with zero length and
+// capacity counts[dst], so the append-based compose loops fill without
+// ever reallocating. Destinations with no elements stay nil. The
+// sizing walks that produce counts are host bookkeeping, not part of
+// the paper's cost model — nothing here is Charged.
+func carve[E any](lists [][]E, counts []int) {
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -245,13 +248,13 @@ func carvePairArena[T any](send [][]pair[T], counts []int) {
 	if total == 0 {
 		return
 	}
-	arena := make([]pair[T], total)
+	arena := make([]E, total)
 	off := 0
 	for dst, c := range counts {
 		if c == 0 {
 			continue
 		}
-		send[dst] = arena[off : off : off+c]
+		lists[dst] = arena[off : off : off+c]
 		off += c
 	}
 }
@@ -264,7 +267,7 @@ func composePairsSSS[T any](p transport.Endpoint, a []T, rnk *ranking.Result, ve
 		dst, _ := vec.Owner(rnk.RankOf(rec))
 		counts[dst]++
 	}
-	carvePairArena(send, counts)
+	carve(send, counts)
 	for _, rec := range rnk.Records {
 		r := rnk.RankOf(rec)
 		dst, _ := vec.Owner(r)
@@ -310,26 +313,22 @@ func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, sli
 	return buf[:count]
 }
 
-// forEachRankRun walks the rank runs of the compact schemes: for every
+// forEachRankRun walks the segments of the compact schemes: for every
 // non-empty slice, the consecutive ranks PS_f[slice].. are split at the
-// result vector's block boundaries and fn sees one (destination, count)
-// piece at a time, in compose order. The walk only reads the ranking
-// slice counters, so the compose functions use it as an uncharged
-// sizing pre-pass.
-func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, slices int, fn func(dst, cnt int)) {
-	for slice := 0; slice < slices; slice++ {
-		n := rnk.PSc[slice]
-		if n == 0 {
-			continue
-		}
+// result vector's block boundaries, and fn sees one piece at a time, in
+// local order: its slice, destination, base rank and count. The walk
+// only reads the ranking's slice arrays, so callers may use it as an
+// uncharged sizing pre-pass. Cold compose, cold UNPACK requests and
+// plan execution all cut their segments here, which is why a planned
+// call sends exactly the messages of a cold one.
+func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, fn func(slice, dst, base, cnt int)) {
+	for slice, n := range rnk.PSc {
 		r := rnk.PSf[slice]
-		taken := 0
-		for taken < n {
+		for end := r + n; r < end; {
 			dst, _ := vec.Owner(r)
-			c := min(vec.BlockRunEnd(r)-r, n-taken)
-			fn(dst, c)
+			c := min(vec.BlockRunEnd(r), end) - r
+			fn(slice, dst, r, c)
 			r += c
-			taken += c
 		}
 	}
 }
@@ -340,8 +339,8 @@ func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, slices int, fn fun
 func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T], whole bool) {
 	g := geomOf(l)
 	counts := make([]int, len(send))
-	forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) { counts[dst] += cnt })
-	carvePairArena(send, counts)
+	forEachRankRun(rnk, vec, func(_, dst, _, cnt int) { counts[dst] += cnt })
+	carve(send, counts)
 	buf := make([]T, g.w0)
 	p.Charge(g.slices) // check the counter array, one read per slice
 	for slice := 0; slice < g.slices; slice++ {
@@ -359,6 +358,17 @@ func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []boo
 	}
 }
 
+// carveSegments pre-sizes the compact message scheme's send lists from
+// the ranking alone (see carve) and returns one data arena for every
+// segment's words. The arena holds the rank's selected elements in
+// local order, so each segment of the walk owns the next count words.
+func carveSegments[T any](rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T]) []T {
+	counts := make([]int, len(send))
+	forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
+	carve(send, counts)
+	return make([]T, rnk.LocalTrue)
+}
+
 // composeSegmentsCMS builds the compact message scheme's segment
 // messages: the consecutive ranks r0..r0+n-1 of a slice are split at
 // the result vector's block boundaries, and each piece travels as
@@ -366,53 +376,18 @@ func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []boo
 // more segments (Section 6.2).
 func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T], whole bool) {
 	g := geomOf(l)
-	// Sizing pre-pass (uncharged host bookkeeping): per-destination
-	// segment counts carve the segment arena; the data words of all
-	// segments share one arena, consumed in compose order.
-	segCounts := make([]int, len(send))
-	totalData := 0
-	forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) {
-		segCounts[dst]++
-		totalData += cnt
-	})
-	totalSegs := 0
-	for _, c := range segCounts {
-		totalSegs += c
-	}
-	if totalSegs > 0 {
-		segArena := make([]segMsg[T], totalSegs)
-		off := 0
-		for dst, c := range segCounts {
-			if c == 0 {
-				continue
-			}
-			send[dst] = segArena[off : off : off+c]
-			off += c
-		}
-	}
-	dataArena := make([]T, totalData)
-	dOff := 0
+	data := carveSegments(rnk, vec, send)
 	buf := make([]T, g.w0)
 	p.Charge(g.slices) // check the counter array, one read per slice
-	for slice := 0; slice < g.slices; slice++ {
-		n := rnk.PSc[slice]
-		if n == 0 {
-			continue
+	var got []T
+	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
+		skip := base - rnk.PSf[slice]
+		if skip == 0 {
+			got = collectSlice(p, g, a, m, slice, rnk.PSc[slice], whole, buf)
 		}
-		got := collectSlice(p, g, a, m, slice, n, whole, buf)
-		r := rnk.PSf[slice]
-		taken := 0
-		for taken < n {
-			dst, _ := vec.Owner(r)
-			fit := vec.BlockRunEnd(r) - r
-			cnt := min(fit, n-taken)
-			data := dataArena[dOff : dOff+cnt : dOff+cnt]
-			dOff += cnt
-			copy(data, got[taken:taken+cnt])
-			send[dst] = append(send[dst], segMsg[T]{Base: r, Data: data})
-			p.Charge(2) // segment header (base rank + count)
-			r += cnt
-			taken += cnt
-		}
-	}
+		copy(data, got[skip:skip+cnt])
+		send[dst] = append(send[dst], segMsg[T]{Base: base, Data: data[:cnt:cnt]})
+		data = data[cnt:]
+		p.Charge(2) // segment header (base rank + count)
+	})
 }

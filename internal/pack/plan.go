@@ -1,23 +1,23 @@
 package pack
 
-// This file is the plan-compilation layer: the ranking stage and the
-// run discovery of a PACK/UNPACK call are hoisted into a one-time
-// compile, and repeat calls with the same (layout, mask, options)
-// execute a compact schedule of bulk copy() moves instead. The design
-// follows the iteration-plan idea of real halo-exchange and
-// stream-compaction codes: the per-element work of the redistribution
-// stage collapses into per-run work, and the dominant per-call ranking
-// cost is paid once.
+// This file is the plan-compilation layer: the ranking stage of a
+// PACK/UNPACK call is hoisted into a one-time compile, and repeat calls
+// with the same (layout, mask, options) execute the compiled plan
+// instead, paying no ranking collective.
 //
-// A compiled Plan is a per-destination list of copyRun triples
-// (srcOffset, baseRank, len): maximal groups of selected elements that
-// are contiguous in local memory, consecutive in global rank, and
-// owned by a single block of the result-vector distribution. Under
-// every scheme the runs are the same — the simple storage scheme's
-// length-1 per-record runs coalesce wherever records are adjacent, and
-// the compact schemes' consecutive-rank segments (the runs
-// forEachRankRun walks) split additionally at mask gaps, which a bulk
-// copy from the source array requires anyway.
+// A plan keeps exactly what a cold compact-scheme call derives from
+// its ranking: the slice arrays PS_f and PS_c, the vector
+// distribution, and the local mask as a bitset (one uint64 per 64
+// elements). Execution cuts the same segments a cold call cuts
+// (forEachRankRun): a planned PACK walks the bitset into one data
+// arena in local order and slices it into the compact message scheme's
+// (base rank, count, data...) segments, and a planned UNPACK sends the
+// compact storage scheme's (base rank, count) requests and places the
+// replies with the same bitset walk. Both walks rely on ranks rising
+// with local offset on every processor. So a warm call sends exactly
+// the messages of a cold CMS PACK or CSS UNPACK, whatever scheme the
+// options name, and its host work is one bitset walk instead of a
+// ranking scan plus a second slice scan.
 //
 // The transparent cache path (Options.Plans) must keep a collective
 // invariant: ranking is a collective, so every processor of the
@@ -28,6 +28,8 @@ package pack
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
@@ -35,21 +37,15 @@ import (
 	"packunpack/internal/transport"
 )
 
-// copyRun is one bulk move of a compiled plan: Len contiguous local
-// elements starting at source offset Src whose global ranks are Base,
-// Base+1, ..., all owned by one processor of the vector distribution.
-type copyRun struct {
-	Src  int
-	Base int
-	Len  int
-}
-
 // Plan is a compiled PACK/UNPACK schedule for one (layout, mask,
-// options) configuration on one processor. Plans are immutable once
-// compiled and carry no references to the arrays they were compiled
-// from, so they may be cached, shared across machines, and executed
-// any number of times. A plan compiled for PACK serves UNPACK too: the
-// same runs describe where vector data lands in the local array.
+// options) configuration on one processor: the slice arrays of the
+// ranking, the vector distribution, and the local mask as a bitset.
+// Its memory is 16 bytes per slice plus one bit per local element.
+// Plans are immutable once compiled and carry no references to the
+// arrays they were compiled from, so they may be cached, shared across
+// machines, and executed any number of times. A plan compiled for PACK
+// serves UNPACK too: the same segments describe where vector data
+// lands in the local array.
 type Plan struct {
 	layout *dist.Layout
 	opt    Options // Plans stripped; A2A/Scheme/VectorW live here
@@ -59,27 +55,18 @@ type Plan struct {
 	// plans compiled through the explicit CompilePlan API.
 	gfp uint64
 	vec dist.VectorDist
-	// rnk is the trimmed ranking result (Size/PSf/PSc, never Records);
-	// planned results share it across calls, so treat it as read-only.
-	rnk  *ranking.Result
-	runs [][]copyRun // per destination processor, in rank order
-	// Precomputed message sizing, so execution never re-walks the runs
-	// to size a send: segWords[dst] is the PACK segment word count
-	// (2+Len per run), reqWords[dst] the UNPACK request word count
-	// (2 per run).
-	segWords  []int
-	reqWords  []int
-	totalRuns int
-	totalData int
+	// rnk is the trimmed ranking result (Size/PSf/PSc/LocalTrue, never
+	// Records); planned results share it across calls, so treat it as
+	// read-only.
+	rnk *ranking.Result
+	// sel is the local mask as a bitset: element i is bit i%64 of
+	// word i/64.
+	sel []uint64
 }
 
 // Size returns the global number of selected elements the plan was
 // compiled for.
 func (pl *Plan) Size() int { return pl.rnk.Size }
-
-// RunCount returns the number of copy runs of this processor's
-// schedule (its share of the plan's bulk moves).
-func (pl *Plan) RunCount() int { return pl.totalRuns }
 
 // Vec returns the result/input vector distribution the plan targets.
 func (pl *Plan) Vec() dist.VectorDist { return pl.vec }
@@ -97,32 +84,34 @@ func mix64(x uint64) uint64 {
 }
 
 // maskFingerprint hashes the local mask 64 elements at a time: the
-// booleans of one group pack into a bit word, and each word feeds the
-// splitmix64 mixer. The length folds in last so masks that differ only
-// by trailing false elements stay distinct.
+// booleans of one group pack into a bit word (maskWord), and each word
+// feeds the splitmix64 mixer. The length folds in last so masks that
+// differ only by trailing false elements stay distinct.
 func maskFingerprint(m []bool) uint64 {
 	h := uint64(0x243f6a8885a308d3)
-	i := 0
-	// Full 64-element words, packed 8 bits at a time with branchless
-	// bool-to-bit conversion: the mask is hashed on every transparent
-	// call, so this scan must stay cheap next to the copies it saves.
-	for ; i+64 <= len(m); i += 64 {
-		c := m[i : i+64 : i+64]
-		var w uint64
+	for i := 0; i < len(m); i += 64 {
+		h = mix64(h ^ maskWord(m[i:min(i+64, len(m))]))
+	}
+	return mix64(h ^ uint64(len(m)))
+}
+
+// maskWord packs up to 64 mask elements into one word, element j at
+// bit j. Full words pack 8 bits at a time with branchless bool-to-bit
+// conversion: the mask is hashed on every transparent call, so this
+// must stay cheap next to the copies it saves.
+func maskWord(c []bool) uint64 {
+	var w uint64
+	if len(c) == 64 {
 		for j := 0; j < 64; j += 8 {
 			w |= (b2u(c[j]) | b2u(c[j+1])<<1 | b2u(c[j+2])<<2 | b2u(c[j+3])<<3 |
 				b2u(c[j+4])<<4 | b2u(c[j+5])<<5 | b2u(c[j+6])<<6 | b2u(c[j+7])<<7) << uint(j)
 		}
-		h = mix64(h ^ w)
+		return w
 	}
-	if i < len(m) {
-		var w uint64
-		for j, b := range m[i:] {
-			w |= b2u(b) << uint(j)
-		}
-		h = mix64(h ^ w)
+	for j, b := range c {
+		w |= b2u(b) << uint(j)
 	}
-	return mix64(h ^ uint64(len(m)))
+	return w
 }
 
 // b2u converts a bool to 0/1 without a branch (the compiler lowers
@@ -214,42 +203,13 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 	return gfp, pl
 }
 
-// forEachCopyRun walks the selected elements in local scan order and
-// emits the maximal copy runs: a run extends while the next element is
-// adjacent in local memory, consecutive in global rank, and still
-// inside the current vector block. The walk streams records through
-// ranking.Result.IterRecords, so nothing per-element is materialized.
-func forEachCopyRun(rnk *ranking.Result, g sliceGeom, m []bool, vec dist.VectorDist, fn func(dst int, run copyRun)) {
-	cur := copyRun{}
-	curDst, curEnd := 0, 0
-	flush := func() {
-		if cur.Len > 0 {
-			fn(curDst, cur)
-			cur.Len = 0
-		}
-	}
-	rnk.IterRecords(g.l0, g.w0, g.t0, m, func(rec ranking.Record) {
-		r := rnk.RankOf(rec)
-		if cur.Len > 0 && rec.Off == cur.Src+cur.Len && r == cur.Base+cur.Len && r < curEnd {
-			cur.Len++
-			return
-		}
-		flush()
-		cur = copyRun{Src: rec.Off, Base: r, Len: 1}
-		curDst, _ = vec.Owner(r)
-		curEnd = vec.BlockRunEnd(r)
-	})
-	flush()
-}
-
 // CompilePlan runs the ranking collective once and compiles the
-// result into a bulk-copy plan for the calling processor. Every
-// processor of the machine must call it with the same layout and
-// options. The ranking stage always runs in its compact (counter-only)
-// form — the compiler streams records instead of materializing them —
-// so compiling under the simple storage scheme costs the same as under
-// the compact ones. The compile walk charges one mask rescan plus
-// three words per emitted run (the run triple write).
+// result into a plan for the calling processor. Every processor of the
+// machine must call it with the same layout and options. The ranking
+// stage always runs in its compact (counter-only) form, so compiling
+// under the simple storage scheme costs the same as under the compact
+// ones. Beyond the ranking, the compile charges one read per mask
+// element: the pass that packs the mask into the plan's bitset.
 func CompilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*Plan, error) {
 	return compilePlan(p, l, m, opt, -1)
 }
@@ -283,77 +243,72 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 	if err != nil {
 		return nil, err
 	}
-	n := p.NProcs()
-	pl := &Plan{
-		layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk,
-		runs: make([][]copyRun, n), segWords: make([]int, n), reqWords: make([]int, n),
-	}
+	pl := &Plan{layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk, sel: make([]uint64, (len(m)+63)/64)}
 	pl.opt.Plans = nil // a plan must not retain the cache that holds it
-	g := geomOf(l)
-	// Sizing pre-pass (uncharged host bookkeeping, the compose-arena
-	// idiom): per-destination run counts carve one arena.
-	counts := make([]int, n)
-	forEachCopyRun(rnk, g, m, vec, func(dst int, run copyRun) {
-		counts[dst]++
-		pl.totalRuns++
-		pl.totalData += run.Len
-		pl.segWords[dst] += 2 + run.Len
-		pl.reqWords[dst] += 2
-	})
-	if pl.totalRuns > 0 {
-		arena := make([]copyRun, pl.totalRuns)
-		off := 0
-		for dst, c := range counts {
-			if c == 0 {
-				continue
-			}
-			pl.runs[dst] = arena[off : off : off+c]
-			off += c
-		}
-		forEachCopyRun(rnk, g, m, vec, func(dst int, run copyRun) {
-			pl.runs[dst] = append(pl.runs[dst], run)
-		})
+	for i := range pl.sel {
+		pl.sel[i] = maskWord(m[i*64 : min(i*64+64, len(m))])
 	}
-	p.Charge(len(m) + 3*pl.totalRuns) // rescan reads + run triple writes
+	p.Charge(len(m)) // one read per mask element: the bitset pack
 	return pl, nil
 }
 
-// composePlanSegs builds the per-destination segment messages of a
-// planned PACK: one exact-sized segment arena, one data arena, and a
-// bulk copy per run. Each run is charged as per-run setup (the two
-// header words) plus one op per word moved — the bulk-copy charge of
-// the cost model.
-func composePlanSegs[T any](p transport.Endpoint, pl *Plan, a []T) [][]segMsg[T] {
+// collectBits writes a's selected elements, in local order, to out,
+// which must hold exactly as many elements as sel has set bits. The
+// walk visits each set bit once (bits.TrailingZeros64 finds it, and
+// word &= word-1 clears it), so the per-element cost does not depend
+// on the gaps between selected elements. The loop is spelled out here,
+// with no helper call per element (DESIGN §4c).
+func collectBits[T any](out, a []T, sel []uint64) {
+	k := 0
+	for wi, word := range sel {
+		for word != 0 {
+			out[k] = a[wi<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			k++
+		}
+	}
+}
+
+// placeBits is collectBits' inverse for one segment: it writes data to
+// a at the offsets of the next len(data) selected elements of sel. The
+// walk resumes at word wi, whose unvisited bits are word, and returns
+// its new position; (-1, 0) starts it at the first element.
+func placeBits[T any](a []T, sel []uint64, wi int, word uint64, data []T) (int, uint64) {
+	for _, d := range data {
+		for word == 0 {
+			wi++
+			word = sel[wi]
+		}
+		a[wi<<6|bits.TrailingZeros64(word)] = d
+		word &= word - 1
+	}
+	return wi, word
+}
+
+// composeSegmentsPlanned builds a planned PACK's messages: the bitset
+// walk collects every selected element into one data arena, in local
+// (and therefore rank) order, and the segment walk slices that arena
+// into exactly the segments composeSegmentsCMS sends. The charge keeps
+// the cost model's bulk-copy formula with the segment as its unit: one
+// PS_c read per slice, two header words per segment and one op per
+// datum.
+func composeSegmentsPlanned[T any](p transport.Endpoint, pl *Plan, a []T) [][]segMsg[T] {
 	send := make([][]segMsg[T], p.NProcs())
-	if pl.totalRuns == 0 {
-		return send
-	}
-	segArena := make([]segMsg[T], pl.totalRuns)
-	dataArena := make([]T, pl.totalData)
-	sOff, dOff := 0, 0
-	for dst, runs := range pl.runs {
-		if len(runs) == 0 {
-			continue
-		}
-		segs := segArena[sOff : sOff : sOff+len(runs)]
-		sOff += len(runs)
-		for _, run := range runs {
-			data := dataArena[dOff : dOff+run.Len : dOff+run.Len]
-			dOff += run.Len
-			copy(data, a[run.Src:run.Src+run.Len])
-			segs = append(segs, segMsg[T]{Base: run.Base, Data: data})
-		}
-		send[dst] = segs
-	}
-	// Per-run setup (the two header words) plus one op per word moved
-	// — the bulk-copy charge of the cost model, batched per call.
-	p.Charge(2*pl.totalRuns + pl.totalData)
+	data := carveSegments(pl.rnk, pl.vec, send)
+	collectBits(data, a, pl.sel)
+	segs := 0
+	forEachRankRun(pl.rnk, pl.vec, func(_, dst, base, cnt int) {
+		send[dst] = append(send[dst], segMsg[T]{Base: base, Data: data[:cnt:cnt]})
+		data = data[cnt:]
+		segs++
+	})
+	p.Charge(len(pl.rnk.PSc) + 2*segs + pl.rnk.LocalTrue)
 	return send
 }
 
-// execPackPlan executes a compiled plan as PACK: bulk-copy compose,
-// one many-to-many exchange of segment messages, bulk decode. pad is
-// only consulted for plans compiled with a VECTOR length.
+// execPackPlan executes a compiled plan as PACK: bitset compose, the
+// compact message scheme's exchange and decomposition. pad is only
+// consulted for plans compiled with a VECTOR length.
 func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Result[T], error) {
 	if len(a) != pl.layout.LocalSize() {
 		return nil, fmt.Errorf("pack: local array %d, plan's layout needs %d", len(a), pl.layout.LocalSize())
@@ -367,28 +322,18 @@ func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Resul
 		copy(res.V, pad)
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
-	send := composePlanSegs(p, pl, a)
-	prev := p.SetPhase(PhaseM2M)
-	recv := comm.AlltoallVW(comm.World(p), send, pl.segWords, pl.opt.A2A)
-	p.SetPhase(prev)
-	ops := 0
-	for _, buf := range recv {
-		for _, seg := range buf {
-			ops += 2 + len(seg.Data)
-			_, lo := vec.Owner(seg.Base)
-			copy(res.V[lo:], seg.Data)
-		}
-	}
-	p.Charge(ops) // per segment: header read + bulk word copy
+	exchangeSegments(p, composeSegmentsPlanned(p, pl, a), vec, res.V, pl.opt.A2A)
 	recordPackOp(p, "pack", len(res.V))
 	return res, nil
 }
 
-// execUnpackPlan executes a compiled plan as UNPACK: the runs become
-// run-length requests, the owners serve vector slices exactly as the
-// unplanned path does, and the replies land with one bulk copy per run
-// (the rescan of placeIntoSlice disappears — the run already pins the
-// destination offsets).
+// execUnpackPlan executes a compiled plan as UNPACK: the compact
+// storage scheme's (base rank, count) requests, the owners serving
+// vector slices exactly as the unplanned path does, and placement of
+// the replies by the bitset walk, segment by segment in local order,
+// each segment reading the next words of its owner's reply. Requests
+// charge one PS_c read per slice and two header words per segment;
+// placement charges two header words per segment and one op per datum.
 func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*UnpackResult[T], error) {
 	if pl.opt.Scheme == SchemeCMS {
 		return nil, fmt.Errorf("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
@@ -397,31 +342,26 @@ func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*U
 	if len(field) != l.LocalSize() {
 		return nil, fmt.Errorf("unpack: local field %d, plan's layout needs %d", len(field), l.LocalSize())
 	}
-	vec := pl.vec
+	vec, rnk := pl.vec, pl.rnk
 	if want := vec.LocalLen(p.Rank()); len(v) != want {
 		return nil, fmt.Errorf("unpack: local vector has %d elements, plan's distribution gives %d", len(v), want)
 	}
 	n := p.NProcs()
+	counts := make([]int, n)
+	forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
 	reqs := make([][]reqSeg, n)
-	if pl.totalRuns > 0 {
-		arena := make([]reqSeg, pl.totalRuns)
-		off := 0
-		for dst, runs := range pl.runs {
-			if len(runs) == 0 {
-				continue
-			}
-			rs := arena[off : off : off+len(runs)]
-			off += len(runs)
-			for _, run := range runs {
-				rs = append(rs, reqSeg{Base: run.Base, Count: run.Len})
-			}
-			reqs[dst] = rs
-		}
-		p.Charge(2 * pl.totalRuns) // request segment headers
-	}
+	carve(reqs, counts)
+	words := make([]int, n)
+	segs := 0
+	forEachRankRun(rnk, vec, func(_, dst, base, cnt int) {
+		reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: cnt})
+		words[dst] += 2
+		segs++
+	})
+	p.Charge(len(rnk.PSc) + 2*segs) // counter-array check + request headers
 	world := comm.World(p)
 	prev := p.SetPhase(PhaseM2M)
-	gotReqs := comm.AlltoallVW(world, reqs, pl.reqWords, pl.opt.A2A)
+	gotReqs := comm.AlltoallVW(world, reqs, words, pl.opt.A2A)
 	p.SetPhase(prev)
 
 	replies := serveVecRequests(p, vec, v, gotReqs)
@@ -430,18 +370,14 @@ func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*U
 	gotData := comm.AlltoallVOpt(world, replies, 1, pl.opt.A2A)
 	p.SetPhase(prev)
 
-	res := &UnpackResult[T]{A: make([]T, l.LocalSize()), Ranking: pl.rnk}
-	copy(res.A, field)
+	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
-	for src, data := range gotData {
-		pos := 0
-		for _, run := range pl.runs[src] {
-			copy(res.A[run.Src:run.Src+run.Len], data[pos:pos+run.Len])
-			pos += run.Len
-		}
-	}
-	// Per run: header read + bulk word copy, batched per call.
-	p.Charge(2*pl.totalRuns + pl.totalData)
+	wi, word := -1, uint64(0)
+	forEachRankRun(rnk, vec, func(_, src, _, cnt int) {
+		wi, word = placeBits(res.A, pl.sel, wi, word, gotData[src][:cnt])
+		gotData[src] = gotData[src][cnt:]
+	})
+	p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
 	recordPackOp(p, "unpack", len(res.A))
 	return res, nil
 }

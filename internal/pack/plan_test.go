@@ -286,9 +286,9 @@ func TestPlanCacheRaceSharedAcrossMachines(t *testing.T) {
 }
 
 // TestPlanRetainsNoRecords guards the compile path's memory behavior:
-// plans always rank in counter-only form and stream records, so the
-// retained ranking result must carry no materialized Records — even
-// when the options name the simple storage scheme.
+// plans always rank in counter-only form, so the retained ranking
+// result must carry no materialized Records — even when the options
+// name the simple storage scheme.
 func TestPlanRetainsNoRecords(t *testing.T) {
 	l := dist.MustLayout(dist.Dim{N: 64, P: 4, W: 4})
 	gen := mask.NewRandom(0.6, 5, 64)
@@ -302,8 +302,8 @@ func TestPlanRetainsNoRecords(t *testing.T) {
 		if pl.Ranking().Records != nil {
 			panic(fmt.Sprintf("rank %d: plan retains %d records", p.Rank(), len(pl.Ranking().Records)))
 		}
-		if pl.Size() == 0 || pl.RunCount() == 0 {
-			panic(fmt.Sprintf("rank %d: degenerate plan size=%d runs=%d", p.Rank(), pl.Size(), pl.RunCount()))
+		if pl.Size() == 0 {
+			panic(fmt.Sprintf("rank %d: degenerate plan size=%d", p.Rank(), pl.Size()))
 		}
 	})
 	if err != nil {

@@ -83,46 +83,15 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	// The per-destination request/placement lists are pre-sized to
 	// their exact final lengths from the ranking results (uncharged
 	// host bookkeeping), so the append loops below never reallocate.
-	carveReqs := func(counts []int) {
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total == 0 {
-			return
-		}
-		arena := make([]reqSeg, total)
-		off := 0
-		for dst, c := range counts {
-			if c == 0 {
-				continue
-			}
-			reqs[dst] = arena[off : off : off+c]
-			off += c
-		}
-	}
-
+	counts := make([]int, n)
 	if opt.Scheme == SchemeSSS {
-		recIdx = make([][]int, n)
-		counts := make([]int, n)
 		for _, rec := range rnk.Records {
 			dst, _ := vec.Owner(rnk.RankOf(rec))
 			counts[dst]++
 		}
-		carveReqs(counts)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		idxArena := make([]int, total)
-		off := 0
-		for dst, c := range counts {
-			if c == 0 {
-				continue
-			}
-			recIdx[dst] = idxArena[off : off : off+c]
-			off += c
-		}
+		carve(reqs, counts)
+		recIdx = make([][]int, n)
+		carve(recIdx, counts)
 		for ri, rec := range rnk.Records {
 			r := rnk.RankOf(rec)
 			dst, _ := vec.Owner(r)
@@ -132,44 +101,17 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 		}
 		p.Charge(2 * len(rnk.Records)) // resolve rank, write request
 	} else {
+		forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
+		carve(reqs, counts)
 		placement = make([][]placeSeg, n)
-		g := geomOf(l)
-		counts := make([]int, n)
-		forEachRankRun(rnk, vec, g.slices, func(dst, cnt int) { counts[dst]++ })
-		carveReqs(counts)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		placeArena := make([]placeSeg, total)
-		off := 0
-		for dst, c := range counts {
-			if c == 0 {
-				continue
-			}
-			placement[dst] = placeArena[off : off : off+c]
-			off += c
-		}
-		p.Charge(g.slices) // check the counter array, one read per slice
-		for slice := 0; slice < g.slices; slice++ {
-			cnt := rnk.PSc[slice]
-			if cnt == 0 {
-				continue
-			}
-			r := rnk.PSf[slice]
-			taken := 0
-			for taken < cnt {
-				dst, _ := vec.Owner(r)
-				fit := vec.BlockRunEnd(r) - r
-				c := min(fit, cnt-taken)
-				reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: c})
-				placement[dst] = append(placement[dst], placeSeg{slice: slice, skip: taken, count: c})
-				reqWords[dst] += 2
-				p.Charge(2) // request segment header
-				r += c
-				taken += c
-			}
-		}
+		carve(placement, counts)
+		p.Charge(geomOf(l).slices) // check the counter array, one read per slice
+		forEachRankRun(rnk, vec, func(slice, dst, base, c int) {
+			reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: c})
+			placement[dst] = append(placement[dst], placeSeg{slice: slice, skip: base - rnk.PSf[slice], count: c})
+			reqWords[dst] += 2
+			p.Charge(2) // request segment header
+		})
 	}
 
 	// ---- Stage 1: requests to the vector owners. ----

@@ -328,33 +328,6 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 // base-rank array.
 func (r *Result) RankOf(rec Record) int { return r.PSf[rec.Slice] + rec.InitRank }
 
-// IterRecords streams the simple-storage-scheme records of the mask's
-// selected elements in local scan order without requiring
-// Options.KeepRecords: the counter array PS_c already pins how many
-// selected elements each slice holds, so a rescan of the mask
-// regenerates every Record on the fly. Consumers that only need run
-// boundaries (the plan compiler) use this instead of materializing —
-// and then retaining — the full Records slice. l0, w0 and t0 are the
-// layout's dimension-0 local extent, block size and tile count (the
-// slice arithmetic of SliceBase). The walk stops scanning a slice as
-// soon as its PS_c count is exhausted, mirroring the compact schemes'
-// stop-early policy; the caller charges the scan.
-func (r *Result) IterRecords(l0, w0, t0 int, mask []bool, fn func(Record)) {
-	for slice, n := range r.PSc {
-		if n == 0 {
-			continue
-		}
-		base := SliceBase(slice, l0, w0, t0)
-		k := 0
-		for i := 0; i < w0 && k < n; i++ {
-			if mask[base+i] {
-				fn(Record{Off: base + i, Slice: slice, InitRank: k})
-				k++
-			}
-		}
-	}
-}
-
 // countSlices is the compact schemes' initial scan: it stores the number
 // of selected elements of every slice in ps0 and returns their sum.
 // Because dist.Dim.Validate makes L_0 a multiple of W_0, slice s is

@@ -45,7 +45,7 @@ func TestGoldenRun(t *testing.T) {
 	}
 	got := fmt.Sprintf("admitted=%d overloaded=%d p50=%d p99=%d p999=%d sum=%d duration=%d rate=%.3f",
 		res.Admitted, res.Overloaded, res.P50US, res.P99US, res.P999US, res.SumUS, res.DurationUS, res.RatePerSec)
-	const want = "admitted=50000 overloaded=0 p50=1279 p99=5119 p999=6399 sum=81635255 duration=13303519 rate=3749.648"
+	const want = "admitted=50000 overloaded=0 p50=1215 p99=4095 p999=5119 sum=74113185 duration=12165560 rate=4099.561"
 	if got != want {
 		t.Fatalf("golden drift:\n got %s\nwant %s", got, want)
 	}

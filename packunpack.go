@@ -315,8 +315,11 @@ type RankingResult = ranking.Result
 
 // Plan is a compiled PACK/UNPACK schedule for one (layout, mask,
 // options) configuration on one processor: ranking runs once at
-// compile time and every execution moves data with run-length bulk
-// copies, skipping the ranking stage entirely.
+// compile time, and the plan keeps its slice arrays PS_f and PS_c
+// plus the local mask as a bitset (16 bytes per slice and one bit per
+// element). Every execution skips the ranking stage, walks the bitset,
+// and sends exactly the messages of a cold compact-message PACK or
+// compact-storage UNPACK.
 type Plan = pack.Plan
 
 // PlanCache stores compiled plans keyed by a fingerprint of the
@@ -331,10 +334,10 @@ type PlanCacheStats = pack.PlanCacheStats
 // NewPlanCache returns an empty plan cache, shareable across machines.
 func NewPlanCache() *PlanCache { return pack.NewPlanCache() }
 
-// CompilePlan runs the ranking collective once and compiles a
-// bulk-copy plan for the calling processor (the explicit two-step
-// API); every processor of the machine must call it with the same
-// layout and options.
+// CompilePlan runs the ranking collective once and compiles a plan
+// for the calling processor (the explicit two-step API); every
+// processor of the machine must call it with the same layout and
+// options.
 func CompilePlan(p Endpoint, l *Layout, m []bool, opt Options) (*Plan, error) {
 	return pack.CompilePlan(p, l, m, opt)
 }
