@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench realbench real-race fuzz-short fault-race metricscheck reportcheck servgate perfbench-selftest ci
+.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench real-race fuzz-short fault-race metricscheck reportcheck servgate perfbench-selftest perfpair ci
 
 all: build
 
@@ -54,46 +54,36 @@ smoke-trace:
 # failure, and jsoncheck re-verifies from a separate process).
 validate-perf:
 	$(GO) run ./cmd/packbench -exp fig3 -quick -parallel 2 -json /tmp/packbench-perf.json >/dev/null
-	$(GO) run ./internal/tools/jsoncheck /tmp/packbench-perf.json schema=packbench-perf/v7
+	$(GO) run ./internal/tools/jsoncheck /tmp/packbench-perf.json schema=packbench-perf/v8
 
-# perfgate is the CI perf-regression gate: re-run the full quick sweep
-# and diff it against the committed baseline with cmd/packdiff. Virtual
-# metrics must match the baseline bit-for-bit — any drift is a
-# correctness regression and fails the build. Wall/alloc deltas are
-# reported but only gate when packdiff runs with -fail-on-wall (CI
-# machines are too noisy for that to be the default).
+# perfgate is the CI correctness gate of the paper reproduction: re-run
+# the full quick sweep and diff it against the committed baseline with
+# cmd/packdiff. Every figure of the report (tables, rows, machine runs,
+# virtual_ms, derived means, the service object) must match the
+# baseline bit-for-bit, and every baseline row must be present — any
+# difference is a correctness regression, or a grid change that needs a
+# new baseline, and fails the build.
 #
 # The sweep is pinned to -parallel 1: virtual results are bit-exact
 # only between serial runs (worker completion order perturbs float
-# accumulation; see DESIGN.md §10). -samples 5 gives each row robust
-# wall statistics.
-PERFGATE_BASELINE ?= BENCH_pr16.json
+# accumulation; see DESIGN.md §10).
+PERFGATE_BASELINE ?= BENCH_pr17.json
 PERFGATE_OUT      ?= /tmp/packbench-perfgate.json
 PERFGATE_DELTA    ?= /tmp/packdiff-delta.md
 perfgate:
 	$(GO) run ./cmd/packbench -exp all -quick -seed 1 -parallel 1 \
-		-samples 5 -service 1000000 -json $(PERFGATE_OUT) >/dev/null
+		-service 1000000 -json $(PERFGATE_OUT) >/dev/null
 	$(GO) run ./cmd/packdiff -o $(PERFGATE_DELTA) $(PERFGATE_BASELINE) $(PERFGATE_OUT)
 
 # planbench is the plan-cache acceptance gate: the repeat-traffic
-# experiment must show a cache hit rate >= 0.99 after warmup and an
-# amortized wall-time speedup >= 1.3x for the planned path on the
-# representative configuration, and a measured row on the real backend
-# at the repo benchmark's pack-warm shape (N=2^20, P=2, W=64, CMS PACK
-# then CSS UNPACK, one mask per paper density, minimum of 7 alternating
-# round trips each) must show warm round trips summing to no more than
-# cold ones (packbench exits non-zero when any check fails).
+# experiment's cost-model run must show a cache hit rate >= 0.99 after
+# warmup, and a measured row on the real backend at the repo
+# benchmark's pack-warm shape (N=2^20, P=2, W=64, CMS PACK then CSS
+# UNPACK, one mask per paper density, minimum of 7 alternating round
+# trips each) must show warm round trips summing to no more than cold
+# ones (packbench exits non-zero when either check fails).
 planbench:
 	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -parallel 1 -plan-gate
-
-# realbench runs the measured-vs-modeled speedup family on the real
-# shared-memory backend and gates on the P=8-over-P=1 wall speedup of
-# the large-N pack sweep. packbench auto-skips the 2x assertion (but
-# still prints the curve) when the host has fewer than 8 CPUs — the
-# contract is about parallel hardware, not about the Go scheduler's
-# multiplexing.
-realbench:
-	$(GO) run ./cmd/packbench -backend real -seed 1 -real-gate 2.0
 
 # real-race runs the cross-backend conformance grid and the transport
 # layer's own suite under the race detector: the real backend's SPSC
@@ -124,13 +114,10 @@ fault-race:
 
 # metricscheck proves the telemetry layer end to end: the metrics
 # package's own suite (golden Prometheus exposition, nil fast path,
-# race hammer), a current-schema perf report from the real backend
-# validated by jsoncheck, and a wall-clock Chrome trace of the real
-# backend that parses as trace-event JSON.
+# race hammer) and a wall-clock Chrome trace of the real backend that
+# parses as trace-event JSON.
 metricscheck:
 	$(GO) test ./internal/metrics/
-	$(GO) run ./cmd/packbench -backend real -quick -seed 1 -json /tmp/packbench-real-perf.json >/dev/null
-	$(GO) run ./internal/tools/jsoncheck /tmp/packbench-real-perf.json schema=packbench-perf/v7
 	$(GO) run ./cmd/packtrace -backend real -shape 4096 -dist "CYCLIC(4) ONTO 8" -format chrome -o /tmp/packtrace-real.json
 	$(GO) run ./internal/tools/jsoncheck /tmp/packtrace-real.json traceEvents
 
@@ -140,8 +127,10 @@ metricscheck:
 # reconciliation, sampling charge-exactness), the flight recorder's
 # dump-on-abort paths (structural deadlock and fault-budget
 # exhaustion), and the CLIs on real inputs: packreport over every
-# committed baseline, packtrace streaming a JSONL feed alongside a
-# Chrome export, and packtrace -open digesting that export.
+# committed baseline, packdiff over the committed perfbench fixtures
+# (the change passes, the regressed run set must fail), packtrace
+# streaming a JSONL feed alongside a Chrome export, and packtrace -open
+# digesting that export.
 reportcheck:
 	$(GO) test ./internal/report/
 	$(GO) test ./internal/trace/ -run 'JSONL|Flight|Sampling|Agg|Sink'
@@ -149,9 +138,13 @@ reportcheck:
 	$(GO) run ./cmd/packreport -o /tmp/packreport.html \
 		BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr4.json \
 		BENCH_pr5.json BENCH_pr6.json BENCH_pr8.json BENCH_pr10.json \
-		BENCH_pr16.json
+		BENCH_pr16.json BENCH_pr17.json
 	grep -q "Scheme crossover model" /tmp/packreport.html
 	grep -q "Serving traffic" /tmp/packreport.html
+	$(GO) run ./cmd/packdiff internal/bench/testdata/perfbench_parent.jsonl \
+		internal/bench/testdata/perfbench_change.jsonl >/dev/null
+	! $(GO) run ./cmd/packdiff internal/bench/testdata/perfbench_parent.jsonl \
+		internal/bench/testdata/perfbench_regressed.jsonl >/dev/null 2>&1
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" \
 		-jsonl /tmp/packtrace-feed.jsonl -format chrome -o /tmp/packtrace-open.json
 	test -s /tmp/packtrace-feed.jsonl
@@ -182,4 +175,37 @@ servgate:
 perfbench-selftest:
 	cd perfbench && $(GO) test ./...
 
-ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench realbench metricscheck reportcheck servgate perfbench-selftest
+# perfpair compares this tree with the commit BASE on the repo benchmark
+# (BENCHMARK.json): for each seed of SEEDS and each workload it runs
+# perfbench/run.sh for the benchmark's run_seconds on this tree and on
+# a git worktree of BASE under .bench_build/, alternating which side
+# runs first, appends each side's lines to
+# .bench_build/perfpair/{parent,change}.jsonl, and compares the two
+# files with packdiff (markdown also in .bench_build/perfpair/packdiff.md).
+# Use seeds the change was not tuned on. Not part of ci: ten seeds of
+# the three workloads take about 40 minutes.
+#
+#	make perfpair BASE=HEAD~1 SEEDS="101 102 103"
+perfpair:
+	@test -n "$(BASE)" && test -n "$(SEEDS)" || { echo 'usage: make perfpair BASE=<ref> SEEDS="<seed> ..."' >&2; exit 2; }
+	rm -rf .bench_build/perfpair
+	git worktree prune
+	mkdir -p .bench_build/perfpair
+	git worktree add --detach .bench_build/perfpair/base $(BASE)
+	@secs=$$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json); \
+	workloads=$$(sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); \
+	first=change; \
+	for seed in $(SEEDS); do for w in $$workloads; do \
+		for side in $$first $$(test $$first = change && echo parent || echo change); do \
+			root=.; test $$side = change || root=.bench_build/perfpair/base; \
+			echo "perfpair: $$side $$w seed $$seed ($$secs s)"; \
+			bash $$root/perfbench/run.sh --workload $$w --seed $$seed --seconds $$secs --trace 0 \
+				>>.bench_build/perfpair/$$side.jsonl || true; \
+		done; \
+		first=$$(test $$first = change && echo parent || echo change); \
+	done; done
+	git worktree remove --force .bench_build/perfpair/base
+	$(GO) run ./cmd/packdiff -o .bench_build/perfpair/packdiff.md \
+		.bench_build/perfpair/parent.jsonl .bench_build/perfpair/change.jsonl
+
+ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench metricscheck reportcheck servgate perfbench-selftest

@@ -7,13 +7,10 @@
 //	packbench -exp fig3           # one artifact: fig3|fig4|fig5|table1|table2|scale|prs|ablate
 //	packbench -exp table2 -quick  # trimmed parameter sets (seconds instead of minutes)
 //	packbench -parallel 1         # serial sweep (output is identical either way)
-//	packbench -json perf.json     # also write a host-performance report
-//	packbench -samples 5          # repeat each replay 5x for robust wall stats
+//	packbench -json perf.json     # also write the exact report packdiff compares
 //	packbench -exp faults -quick  # fault-injection robustness sweep (hidden from 'all')
 //	packbench -faults 42:drop=0.01,dup=0.005  # inject faults into any experiment's machines
-//	packbench -backend real       # measured wall-clock speedup on the real shared-memory backend
-//	packbench -backend real -real-gate 2.0  # fail unless P=8 speedup >= 2x (make realbench)
-//	packbench -backend real -json perf.json # v6 report with the real_world telemetry curve
+//	packbench -exp planrepeat -plan-gate  # plan-cache gate (make planbench)
 //	packbench -metrics            # attach telemetry to every machine; print the Prometheus exposition
 //	packbench -metrics-addr :9100 # additionally serve it live (/metrics, /vars) while running
 //	packbench -flight-dir crash   # post-mortem flight dump if a sweep machine deadlocks or aborts
@@ -23,7 +20,8 @@
 // cost model (CM-5-flavoured constants), in milliseconds. The -parallel
 // flag only changes how fast the host gets there: experiment points run
 // on a worker pool, but every virtual measurement and every rendered
-// table is byte-identical to the serial run.
+// table is byte-identical to the serial run. Measured speed is the repo
+// benchmark's business (perfbench, compared by packdiff).
 package main
 
 import (
@@ -41,7 +39,6 @@ import (
 	"packunpack/internal/metrics"
 	"packunpack/internal/serve/loadgen"
 	"packunpack/internal/sim"
-	"packunpack/internal/transport"
 )
 
 func main() {
@@ -51,43 +48,20 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("out", "", "also write the tables to this file")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "host worker pool size for the sweep engine (1 = serial)")
-	jsonPath := flag.String("json", "", "write a host-performance report (schema "+bench.PerfSchema+") to this file")
+	jsonPath := flag.String("json", "", "write the exact per-experiment report (schema "+bench.PerfSchema+") to this file")
 	traceDir := flag.String("trace-dir", "", "run every experiment point with event tracing on and dump one Chrome trace-event JSON per point into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (samples carry experiment/stage/scheme labels)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	samples := flag.Int("samples", 1, "wall-clock samples per experiment: repeat each warm-cache replay this many times and report median/p10/p90/MAD")
 	faultsFlag := flag.String("faults", "", "run every measured machine under a deterministic fault-injection plan, 'seed[:name=value,...]' (names: drop,dup,reorder,delay,stall,delaymax,stallmax,timeout,retries), e.g. '42:drop=0.01,dup=0.005'")
-	planGate := flag.Bool("plan-gate", false, "measure plan-cache wall-clock amortization (plan_repeat) and fail unless hit rate >= 0.99 and wall speedup >= 1.3x, and unless warm round trips on the real backend take no longer than cold ones (make planbench)")
-	backendFlag := flag.String("backend", "sim", "transport backend: sim runs the virtual-time experiments; real runs the measured-vs-modeled speedup family (realworld) on the shared-memory parallel backend")
-	realGate := flag.Float64("real-gate", 0, "with -backend real: fail unless the measured P=8 speedup over P=1 reaches this factor (auto-skipped when the host has fewer than 8 CPUs)")
+	planGate := flag.Bool("plan-gate", false, "fail unless planrepeat's cost-model plan-cache hit rate is >= 0.99 and warm round trips on the real backend take no longer than cold ones (make planbench)")
 	metricsFlag := flag.Bool("metrics", false, "attach a wall-clock telemetry registry to every measured machine and print the Prometheus exposition after the tables (tables and virtual times are unaffected)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the telemetry registry live over HTTP at this address (/metrics Prometheus text, /vars expvar JSON); implies -metrics")
 	flightDir := flag.String("flight-dir", "", "attach the always-on flight recorder to every measured sweep machine and dump its window (Chrome trace + text post-mortem) into this directory if a machine deadlocks or exhausts a fault budget")
-	serviceN := flag.Int("service", 0, "run the serving-layer soak with this many seeded arrivals (loadgen DES over internal/serve; deterministic virtual latency quantiles, schema v7 service object in -json reports)")
+	serviceN := flag.Int("service", 0, "run the serving-layer soak with this many seeded arrivals (loadgen DES over internal/serve; deterministic virtual latency quantiles, the service object in -json reports)")
 	flag.Parse()
-
-	if *samples < 1 {
-		fmt.Fprintf(os.Stderr, "packbench: -samples must be >= 1\n")
-		os.Exit(2)
-	}
-
-	backend, err := transport.ParseBackend(*backendFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-		os.Exit(2)
-	}
-	if *realGate != 0 && backend != transport.BackendReal {
-		fmt.Fprintf(os.Stderr, "packbench: -real-gate needs -backend real\n")
-		os.Exit(2)
-	}
-	if err := checkBackendFlags(backend, setFlagNames(flag.CommandLine)); err != nil {
-		fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-		os.Exit(2)
-	}
 
 	suite := bench.NewSuite(*quick, *seed)
 	suite.Workers = *parallel
-	suite.Samples = *samples
 	if *faultsFlag != "" {
 		f, err := sim.ParseFaults(*faultsFlag)
 		if err != nil {
@@ -111,122 +85,20 @@ func main() {
 		suite.FlightDir = *flightDir
 	}
 
-	// Telemetry: one registry shared by every measured machine on the
-	// sim sweep. The real backend builds a fresh registry per processor
-	// count inside MeasureRealWorld (per-point derived figures must not
-	// mix traffic), so there the OnRealRegistry hook keeps the live
-	// server and the final exposition pointed at the current machine.
+	// Telemetry: one registry shared by every measured machine.
 	var reg *metrics.Registry
-	var srv *metrics.Server
 	if *metricsFlag || *metricsAddr != "" {
 		reg = metrics.NewRegistry()
 		suite.Metrics = reg
 	}
 	if *metricsAddr != "" {
-		var err error
-		srv, err = metrics.Serve(*metricsAddr, reg)
+		srv, err := metrics.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
 			os.Exit(1)
 		}
 		defer srv.Close()
 		fmt.Printf("telemetry: serving http://%s/metrics and /vars\n", srv.Addr())
-	}
-	if reg != nil {
-		suite.OnRealRegistry = func(r *metrics.Registry) {
-			reg = r
-			if srv != nil {
-				srv.SetRegistry(r)
-			}
-		}
-	}
-
-	// The real backend runs the measured-speedup family and exits: its
-	// figures are host wall clock, so it shares no machinery (and no
-	// baselines) with the virtual-time sweep below.
-	if backend == transport.BackendReal {
-		fmt.Printf("packbench: realworld (quick=%v, seed=%d, backend=real)\n", *quick, *seed)
-		env := suite.Environment()
-		fmt.Printf("env: %s\n\n", env)
-		start := time.Now()
-		res, err := suite.MeasureRealWorld()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-			os.Exit(1)
-		}
-		wallMS := float64(time.Since(start)) / float64(time.Millisecond)
-		tables := []*bench.Table{res.Table()}
-		bench.RenderAll(os.Stdout, tables)
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-				os.Exit(1)
-			}
-			bench.RenderAll(f, tables)
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *outPath)
-		}
-		if *jsonPath != "" {
-			// One summary row stands in for the experiment grid (the v6
-			// real_world object carries the full curve): every figure in
-			// it is a host wall measurement except virtual_ms, which sums
-			// the model half's predictions.
-			row := bench.ExperimentPerf{
-				ID:     "realworld",
-				Tables: 1,
-				Rows:   len(res.Points),
-				WallMS: wallMS,
-				// Each point runs one emulated machine plus Samples
-				// measured real runs.
-				MachineRuns: int64(len(res.Points) * (1 + res.Samples)),
-				Derived:     res.DerivedMeans(),
-			}
-			for _, pt := range res.Points {
-				row.VirtualMS += pt.ModelMS
-			}
-			rows := []bench.ExperimentPerf{row}
-			report := bench.PerfReport{
-				Schema:    bench.PerfSchema,
-				GoVersion: runtime.Version(),
-				NumCPU:    runtime.NumCPU(),
-				Parallel:  *parallel,
-				Scheduler: bench.Scheduler,
-				Quick:     *quick,
-				Seed:      *seed,
-				Samples:   *samples,
-				Env:       &env,
-
-				Experiments: rows,
-				Total:       bench.SumPerf(rows),
-				RealWorld:   &res,
-			}
-			writeReport(*jsonPath, report)
-		}
-		if *metricsFlag && reg != nil {
-			// reg was swapped by the OnRealRegistry hook, so this is the
-			// last measured point's registry (P=8), not the empty suite one.
-			fmt.Printf("\ntelemetry (Prometheus text format, last measured point):\n")
-			if err := metrics.WritePrometheus(os.Stdout, reg); err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *realGate > 0 {
-			if res.HostCPUs < 8 {
-				fmt.Printf("real gate skipped: host has %d CPUs, the P=8 speedup contract needs at least 8\n", res.HostCPUs)
-				return
-			}
-			if err := res.Gate(8, *realGate); err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: real gate failed: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("real gate passed: P=8 speedup >= %.2fx\n", *realGate)
-		}
-		return
 	}
 
 	if *list {
@@ -283,7 +155,7 @@ func main() {
 
 	start := time.Now()
 	var tables []*bench.Table
-	perfs := make([]bench.ExperimentPerf, 0, 2*len(ids))
+	perfs := make([]bench.ExperimentPerf, 0, len(ids))
 	for _, id := range ids {
 		t, perf, err := suite.RunInstrumented(id)
 		if err != nil {
@@ -291,53 +163,36 @@ func main() {
 			os.Exit(1)
 		}
 		tables = append(tables, t...)
-		perfs = append(perfs, perf...)
+		perfs = append(perfs, perf)
 	}
 
-	// The plan_repeat wall measurement runs when gating is requested or
-	// when a perf report that includes the planrepeat experiment is
-	// being written (so BENCH baselines record the amortization).
-	var planPerf *bench.PlanRepeatPerf
-	needPlanPerf := *planGate
-	if *jsonPath != "" {
-		for _, id := range ids {
-			if id == "planrepeat" {
-				needPlanPerf = true
-			}
+	if *planGate {
+		hit := suite.PlanHitRate()
+		if hit < 0.99 {
+			fmt.Fprintf(os.Stderr, "packbench: plan gate failed: plan-cache hit rate %.4f below 0.99\n", hit)
+			os.Exit(1)
 		}
-	}
-	if needPlanPerf {
-		pp := suite.MeasurePlanRepeat()
-		planPerf = &pp
-		fmt.Printf("plan_repeat: %s — %d calls, unplanned %.4f ms/call, planned %.4f ms/call (%.2fx wall, %.2fx virtual), hit rate %.4f\n",
-			pp.Config, pp.Calls, pp.UnplannedWallMS, pp.PlannedWallMS, pp.WallSpeedup, pp.VirtualSpeedup, pp.HitRate)
-		if *planGate {
-			if err := pp.Gate(0.99, 1.3); err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: plan gate failed: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("plan gate passed: hit rate >= 0.99, wall speedup >= 1.3x\n")
-			wc, err := suite.MeasureWarmCold()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: warm/cold row: %v\n", err)
-				os.Exit(1)
-			}
-			for i, d := range wc.Densities {
-				fmt.Printf("warm/cold (real backend, N=2^20, P=2, W=64, CMS PACK + CSS UNPACK): density %.2f — cold %.2f ms, warm %.2f ms\n", d, wc.ColdMS[i], wc.WarmMS[i])
-			}
-			cold, warm := wc.Sums()
-			if err := wc.Gate(); err != nil {
-				fmt.Fprintf(os.Stderr, "packbench: plan gate failed: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("plan gate passed: warm round trips %.2f ms <= cold %.2f ms (min of %d per density)\n", warm, cold, bench.WarmColdTrips)
+		fmt.Printf("plan gate passed: plan-cache hit rate %.4f >= 0.99 (cost-model run)\n", hit)
+		wc, err := suite.MeasureWarmCold()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "packbench: warm/cold row: %v\n", err)
+			os.Exit(1)
 		}
+		for i, d := range wc.Densities {
+			fmt.Printf("warm/cold (real backend, N=2^20, P=2, W=64, CMS PACK + CSS UNPACK): density %.2f — cold %.2f ms, warm %.2f ms\n", d, wc.ColdMS[i], wc.WarmMS[i])
+		}
+		cold, warm := wc.Sums()
+		if err := wc.Gate(); err != nil {
+			fmt.Fprintf(os.Stderr, "packbench: plan gate failed: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("plan gate passed: warm round trips %.2f ms <= cold %.2f ms (min of %d per density)\n", warm, cold, bench.WarmColdTrips)
 	}
 
 	// The service soak is the loadgen discrete-event model over
 	// internal/serve: byte-verifies the workload mix against the
 	// sequential reference, then replays the seeded arrival schedule.
-	// Its outputs are deterministic virtual time, reported in the v7
+	// Its outputs are deterministic virtual time, reported in the
 	// "service" object and exact-compared by packdiff.
 	var servicePerf *bench.ServicePerf
 	if *serviceN > 0 {
@@ -362,13 +217,7 @@ func main() {
 			lr.Requests, lr.RatePerSec, lr.Admitted, lr.Overloaded, lr.P50US, lr.P99US, lr.P999US, lr.SumUS)
 	}
 
-	// The header carries the environment fingerprint and sample count
-	// so a pasted table is self-describing: virtual times are
-	// host-independent, but anyone comparing the wall figures needs to
-	// know what they were measured under.
-	env := suite.Environment()
 	fmt.Printf("packbench: %s (quick=%v, seed=%d)\n", *exp, *quick, *seed)
-	fmt.Printf("env: %s\n", env)
 	fmt.Printf("machine model: CM-5-flavoured two-level cost model; times are virtual ms\n\n")
 	bench.RenderAll(os.Stdout, tables)
 	if *outPath != "" {
@@ -387,17 +236,11 @@ func main() {
 	if *jsonPath != "" {
 		report := bench.PerfReport{
 			Schema:      bench.PerfSchema,
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
 			Parallel:    *parallel,
-			Scheduler:   bench.Scheduler,
 			Quick:       *quick,
 			Seed:        *seed,
-			Samples:     *samples,
-			Env:         &env,
 			Experiments: perfs,
 			Total:       bench.SumPerf(perfs),
-			PlanRepeat:  planPerf,
 			Service:     servicePerf,
 		}
 		writeReport(*jsonPath, report)

@@ -1,45 +1,38 @@
-// Command packdiff compares two packbench perf reports (schema
-// packbench-perf/v1 through v7) under the pipeline's exact-vs-noisy
-// rule:
+// Command packdiff compares a change with its parent. It reads two
+// kinds of input, told apart by their first line (DESIGN.md §10):
 //
-//   - virtual_ms and the derived registry means are exact replays of
-//     the cost model — any drift between reports of the same grid is a
-//     correctness regression in the emulator and exits non-zero;
-//   - wall-clock and allocation figures are host measurements — they
-//     are compared per experiment row against a relative threshold,
-//     and (when both reports carry raw samples, schema v4) a
-//     Mann–Whitney U test separates real deltas from noise.
+//   - two packbench -json reports (schema packbench-perf/v8), compared
+//     bit for bit: any drift, and any row, derived key or service
+//     object present on one side only, fails.
+//   - two files of perfbench output lines (make perfpair writes them).
+//     For each workload and end-to-end metric of BENCHMARK.json, found
+//     in the working directory or above it, packdiff prints each
+//     side's median and quartiles, the pairs (runs of one seed) the
+//     change won, the Mann–Whitney p and a verdict: gain, no
+//     regression, regression or unresolved.
 //
 // Usage:
 //
-//	packdiff OLD.json NEW.json              # markdown delta table, exit 1 on virtual drift
+//	packdiff OLD.json NEW.json              # markdown table
 //	packdiff -format tsv OLD.json NEW.json  # tab-separated table
-//	packdiff -threshold 0.05 -alpha 0.01 -fail-on-wall OLD.json NEW.json
 //	packdiff -o delta.md OLD.json NEW.json  # also used by `make perfgate`
+//	packdiff parent.jsonl change.jsonl      # perfbench runs (make perfpair)
 //
-// Exit codes: 0 clean; 1 virtual-metric drift; 2 usage or unreadable
-// report; 3 significant wall-clock regression (only with
-// -fail-on-wall).
+// Exit codes: 0 the reports match exactly, or the change passes on
+// every workload; 1 drift, anything left uncompared (a pre-v8 report
+// included), a regressed or unresolved metric, or a larger share of
+// failed ops; 2 usage, an unreadable input, or a perfbench file
+// holding a traced run or a workload or metric BENCHMARK.json does
+// not declare.
 //
 // Exact comparison assumes both reports were generated at -parallel 1
-// with the same experiment set, seed and -quick setting (worker
-// completion order perturbs the floating-point accumulation of
+// (worker completion order perturbs the floating-point accumulation of
 // virtual_ms, and the parallel collect pass over-collects on
-// data-dependent grids). `make perfgate` pins those knobs.
-//
-// Schema skew is tolerated: when the two reports carry different
-// schema versions or experiment grids (a newer schema typically adds
-// experiments — v5 added planrepeat and the plan_repeat object, v6
-// the real_world telemetry object and new derived keys, v7 the
-// service soak object), the fields and aggregate rows that do not
-// measure the same work are warned about and skipped, while every
-// shared per-experiment row is still compared exactly. The v7 service
-// object is itself deterministic virtual time: when both reports
-// carry one under the same configuration it is compared exactly and
-// drifts fail the gate like any virtual metric.
+// data-dependent grids). `make perfgate` pins that.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -48,70 +41,54 @@ import (
 	"packunpack/internal/bench"
 )
 
-func main() {
-	threshold := flag.Float64("threshold", 0.10, "relative wall/alloc delta |new/old - 1| worth flagging")
-	alpha := flag.Float64("alpha", 0.05, "Mann-Whitney significance level for sampled wall deltas")
-	format := flag.String("format", "md", "delta table format: md or tsv")
-	outPath := flag.String("o", "", "write the delta table to this file instead of stdout")
-	failOnWall := flag.Bool("fail-on-wall", false, "exit 3 when a significant wall-clock regression exceeds the threshold")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: packdiff [flags] OLD.json NEW.json\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is packdiff over its arguments and output streams; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("packdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	format := fs.String("format", "md", "table format: md or tsv")
+	outPath := fs.String("o", "", "also write the table to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: packdiff [flags] OLD NEW\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "packdiff: %v\n", err)
+		return 2
 	}
 	if *format != "md" && *format != "tsv" {
-		fmt.Fprintf(os.Stderr, "packdiff: unknown format %q (md or tsv)\n", *format)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown format %q (md or tsv)", *format))
 	}
-
-	oldPath, newPath := flag.Arg(0), flag.Arg(1)
-	oldRep, err := bench.LoadPerfReport(oldPath)
+	oldPath, newPath := fs.Arg(0), fs.Arg(1)
+	c, err := bench.Compare(oldPath, newPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "packdiff: %v\n", err)
-		os.Exit(2)
-	}
-	newRep, err := bench.LoadPerfReport(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "packdiff: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
-	d := bench.DiffReports(oldRep, newRep, bench.DiffOptions{Threshold: *threshold, Alpha: *alpha})
-	d.OldPath, d.NewPath = oldPath, newPath
-
-	var out io.Writer = os.Stdout
+	var table bytes.Buffer
+	if *format == "tsv" {
+		c.WriteTSV(&table)
+	} else {
+		c.WriteMarkdown(&table)
+	}
+	stdout.Write(table.Bytes())
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "packdiff: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
-	}
-	switch *format {
-	case "md":
-		d.WriteMarkdown(out)
-	case "tsv":
-		d.WriteTSV(out)
-	}
-
-	if vm := d.VirtualMismatches(); vm > 0 {
-		fmt.Fprintf(os.Stderr, "packdiff: %d row(s) drifted on exact virtual metrics — correctness regression\n", vm)
-		os.Exit(1)
-	}
-	if len(d.ServiceDrift) > 0 {
-		fmt.Fprintf(os.Stderr, "packdiff: service object drifted on exact virtual metrics — correctness regression\n")
-		os.Exit(1)
-	}
-	if *failOnWall {
-		if wr := d.WallRegressions(); wr > 0 {
-			fmt.Fprintf(os.Stderr, "packdiff: %d row(s) regressed on wall clock beyond ±%.0f%%\n", wr, *threshold*100)
-			os.Exit(3)
+		if err := os.WriteFile(*outPath, table.Bytes(), 0o644); err != nil {
+			return fail(err)
 		}
 	}
+	if !c.OK() {
+		fmt.Fprintf(stderr, "packdiff: %s does not pass against %s\n", newPath, oldPath)
+		return 1
+	}
+	return 0
 }

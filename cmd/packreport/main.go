@@ -1,9 +1,8 @@
 // packreport renders packbench perf baselines (BENCH_*.json, schema
-// packbench-perf/v1 through v6) into one self-contained static HTML
-// dashboard: wall-clock and virtual-time trends across the baseline
-// sequence, derived-telemetry trends, plan-cache amortization, the
-// paper's scheme-crossover model, and the real-backend speedup curve
-// when a baseline carries one.
+// packbench-perf/v1 through v8) into one self-contained static HTML
+// dashboard: virtual-time and derived-telemetry trends across the
+// baseline sequence, the paper's scheme-crossover model, and the
+// serving-latency trend when baselines carry the service soak.
 //
 // Baselines are given in sequence order — the trend charts read
 // left-to-right as the PR history:

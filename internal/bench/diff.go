@@ -2,35 +2,84 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-
-	"packunpack/internal/stats"
 )
 
-// This file is the perf-report comparator behind cmd/packdiff. The
-// comparison rule splits the report's metrics into two classes:
-//
-//   - Virtual metrics (virtual_ms and the derived registry means) are
-//     exact replays of the cost model: two runs of the same grid at
-//     the same -parallel class must agree bit-for-bit. Any drift is a
-//     correctness regression in the emulator or the experiment grid —
-//     never host noise — so it is compared with ==, not a tolerance.
-//   - Wall-clock and allocation figures are host measurements. They
-//     are compared per row against a relative threshold and, when both
-//     reports carry raw samples (schema v4), a Mann–Whitney U test
-//     decides whether the delta is distinguishable from noise.
-//
-// Note the -parallel caveat: worker completion order perturbs the
-// floating-point accumulation of virtual_ms, and the collect dry-pass
-// over-collects on data-dependent generators (table1's crossover
-// search), so exact comparison is only guaranteed between reports
-// generated at -parallel 1. The perf gate pins that.
+// This file is cmd/packdiff's comparator of two packbench -json
+// reports. Every figure of a v8 report is a replay of the cost model,
+// so two runs of the same grid must agree bit for bit, and any drift is
+// a correctness regression of the emulator or the experiment grid,
+// never host noise. The comparison is therefore ==, and whatever keeps
+// a figure from being compared fails it as well: a row, a derived key
+// or the service object present on one side only, or a different
+// configuration. Exact agreement holds between reports generated at
+// -parallel 1 (DESIGN.md §10); make perfgate pins that.
+
+// Comparison is the result of either of packdiff's comparators.
+type Comparison interface {
+	WriteMarkdown(io.Writer)
+	WriteTSV(io.Writer)
+	OK() bool
+}
+
+// Compare reads two perf reports, or two files of perfbench runs, and
+// compares them; the kind is told by the first line of each file, and
+// the benchmark's bounds come from the BENCHMARK.json nearest the
+// working directory. An error means the inputs cannot be compared.
+func Compare(oldPath, newPath string) (Comparison, error) {
+	oldData, err := os.ReadFile(oldPath)
+	if err != nil {
+		return nil, err
+	}
+	newData, err := os.ReadFile(newPath)
+	if err != nil {
+		return nil, err
+	}
+	if runs := IsPerfRuns(oldData); runs != IsPerfRuns(newData) {
+		return nil, errors.New("one input holds perfbench runs and the other does not")
+	} else if !runs {
+		oldRep, err := LoadPerfReport(oldPath)
+		if err != nil {
+			return nil, err
+		}
+		newRep, err := LoadPerfReport(newPath)
+		if err != nil {
+			return nil, err
+		}
+		d := DiffReports(oldRep, newRep)
+		d.OldPath, d.NewPath = oldPath, newPath
+		return d, nil
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	spec, err := FindBenchmarkSpec(wd)
+	if err != nil {
+		return nil, err
+	}
+	oldRuns, err := ParsePerfRuns(oldData)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", oldPath, err)
+	}
+	newRuns, err := ParsePerfRuns(newData)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", newPath, err)
+	}
+	d, err := CompareRuns(spec, oldRuns, newRuns)
+	if err != nil {
+		return nil, err
+	}
+	d.OldPath, d.NewPath = oldPath, newPath
+	return d, nil
+}
 
 // SchemaVersion extracts the numeric version of a packbench-perf
 // schema marker ("packbench-perf/v3" -> 3).
@@ -46,10 +95,10 @@ func SchemaVersion(schema string) (int, error) {
 	return v, nil
 }
 
-// LoadPerfReport reads and validates a perf report of any schema
-// version v1–v6. Fields a version lacks read as their zero values
-// (v1 has no sched, v1–v3 no samples/env/wall_stats, v1–v4 no
-// plan_repeat, v1–v5 no real_world).
+// LoadPerfReport reads a perf report of any schema version up to the
+// current one. Fields a version lacks read as their zero values, and
+// fields this version dropped are ignored, so packreport can still
+// plot the older baselines; DiffReports compares v8 reports only.
 func LoadPerfReport(path string) (*PerfReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -73,492 +122,215 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 	return &r, nil
 }
 
-// DiffOptions configures the noisy-metric comparison. The virtual
-// comparison is not configurable: it is always exact.
-type DiffOptions struct {
-	// Threshold is the relative wall/alloc delta |new/old - 1| above
-	// which a row is flagged (default 0.10).
-	Threshold float64
-	// Alpha is the Mann–Whitney significance level: when both rows
-	// carry ≥2 samples, a flagged wall delta must also have p <= Alpha
-	// to count as a regression/improvement (default 0.05).
-	Alpha float64
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.Threshold == 0 {
-		o.Threshold = 0.10
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
-	return o
-}
-
-// RowDiff is the comparison of one experiment row present in both
-// reports.
+// RowDiff is the comparison of one row present in both reports.
 type RowDiff struct {
-	ID string
-
-	// Wall comparison (noisy).
-	OldWallMS, NewWallMS float64
-	// WallDelta is (new-old)/old; NaN when old is zero.
-	WallDelta float64
-	// P is the Mann–Whitney two-sided p-value over the rows' raw wall
-	// samples; NaN when either side lacks ≥2 samples (pre-v4 reports).
-	P float64
-	// WallFlagged: the delta exceeds the threshold and, when P is
-	// available, is significant at alpha.
-	WallFlagged bool
-
-	// Allocation comparison (noisy, but far more stable than wall).
-	OldAllocs, NewAllocs uint64
-	AllocDelta           float64
-	AllocFlagged         bool
-
-	// Virtual comparison (exact).
-	OldVirtualMS, NewVirtualMS float64
-	VirtualMatch               bool
-	// DerivedDrift names derived metrics present in both rows whose
-	// values differ (bit-for-bit comparison).
-	DerivedDrift []string
-	// DerivedSkew names derived keys present in only one of the two
-	// rows — schema/telemetry evolution (e.g. v6 added queue_depth_p99,
-	// park_rate), warned about and skipped, never a gate failure.
-	DerivedSkew []string
-
-	// StructureDrift notes row-shape changes (tables, rows,
-	// machine_runs) — informational, since a PR may legitimately grow
-	// the grid, but worth surfacing next to the timing deltas.
-	StructureDrift []string
-
-	// Incomparable marks a row whose exact comparison was skipped
-	// because the two reports do not measure the same thing: the
-	// aggregate "all" row when the experiment grids differ (a newer
-	// schema typically adds experiments, so its total legitimately
-	// includes work the baseline never ran). Incomparable rows never
-	// fail the virtual gate and never flag wall regressions.
-	Incomparable bool
-}
-
-// VirtualOK reports whether the row's exact-class metrics all match.
-// Incomparable rows pass vacuously: their mismatch is schema/grid
-// skew, not emulator drift.
-func (r RowDiff) VirtualOK() bool {
-	return r.Incomparable || (r.VirtualMatch && len(r.DerivedDrift) == 0)
+	Old, New ExperimentPerf
+	// Drift lists every figure of the row that differs, as
+	// "name old→new".
+	Drift []string
 }
 
 // Diff is the full comparison of two perf reports.
 type Diff struct {
 	Old, New         *PerfReport
 	OldPath, NewPath string
-	Opt              DiffOptions
-	// Rows covers ids present in both reports, in the new report's
-	// order (the total line "all" included).
+	// Rows covers the experiment ids present in both reports, in the
+	// new report's order, followed by the total.
 	Rows []RowDiff
-	// OnlyOld / OnlyNew list ids present in a single report.
-	OnlyOld, OnlyNew []string
-	// EnvDiffers notes that the two reports were measured under
-	// different host environments, making wall comparisons suspect.
-	EnvDiffers bool
-	// SkewNotes lists schema-evolution differences that were warned
-	// about and skipped rather than compared: fields one schema version
-	// lacks (e.g. v5's plan_repeat against a v4 baseline) and aggregate
-	// rows over differing experiment grids.
-	SkewNotes []string
-	// ServiceDrift lists exact-metric mismatches of the v7 service
-	// object when both reports carry one under the same configuration.
-	// Service figures are virtual-time and seed-deterministic, so any
-	// entry here is a correctness regression of the serving layer or
-	// the cost model — it fails the gate like per-row virtual drift.
-	ServiceDrift []string
+	// Failures lists why the reports do not match: drifted rows and
+	// service figures, and everything that could not be compared.
+	Failures []string
 	// ServiceCompared records that both reports carried a service
-	// object under the same configuration, so the objects were compared
-	// field by field (an empty ServiceDrift then means an exact match).
+	// object under the same configuration.
 	ServiceCompared bool
 }
 
-// VirtualMismatches counts rows whose exact-class metrics drifted.
-func (d *Diff) VirtualMismatches() int {
-	n := 0
-	for _, r := range d.Rows {
-		if !r.VirtualOK() {
-			n++
-		}
-	}
-	return n
+// OK reports whether every figure of both reports was compared and
+// matched.
+func (d *Diff) OK() bool { return len(d.Failures) == 0 }
+
+// ExperimentRows counts the compared experiment rows (the total
+// excluded).
+func (d *Diff) ExperimentRows() int { return max(len(d.Rows)-1, 0) }
+
+func (d *Diff) fail(format string, args ...any) {
+	d.Failures = append(d.Failures, fmt.Sprintf(format, args...))
 }
 
-// WallRegressions counts flagged rows that got slower.
-func (d *Diff) WallRegressions() int {
-	n := 0
-	for _, r := range d.Rows {
-		if r.WallFlagged && r.WallDelta > 0 {
-			n++
-		}
+// DiffReports compares two v8 perf reports exactly.
+func DiffReports(old, new *PerfReport) *Diff {
+	d := &Diff{Old: old, New: new}
+	if old.Schema != PerfSchema || new.Schema != PerfSchema {
+		d.fail("schemas %s and %s: packdiff compares %s reports only (packreport plots the older baselines)",
+			old.Schema, new.Schema, PerfSchema)
+		return d
 	}
-	return n
-}
-
-// relDelta returns (new-old)/old, NaN when old is zero and new isn't.
-func relDelta(old, new float64) float64 {
-	if old == 0 {
-		if new == 0 {
-			return 0
-		}
-		return math.NaN()
+	if old.Quick != new.Quick || old.Seed != new.Seed || old.Parallel != new.Parallel {
+		d.fail("the reports ran different configurations (quick %v/%v, seed %d/%d, parallel %d/%d)",
+			old.Quick, new.Quick, old.Seed, new.Seed, old.Parallel, new.Parallel)
 	}
-	return (new - old) / old
-}
 
-// envOf summarizes the comparable environment of a report, falling
-// back to the v1–v3 top-level fields when the env object is absent.
-func envOf(r *PerfReport) string {
-	if r.Env != nil {
-		return fmt.Sprintf("%s %s/%s cpu=%d maxprocs=%d", r.Env.GoVersion, r.Env.GOOS, r.Env.GOARCH, r.Env.NumCPU, r.Env.GOMAXPROCS)
-	}
-	return fmt.Sprintf("%s cpu=%d", r.GoVersion, r.NumCPU)
-}
-
-// DiffReports compares two perf reports under the exact-vs-noisy rule.
-func DiffReports(old, new *PerfReport, opt DiffOptions) *Diff {
-	opt = opt.withDefaults()
-	d := &Diff{Old: old, New: new, Opt: opt}
-	d.EnvDiffers = envOf(old) != envOf(new) ||
-		old.Quick != new.Quick || old.Seed != new.Seed
-
-	oldRows := make(map[string]ExperimentPerf, len(old.Experiments)+1)
+	oldRows := make(map[string]ExperimentPerf, len(old.Experiments))
 	for _, e := range old.Experiments {
 		oldRows[e.ID] = e
 	}
-	oldRows[old.Total.ID] = old.Total
-
-	newIDs := make(map[string]bool, len(new.Experiments)+1)
 	for _, e := range new.Experiments {
-		newIDs[e.ID] = true
-		oe, ok := oldRows[e.ID]
+		o, ok := oldRows[e.ID]
 		if !ok {
-			d.OnlyNew = append(d.OnlyNew, e.ID)
+			d.fail("row %s is not in the baseline", e.ID)
 			continue
 		}
-		d.Rows = append(d.Rows, diffRow(oe, e, opt))
+		delete(oldRows, e.ID)
+		d.Rows = append(d.Rows, d.diffRow(o, e))
 	}
-	for _, e := range old.Experiments {
-		if !newIDs[e.ID] {
-			d.OnlyOld = append(d.OnlyOld, e.ID)
-		}
+	for _, id := range slices.Sorted(maps.Keys(oldRows)) {
+		d.fail("baseline row %s is missing from the new report", id)
 	}
+	if len(d.Rows) == 0 {
+		d.fail("the reports share no experiment row")
+	}
+	d.Rows = append(d.Rows, d.diffRow(old.Total, new.Total))
 
-	// The total row sums per-experiment figures, so it is only
-	// exact-comparable when both reports ran the same grid. A schema
-	// bump that adds a canonical experiment (v5 added planrepeat) makes
-	// the totals legitimately differ: warn and skip instead of failing
-	// the gate — every shared per-experiment row is still compared
-	// exactly.
-	gridsDiffer := len(d.OnlyOld) > 0 || len(d.OnlyNew) > 0
-	newIDs[new.Total.ID] = true
-	if oe, ok := oldRows[new.Total.ID]; ok {
-		r := diffRow(oe, new.Total, opt)
-		if gridsDiffer {
-			r.Incomparable = true
-			r.WallFlagged, r.AllocFlagged = false, false
-			d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-				"aggregate %q row skipped: the experiment grids differ (%d id(s) only in old, %d only in new), so the totals do not sum the same work",
-				new.Total.ID, len(d.OnlyOld), len(d.OnlyNew)))
-		}
-		d.Rows = append(d.Rows, r)
-	} else {
-		d.OnlyNew = append(d.OnlyNew, new.Total.ID)
-	}
-	if !newIDs[old.Total.ID] {
-		d.OnlyOld = append(d.OnlyOld, old.Total.ID)
-	}
-
-	// Fields one schema version lacks are skew, not drift: warn and
-	// skip. plan_repeat (v5) is the wall-clock plan-cache amortization —
-	// a host measurement, so even two v5 reports are not exact-compared
-	// on it; its presence mismatch is still worth a note.
-	if ov, nv := old.PlanRepeat != nil, new.PlanRepeat != nil; ov != nv {
-		which := "new"
-		if ov {
-			which = "old"
-		}
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"plan_repeat object present only in the %s report (schema v5 field) — skipped, not compared", which))
-	}
-	// real_world (v6) is the real-backend telemetry curve — pure host
-	// wall measurements, so like plan_repeat it is never numerically
-	// compared; a presence mismatch still deserves a note.
-	if ov, nv := old.RealWorld != nil, new.RealWorld != nil; ov != nv {
-		which := "new"
-		if ov {
-			which = "old"
-		}
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"real_world object present only in the %s report (schema v6 field) — skipped, not compared", which))
-	}
-	// service (v7) is the serving-layer soak. Unlike plan_repeat and
-	// real_world it is deterministic virtual time, so when both sides
-	// carry it under the same configuration it is compared exactly; a
-	// presence or configuration mismatch is skew, warned and skipped.
-	switch ov, nv := old.Service != nil, new.Service != nil; {
-	case ov != nv:
-		which := "new"
-		if ov {
-			which = "old"
-		}
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"service object present only in the %s report (schema v7 field) — skipped, not compared", which))
-	case ov && nv:
+	switch {
+	case old.Service == nil && new.Service == nil:
+	case new.Service == nil:
+		d.fail("the new report lacks the baseline's service object")
+	case old.Service == nil:
+		d.fail("the baseline has no service object to compare the new one with")
+	default:
 		d.diffService(old.Service, new.Service)
-	}
-	// Derived keys one side lacks are telemetry evolution (v6 added
-	// queue_depth_p99/park_rate to instrumented rows), not drift: one
-	// aggregated note instead of a per-row gate failure.
-	skewKeys := map[string]bool{}
-	for _, r := range d.Rows {
-		for _, k := range r.DerivedSkew {
-			skewKeys[k] = true
-		}
-	}
-	if len(skewKeys) > 0 {
-		keys := make([]string, 0, len(skewKeys))
-		for k := range skewKeys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"derived key(s) present on one side only — skipped, not compared: %s", strings.Join(keys, ", ")))
-	}
-	if old.Schema != new.Schema {
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"schema skew: %s vs %s — fields the older schema lacks read as zero and are skipped", old.Schema, new.Schema))
 	}
 	return d
 }
 
-// diffService exact-compares two v7 service objects. A configuration
-// mismatch (different seed, load, or pool shape) makes them
-// incomparable — skew, not drift. The arrival rate is not
-// configuration: packbench derives it from the classes' service times,
-// so it moves whenever they do, and it is compared as drift.
-func (d *Diff) diffService(old, new *ServicePerf) {
-	if old.Seed != new.Seed || old.Requests != new.Requests ||
-		old.Workers != new.Workers || old.Queue != new.Queue {
-		d.SkewNotes = append(d.SkewNotes, fmt.Sprintf(
-			"service objects ran different configurations (seed %d/%d, requests %d/%d, workers %d/%d, queue %d/%d) — skipped, not compared",
-			old.Seed, new.Seed, old.Requests, new.Requests, old.Workers, new.Workers, old.Queue, new.Queue))
+// drift appends "name old→new" to out when the two values differ.
+func drift(out []string, name string, o, n any) []string {
+	if o != n {
+		out = append(out, fmt.Sprintf("%s %v→%v", name, o, n))
+	}
+	return out
+}
+
+// diffRow compares every figure of one row and books the drift as a
+// failure.
+func (d *Diff) diffRow(o, n ExperimentPerf) RowDiff {
+	var out []string
+	out = drift(out, "tables", o.Tables, n.Tables)
+	out = drift(out, "rows", o.Rows, n.Rows)
+	out = drift(out, "machine_runs", o.MachineRuns, n.MachineRuns)
+	out = drift(out, "virtual_ms", o.VirtualMS, n.VirtualMS)
+	keys := slices.Sorted(maps.Keys(o.Derived))
+	for _, k := range slices.Sorted(maps.Keys(n.Derived)) {
+		if _, ok := o.Derived[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
+		ov, inOld := o.Derived[k]
+		nv, inNew := n.Derived[k]
+		switch {
+		case !inNew:
+			out = append(out, "derived "+k+" missing")
+		case !inOld:
+			out = append(out, "derived "+k+" not in the baseline")
+		default:
+			out = drift(out, "derived "+k, ov, nv)
+		}
+	}
+	for _, s := range out {
+		d.fail("%s: %s", n.ID, s)
+	}
+	return RowDiff{Old: o, New: n, Drift: out}
+}
+
+// diffService compares the two service objects field by field. The
+// seed, request count and pool shape are the soak's configuration; the
+// arrival rate is not (packbench derives it from the classes' service
+// times), so it is compared like every other figure.
+func (d *Diff) diffService(o, n *ServicePerf) {
+	if o.Seed != n.Seed || o.Requests != n.Requests || o.Workers != n.Workers || o.Queue != n.Queue {
+		d.fail("the service objects ran different configurations (seed %d/%d, requests %d/%d, workers %d/%d, queue %d/%d)",
+			o.Seed, n.Seed, o.Requests, n.Requests, o.Workers, n.Workers, o.Queue, n.Queue)
 		return
 	}
 	d.ServiceCompared = true
-	drift := func(name string, ov, nv any) {
-		if ov != nv {
-			d.ServiceDrift = append(d.ServiceDrift, fmt.Sprintf("%s %v→%v", name, ov, nv))
-		}
-	}
-	drift("rate_per_sec", old.RatePerSec, new.RatePerSec)
-	drift("admitted", old.Admitted, new.Admitted)
-	drift("overloaded", old.Overloaded, new.Overloaded)
-	drift("duration_us", old.DurationUS, new.DurationUS)
-	drift("p50_us", old.P50US, new.P50US)
-	drift("p99_us", old.P99US, new.P99US)
-	drift("p999_us", old.P999US, new.P999US)
-	drift("sum_us", old.SumUS, new.SumUS)
-	oc := make(map[string]ServiceClassPerf, len(old.Classes))
-	for _, c := range old.Classes {
+	var out []string
+	out = drift(out, "rate_per_sec", o.RatePerSec, n.RatePerSec)
+	out = drift(out, "admitted", o.Admitted, n.Admitted)
+	out = drift(out, "overloaded", o.Overloaded, n.Overloaded)
+	out = drift(out, "duration_us", o.DurationUS, n.DurationUS)
+	out = drift(out, "throughput_rps", o.ThroughputRPS, n.ThroughputRPS)
+	out = drift(out, "p50_us", o.P50US, n.P50US)
+	out = drift(out, "p99_us", o.P99US, n.P99US)
+	out = drift(out, "p999_us", o.P999US, n.P999US)
+	out = drift(out, "sum_us", o.SumUS, n.SumUS)
+	oc := make(map[string]ServiceClassPerf, len(o.Classes))
+	for _, c := range o.Classes {
 		oc[c.Name] = c
 	}
-	for _, c := range new.Classes {
-		o, ok := oc[c.Name]
+	for _, c := range n.Classes {
+		oldC, ok := oc[c.Name]
 		if !ok {
-			d.ServiceDrift = append(d.ServiceDrift, fmt.Sprintf("class %s only in new", c.Name))
+			out = append(out, "class "+c.Name+" not in the baseline")
 			continue
 		}
-		drift("class "+c.Name+" service_us", o.ServiceUS, c.ServiceUS)
-		drift("class "+c.Name+" arrivals", o.Arrivals, c.Arrivals)
 		delete(oc, c.Name)
+		out = drift(out, "class "+c.Name+" weight", oldC.Weight, c.Weight)
+		out = drift(out, "class "+c.Name+" service_us", oldC.ServiceUS, c.ServiceUS)
+		out = drift(out, "class "+c.Name+" arrivals", oldC.Arrivals, c.Arrivals)
 	}
-	for name := range oc {
-		d.ServiceDrift = append(d.ServiceDrift, fmt.Sprintf("class %s only in old", name))
+	for _, name := range slices.Sorted(maps.Keys(oc)) {
+		out = append(out, "class "+name+" missing")
 	}
-	sort.Strings(d.ServiceDrift)
+	for _, s := range out {
+		d.fail("service: %s", s)
+	}
 }
 
-func diffRow(old, new ExperimentPerf, opt DiffOptions) RowDiff {
-	r := RowDiff{
-		ID:           new.ID,
-		OldWallMS:    old.WallMS,
-		NewWallMS:    new.WallMS,
-		WallDelta:    relDelta(old.WallMS, new.WallMS),
-		P:            math.NaN(),
-		OldAllocs:    old.Allocs,
-		NewAllocs:    new.Allocs,
-		AllocDelta:   relDelta(float64(old.Allocs), float64(new.Allocs)),
-		OldVirtualMS: old.VirtualMS,
-		NewVirtualMS: new.VirtualMS,
-		VirtualMatch: old.VirtualMS == new.VirtualMS,
-	}
-
-	if len(old.WallSamplesMS) >= 2 && len(new.WallSamplesMS) >= 2 {
-		r.P = stats.MannWhitneyU(old.WallSamplesMS, new.WallSamplesMS).P
-	}
-	overThreshold := !math.IsNaN(r.WallDelta) && math.Abs(r.WallDelta) > opt.Threshold
-	if math.IsNaN(r.P) {
-		r.WallFlagged = overThreshold
-	} else {
-		r.WallFlagged = overThreshold && r.P <= opt.Alpha
-	}
-	r.AllocFlagged = !math.IsNaN(r.AllocDelta) && math.Abs(r.AllocDelta) > opt.Threshold
-
-	// Exact comparison of the derived means over the keys both rows
-	// carry. Keys present on one side only are grid/schema evolution,
-	// not emulator drift (e.g. a v2 report has no derived object at
-	// all), so they do not fail the gate.
-	for name, ov := range old.Derived {
-		if nv, ok := new.Derived[name]; ok {
-			if nv != ov {
-				r.DerivedDrift = append(r.DerivedDrift, name)
-			}
-		} else {
-			r.DerivedSkew = append(r.DerivedSkew, name)
-		}
-	}
-	for name := range new.Derived {
-		if _, ok := old.Derived[name]; !ok {
-			r.DerivedSkew = append(r.DerivedSkew, name)
-		}
-	}
-	sort.Strings(r.DerivedDrift)
-	sort.Strings(r.DerivedSkew)
-
-	if old.Tables != new.Tables {
-		r.StructureDrift = append(r.StructureDrift, fmt.Sprintf("tables %d→%d", old.Tables, new.Tables))
-	}
-	if old.Rows != new.Rows {
-		r.StructureDrift = append(r.StructureDrift, fmt.Sprintf("rows %d→%d", old.Rows, new.Rows))
-	}
-	if old.MachineRuns != new.MachineRuns {
-		r.StructureDrift = append(r.StructureDrift, fmt.Sprintf("machine_runs %d→%d", old.MachineRuns, new.MachineRuns))
-	}
-	return r
-}
-
-// formatting helpers shared by the two renderers.
-
-func fmtDelta(d float64) string {
-	if math.IsNaN(d) {
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", d*100)
-}
-
-func fmtP(p float64) string {
-	if math.IsNaN(p) {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.3f", p)
-}
-
-func (r RowDiff) virtualCell() string {
-	if r.Incomparable {
-		return "skipped (grids differ)"
-	}
-	if r.VirtualOK() {
-		return "ok"
-	}
-	var parts []string
-	if !r.VirtualMatch {
-		parts = append(parts, fmt.Sprintf("virtual_ms %v→%v", r.OldVirtualMS, r.NewVirtualMS))
-	}
-	if len(r.DerivedDrift) > 0 {
-		parts = append(parts, "derived: "+strings.Join(r.DerivedDrift, " "))
-	}
-	return "DRIFT(" + strings.Join(parts, "; ") + ")"
-}
-
-// WriteMarkdown renders the delta table as GitHub-flavoured markdown.
+// WriteMarkdown renders the comparison as GitHub-flavoured markdown.
 func (d *Diff) WriteMarkdown(w io.Writer) {
-	fmt.Fprintf(w, "## packdiff: %s → %s\n\n", d.describe(d.Old, d.OldPath), d.describe(d.New, d.NewPath))
-	if vm := d.VirtualMismatches(); vm == 0 {
-		fmt.Fprintf(w, "- virtual metrics: **exact match** (%d rows)\n", len(d.Rows))
+	fmt.Fprintf(w, "## packdiff: %s → %s (%s, quick=%v, seed=%d, parallel=%d)\n\n",
+		orReport(d.OldPath), orReport(d.NewPath), d.New.Schema, d.New.Quick, d.New.Seed, d.New.Parallel)
+	if d.OK() {
+		service := ""
+		if d.ServiceCompared {
+			service = " and the service object"
+		}
+		fmt.Fprintf(w, "- **exact match**: %d experiment rows, the total%s\n", d.ExperimentRows(), service)
 	} else {
-		fmt.Fprintf(w, "- virtual metrics: **%d of %d rows DRIFTED** — emulator correctness regression\n", vm, len(d.Rows))
-	}
-	fmt.Fprintf(w, "- wall threshold ±%.0f%%, alpha %.2f; flagged regressions: %d\n",
-		d.Opt.Threshold*100, d.Opt.Alpha, d.WallRegressions())
-	if d.EnvDiffers {
-		fmt.Fprintf(w, "- **environments differ** — wall/alloc deltas may reflect the host, not the code\n")
-	}
-	if len(d.ServiceDrift) > 0 {
-		fmt.Fprintf(w, "- service metrics: **DRIFTED** — %s\n", strings.Join(d.ServiceDrift, "; "))
-	} else if d.ServiceCompared {
-		fmt.Fprintf(w, "- service metrics: exact match (p50/p99/p999 %d/%d/%d µs)\n",
-			d.New.Service.P50US, d.New.Service.P99US, d.New.Service.P999US)
-	}
-	for _, note := range d.SkewNotes {
-		fmt.Fprintf(w, "- **skew**: %s\n", note)
-	}
-	if len(d.OnlyOld) > 0 {
-		fmt.Fprintf(w, "- only in old: %s\n", strings.Join(d.OnlyOld, ", "))
-	}
-	if len(d.OnlyNew) > 0 {
-		fmt.Fprintf(w, "- only in new: %s\n", strings.Join(d.OnlyNew, ", "))
+		fmt.Fprintf(w, "- **%d difference(s)**: a correctness regression of the cost model, or a grid change that needs a new baseline\n", len(d.Failures))
+		for _, f := range d.Failures {
+			fmt.Fprintf(w, "  - %s\n", f)
+		}
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| experiment | wall old (ms) | wall new (ms) | Δ wall | p | allocs old | allocs new | Δ allocs | virtual | notes |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|:--|:--|")
+	fmt.Fprintln(w, "| experiment | tables | rows | machine runs | virtual ms | exact |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|:--|")
 	for _, r := range d.Rows {
-		var notes []string
-		if r.Incomparable {
-			notes = append(notes, "grids differ")
-		}
-		if r.WallFlagged {
-			if r.WallDelta > 0 {
-				notes = append(notes, "**slower**")
-			} else {
-				notes = append(notes, "faster")
-			}
-		}
-		if r.AllocFlagged {
-			notes = append(notes, "allocs")
-		}
-		notes = append(notes, r.StructureDrift...)
-		fmt.Fprintf(w, "| %s | %.3f | %.3f | %s | %s | %d | %d | %s | %s | %s |\n",
-			r.ID, r.OldWallMS, r.NewWallMS, fmtDelta(r.WallDelta), fmtP(r.P),
-			r.OldAllocs, r.NewAllocs, fmtDelta(r.AllocDelta), r.virtualCell(),
-			strings.Join(notes, ", "))
+		fmt.Fprintf(w, "| %s | %d | %d | %d | %v | %s |\n",
+			r.New.ID, r.New.Tables, r.New.Rows, r.New.MachineRuns, r.New.VirtualMS, r.exactCell())
 	}
 }
 
-// WriteTSV renders the delta table as tab-separated values for
-// spreadsheet or awk consumption.
+// WriteTSV renders the row table as tab-separated values.
 func (d *Diff) WriteTSV(w io.Writer) {
-	fmt.Fprintln(w, "experiment\twall_old_ms\twall_new_ms\twall_delta\tp\twall_flagged\tallocs_old\tallocs_new\talloc_delta\tvirtual_old_ms\tvirtual_new_ms\tvirtual_ok\tincomparable\tderived_drift\tstructure_drift")
+	fmt.Fprintln(w, "experiment\ttables\trows\tmachine_runs\tvirtual_old_ms\tvirtual_new_ms\texact\tdrift")
 	for _, r := range d.Rows {
-		fmt.Fprintf(w, "%s\t%v\t%v\t%s\t%s\t%v\t%d\t%d\t%s\t%v\t%v\t%v\t%v\t%s\t%s\n",
-			r.ID, r.OldWallMS, r.NewWallMS, fmtDelta(r.WallDelta), fmtP(r.P), r.WallFlagged,
-			r.OldAllocs, r.NewAllocs, fmtDelta(r.AllocDelta),
-			r.OldVirtualMS, r.NewVirtualMS, r.VirtualOK(), r.Incomparable,
-			strings.Join(r.DerivedDrift, ","), strings.Join(r.StructureDrift, ","))
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%v\t%v\t%v\t%s\n", r.New.ID, r.New.Tables, r.New.Rows, r.New.MachineRuns,
+			r.Old.VirtualMS, r.New.VirtualMS, len(r.Drift) == 0, strings.Join(r.Drift, "; "))
 	}
 }
 
-func (d *Diff) describe(r *PerfReport, path string) string {
-	name := path
-	if name == "" {
-		name = "report"
+func (r RowDiff) exactCell() string {
+	if len(r.Drift) == 0 {
+		return "yes"
 	}
-	samples := r.Samples
-	if samples == 0 {
-		samples = 1
-	}
-	return fmt.Sprintf("%s (%s, sched=%s, parallel=%d, samples=%d)",
-		name, r.Schema, orDash(r.Scheduler), r.Parallel, samples)
+	return "DRIFT(" + strings.Join(r.Drift, "; ") + ")"
 }
 
-func orDash(s string) string {
-	if s == "" {
-		return "-"
+func orReport(path string) string {
+	if path == "" {
+		return "report"
 	}
-	return s
+	return path
 }

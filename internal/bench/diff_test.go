@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,9 +21,9 @@ func loadCommitted(t *testing.T, name string) *PerfReport {
 	return r
 }
 
-// TestLoadCommittedBaselines is the backward-compat satellite: every
-// committed BENCH_*.json (schema v1 through v3) must keep parsing
-// through the v4 loader.
+// TestLoadCommittedBaselines: the oldest committed BENCH_*.json
+// (schema v1 through v3) must keep parsing through the current loader,
+// which packreport uses to plot the history.
 func TestLoadCommittedBaselines(t *testing.T) {
 	cases := []struct {
 		file   string
@@ -59,247 +63,168 @@ func TestSchemaVersion(t *testing.T) {
 	}
 }
 
-// TestDiffPr2VsPr3Exact is the acceptance check: BENCH_pr2 and
-// BENCH_pr3 carry identical virtual metrics, so the comparator must
-// report zero virtual mismatches while still producing a wall table.
-func TestDiffPr2VsPr3Exact(t *testing.T) {
-	old := loadCommitted(t, "BENCH_pr2.json")
-	cur := loadCommitted(t, "BENCH_pr3.json")
-	d := DiffReports(old, cur, DiffOptions{})
-	if vm := d.VirtualMismatches(); vm != 0 {
-		for _, r := range d.Rows {
-			if !r.VirtualOK() {
-				t.Logf("drift: %s: %s", r.ID, r.virtualCell())
-			}
+// TestPr17MatchesPr16Exact is the acceptance check of the v8 report:
+// each experiment row of BENCH_pr17 equals BENCH_pr16 bit for bit —
+// machine_runs, virtual_ms and derived its "<id>/prefetch" row, tables
+// and rows its "<id>" row — and so do the total and the service object.
+// Dropping the replay rows and the wall figures moved no exact figure.
+func TestPr17MatchesPr16Exact(t *testing.T) {
+	old := loadCommitted(t, "BENCH_pr16.json")
+	cur := loadCommitted(t, "BENCH_pr17.json")
+	if cur.Schema != PerfSchema {
+		t.Fatalf("BENCH_pr17 schema %q, want %q", cur.Schema, PerfSchema)
+	}
+	rows := make(map[string]ExperimentPerf, len(old.Experiments))
+	for _, e := range old.Experiments {
+		rows[e.ID] = e
+	}
+	if len(cur.Experiments)*2 != len(old.Experiments) {
+		t.Fatalf("%d v8 rows for %d v7 rows", len(cur.Experiments), len(old.Experiments))
+	}
+	for _, e := range cur.Experiments {
+		pre, ok1 := rows[e.ID+"/prefetch"]
+		rep, ok2 := rows[e.ID]
+		if !ok1 || !ok2 {
+			t.Fatalf("%s: no prefetch/replay pair in BENCH_pr16", e.ID)
 		}
-		t.Fatalf("pr2 vs pr3: %d virtual mismatches, want 0", vm)
+		if e.MachineRuns != pre.MachineRuns || e.VirtualMS != pre.VirtualMS || !maps.Equal(e.Derived, pre.Derived) {
+			t.Errorf("%s: runs/virtual/derived %d/%v/%v, BENCH_pr16 prefetch %d/%v/%v",
+				e.ID, e.MachineRuns, e.VirtualMS, e.Derived, pre.MachineRuns, pre.VirtualMS, pre.Derived)
+		}
+		if e.Tables != rep.Tables || e.Rows != rep.Rows {
+			t.Errorf("%s: tables/rows %d/%d, BENCH_pr16 %d/%d", e.ID, e.Tables, e.Rows, rep.Tables, rep.Rows)
+		}
 	}
-	if len(d.Rows) == 0 {
-		t.Fatal("no rows compared")
+	if cur.Total.VirtualMS != old.Total.VirtualMS || !maps.Equal(cur.Total.Derived, old.Total.Derived) ||
+		cur.Total.MachineRuns != old.Total.MachineRuns || cur.Total.Tables != old.Total.Tables || cur.Total.Rows != old.Total.Rows {
+		t.Errorf("total %+v, BENCH_pr16 %+v", cur.Total, old.Total)
 	}
+	if !reflect.DeepEqual(cur.Service, old.Service) {
+		t.Errorf("service %+v, BENCH_pr16 %+v", cur.Service, old.Service)
+	}
+
+	d := DiffReports(cur, cur)
 	var md, tsv bytes.Buffer
 	d.WriteMarkdown(&md)
 	d.WriteTSV(&tsv)
-	if !strings.Contains(md.String(), "exact match") {
-		t.Fatalf("markdown missing exact-match banner:\n%s", md.String())
+	if !d.OK() || !strings.Contains(md.String(), fmt.Sprintf("**exact match**: %d experiment rows", len(cur.Experiments))) {
+		t.Fatalf("self-diff of BENCH_pr17 not an exact match:\n%s", md.String())
 	}
 	if got := strings.Count(tsv.String(), "\n"); got != len(d.Rows)+1 {
 		t.Fatalf("tsv has %d lines for %d rows", got, len(d.Rows))
 	}
-	// Both files lack raw samples, so no p-values anywhere.
-	for _, r := range d.Rows {
-		if !math.IsNaN(r.P) {
-			t.Fatalf("%s: p-value computed without samples", r.ID)
-		}
-	}
 }
 
-// TestDiffPerturbedVirtualFails feeds the committed fixture whose
-// fig3/prefetch virtual_ms was nudged by 1e-9: the exact rule must
-// flag it (packdiff exits 1 on this).
+// TestDiffPerturbedVirtualFails: a virtual_ms nudged by one ulp must
+// fail the exact rule on that row only.
 func TestDiffPerturbedVirtualFails(t *testing.T) {
-	old := loadCommitted(t, "BENCH_pr3.json")
-	cur, err := LoadPerfReport(filepath.Join("testdata", "BENCH_pr3_perturbed.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := DiffReports(old, cur, DiffOptions{})
-	if vm := d.VirtualMismatches(); vm == 0 {
+	old := loadCommitted(t, "BENCH_pr17.json")
+	cur := loadCommitted(t, "BENCH_pr17.json")
+	cur.Experiments[1].VirtualMS = math.Nextafter(cur.Experiments[1].VirtualMS, math.Inf(1))
+	d := DiffReports(old, cur)
+	if d.OK() {
 		t.Fatal("perturbed virtual_ms not detected")
 	}
-	var hit bool
 	for _, r := range d.Rows {
-		if r.ID == "fig3/prefetch" {
-			hit = true
-			if r.VirtualMatch {
-				t.Fatal("fig3/prefetch should mismatch")
-			}
-		} else if r.ID != "all" && !r.VirtualOK() {
-			t.Fatalf("unexpected drift on %s", r.ID)
+		if drifted := len(r.Drift) > 0; drifted != (r.New.ID == cur.Experiments[1].ID) {
+			t.Errorf("%s: drift %v", r.New.ID, r.Drift)
 		}
-	}
-	if !hit {
-		t.Fatal("fig3/prefetch row missing")
 	}
 	var md bytes.Buffer
 	d.WriteMarkdown(&md)
-	if !strings.Contains(md.String(), "DRIFT") {
-		t.Fatal("markdown missing DRIFT marker")
+	if !strings.Contains(md.String(), "DRIFT") || strings.Contains(md.String(), "exact match") {
+		t.Fatalf("markdown must mark the drift and claim no match:\n%s", md.String())
 	}
 }
 
-// TestDiffDerivedDriftFails checks the second exact class: a drifted
-// derived mean must fail even when virtual_ms agrees.
+// TestDiffDerivedDriftFails checks the derived means: a drifted value,
+// and a key present on one side only, fail even when virtual_ms
+// agrees.
 func TestDiffDerivedDriftFails(t *testing.T) {
-	old := loadCommitted(t, "BENCH_pr3.json")
-	cur := loadCommitted(t, "BENCH_pr3.json")
-	for i, e := range cur.Experiments {
-		if len(e.Derived) > 0 {
-			m := make(map[string]float64, len(e.Derived))
-			for k, v := range e.Derived {
-				m[k] = v
-			}
-			for k := range m {
-				m[k] += 1e-12
-				break
-			}
-			cur.Experiments[i].Derived = m
-			break
+	old := loadCommitted(t, "BENCH_pr17.json")
+	for _, mutate := range []func(map[string]float64){
+		func(m map[string]float64) { m["imbalance"] += 1e-12 },
+		func(m map[string]float64) { delete(m, "imbalance") },
+		func(m map[string]float64) { m["plan_hit_rate"] = 1 },
+	} {
+		cur := loadCommitted(t, "BENCH_pr17.json")
+		mutate(cur.Experiments[0].Derived)
+		if d := DiffReports(old, cur); d.OK() {
+			t.Fatalf("derived change not detected: %v", cur.Experiments[0].Derived)
 		}
 	}
-	d := DiffReports(old, cur, DiffOptions{})
-	if d.VirtualMismatches() == 0 {
-		t.Fatal("derived drift not detected")
-	}
 }
 
-// TestDiffWallSignificance exercises the noisy half: identical samples
-// are never flagged; a large, clearly-significant regression is.
-func TestDiffWallSignificance(t *testing.T) {
-	mk := func(samples []float64) *PerfReport {
-		row := ExperimentPerf{ID: "x", VirtualMS: 10}
-		row.sealSamples(samples)
-		r := &PerfReport{Schema: PerfSchema, Experiments: []ExperimentPerf{row}}
-		r.Total = SumPerf(r.Experiments)
-		r.Total.VirtualMS = 10
+// TestDiffRowAccounting: a row on one side only, and a row whose
+// tables, rows or machine_runs moved, fail the comparison; "exact
+// match" counts the experiment rows compared.
+func TestDiffRowAccounting(t *testing.T) {
+	mk := func(rows ...ExperimentPerf) *PerfReport {
+		r := &PerfReport{Schema: PerfSchema, Parallel: 1, Experiments: rows}
+		r.Total = SumPerf(rows)
 		return r
 	}
-	base := mk([]float64{10, 10.1, 9.9, 10.05, 9.95})
+	a := ExperimentPerf{ID: "a", Rows: 4, MachineRuns: 2, VirtualMS: 5}
+	b := ExperimentPerf{ID: "b", Rows: 1, MachineRuns: 1, VirtualMS: 1}
 
-	same := DiffReports(base, mk([]float64{10.02, 9.98, 10.06, 9.94, 10.01}), DiffOptions{})
-	for _, r := range same.Rows {
-		if r.WallFlagged {
-			t.Fatalf("noise flagged as regression: %+v", r)
-		}
-	}
-
-	slow := DiffReports(base, mk([]float64{20, 20.1, 19.9, 20.05, 19.95}), DiffOptions{})
-	var flagged bool
-	for _, r := range slow.Rows {
-		if r.ID == "x" {
-			if math.IsNaN(r.P) {
-				t.Fatal("sampled rows must get a p-value")
-			}
-			flagged = r.WallFlagged && r.WallDelta > 0
-		}
-	}
-	if !flagged {
-		t.Fatal("2x wall regression not flagged")
-	}
-	if slow.WallRegressions() == 0 {
-		t.Fatal("WallRegressions did not count the x row")
-	}
-
-	// Same 2x delta but wildly overlapping samples: the significance
-	// test must hold fire.
-	noisy := DiffReports(
-		mk([]float64{5, 30, 8, 22, 11}),
-		mk([]float64{28, 6, 24, 9, 21}), DiffOptions{})
-	for _, r := range noisy.Rows {
-		if r.ID == "x" && r.WallFlagged {
-			t.Fatalf("overlapping noisy samples flagged: p=%v delta=%v", r.P, r.WallDelta)
-		}
-	}
-}
-
-// TestDiffRowAccounting covers added/removed ids and structure drift.
-func TestDiffRowAccounting(t *testing.T) {
-	old := &PerfReport{Schema: "packbench-perf/v3", Experiments: []ExperimentPerf{
-		{ID: "a", WallMS: 1, VirtualMS: 5, Rows: 4, MachineRuns: 2},
-		{ID: "gone", WallMS: 1},
-	}, Total: ExperimentPerf{ID: "all", VirtualMS: 5}}
-	cur := &PerfReport{Schema: PerfSchema, Experiments: []ExperimentPerf{
-		{ID: "a", WallMS: 1, VirtualMS: 5, Rows: 6, MachineRuns: 3},
-		{ID: "fresh", WallMS: 1},
-	}, Total: ExperimentPerf{ID: "all", VirtualMS: 5}}
-	d := DiffReports(old, cur, DiffOptions{})
-	if len(d.OnlyOld) != 1 || d.OnlyOld[0] != "gone" {
-		t.Fatalf("OnlyOld = %v", d.OnlyOld)
-	}
-	if len(d.OnlyNew) != 1 || d.OnlyNew[0] != "fresh" {
-		t.Fatalf("OnlyNew = %v", d.OnlyNew)
-	}
-	if d.VirtualMismatches() != 0 {
-		t.Fatal("matching rows misreported")
-	}
-	for _, r := range d.Rows {
-		if r.ID == "a" && len(r.StructureDrift) != 2 {
-			t.Fatalf("structure drift = %v", r.StructureDrift)
-		}
-	}
-}
-
-// TestDiffSchemaSkewV5VsV4 is the schema-skew satellite: a v5 report
-// (extra planrepeat experiment, plan_repeat object) diffed against a
-// v4 baseline must warn-and-skip the new fields and the aggregate
-// total — and still compare every shared experiment row exactly.
-func TestDiffSchemaSkewV5VsV4(t *testing.T) {
-	old := &PerfReport{Schema: "packbench-perf/v4", Experiments: []ExperimentPerf{
-		{ID: "fig3", WallMS: 1, VirtualMS: 5},
-	}, Total: ExperimentPerf{ID: "all", WallMS: 1, VirtualMS: 5}}
-	cur := &PerfReport{Schema: "packbench-perf/v5", Experiments: []ExperimentPerf{
-		{ID: "fig3", WallMS: 1, VirtualMS: 5},
-		{ID: "planrepeat", WallMS: 2, VirtualMS: 7},
-	},
-		Total:      ExperimentPerf{ID: "all", WallMS: 3, VirtualMS: 12},
-		PlanRepeat: &PlanRepeatPerf{Calls: 120, HitRate: 0.9917, WallSpeedup: 1.5},
-	}
-
-	d := DiffReports(old, cur, DiffOptions{})
-	if vm := d.VirtualMismatches(); vm != 0 {
-		t.Fatalf("schema skew failed the exact gate: %d mismatches", vm)
-	}
-	var total RowDiff
-	var found bool
-	for _, r := range d.Rows {
-		if r.ID == "all" {
-			total, found = r, true
-		}
-	}
-	if !found {
-		t.Fatal("total row missing")
-	}
-	if !total.Incomparable || total.VirtualMatch {
-		t.Fatalf("total row not skipped: %+v", total)
-	}
-	if len(d.OnlyNew) != 1 || d.OnlyNew[0] != "planrepeat" {
-		t.Fatalf("OnlyNew = %v", d.OnlyNew)
-	}
-	joined := strings.Join(d.SkewNotes, "\n")
-	for _, want := range []string{"grids differ", "plan_repeat", "schema skew"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("skew notes missing %q:\n%s", want, joined)
-		}
-	}
-
-	var md, tsv bytes.Buffer
+	d := DiffReports(mk(a, b), mk(a, b))
+	var md bytes.Buffer
 	d.WriteMarkdown(&md)
-	d.WriteTSV(&tsv)
-	if !strings.Contains(md.String(), "skipped (grids differ)") {
-		t.Fatalf("markdown missing skipped total:\n%s", md.String())
+	if !d.OK() || d.ExperimentRows() != 2 || !strings.Contains(md.String(), "**exact match**: 2 experiment rows, the total\n") {
+		t.Fatalf("identical reports: ok %v, %d rows:\n%s", d.OK(), d.ExperimentRows(), md.String())
 	}
-	if !strings.Contains(md.String(), "**skew**") {
-		t.Fatalf("markdown missing skew bullets:\n%s", md.String())
-	}
-	if !strings.Contains(tsv.String(), "\tincomparable\t") {
-		t.Fatalf("tsv missing incomparable column:\n%s", tsv.String())
-	}
-
-	// A drifted shared row must still fail even amid skew.
-	cur.Experiments[0].VirtualMS += 1e-9
-	if DiffReports(old, cur, DiffOptions{}).VirtualMismatches() == 0 {
-		t.Fatal("shared-row drift masked by schema skew")
-	}
-
-	// Same grid, same schema: the total stays exact-compared.
-	exact := DiffReports(old, old, DiffOptions{})
-	for _, r := range exact.Rows {
-		if r.Incomparable {
-			t.Fatalf("same-grid row %s marked incomparable", r.ID)
+	for name, cur := range map[string]*PerfReport{
+		"row gone":     mk(a),
+		"row added":    mk(a, b, ExperimentPerf{ID: "c"}),
+		"rows moved":   mk(a, ExperimentPerf{ID: "b", Rows: 2, MachineRuns: 1, VirtualMS: 1}),
+		"runs moved":   mk(a, ExperimentPerf{ID: "b", Rows: 1, MachineRuns: 2, VirtualMS: 1}),
+		"tables moved": mk(a, ExperimentPerf{ID: "b", Tables: 1, Rows: 1, MachineRuns: 1, VirtualMS: 1}),
+	} {
+		if DiffReports(mk(a, b), cur).OK() {
+			t.Errorf("%s: comparison passed", name)
 		}
 	}
-	if len(exact.SkewNotes) != 0 {
-		t.Fatalf("same-schema diff has skew notes: %v", exact.SkewNotes)
+}
+
+// TestDiffRenamedRowsFail is the regression test for the comparator
+// that passed when the baseline's rows vanished: renaming every row
+// (and moving every virtual_ms) used to print "exact match (1 rows)",
+// counting only the total, and dropping rows compared the rest.
+func TestDiffRenamedRowsFail(t *testing.T) {
+	old := loadCommitted(t, "BENCH_pr17.json")
+	renamed := loadCommitted(t, "BENCH_pr17.json")
+	for i := range renamed.Experiments {
+		renamed.Experiments[i].ID += "-renamed"
+		renamed.Experiments[i].VirtualMS++
+	}
+	dropped := loadCommitted(t, "BENCH_pr17.json")
+	dropped.Experiments = slices.DeleteFunc(dropped.Experiments, func(e ExperimentPerf) bool { return e.ID == "planrepeat" })
+	noService := loadCommitted(t, "BENCH_pr17.json")
+	noService.Service = nil
+	for name, cur := range map[string]*PerfReport{"renamed": renamed, "dropped": dropped, "no service": noService} {
+		d := DiffReports(old, cur)
+		var md bytes.Buffer
+		d.WriteMarkdown(&md)
+		if d.OK() || strings.Contains(md.String(), "exact match") {
+			t.Errorf("%s: comparison passed:\n%s", name, md.String())
+		}
+	}
+}
+
+// TestDiffSchemaSkewV5VsV4: a v5 report against a v4 baseline (or any
+// pre-v8 report) is not compared at all — the wall rows and objects
+// the skew paths used to skip are gone, and packreport plots the old
+// baselines instead.
+func TestDiffSchemaSkewV5VsV4(t *testing.T) {
+	old := &PerfReport{Schema: "packbench-perf/v4", Experiments: []ExperimentPerf{{ID: "fig3", VirtualMS: 5}},
+		Total: ExperimentPerf{ID: "all", VirtualMS: 5}}
+	cur := &PerfReport{Schema: "packbench-perf/v5", Experiments: []ExperimentPerf{{ID: "fig3", VirtualMS: 5}},
+		Total: ExperimentPerf{ID: "all", VirtualMS: 5}}
+	for _, pair := range [][2]*PerfReport{{old, cur}, {cur, cur}, {loadCommitted(t, "BENCH_pr16.json"), loadCommitted(t, "BENCH_pr17.json")}} {
+		d := DiffReports(pair[0], pair[1])
+		if d.OK() || len(d.Rows) != 0 || !strings.Contains(strings.Join(d.Failures, "\n"), "packdiff compares "+PerfSchema) {
+			t.Errorf("%s vs %s: ok %v, %d rows, failures %v", pair[0].Schema, pair[1].Schema, d.OK(), len(d.Rows), d.Failures)
+		}
 	}
 }
 
@@ -312,10 +237,10 @@ func TestLoadPerfReportRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestDiffServiceObject covers the v7 service soak object: exact
-// comparison when both reports carry the same configuration, drift
-// detection on any deterministic field, and warn-and-skip on presence
-// or configuration mismatches.
+// TestDiffServiceObject covers the service soak object: exact
+// comparison under the same configuration, drift on any deterministic
+// field, and failure when one side lacks the object or ran another
+// configuration.
 func TestDiffServiceObject(t *testing.T) {
 	svc := func() *ServicePerf {
 		return &ServicePerf{
@@ -331,79 +256,41 @@ func TestDiffServiceObject(t *testing.T) {
 	}
 	base := func(s *ServicePerf) *PerfReport {
 		return &PerfReport{Schema: PerfSchema, Experiments: []ExperimentPerf{
-			{ID: "fig3", WallMS: 1, VirtualMS: 5},
-		}, Total: ExperimentPerf{ID: "all", WallMS: 1, VirtualMS: 5}, Service: s}
+			{ID: "fig3", VirtualMS: 5},
+		}, Total: ExperimentPerf{ID: "all", VirtualMS: 5}, Service: s}
 	}
 
-	// Identical service objects: exact match, no skew, no drift.
-	d := DiffReports(base(svc()), base(svc()), DiffOptions{})
-	if len(d.ServiceDrift) != 0 || len(d.SkewNotes) != 0 {
-		t.Fatalf("identical service objects: drift %v, skew %v", d.ServiceDrift, d.SkewNotes)
-	}
+	d := DiffReports(base(svc()), base(svc()))
 	var md bytes.Buffer
 	d.WriteMarkdown(&md)
-	if !strings.Contains(md.String(), "service metrics: exact match") {
-		t.Fatalf("markdown missing service match line:\n%s", md.String())
+	if !d.OK() || !d.ServiceCompared || !strings.Contains(md.String(), "the total and the service object") {
+		t.Fatalf("identical service objects: ok %v, failures %v:\n%s", d.OK(), d.Failures, md.String())
 	}
 
-	// Presence mismatch: skew note, no drift (the older baseline
-	// predates the soak).
-	d = DiffReports(base(nil), base(svc()), DiffOptions{})
-	if len(d.ServiceDrift) != 0 {
-		t.Fatalf("presence mismatch treated as drift: %v", d.ServiceDrift)
-	}
-	if joined := strings.Join(d.SkewNotes, "\n"); !strings.Contains(joined, "service object present only in the new report") {
-		t.Fatalf("skew notes missing service presence note: %v", d.SkewNotes)
-	}
-
-	// A drifted deterministic field fails like virtual drift.
+	// A drifted deterministic field fails like virtual drift; the
+	// arrival rate is derived from the class service times, so it is
+	// drift too, not configuration.
 	drifted := svc()
 	drifted.SumUS++
+	drifted.RatePerSec = 4099.5
 	drifted.Classes[0].ServiceUS = 763
-	d = DiffReports(base(svc()), base(drifted), DiffOptions{})
-	if len(d.ServiceDrift) != 2 {
-		t.Fatalf("service drift entries = %v, want sum_us and class service_us", d.ServiceDrift)
-	}
-	md.Reset()
-	d.WriteMarkdown(&md)
-	if !strings.Contains(md.String(), "service metrics: **DRIFTED**") {
-		t.Fatalf("markdown missing service drift line:\n%s", md.String())
+	d = DiffReports(base(svc()), base(drifted))
+	if len(d.Failures) != 3 || !d.ServiceCompared {
+		t.Fatalf("service drift = %v, want rate_per_sec, sum_us and class service_us", d.Failures)
 	}
 
-	// The arrival rate is derived from the class service times, so a
-	// service-time change moves both: that is drift, not a different
-	// configuration.
-	moved := svc()
-	moved.RatePerSec = 4099.5
-	moved.Classes[1].ServiceUS = 4400
-	d = DiffReports(base(svc()), base(moved), DiffOptions{})
-	if len(d.ServiceDrift) != 2 || len(d.SkewNotes) != 0 {
-		t.Fatalf("rate + service_us move: drift %v, skew %v; want rate_per_sec and class service_us drift, no skew", d.ServiceDrift, d.SkewNotes)
-	}
-	md.Reset()
-	d.WriteMarkdown(&md)
-	if !strings.Contains(md.String(), "service metrics: **DRIFTED**") || strings.Contains(md.String(), "exact match (p50") {
-		t.Fatalf("markdown must report the rate + service_us move as drift:\n%s", md.String())
-	}
-
-	// Different configurations are incomparable: skew, never drift.
 	other := svc()
 	other.Requests = 50_000
-	d = DiffReports(base(svc()), base(other), DiffOptions{})
-	if len(d.ServiceDrift) != 0 {
-		t.Fatalf("config mismatch treated as drift: %v", d.ServiceDrift)
-	}
-	if joined := strings.Join(d.SkewNotes, "\n"); !strings.Contains(joined, "different configurations") {
-		t.Fatalf("skew notes missing config note: %v", d.SkewNotes)
-	}
-
-	// A skipped comparison never renders as an exact match.
-	for _, pair := range [][2]*ServicePerf{{svc(), other}, {nil, svc()}, {svc(), nil}} {
-		d = DiffReports(base(pair[0]), base(pair[1]), DiffOptions{})
+	for name, pair := range map[string][2]*ServicePerf{
+		"config":       {svc(), other},
+		"new lacks it": {svc(), nil},
+		"old lacks it": {nil, svc()},
+	} {
+		d = DiffReports(base(pair[0]), base(pair[1]))
 		md.Reset()
 		d.WriteMarkdown(&md)
-		if strings.Contains(md.String(), "service metrics: exact match") {
-			t.Fatalf("skipped service comparison rendered as an exact match:\n%s", md.String())
+		if d.OK() || d.ServiceCompared || strings.Contains(md.String(), "exact match") {
+			t.Errorf("%s: comparison passed:\n%s", name, md.String())
 		}
 	}
 }

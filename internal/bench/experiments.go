@@ -42,12 +42,6 @@ type Suite struct {
 	// clock only — and the registry stays out of the memoization key, so
 	// cached points simply do not re-record (a cache hit runs no machine).
 	Metrics *metrics.Registry
-	// OnRealRegistry, when non-nil, is called with each fresh telemetry
-	// registry MeasureRealWorld creates (one per processor count, so
-	// per-point derived figures stay isolated). Live exposition servers
-	// use it to follow the machine currently executing
-	// (metrics.Server.SetRegistry).
-	OnRealRegistry func(*metrics.Registry)
 	// TraceDir, when non-empty, runs every measured machine with the
 	// observability layer on and dumps one Chrome trace-event file per
 	// executed experiment point into the directory (packbench
@@ -61,13 +55,6 @@ type Suite struct {
 	// flightdump.go) before the engine panic propagates. Tables and
 	// virtual times are unaffected.
 	FlightDir string
-	// Samples is how many times the instrumented runner repeats each
-	// experiment's warm-cache replay to collect wall-clock samples
-	// (packbench -samples); 0 or 1 measures once. Repeats never re-run
-	// machines — the prefetch phase executes the grid once — so
-	// sampling changes only the statistical quality of the wall
-	// figures, not any virtual result.
-	Samples int
 	// cache memoizes measurements across experiments: Figure 3 and
 	// Figure 4 report different columns of the same runs, and the
 	// Table I crossover search revisits the SSS baseline repeatedly.
@@ -87,27 +74,11 @@ type Suite struct {
 	// execute, which layers the per-point labels (scheme, op, procs)
 	// on top (see withStage).
 	labelCtx context.Context
-	// prefetchOnly / replayOnly split an experiment into its two
-	// engine phases for the instrumented runner (report.go): the
-	// prefetch phase discovers and executes the measurement grid (all
-	// machine runs and their allocations happen here), the replay
-	// phase renders tables from the warm cache. Neither is set during
-	// normal generation.
-	prefetchOnly bool
-	replayOnly   bool
 }
 
 // NewSuite builds a suite with a shared measurement cache.
 func NewSuite(quick bool, seed uint64) Suite {
 	return Suite{Quick: quick, Seed: seed, cache: newRunCache(), counters: &perfCounters{}}
-}
-
-// sampleCount resolves the Samples field: 0 means one sample.
-func (s Suite) sampleCount() int {
-	if s.Samples > 1 {
-		return s.Samples
-	}
-	return 1
 }
 
 // maskSpec names a mask generator for a given array shape.
@@ -609,7 +580,7 @@ func (s Suite) PRS() []*Table {
 			}
 		}
 	}
-	if s.cache != nil && !s.replayOnly && (s.workerCount() > 1 || s.prefetchOnly) {
+	if s.cache != nil && s.workerCount() > 1 {
 		var todo []int
 		for i, pt := range grid {
 			if !s.cache.peek(s.prsKey(pt)) {
@@ -624,9 +595,6 @@ func (s Suite) PRS() []*Table {
 				ps.cache.put(ps.prsKey(pt), ps.prsExecute(pt))
 			})
 		})
-	}
-	if s.prefetchOnly {
-		return nil
 	}
 	vals := make([]float64, len(grid))
 	s.withStage("replay", func(ctx context.Context) {
@@ -683,7 +651,6 @@ func (s Suite) Registry() map[string]func() []*Table {
 		"model":      s.Model,
 		"faults":     s.FaultSweep,
 		"planrepeat": s.PlanRepeat,
-		"realworld":  s.RealWorld,
 		"scale1k":    s.Scale1K,
 	}
 }
@@ -693,7 +660,7 @@ func (s Suite) Registry() map[string]func() []*Table {
 // paper artifacts, and keeping them out preserves the bit-for-bit
 // stability of the canonical BENCH reports. They run by explicit id
 // (packbench -exp faults).
-var hiddenExperiments = map[string]bool{"faults": true, "realworld": true, "scale1k": true}
+var hiddenExperiments = map[string]bool{"faults": true, "scale1k": true}
 
 // ExperimentIDs returns the canonical registry keys in stable order.
 func (s Suite) ExperimentIDs() []string {
@@ -709,7 +676,7 @@ func (s Suite) ExperimentIDs() []string {
 	// virtual_ms figures are deltas of one cumulative float sum, so
 	// inserting a new experiment mid-order would shift the running
 	// total and perturb every later row's delta by an ulp — breaking
-	// bit-exact packdiff comparisons against pre-v5 baselines for
+	// bit-exact packdiff comparisons with the committed baselines for
 	// experiments that themselves never changed.
 	if _, ok := reg["planrepeat"]; ok && !hiddenExperiments["planrepeat"] {
 		ids = append(ids, "planrepeat")

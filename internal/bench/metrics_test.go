@@ -144,51 +144,48 @@ func TestTraceDirDumpsParse(t *testing.T) {
 	}
 }
 
-// TestPerfReportDerived checks the schema marker and that instrumented
-// runs carry per-experiment derived means: machine executions happen in
-// the prefetch phase, so its perf line gets a derived object while the
-// pure-replay line (zero machine runs) gets none. (The derived object
-// is a v3 feature; v4 added sampling, v5 plan caching, v6 the
-// real_world telemetry object, and v7 the service soak object on top
-// without touching it.)
+// TestPerfReportDerived checks the schema marker and the derived
+// objects of the report rows: fig3's row carries the basic derived
+// metrics; fig4 reuses fig3's cached runs, so its row counts none and
+// carries no derived object; and the total weights each row's derived
+// means by its machine runs.
 func TestPerfReportDerived(t *testing.T) {
-	if PerfSchema != "packbench-perf/v7" {
-		t.Fatalf("PerfSchema = %q, want packbench-perf/v7", PerfSchema)
+	if PerfSchema != "packbench-perf/v8" {
+		t.Fatalf("PerfSchema = %q, want packbench-perf/v8", PerfSchema)
 	}
 
 	s := NewSuite(true, 1)
 	s.Workers = 1
-	_, perfs, err := s.RunInstrumented("fig3")
+	_, fig3, err := s.RunInstrumented("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(perfs) != 2 {
-		t.Fatalf("RunInstrumented produced %d perf lines, want 2", len(perfs))
-	}
-	pre, replay := perfs[0], perfs[1]
-	if pre.MachineRuns == 0 {
-		t.Fatal("prefetch phase ran no machines")
-	}
 	for _, name := range []string{"idle_frac", "imbalance", "comm_frac"} {
-		if _, ok := pre.Derived[name]; !ok {
-			t.Errorf("prefetch perf line lacks derived %q", name)
+		if _, ok := fig3.Derived[name]; !ok {
+			t.Errorf("fig3 row lacks derived %q", name)
 		}
 	}
-	if replay.MachineRuns != 0 {
-		t.Fatalf("replay phase ran %d machines, want 0 (warm cache)", replay.MachineRuns)
+	_, fig4, err := s.RunInstrumented("fig4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if replay.Derived != nil {
-		t.Error("replay perf line carries a derived object despite zero machine runs")
+	if fig4.MachineRuns != 0 || fig4.Derived != nil || fig4.Rows == 0 {
+		t.Fatalf("fig4 row %+v: want rendered rows, no machine runs and no derived object", fig4)
+	}
+	_, prs, err := s.RunInstrumented("prs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.RunInstrumented("nope"); err == nil {
+		t.Fatal("unknown experiment accepted")
 	}
 
+	perfs := []ExperimentPerf{fig3, fig4, prs}
 	total := SumPerf(perfs)
-	if total.MachineRuns != pre.MachineRuns {
-		t.Errorf("total machine runs %d, want %d", total.MachineRuns, pre.MachineRuns)
-	}
-	// With one contributing phase the run-weighted mean is that phase's.
-	for name, want := range pre.Derived {
+	for name, v := range fig3.Derived {
+		want := (v*float64(fig3.MachineRuns) + prs.Derived[name]*float64(prs.MachineRuns)) / float64(total.MachineRuns)
 		if got := total.Derived[name]; got != want {
-			t.Errorf("total derived %q = %v, want %v", name, got, want)
+			t.Errorf("total derived %q = %v, want the run-weighted mean %v", name, got, want)
 		}
 	}
 
@@ -205,8 +202,8 @@ func TestPerfReportDerived(t *testing.T) {
 	if back.Schema != PerfSchema {
 		t.Fatalf("schema round-trip: %q", back.Schema)
 	}
-	if got := back.Experiments[0].Derived["imbalance"]; got != pre.Derived["imbalance"] {
-		t.Errorf("derived imbalance round-trip: %v want %v", got, pre.Derived["imbalance"])
+	if got := back.Experiments[0].Derived["imbalance"]; got != fig3.Derived["imbalance"] {
+		t.Errorf("derived imbalance round-trip: %v want %v", got, fig3.Derived["imbalance"])
 	}
 }
 

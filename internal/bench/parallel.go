@@ -319,22 +319,11 @@ func (s Suite) executePoint(r Run) Metrics {
 // mode to discover the measurement grid, prefetches the grid across
 // the worker pool, and then replays gen serially against the warm
 // cache. gen is a method expression (e.g. Suite.fig3) so the dry pass
-// can run on a copy of the suite with collect mode switched on.
-//
-// The prefetch pass runs when there is host parallelism to exploit —
-// or whenever the instrumented runner splits the phases (prefetchOnly
-// / replayOnly), which it does at every worker count so that the
-// per-experiment rows of the perf report measure exactly the same
-// warm-cache replay regardless of -parallel (report.go). With a single
-// worker there is no parallelism to feed, so the prefetch phase skips
-// the dry pass (whose grid can over-collect on data-dependent
-// generators) and simply runs the generator serially, discarding the
-// tables: measure fills the shared cache with exactly the points the
-// replay will read.
+// can run on a copy of the suite with collect mode switched on. With a
+// single worker there is no parallelism to feed, so gen simply runs
+// serially and measure fills the cache as it goes.
 func (s Suite) parallelize(gen func(Suite) []*Table) []*Table {
-	serialPrefetch := s.prefetchOnly && s.workerCount() <= 1
-	if s.cache != nil && s.collect == nil && !s.replayOnly && !serialPrefetch &&
-		(s.workerCount() > 1 || s.prefetchOnly) {
+	if s.cache != nil && s.collect == nil && s.workerCount() > 1 {
 		dry := s
 		dry.collect = &runCollector{seen: make(map[string]bool)}
 		s.withStage("collect", func(ctx context.Context) {
@@ -346,17 +335,6 @@ func (s Suite) parallelize(gen func(Suite) []*Table) []*Table {
 			ps.labelCtx = ctx
 			ps.prefetch(dry.collect)
 		})
-	}
-	if s.prefetchOnly {
-		if serialPrefetch {
-			run := s
-			run.prefetchOnly = false
-			s.withStage("prefetch", func(ctx context.Context) {
-				run.labelCtx = ctx
-				gen(run)
-			})
-		}
-		return nil
 	}
 	var tables []*Table
 	s.withStage("replay", func(ctx context.Context) {

@@ -3,112 +3,75 @@ package bench
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
-// TestWallMSResolution pins the satellite fix: wall times must keep
-// sub-microsecond resolution. The old formula
-// float64(wall.Microseconds())/1000 truncated 1.5µs to 0.001ms (and
-// anything under 1µs to zero).
-func TestWallMSResolution(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want float64
-	}{
-		{1500 * time.Nanosecond, 0.0015},
-		{999 * time.Nanosecond, 0.000999},
-		{123456789 * time.Nanosecond, 123.456789},
-		{time.Millisecond, 1},
-		{0, 0},
-	}
-	for _, c := range cases {
-		if got := wallMS(c.d); got != c.want {
-			t.Errorf("wallMS(%v) = %v, want %v", c.d, got, c.want)
-		}
-		if trunc := float64(c.d.Microseconds()) / 1000; c.d == 1500*time.Nanosecond && trunc == c.want {
-			t.Errorf("old truncating formula unexpectedly exact for %v", c.d)
-		}
-	}
-}
-
-func TestSealSamples(t *testing.T) {
-	p := ExperimentPerf{ID: "x", WallMS: 99}
-	p.sealSamples([]float64{3, 1, 2, 5, 4})
-	if p.WallMS != 3 {
-		t.Errorf("WallMS = %v, want median 3", p.WallMS)
-	}
-	if p.WallStats == nil || p.WallStats.Samples != 5 || p.WallStats.MedianMS != 3 ||
-		p.WallStats.MinMS != 1 || p.WallStats.MaxMS != 5 || p.WallStats.MADMS != 1 {
-		t.Errorf("WallStats = %+v", p.WallStats)
-	}
-	if len(p.WallSamplesMS) != 5 || p.WallSamplesMS[0] != 3 {
-		t.Errorf("samples not preserved in order: %v", p.WallSamplesMS)
-	}
-}
-
-// TestRunInstrumentedSamples checks the repeated-sample contract: N
-// replay samples on the experiment row, one on the prefetch row,
-// headline wall = median, and no extra machine runs from sampling.
+// TestRunInstrumentedSamples runs one experiment twice on the same
+// suite. The first run renders the same tables as a plain generation
+// and its row counts the machine runs it executed; the second replays
+// from the warm cache, so its row renders the same tables but counts no
+// runs and carries no derived object.
 func TestRunInstrumentedSamples(t *testing.T) {
 	s := NewSuite(true, 1)
 	s.Workers = 1
-	s.Samples = 3
-	tables, perfs, err := s.RunInstrumented("fig3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(perfs) != 2 {
-		t.Fatalf("want prefetch+replay rows, got %d", len(perfs))
-	}
-	pre, rep := perfs[0], perfs[1]
-	if pre.ID != "fig3/prefetch" || rep.ID != "fig3" {
-		t.Fatalf("row ids: %q, %q", pre.ID, rep.ID)
-	}
-	if got := len(rep.WallSamplesMS); got != 3 {
-		t.Fatalf("replay samples = %d, want 3", got)
-	}
-	if rep.WallStats == nil || rep.WallStats.Samples != 3 {
-		t.Fatalf("replay WallStats = %+v", rep.WallStats)
-	}
-	if len(pre.WallSamplesMS) != 1 || pre.WallStats.Samples != 1 {
-		t.Fatalf("prefetch must carry exactly one sample: %+v", pre.WallStats)
-	}
-	if rep.MachineRuns != 0 {
-		t.Fatalf("replay ran %d machines; sampling must stay warm-cache only", rep.MachineRuns)
-	}
-	if pre.MachineRuns == 0 {
-		t.Fatal("prefetch ran no machines")
-	}
-	if rep.WallMS != rep.WallStats.MedianMS {
-		t.Fatalf("headline wall %v != median %v", rep.WallMS, rep.WallStats.MedianMS)
-	}
-
-	// Sampling must not change the rendered tables: compare against a
-	// single-sample suite.
-	s2 := NewSuite(true, 1)
-	s2.Workers = 1
-	tables2, _, err := s2.RunInstrumented("fig3")
+	tables, first, err := s.RunInstrumented("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got, want bytes.Buffer
 	RenderAll(&got, tables)
-	RenderAll(&want, tables2)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("sampled run rendered different tables than single-sample run")
+	RenderAll(&want, NewSuite(true, 1).Fig3())
+	if got.String() != want.String() {
+		t.Fatal("RunInstrumented rendered different tables than Fig3")
+	}
+	runs := s.PerfSnapshot().MachineRuns
+	if first.ID != "fig3" || first.Tables != len(tables) || first.MachineRuns == 0 || first.MachineRuns != runs {
+		t.Fatalf("first fig3 row %+v for %d tables and %d machine runs", first, len(tables), runs)
+	}
+
+	tables2, second, err := s.RunInstrumented("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	RenderAll(&again, tables2)
+	if again.String() != got.String() {
+		t.Fatal("warm-cache replay rendered different tables than the first run")
+	}
+	if second.MachineRuns != 0 || second.VirtualMS != 0 || second.Derived != nil {
+		t.Fatalf("replay row %+v: want no machine runs, no virtual time and no derived object", second)
+	}
+	if second.Tables != first.Tables || second.Rows != first.Rows {
+		t.Fatalf("replay row counts %d tables/%d rows, first run %d/%d",
+			second.Tables, second.Rows, first.Tables, first.Rows)
+	}
+	if s.PerfSnapshot().MachineRuns != runs {
+		t.Fatal("warm-cache replay executed machines")
 	}
 }
 
+// TestSumPerfWallSumsMedians pins the total line: counters and virtual
+// time are summed, and each derived per-run mean becomes the mean
+// weighted by machine runs, so replay rows that ran nothing do not
+// dilute it.
 func TestSumPerfWallSumsMedians(t *testing.T) {
-	a := ExperimentPerf{ID: "a"}
-	a.sealSamples([]float64{1, 10, 2}) // median 2
-	b := ExperimentPerf{ID: "b"}
-	b.sealSamples([]float64{5}) // median 5
-	total := SumPerf([]ExperimentPerf{a, b})
-	if total.WallMS != 7 {
-		t.Fatalf("total wall = %v, want 7", total.WallMS)
+	a := ExperimentPerf{ID: "a", Tables: 1, Rows: 3, MachineRuns: 2, VirtualMS: 1.5,
+		Derived: map[string]float64{"imbalance": 1}}
+	b := ExperimentPerf{ID: "b", Tables: 2, Rows: 4, MachineRuns: 6, VirtualMS: 2.5,
+		Derived: map[string]float64{"imbalance": 3}}
+	replay := ExperimentPerf{ID: "replay", Tables: 1, Rows: 5}
+
+	total := SumPerf([]ExperimentPerf{a, b, replay})
+	if total.ID != "all" || total.Tables != 4 || total.Rows != 12 || total.MachineRuns != 8 || total.VirtualMS != 4 {
+		t.Fatalf("total %+v does not sum the rows", total)
 	}
-	if total.WallStats != nil || total.WallSamplesMS != nil {
-		t.Fatal("total must not carry sample fields")
+	if got := total.Derived["imbalance"]; got != 2.5 {
+		t.Fatalf("total derived imbalance = %v, want the run-weighted mean 2.5", got)
+	}
+	if len(total.Derived) != 1 {
+		t.Fatalf("total derived %v, want only imbalance", total.Derived)
+	}
+
+	if idle := SumPerf([]ExperimentPerf{replay}); idle.Derived != nil || idle.Rows != 5 {
+		t.Fatalf("total of a replay-only report %+v: want its rows and no derived object", idle)
 	}
 }

@@ -263,40 +263,6 @@ func TestServe(t *testing.T) {
 	}
 }
 
-// TestServeSetRegistry pins the live-swap contract: after
-// SetRegistry the endpoints read the new registry (the real-backend
-// speedup family swaps in a fresh registry per measured point so the
-// live view follows the machine currently executing).
-func TestServeSetRegistry(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	get := func() string {
-		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return string(body)
-	}
-	if body := get(); bytes.Contains([]byte(body), []byte("swapped_in_total")) {
-		t.Fatalf("empty server already exposes the family: %q", body)
-	}
-	r := NewRegistry()
-	r.Counter("swapped_in_total", "", "k").With("v").Inc()
-	srv.SetRegistry(r)
-	if body := get(); !bytes.Contains([]byte(body), []byte("swapped_in_total")) {
-		t.Errorf("after SetRegistry, /metrics lacks the new family: %q", body)
-	}
-	srv.SetRegistry(nil)
-	if body := get(); bytes.Contains([]byte(body), []byte("swapped_in_total")) {
-		t.Errorf("after SetRegistry(nil), /metrics still serves old registry: %q", body)
-	}
-}
-
 // TestServeNilRegistry pins that the flag plumbing can start the
 // endpoint unconditionally: a nil registry serves empty documents.
 func TestServeNilRegistry(t *testing.T) {

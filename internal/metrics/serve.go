@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
 // Server is the live exposition endpoint: a plain net/http server
 // publishing the registry at /metrics (Prometheus text format) and
-// /vars (expvar-style JSON). It exists so a long real-backend run can
-// be scraped while it executes; nothing in the hot path knows the
-// server exists — it only reads snapshots.
+// /vars (expvar-style JSON). It exists so a long run can be scraped
+// while it executes; nothing in the hot path knows the server exists —
+// it only reads snapshots.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
-	reg atomic.Pointer[Registry]
 }
 
 // Serve starts the exposition server on addr (":0" picks a free port;
@@ -30,15 +28,14 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	}
 	srv := &http.Server{ReadHeaderTimeout: 5 * time.Second}
 	s := &Server{ln: ln, srv: srv}
-	s.reg.Store(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, s.reg.Load())
+		_ = WritePrometheus(w, r)
 	})
 	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = WriteExpvarJSON(w, s.reg.Load())
+		_ = WriteExpvarJSON(w, r)
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
@@ -51,12 +48,6 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	go func() { _ = srv.Serve(ln) }()
 	return s, nil
 }
-
-// SetRegistry atomically swaps the registry the endpoints read. It
-// exists for runs that build a fresh registry per measurement point
-// (the real-backend speedup family): the live endpoint then always
-// shows the machine currently executing. nil is allowed (empty docs).
-func (s *Server) SetRegistry(r *Registry) { s.reg.Store(r) }
 
 // Addr is the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }

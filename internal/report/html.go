@@ -5,7 +5,6 @@ import (
 	"html"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -192,99 +191,6 @@ func crossoverChart() chart {
 	}
 }
 
-// planChart builds the plan-cache amortization figure over the
-// baselines that carry a plan_repeat measurement (schema v5+).
-func planChart(files []*File) (chart, bool) {
-	var (
-		xs   []string
-		wall = series{Name: "wall speedup", Slot: 1}
-		virt = series{Name: "virtual speedup", Slot: 2}
-		rows [][]string
-	)
-	for _, f := range files {
-		pr := f.Perf.PlanRepeat
-		if pr == nil {
-			continue
-		}
-		xs = append(xs, f.Label)
-		wall.Values = append(wall.Values, pr.WallSpeedup)
-		virt.Values = append(virt.Values, pr.VirtualSpeedup)
-		rows = append(rows, []string{
-			f.Label, strconv.Itoa(pr.Calls), fmtNum(pr.HitRate),
-			fmtNum(pr.UnplannedWallMS), fmtNum(pr.PlannedWallMS),
-			fmtNum(pr.WallSpeedup), fmtNum(pr.VirtualSpeedup),
-		})
-	}
-	if len(xs) == 0 {
-		return chart{}, false
-	}
-	ss := []series{wall, virt}
-	return chart{
-		Title:   "Plan-cache amortization (plan_repeat)",
-		SVG:     barChartSVG("plan cache speedup", "×", xs, ss),
-		Legend:  ss,
-		Caption: "Per-call speedup of repeat PACK traffic once the PackPlan compilation layer answers from its cache; hit rate is the cache's share of lookups.",
-		Head:    []string{"baseline", "calls", "hit rate", "unplanned ms/call", "planned ms/call", "wall ×", "virtual ×"},
-		Rows:    rows,
-	}, true
-}
-
-// realWorldChart plots the measured-vs-modeled speedup curve of the
-// newest baseline carrying a real_world object (schema v6+).
-func realWorldChart(files []*File) (chart, bool) {
-	var src *File
-	for _, f := range files {
-		if f.Perf.RealWorld != nil {
-			src = f
-		}
-	}
-	if src == nil {
-		return chart{}, false
-	}
-	rw := src.Perf.RealWorld
-	xs := make([]string, len(rw.Points))
-	model := series{Name: "model speedup", Slot: 1, Values: make([]float64, len(rw.Points))}
-	meas := series{Name: "measured speedup", Slot: 2, Values: make([]float64, len(rw.Points))}
-	derivedKeys := map[string]bool{}
-	for _, pt := range rw.Points {
-		for k := range pt.Derived {
-			derivedKeys[k] = true
-		}
-	}
-	keys := make([]string, 0, len(derivedKeys))
-	for k := range derivedKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	head := []string{"P", "model ms", "model ×", "real ms", "real ×"}
-	head = append(head, keys...)
-	rows := make([][]string, len(rw.Points))
-	for i, pt := range rw.Points {
-		xs[i] = strconv.Itoa(pt.P)
-		model.Values[i] = pt.ModelSpeedup
-		meas.Values[i] = pt.RealSpeedup
-		row := []string{xs[i], fmtNum(pt.ModelMS), fmtNum(pt.ModelSpeedup), fmtNum(pt.RealMS), fmtNum(pt.RealSpeedup)}
-		for _, k := range keys {
-			if v, ok := pt.Derived[k]; ok {
-				row = append(row, fmtNum(v))
-			} else {
-				row = append(row, "—")
-			}
-		}
-		rows[i] = row
-	}
-	ss := []series{model, meas}
-	return chart{
-		Title:  fmt.Sprintf("Real-backend speedup (%s): N=%d, W=%d, density %s", src.Label, rw.N, rw.W, fmtNum(rw.Density)),
-		SVG:    lineChartSVG("real backend speedup", "×", xs, ss),
-		Legend: ss,
-		Caption: fmt.Sprintf("Measured wall-clock speedup on the shared-memory backend against the emulator's cost-model prediction; "+
-			"%d reps × %d samples on a %d-CPU host. Host figures — never bit-for-bit comparable.", rw.Reps, rw.Samples, rw.HostCPUs),
-		Head: head,
-		Rows: rows,
-	}, true
-}
-
 // serviceChart builds the serving-latency trend over the baselines
 // that carry a service soak object (schema v7+): the deterministic
 // virtual-time p50/p99/p999 of the open-loop traffic model, plus a
@@ -340,29 +246,17 @@ func serviceChart(files []*File) (chart, bool) {
 
 // overviewTable summarizes every loaded baseline on one row each.
 func overviewTable(sb *strings.Builder, files []*File) {
-	sb.WriteString("<table>\n<tr><th>baseline</th><th>schema</th><th>sched</th>" +
-		`<th class="num">samples</th><th class="num">experiments</th><th class="num">machine runs</th>` +
-		`<th class="num">cache hits</th><th class="num">wall ms</th><th class="num">virtual ms</th></tr>` + "\n")
+	sb.WriteString("<table>\n<tr><th>baseline</th><th>schema</th>" +
+		`<th class="num">experiments</th><th class="num">machine runs</th><th class="num">virtual ms</th></tr>` + "\n")
 	for _, f := range files {
-		sched := f.Perf.Scheduler
-		if sched == "" {
-			sched = "—"
-		}
-		samples := "—"
-		if f.Perf.Samples > 0 {
-			samples = strconv.Itoa(f.Perf.Samples)
-		}
 		nExp := 0
 		for _, e := range f.Perf.Experiments {
 			if !strings.HasSuffix(e.ID, "/prefetch") {
 				nExp++
 			}
 		}
-		fmt.Fprintf(sb, `<tr><td>%s</td><td>v%d</td><td>%s</td><td class="num">%s</td><td class="num">%d</td>`+
-			`<td class="num">%d</td><td class="num">%d</td><td class="num">%s</td><td class="num">%s</td></tr>`+"\n",
-			esc(f.Label), f.Schema, esc(sched), samples, nExp,
-			f.Perf.Total.MachineRuns, f.Perf.Total.CacheHits,
-			fmtNum(f.Perf.Total.WallMS), fmtNum(f.Perf.Total.VirtualMS))
+		fmt.Fprintf(sb, `<tr><td>%s</td><td>v%d</td><td class="num">%d</td><td class="num">%d</td><td class="num">%s</td></tr>`+"\n",
+			esc(f.Label), f.Schema, nExp, f.Perf.Total.MachineRuns, fmtNum(f.Perf.Total.VirtualMS))
 	}
 	sb.WriteString("</table>\n")
 }
@@ -386,9 +280,6 @@ func WriteHTML(w io.Writer, title string, files []*File) error {
 	overviewTable(&sb, files)
 
 	sb.WriteString("<h2>Suite cost trends</h2>\n")
-	writeChart(&sb, trendChart(files, "Total wall-clock per suite run", "ms",
-		"Host wall time of the full experiment suite; moves with hardware, sampling, and parallelism — read alongside the env row, not as a regression gate by itself.",
-		func(f *File) float64 { return f.Perf.Total.WallMS }))
 	writeChart(&sb, trendChart(files, "Total virtual time (cost-model checksum)", "ms",
 		"Sum of emulated machine time over all runs — host-independent and bit-for-bit reproducible; cmd/packdiff compares it exactly.",
 		func(f *File) float64 { return f.Perf.Total.VirtualMS }))
@@ -401,18 +292,8 @@ func WriteHTML(w io.Writer, title string, files []*File) error {
 		"How the communication volume splits across the PACK phases; the unplotted default-phase share is in the table view.",
 		[]string{"comm_share/m2m", "comm_share/prs", "comm_share/redist"}, []string{"comm_share/default"}))
 
-	if c, ok := planChart(files); ok {
-		sb.WriteString("<h2>Plan-cache amortization</h2>\n")
-		writeChart(&sb, c)
-	}
-
 	sb.WriteString("<h2>Scheme crossover model</h2>\n")
 	writeChart(&sb, crossoverChart())
-
-	if c, ok := realWorldChart(files); ok {
-		sb.WriteString("<h2>Real-backend speedup</h2>\n")
-		writeChart(&sb, c)
-	}
 
 	if c, ok := serviceChart(files); ok {
 		sb.WriteString("<h2>Serving traffic</h2>\n")

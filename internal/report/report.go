@@ -1,20 +1,16 @@
 // Package report renders packbench perf baselines (BENCH_*.json,
-// schema packbench-perf/v1 through v7) into one self-contained static
-// HTML dashboard: wall-clock and virtual-time trends across baselines,
-// derived-telemetry trends, plan-cache amortization, the paper's
-// scheme-crossover model, the real-backend speedup curve, and the
-// serving-latency trend when a baseline carries the v7 service soak
+// schema packbench-perf/v1 through v8) into one self-contained static
+// HTML dashboard: virtual-time and derived-telemetry trends across
+// baselines, the paper's scheme-crossover model, and the
+// serving-latency trend when a baseline carries the service soak
 // object. The output is deterministic byte-for-byte for the same
 // inputs (no timestamps, sorted iteration), which is what makes it
 // golden-testable.
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"packunpack/internal/bench"
@@ -29,28 +25,18 @@ type File struct {
 	Perf   bench.PerfReport
 }
 
-// Load reads one BENCH_*.json baseline. Every schema era v1–v7 decodes
-// into the current bench.PerfReport superset: fields a vintage lacks
+// Load reads one BENCH_*.json baseline. Every schema era v1–v8
+// decodes into the current bench.PerfReport: fields a vintage lacks
 // read as zero values, which the renderer treats as "not measured"
-// rather than zero measurements.
+// rather than zero measurements, and fields v8 dropped (the wall-clock
+// rows and objects) are ignored.
 func Load(path string) (*File, error) {
-	raw, err := os.ReadFile(path)
+	perf, err := bench.LoadPerfReport(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("report: %w", err)
 	}
-	var perf bench.PerfReport
-	if err := json.Unmarshal(raw, &perf); err != nil {
-		return nil, fmt.Errorf("report: %s: %w", path, err)
-	}
-	const prefix = "packbench-perf/v"
-	if !strings.HasPrefix(perf.Schema, prefix) {
-		return nil, fmt.Errorf("report: %s: schema %q is not a packbench perf report", path, perf.Schema)
-	}
-	v, err := strconv.Atoi(strings.TrimPrefix(perf.Schema, prefix))
-	if err != nil || v < 1 {
-		return nil, fmt.Errorf("report: %s: malformed schema version %q", path, perf.Schema)
-	}
-	return &File{Label: labelFor(path), Path: path, Schema: v, Perf: perf}, nil
+	v, _ := bench.SchemaVersion(perf.Schema)
+	return &File{Label: labelFor(path), Path: path, Schema: v, Perf: *perf}, nil
 }
 
 // LoadAll loads the given baselines in order. Order is meaningful: the

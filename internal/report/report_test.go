@@ -27,11 +27,11 @@ func loadFixtures(t *testing.T) []*File {
 }
 
 // TestGoldenDashboard pins the full rendered page — every chart path
-// the fixtures can reach (v1 with bare rows, v4 with derived telemetry
-// and wall stats, v6 with plan_repeat and real_world, v7 with the
-// service soak object) — against a
-// golden file, which is also the determinism proof: any nondeterminism
-// in map iteration or float formatting shows up as golden drift.
+// the fixtures can reach (v1 with bare rows, v4 with derived telemetry,
+// v6 with the plan-cache experiment, v7 with the service soak object;
+// the wall-clock fields of v4–v7 are ignored) — against a golden file,
+// which is also the determinism proof: any nondeterminism in map
+// iteration or float formatting shows up as golden drift.
 func TestGoldenDashboard(t *testing.T) {
 	files := loadFixtures(t)
 	var buf bytes.Buffer
@@ -74,9 +74,7 @@ func TestGoldenDashboardSections(t *testing.T) {
 		"<h2>Run overview</h2>",
 		"<h2>Suite cost trends</h2>",
 		"<h2>Derived telemetry trends</h2>",
-		"<h2>Plan-cache amortization</h2>",
 		"<h2>Scheme crossover model</h2>",
-		"<h2>Real-backend speedup</h2>",
 		"<h2>Serving traffic</h2>",
 		"prefers-color-scheme: dark", // dark palette is selected, not flipped
 		"Table view",                 // every chart ships its numbers
@@ -97,7 +95,7 @@ func TestGoldenDashboardSections(t *testing.T) {
 }
 
 // TestRendersRepoBaselines loads every committed BENCH_*.json at the
-// repo root — the real schema-era sequence v1..v7 — and renders them,
+// repo root — the real schema-era sequence v1..v8 — and renders them,
 // proving the loader is tolerant of each vintage as shipped, not just
 // of the hand-written fixtures.
 func TestRendersRepoBaselines(t *testing.T) {
@@ -123,11 +121,8 @@ func TestRendersRepoBaselines(t *testing.T) {
 			t.Errorf("baseline %s missing from dashboard", f.Label)
 		}
 	}
-	if strings.Contains(out, "Real-backend speedup") {
-		t.Error("no committed baseline carries real_world; the section should be absent")
-	}
 	if !strings.Contains(out, "Serving traffic") {
-		t.Error("the v7 baseline carries a service object; the serving-traffic section should render")
+		t.Error("the v7 and v8 baselines carry a service object; the serving-traffic section should render")
 	}
 }
 

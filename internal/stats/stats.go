@@ -1,14 +1,13 @@
-// Package stats implements the small statistical toolkit the perf
-// pipeline needs: robust aggregates (median, quantiles, MAD) over
-// repeated wall-clock samples, and a Mann–Whitney U significance test
-// for deciding whether two sample sets plausibly come from the same
-// distribution (benchstat-style, suited to the small sample counts a
-// perf sweep can afford).
+// Package stats implements the small statistical toolkit cmd/packdiff
+// needs to compare repo-benchmark runs: the quartile summary of one
+// side's runs of a metric, and a Mann–Whitney U significance test for
+// deciding whether two sets of runs plausibly come from the same
+// distribution (benchstat-style, suited to the few runs a benchmark
+// comparison can afford).
 //
 // Virtual times never come through here — they are exact replays of
 // the cost model and are compared bit-for-bit (see cmd/packdiff). This
-// package exists for the host-side wall-clock and allocation figures,
-// which are genuinely noisy.
+// package exists for measured figures, which are genuinely noisy.
 package stats
 
 import (
@@ -16,26 +15,23 @@ import (
 	"sort"
 )
 
-// Summary is the robust description of one metric's repeated samples.
-// Median/P10/P90 describe the distribution's location and spread
-// without assuming normality; MAD (median absolute deviation) is the
-// robust analogue of the standard deviation.
+// Summary describes one metric's runs by order statistics, without
+// assuming normality: Median is the location, Q1 and Q3 bound the
+// middle half of the runs, and Min and Max the whole set.
 type Summary struct {
 	N      int
 	Min    float64
-	Max    float64
-	Mean   float64
+	Q1     float64
 	Median float64
-	P10    float64
-	P90    float64
-	// MAD is the raw median absolute deviation from the median (not
-	// scaled by 1.4826; consumers that want a sigma-comparable figure
-	// apply the normal-consistency constant themselves).
-	MAD float64
+	Q3     float64
+	Max    float64
 }
 
+// IQR is the interquartile range Q3 - Q1.
+func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
+
 // Summarize computes the Summary of xs. It copies the input (callers
-// keep their sample order) and returns the zero Summary for an empty
+// keep their run order) and returns the zero Summary for an empty
 // slice.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
@@ -43,26 +39,14 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	s := Summary{
+	return Summary{
 		N:      len(sorted),
 		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   sum / float64(len(sorted)),
+		Q1:     quantileSorted(sorted, 0.25),
 		Median: quantileSorted(sorted, 0.5),
-		P10:    quantileSorted(sorted, 0.10),
-		P90:    quantileSorted(sorted, 0.90),
+		Q3:     quantileSorted(sorted, 0.75),
+		Max:    sorted[len(sorted)-1],
 	}
-	dev := make([]float64, len(sorted))
-	for i, v := range sorted {
-		dev[i] = math.Abs(v - s.Median)
-	}
-	sort.Float64s(dev)
-	s.MAD = quantileSorted(dev, 0.5)
-	return s
 }
 
 // Median returns the median of xs (0 for an empty slice).

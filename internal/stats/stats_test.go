@@ -14,16 +14,9 @@ func TestSummarizeGolden(t *testing.T) {
 	if s.N != 5 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("N/Min/Max: %+v", s)
 	}
-	if !close(s.Mean, 3) || !close(s.Median, 3) {
-		t.Fatalf("Mean/Median: %+v", s)
-	}
 	// R-7 quantiles over sorted [1 2 3 4 5]: pos = q*(n-1).
-	if !close(s.P10, 1.4) || !close(s.P90, 4.6) {
-		t.Fatalf("P10/P90: %+v", s)
-	}
-	// |x - 3| = [2 1 0 1 2], median 1.
-	if !close(s.MAD, 1) {
-		t.Fatalf("MAD: %+v", s)
+	if !close(s.Q1, 2) || !close(s.Median, 3) || !close(s.Q3, 4) || !close(s.IQR(), 2) {
+		t.Fatalf("quartiles: %+v", s)
 	}
 	// Input order must be preserved (Summarize copies).
 	if xs[0] != 5 || xs[4] != 3 {
@@ -36,8 +29,9 @@ func TestSummarizeEvenCountInterpolates(t *testing.T) {
 	if !close(s.Median, 2.5) {
 		t.Fatalf("median of even count: %v", s.Median)
 	}
-	if !close(s.Mean, 4) {
-		t.Fatalf("mean: %v", s.Mean)
+	// pos 0.75 and 2.25 over sorted [1 2 3 10].
+	if !close(s.Q1, 1.75) || !close(s.Q3, 4.75) {
+		t.Fatalf("quartiles of even count: %+v", s)
 	}
 }
 
@@ -46,11 +40,11 @@ func TestSummarizeDegenerate(t *testing.T) {
 		t.Fatalf("empty input: %+v", s)
 	}
 	s := Summarize([]float64{7})
-	if s.N != 1 || s.Median != 7 || s.P10 != 7 || s.P90 != 7 || s.MAD != 0 {
+	if s.N != 1 || s.Median != 7 || s.Q1 != 7 || s.Q3 != 7 || s.IQR() != 0 {
 		t.Fatalf("single sample: %+v", s)
 	}
 	s = Summarize([]float64{2, 2, 2, 2})
-	if s.Median != 2 || s.MAD != 0 || s.Min != 2 || s.Max != 2 {
+	if s.Median != 2 || s.IQR() != 0 || s.Min != 2 || s.Max != 2 {
 		t.Fatalf("constant samples: %+v", s)
 	}
 }

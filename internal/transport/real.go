@@ -6,8 +6,7 @@ package transport
 // close to core pinning as the Go runtime allows — and exchange
 // messages through unbounded lock-free SPSC queues, one per ordered
 // processor pair (spsc.go). Nothing is virtual: Charge only counts,
-// Clock reads the wall, and Machine.Elapsed is the measured run time
-// the realworld speedup curves are built from.
+// Clock reads the wall, and Machine.Elapsed is the measured run time.
 //
 // Message semantics mirror the emulator exactly — eager non-blocking
 // sends, FIFO per (source, destination, tag) stream, tag-matched

@@ -22,8 +22,8 @@
 //     the P processor bodies run as host goroutines (pinned to OS
 //     threads when the host has the cores) communicating through
 //     unbounded lock-free SPSC queues. No virtual charging — Clock and
-//     Machine.Elapsed report wall time, which is what the measured
-//     speedup curves of the realworld experiments come from.
+//     Machine.Elapsed report wall time, which is what the repository
+//     benchmark (perfbench) measures.
 //
 // Both backends present identical message semantics (eager sends,
 // FIFO per (source, destination, tag) stream, tag-matched receives),
@@ -166,7 +166,8 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// ParseBackend maps the packbench -backend flag values to a Backend.
+// ParseBackend maps the -backend flag values of packtrace and packserve
+// to a Backend.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "sim":
