@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench real-race fuzz-short fault-race metricscheck reportcheck servgate perfbench-selftest perfpair ci
+.PHONY: all build vet staticcheck test race bench smoke smoke-trace validate-perf perfgate planbench real-race fuzz-short fault-race reportcheck servgate perfbench-selftest perfpair ci
 
 all: build
 
@@ -38,15 +38,18 @@ smoke:
 
 # smoke-trace proves the observability layer end to end: the Gantt,
 # matrix, and critical-path renderers, the real backend's matrix (built
-# from the same event stream), a Chrome trace that parses as JSON (Go's
-# encoder wrote it, so a cheap well-formedness check via the json
-# tooling suffices), and a traced sweep under delay faults, whose
-# critical paths must all terminate.
+# from the same event stream), Chrome traces of both backends (virtual
+# and wall-clock) that parse as JSON (Go's encoder wrote them, so a
+# cheap well-formedness check via the json tooling suffices), and a
+# traced sweep under delay faults, whose critical paths must all
+# terminate.
 smoke-trace:
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" -matrix -critpath
 	$(GO) run ./cmd/packtrace -backend real -shape 4096 -dist "CYCLIC(4) ONTO 8" -matrix
 	$(GO) run ./cmd/packtrace -shape 4096 -dist "CYCLIC(4) ONTO 8" -format chrome -o /tmp/packtrace-smoke.json
 	$(GO) run ./internal/tools/jsoncheck /tmp/packtrace-smoke.json traceEvents
+	$(GO) run ./cmd/packtrace -backend real -shape 4096 -dist "CYCLIC(4) ONTO 8" -format chrome -o /tmp/packtrace-real.json
+	$(GO) run ./internal/tools/jsoncheck /tmp/packtrace-real.json traceEvents
 	$(GO) run ./cmd/packbench -exp fig3 -quick -faults 42:delay=0.05 -trace-dir /tmp/packbench-delay-trace >/dev/null
 
 # validate-perf checks the packbench -json report: it must parse and
@@ -87,8 +90,9 @@ planbench:
 
 # real-race runs the cross-backend conformance grid and the transport
 # layer's own suite under the race detector: the real backend's SPSC
-# queues and watchdog are lock-free concurrent code, so every CI run
-# must prove them race-clean, not just correct.
+# queues are lock-free concurrent code and its deadlock proof reads
+# them across ranks, so every CI run must prove both race-clean, not
+# just correct.
 real-race:
 	$(GO) test -race -run 'CrossBackend|Conformance' .
 	$(GO) test -race ./internal/transport/
@@ -104,22 +108,12 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDimRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzVectorDist$$' -fuzztime $(FUZZTIME)
 
-# fault-race runs the fault-injection, property-differential,
-# shared-plan-cache and telemetry suites under the race detector. `make
-# race` already covers them; this target exists to re-run just that
-# surface quickly while iterating. (The Metrics pattern pulls in the
-# sharded counter/histogram hammer and merge-determinism tests.)
+# fault-race runs the fault-injection, property-differential and
+# shared-plan-cache suites under the race detector. `make race` already
+# covers them; this target exists to re-run just that surface quickly
+# while iterating.
 fault-race:
-	$(GO) test -race -run 'Fault|Property|PlanCache|Metrics' ./...
-
-# metricscheck proves the telemetry layer end to end: the metrics
-# package's own suite (golden Prometheus exposition, nil fast path,
-# race hammer) and a wall-clock Chrome trace of the real backend that
-# parses as trace-event JSON.
-metricscheck:
-	$(GO) test ./internal/metrics/
-	$(GO) run ./cmd/packtrace -backend real -shape 4096 -dist "CYCLIC(4) ONTO 8" -format chrome -o /tmp/packtrace-real.json
-	$(GO) run ./internal/tools/jsoncheck /tmp/packtrace-real.json traceEvents
+	$(GO) test -race -run 'Fault|Property|PlanCache' ./...
 
 # reportcheck proves the scalable-observability layer end to end: the
 # packreport golden dashboard (byte-determinism included), the trace
@@ -208,4 +202,4 @@ perfpair:
 	$(GO) run ./cmd/packdiff -o .bench_build/perfpair/packdiff.md \
 		.bench_build/perfpair/parent.jsonl .bench_build/perfpair/change.jsonl
 
-ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench metricscheck reportcheck servgate perfbench-selftest
+ci: vet staticcheck build race real-race smoke smoke-trace validate-perf perfgate planbench reportcheck servgate perfbench-selftest

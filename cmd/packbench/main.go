@@ -11,8 +11,6 @@
 //	packbench -exp faults -quick  # fault-injection robustness sweep (hidden from 'all')
 //	packbench -faults 42:drop=0.01,dup=0.005  # inject faults into any experiment's machines
 //	packbench -exp planrepeat -plan-gate  # plan-cache gate (make planbench)
-//	packbench -metrics            # attach telemetry to every machine; print the Prometheus exposition
-//	packbench -metrics-addr :9100 # additionally serve it live (/metrics, /vars) while running
 //	packbench -flight-dir crash   # post-mortem flight dump if a sweep machine deadlocks or aborts
 //	packbench -list               # show the available experiment ids
 //
@@ -36,7 +34,6 @@ import (
 	"time"
 
 	"packunpack/internal/bench"
-	"packunpack/internal/metrics"
 	"packunpack/internal/serve/loadgen"
 	"packunpack/internal/sim"
 )
@@ -54,8 +51,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	faultsFlag := flag.String("faults", "", "run every measured machine under a deterministic fault-injection plan, 'seed[:name=value,...]' (names: drop,dup,reorder,delay,stall,delaymax,stallmax,timeout,retries), e.g. '42:drop=0.01,dup=0.005'")
 	planGate := flag.Bool("plan-gate", false, "fail unless planrepeat's cost-model plan-cache hit rate is >= 0.99 and warm round trips on the real backend take no longer than cold ones (make planbench)")
-	metricsFlag := flag.Bool("metrics", false, "attach a wall-clock telemetry registry to every measured machine and print the Prometheus exposition after the tables (tables and virtual times are unaffected)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the telemetry registry live over HTTP at this address (/metrics Prometheus text, /vars expvar JSON); implies -metrics")
 	flightDir := flag.String("flight-dir", "", "attach the always-on flight recorder to every measured sweep machine and dump its window (Chrome trace + text post-mortem) into this directory if a machine deadlocks or exhausts a fault budget")
 	serviceN := flag.Int("service", 0, "run the serving-layer soak with this many seeded arrivals (loadgen DES over internal/serve; deterministic virtual latency quantiles, the service object in -json reports)")
 	flag.Parse()
@@ -83,22 +78,6 @@ func main() {
 			os.Exit(1)
 		}
 		suite.FlightDir = *flightDir
-	}
-
-	// Telemetry: one registry shared by every measured machine.
-	var reg *metrics.Registry
-	if *metricsFlag || *metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		suite.Metrics = reg
-	}
-	if *metricsAddr != "" {
-		srv, err := metrics.Serve(*metricsAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: serving http://%s/metrics and /vars\n", srv.Addr())
 	}
 
 	if *list {
@@ -244,13 +223,6 @@ func main() {
 			Service:     servicePerf,
 		}
 		writeReport(*jsonPath, report)
-	}
-	if *metricsFlag && reg != nil {
-		fmt.Printf("\ntelemetry (Prometheus text format):\n")
-		if err := metrics.WritePrometheus(os.Stdout, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "packbench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Printf("generated %d tables in %.1fs wall time (parallel=%d)\n", len(tables), time.Since(start).Seconds(), *parallel)
 

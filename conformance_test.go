@@ -3,10 +3,10 @@ package packunpack_test
 import (
 	"fmt"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"packunpack"
+	"packunpack/internal/trace"
 	"packunpack/internal/transport"
 )
 
@@ -262,139 +262,79 @@ func TestCrossBackendExplicitPlanAPI(t *testing.T) {
 // TestConformanceVirtualMetricsSimOnly documents the metric contract of
 // the suite: two emulator runs agree on virtual metrics exactly, while
 // the real backend shares only the op/message/word counters' meaning —
-// its clocks are wall time.
+// its clocks are wall time. Per-rank traffic is pinned at P=4 and P=8.
 func TestConformanceVirtualMetricsSimOnly(t *testing.T) {
-	const n, p = 48, 4
-	layout := packunpack.MustLayout(packunpack.Dim{N: n, P: p, W: 3})
-	locals, fields, maskLocals, _, _, _ := conformanceWorkload(layout, n)
-	opt := packunpack.Options{Scheme: packunpack.CMS}
+	for _, in := range []struct{ n, p, w int }{{48, 4, 3}, {96, 8, 4}} {
+		layout := packunpack.MustLayout(packunpack.Dim{N: in.n, P: in.p, W: in.w})
+		locals, fields, maskLocals, _, _, _ := conformanceWorkload(layout, in.n)
+		opt := packunpack.Options{Scheme: packunpack.CMS}
 
-	run := func(cm conformanceMachine) ([]packunpack.Stats, float64) {
-		m := cm.build(t, p)
-		runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
-		return m.Stats(), m.MaxClock()
-	}
-	simCM, realCM := conformanceMachines[0], conformanceMachines[1]
-	simStats, simClock := run(simCM)
-	// Sim: full virtual equality on a fresh machine, clock included.
-	if again, clock := run(simCM); !reflect.DeepEqual(again, simStats) || clock != simClock {
-		t.Errorf("repeated sim runs disagree on virtual metrics")
-	}
-	// Real: identical message/word traffic (same algorithm decisions),
-	// wall clocks that cannot meaningfully equal the virtual ones.
-	realStats, _ := run(realCM)
-	for r := 0; r < p; r++ {
-		if realStats[r].MsgsSent != simStats[r].MsgsSent || realStats[r].WordsSent != simStats[r].WordsSent {
-			t.Errorf("rank %d: real traffic (%d msgs/%d words) != sim traffic (%d msgs/%d words)",
-				r, realStats[r].MsgsSent, realStats[r].WordsSent, simStats[r].MsgsSent, simStats[r].WordsSent)
+		run := func(cm conformanceMachine) ([]packunpack.Stats, float64) {
+			m := cm.build(t, in.p)
+			runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
+			return m.Stats(), m.MaxClock()
 		}
-	}
-}
-
-// TestCrossBackendConformanceWithMetrics re-runs a grid point on every
-// machine with a telemetry registry attached: instrumentation must
-// never perturb the packed/unpacked bytes (results still byte-identical
-// to the oracle and to each other), and the registry must actually have
-// recorded — the comm and pack layers instrument through the Endpoint,
-// so both backends produce the same counter families.
-func TestCrossBackendConformanceWithMetrics(t *testing.T) {
-	const n = 48
-	layout := packunpack.MustLayout(packunpack.Dim{N: n, P: 8, W: 3})
-	locals, fields, maskLocals, global, gmask, gfield := conformanceWorkload(layout, n)
-	wantPacked := packunpack.SeqPack(global, gmask)
-	wantBack := packunpack.SeqUnpack(wantPacked, gmask, gfield)
-	opt := packunpack.Options{Scheme: packunpack.CMS}
-
-	instrumented := []struct {
-		name string
-		cfg  packunpack.Config
-		b    packunpack.Backend
-	}{
-		{"sim-coop", packunpack.Config{Procs: 8, Params: packunpack.CM5Params()}, packunpack.BackendSim},
-		{"real", packunpack.Config{Procs: 8, Params: packunpack.CM5Params()}, packunpack.BackendReal},
-	}
-	var first *packOutcome
-	var firstName string
-	for _, im := range instrumented {
-		reg := packunpack.NewMetricsRegistry()
-		im.cfg.Metrics = reg
-		m, err := packunpack.NewBackendMachine(im.b, im.cfg)
-		if err != nil {
-			t.Fatal(err)
+		simCM, realCM := conformanceMachines[0], conformanceMachines[1]
+		simStats, simClock := run(simCM)
+		// Sim: full virtual equality on a fresh machine, clock included.
+		if again, clock := run(simCM); !reflect.DeepEqual(again, simStats) || clock != simClock {
+			t.Errorf("P=%d: repeated sim runs disagree on virtual metrics", in.p)
 		}
-		got := runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
-		if got.size != len(wantPacked) || !reflect.DeepEqual(got.packed, wantPacked) || !reflect.DeepEqual(got.unpacked, wantBack) {
-			t.Fatalf("%s with metrics attached diverged from oracle", im.name)
-		}
-		if first == nil {
-			first, firstName = &got, im.name
-		} else if !reflect.DeepEqual(got, *first) {
-			t.Fatalf("%s and %s disagree with metrics attached", im.name, firstName)
-		}
-		snap := reg.Snapshot()
-		for _, family := range []string{"comm_calls_total", "pack_calls_total", "pack_bytes_total"} {
-			f, ok := snap.Family(family)
-			if !ok || f.Total() == 0 {
-				t.Errorf("%s: metric family %s empty or missing — instrumentation did not record", im.name, family)
+		// Real: identical message/word traffic (same algorithm decisions),
+		// wall clocks that cannot meaningfully equal the virtual ones.
+		realStats, _ := run(realCM)
+		for r := 0; r < in.p; r++ {
+			if realStats[r].MsgsSent != simStats[r].MsgsSent || realStats[r].WordsSent != simStats[r].WordsSent {
+				t.Errorf("P=%d rank %d: real traffic (%d msgs/%d words) != sim traffic (%d msgs/%d words)",
+					in.p, r, realStats[r].MsgsSent, realStats[r].WordsSent, simStats[r].MsgsSent, simStats[r].WordsSent)
 			}
 		}
 	}
 }
 
-// TestRealLinkBytesReconcileWithSimStats pins the acceptance contract
-// of the real backend's telemetry at P=8: the per-link byte and message
-// totals in the registry must reconcile exactly with the emulator's
-// Stats for the same workload — every rank's outgoing link bytes sum to
-// its sim WordsSent x 8 (and likewise messages), because both backends
-// take identical algorithm decisions and the link meters count exactly
-// the charged sends.
+// TestRealLinkBytesReconcileWithSimStats pins the real backend's link
+// traffic, as its send events count it, to the emulator's accounting at
+// P=8: per sender, the bytes (8 per word) and messages an AggSink sums
+// over the real machine's links equal the emulator's Stats for the same
+// CMS round trip, and the two machines' link matrices agree cell by
+// cell, in total and per phase.
 func TestRealLinkBytesReconcileWithSimStats(t *testing.T) {
 	const n, p = 96, 8
 	layout := packunpack.MustLayout(packunpack.Dim{N: n, P: p, W: 4})
 	locals, fields, maskLocals, _, _, _ := conformanceWorkload(layout, n)
 	opt := packunpack.Options{Scheme: packunpack.CMS}
 
-	simM, err := packunpack.NewBackendMachine(packunpack.BackendSim,
-		packunpack.Config{Procs: p, Params: packunpack.CM5Params()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPackUnpack(t, simM, layout, locals, fields, maskLocals, opt)
-	simStats := simM.Stats()
-
-	reg := packunpack.NewMetricsRegistry()
-	realM, err := packunpack.NewBackendMachine(packunpack.BackendReal,
-		packunpack.Config{Procs: p, Params: packunpack.CM5Params(), Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPackUnpack(t, realM, layout, locals, fields, maskLocals, opt)
-
-	snap := reg.Snapshot()
-	bytesBySrc := make([]int64, p)
-	msgsBySrc := make([]int64, p)
-	sumLinks := func(family string, out []int64) {
-		f, ok := snap.Family(family)
-		if !ok {
-			t.Fatalf("registry has no %s family", family)
+	run := func(b packunpack.Backend) ([]packunpack.Stats, *trace.CommMatrix) {
+		agg := trace.NewAggSink(p)
+		m, err := packunpack.NewBackendMachine(b,
+			packunpack.Config{Procs: p, Params: packunpack.CM5Params(), Sink: agg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range f.Children {
-			src, err := strconv.Atoi(c.LabelValues[0])
-			if err != nil || src < 0 || src >= p {
-				t.Fatalf("%s: malformed src label %v", family, c.LabelValues)
-			}
-			out[src] += c.Value
-		}
+		runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
+		return m.Stats(), agg.Matrix()
 	}
-	sumLinks("transport_link_bytes_total", bytesBySrc)
-	sumLinks("transport_link_msgs_total", msgsBySrc)
+	simStats, simLinks := run(packunpack.BackendSim)
+	_, realLinks := run(packunpack.BackendReal)
+
 	for r := 0; r < p; r++ {
-		if want := simStats[r].WordsSent * 8; bytesBySrc[r] != want {
-			t.Errorf("rank %d: registry link bytes %d, sim stats say %d", r, bytesBySrc[r], want)
+		var bytes, msgs int64
+		for d := 0; d < p; d++ {
+			bytes += realLinks.Total.Words[r*p+d] * 8
+			msgs += realLinks.Total.Msgs[r*p+d]
 		}
-		if want := simStats[r].MsgsSent; msgsBySrc[r] != want {
-			t.Errorf("rank %d: registry link msgs %d, sim stats say %d", r, msgsBySrc[r], want)
+		if want := simStats[r].WordsSent * 8; bytes != want {
+			t.Errorf("rank %d: real link bytes %d, sim stats say %d", r, bytes, want)
 		}
+		if want := simStats[r].MsgsSent; msgs != want {
+			t.Errorf("rank %d: real link msgs %d, sim stats say %d", r, msgs, want)
+		}
+	}
+	if !reflect.DeepEqual(realLinks.Total, simLinks.Total) {
+		t.Errorf("real and sim link matrices differ:\nreal: %+v\nsim:  %+v", realLinks.Total, simLinks.Total)
+	}
+	if !reflect.DeepEqual(realLinks.ByPhase, simLinks.ByPhase) {
+		t.Errorf("real and sim per-phase link matrices differ")
 	}
 }
 

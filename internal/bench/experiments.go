@@ -10,7 +10,6 @@ import (
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
 	"packunpack/internal/mask"
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/sim"
 	"packunpack/internal/trace"
@@ -36,12 +35,6 @@ type Suite struct {
 	// The canonical experiments stay fault-free unless the caller asks;
 	// the "faults" sweep sets per-run plans regardless.
 	Faults *sim.FaultConfig
-	// Metrics, when non-nil, attaches this telemetry registry to every
-	// measured machine that does not carry its own (packbench -metrics).
-	// Tables and virtual times are unaffected — telemetry observes wall
-	// clock only — and the registry stays out of the memoization key, so
-	// cached points simply do not re-record (a cache hit runs no machine).
-	Metrics *metrics.Registry
 	// TraceDir, when non-empty, runs every measured machine with the
 	// observability layer on and dumps one Chrome trace-event file per
 	// executed experiment point into the directory (packbench
@@ -185,9 +178,6 @@ func (s Suite) packArrays() []arraySpec {
 func (s Suite) measure(r Run) Metrics {
 	if r.Faults == nil {
 		r.Faults = s.Faults
-	}
-	if r.Metrics == nil {
-		r.Metrics = s.Metrics
 	}
 	key := runKey(r)
 	if s.collect != nil {

@@ -14,7 +14,6 @@ import (
 
 	"packunpack/internal/dist"
 	"packunpack/internal/mask"
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/ranking"
 	"packunpack/internal/redist"
@@ -164,23 +163,16 @@ type Run struct {
 	// cached plan; Metrics.PlanStats then reports the cache
 	// counters and Derived gains plan_hit_rate.
 	Planned bool
-	// Metrics attaches a wall-clock telemetry registry to the measured
-	// machine (sim.Config.Metrics / packbench -metrics). Deliberately
-	// NOT part of the memoization key (runKey): telemetry observes host
-	// time and never perturbs virtual results, so a cached measurement
-	// stays valid whether or not a registry was attached — the
-	// cross-backend conformance tests pin that invariant.
-	Metrics *metrics.Registry
 	// Flight attaches an always-on flight recorder to the measured
-	// machine's Sink (packbench -flight-dir). Like Metrics, it is NOT
-	// part of the memoization key: the recorder observes the event feed
-	// and never perturbs virtual results. The sweep engine dumps its
+	// machine's Sink (packbench -flight-dir). Deliberately NOT part of
+	// the memoization key (runKey): the recorder observes the event
+	// feed and never perturbs virtual results. The sweep engine dumps its
 	// window when a machine aborts (parallel.go).
 	Flight *trace.FlightRecorder
 	// Sink attaches a streaming event sink to the measured machine
 	// (sim.Config.Sink) — e.g. trace.NewAggSink for the bounded-memory
-	// P >= 1024 observability sweep (scale1k.go). Like Metrics and
-	// Flight, NOT part of the memoization key, and unlike Trace it
+	// P >= 1024 observability sweep (scale1k.go). Like Flight, NOT
+	// part of the memoization key, and unlike Trace it
 	// retains no events: memory stays O(P) however long the run.
 	// Trace, Flight and Sink share the machine's one Sink through a
 	// trace.Tee.
@@ -255,7 +247,7 @@ func (r Run) exec() (Metrics, *trace.Capture, error) {
 	}
 	machine, err := sim.New(sim.Config{
 		Procs: r.Layout.Procs(), Params: params, SelfSendFree: r.SelfSendFree,
-		Faults: r.Faults, Metrics: r.Metrics, Sink: trace.NewTee(sinks...),
+		Faults: r.Faults, Sink: trace.NewTee(sinks...),
 	})
 	if err != nil {
 		return Metrics{}, nil, err

@@ -67,9 +67,6 @@ func AlltoallVOpt[T any](g Group, send [][]T, wordsPerElem int, opt A2AOptions) 
 // segment-encoded buffers). A message is considered empty, for
 // SkipEmpty purposes, when its buffer has no elements.
 func AlltoallVW[T any](g Group, send [][]T, words []int, opt A2AOptions) [][]T {
-	if done := commObserve(g.p, "alltoallv"); done != nil {
-		defer done()
-	}
 	n := len(g.ranks)
 	if len(send) != n || len(words) != n {
 		panic("comm: AlltoallVW buffer/word count != group size")

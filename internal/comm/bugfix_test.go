@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
 	"packunpack/internal/transport"
 )
@@ -220,7 +219,6 @@ func (c *countingEndpoint) RetryWait(dst, tag int)                    { c.waits+
 func (c *countingEndpoint) NoteDedup(src, tag int)                    {}
 func (c *countingEndpoint) NoteStash(src, tag int)                    {}
 func (c *countingEndpoint) CommState() *any                           { return &c.comm }
-func (c *countingEndpoint) Metrics() *metrics.Registry                { return nil }
 
 func (c *countingEndpoint) TrySend(dst, tag int, payload any, words int) bool {
 	c.trySends++

@@ -111,9 +111,6 @@ func ceilLog2(n int) int {
 // slowest member entered, which is how the emulator separates the
 // timed stages of an algorithm.
 func (g Group) Barrier() {
-	if done := commObserve(g.p, "barrier"); done != nil {
-		defer done()
-	}
 	n := len(g.ranks)
 	for k, d := 0, 1; d < n; k, d = k+1, d*2 {
 		// d < n is a loop invariant, so no %n reduction of d is needed
@@ -131,9 +128,6 @@ func (g Group) Barrier() {
 // to every member, using a binomial tree. Non-root members receive
 // into a freshly allocated slice returned to all callers for symmetry.
 func (g Group) Bcast(root int, vec []int) []int {
-	if done := commObserve(g.p, "bcast"); done != nil {
-		defer done()
-	}
 	n := len(g.ranks)
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("comm: Bcast root %d out of range [0,%d)", root, n))
@@ -197,9 +191,6 @@ func cloneIntsSameNil(v []int) []int {
 // Non-root members return nil. Intended for result assembly and test
 // harnesses rather than for the timed algorithm path.
 func GatherV[T any](g Group, root int, contrib []T, wordsPerElem int) [][]T {
-	if done := commObserve(g.p, "gatherv"); done != nil {
-		defer done()
-	}
 	n := len(g.ranks)
 	if g.me != root {
 		g.send(g.ranks[root], tagGather, contrib, len(contrib)*wordsPerElem)

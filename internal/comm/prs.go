@@ -52,9 +52,6 @@ func (a PRSAlgorithm) String() string {
 // modified. All members must pass vectors of the same length and the
 // same algorithm choice.
 func (g Group) PrefixReductionSum(vec []int, algo PRSAlgorithm) (prefix, total []int) {
-	if done := commObserve(g.p, "prs"); done != nil {
-		defer done()
-	}
 	n := len(g.ranks)
 	if n == 1 {
 		return make([]int, len(vec)), cloneInts(vec)

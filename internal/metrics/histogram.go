@@ -1,3 +1,10 @@
+// Package metrics holds Histogram, a lock-free log-linear histogram
+// with exact quantile extraction. Two readers use it: loadgen's latency
+// model, whose quantiles are the deterministic service figures the
+// perf gate compares, and trace.AggSink's per-phase message sizes. The
+// machines themselves have no metrics output; their one telemetry
+// source is the event stream (sim.EventSink), from which every figure
+// is derived (DESIGN.md §14).
 package metrics
 
 import (
@@ -18,8 +25,9 @@ import (
 // fiction.
 //
 // Observations are clamped to [0, MaxInt64]; each Observe is two
-// atomic adds (sum, bucket), so the histogram is lock-free and
-// merge-deterministic like the counters.
+// atomic adds (sum, bucket), so the histogram is lock-free, and the
+// same multiset of observations yields the same readings whatever the
+// interleaving of concurrent writers.
 const (
 	histSubBits = 4
 	histSub     = 1 << histSubBits // sub-buckets per octave; also the linear-region width
@@ -61,20 +69,17 @@ func bucketUpper(i int) int64 {
 }
 
 // Histogram records a latency/size distribution into log-linear
-// buckets. Safe on the nil *Histogram.
+// buckets. Observe is safe from concurrent goroutines.
 type Histogram struct {
-	labels  []string
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
-func newHistogram(labels []string) *Histogram { return &Histogram{labels: labels} }
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one value (negative values clamp to 0).
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -84,9 +89,6 @@ func (h *Histogram) Observe(v int64) {
 
 // Count is the number of observations so far.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
 	var n int64
 	for i := range h.buckets {
 		n += h.buckets[i].Load()
@@ -96,9 +98,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum is the total of all observations so far.
 func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
 	return h.sum.Load()
 }
 
@@ -106,32 +105,17 @@ func (h *Histogram) Sum() int64 {
 // the upper bound of the first bucket whose cumulative count reaches
 // rank ceil(q*count). Returns 0 on an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
 	var counts [histBuckets]int64
 	var total int64
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
 	}
-	return quantileFromCounts(counts[:], total, q)
-}
-
-func quantileFromCounts(counts []int64, total int64, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
+	q = min(max(q, 0), 1)
+	rank := max(int64(math.Ceil(q*float64(total))), 1)
 	var cum int64
 	for i, c := range counts {
 		cum += c
@@ -139,5 +123,5 @@ func quantileFromCounts(counts []int64, total int64, q float64) int64 {
 			return bucketUpper(i)
 		}
 	}
-	return bucketUpper(len(counts) - 1)
+	return bucketUpper(histBuckets - 1)
 }

@@ -1,125 +1,86 @@
 package metrics
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 )
 
-// TestMetricsRaceHammer drives the sharded counters, gauges, and
-// histogram buckets from P concurrent goroutines. Correctness here is
-// exact final values (the atomics must not lose updates); run under
-// `go test -race` (make fault-race / make race) it also proves the
-// structures are data-race-free.
+// TestMetricsRaceHammer drives one histogram's Observe from concurrent
+// goroutines. Correctness here is exact final readings (the atomics
+// must not lose updates); run under `go test -race` it also proves the
+// histogram is data-race-free.
 func TestMetricsRaceHammer(t *testing.T) {
 	const (
 		workers = 8
 		perG    = 5000
 	)
-	r := NewRegistry()
-	c := r.Counter("hammer_total", "", "lane")
-	g := r.Gauge("hammer_hw", "")
-	h := r.Histogram("hammer_lat", "")
-	hw := g.With()
-	hist := h.With()
-
+	hist := NewHistogram()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			lane := c.With(fmt.Sprint(w % 2)) // two lanes, each shared by 4 goroutines
 			for i := 0; i < perG; i++ {
-				lane.Add(1)
-				c.With("all").AddShard(w, 1)
-				hw.SetMax(int64(w*perG + i))
 				hist.Observe(int64(i % 1000))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-
-	snap := r.Snapshot()
-	f, _ := snap.Family("hammer_total")
-	if got := f.Total(); got != 2*workers*perG {
-		t.Errorf("counter total = %d, want %d", got, 2*workers*perG)
-	}
-	if got := hw.Value(); got != int64((workers-1)*perG+perG-1) {
-		t.Errorf("high-water = %d, want %d", got, (workers-1)*perG+perG-1)
-	}
 	if got := hist.Count(); got != workers*perG {
 		t.Errorf("histogram count = %d, want %d", got, workers*perG)
 	}
+	if got, want := hist.Sum(), int64(workers*(perG/1000)*(999*1000/2)); got != want {
+		t.Errorf("histogram sum = %d, want %d", got, want)
+	}
 }
 
-// TestMetricsMergeDeterminism pins the merge-determinism contract: the
-// same multiset of events, recorded under any partitioning across
-// goroutines and any interleaving, snapshots to the identical value —
-// shard sums and bucket counts are commutative, and the snapshot
-// orders families/children canonically.
+// TestMetricsMergeDeterminism pins the merge-determinism contract that
+// trace.AggSink relies on when real-backend ranks emit concurrently:
+// the same multiset of observations, recorded under any partitioning
+// across goroutines and any interleaving, gives identical readings.
 func TestMetricsMergeDeterminism(t *testing.T) {
-	// One fixed multiset of events, derived from a seeded RNG.
-	type ev struct {
-		kind int // 0 counter, 1 gauge-max, 2 histogram
-		lane string
-		v    int64
-	}
 	rng := rand.New(rand.NewSource(42))
-	events := make([]ev, 20000)
-	for i := range events {
-		events[i] = ev{kind: rng.Intn(3), lane: fmt.Sprint(rng.Intn(4)), v: int64(rng.Intn(1 << 16))}
+	values := make([]int64, 20000)
+	for i := range values {
+		values[i] = int64(rng.Intn(1 << 16))
 	}
-
-	record := func(r *Registry, evs []ev) {
-		c := r.Counter("m_total", "h", "lane")
-		g := r.Gauge("m_hw", "h", "lane")
-		h := r.Histogram("m_lat", "h", "lane")
-		for _, e := range evs {
-			switch e.kind {
-			case 0:
-				c.With(e.lane).Add(e.v)
-			case 1:
-				g.With(e.lane).SetMax(e.v)
-			case 2:
-				h.With(e.lane).Observe(e.v)
-			}
+	readings := func(h *Histogram) []int64 {
+		out := []int64{h.Count(), h.Sum()}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+			out = append(out, h.Quantile(q))
 		}
+		return out
 	}
 
-	// Reference: serial, in order.
-	ref := NewRegistry()
-	record(ref, events)
-	want := ref.Snapshot()
+	ref := NewHistogram()
+	for _, v := range values {
+		ref.Observe(v)
+	}
+	want := readings(ref)
 
-	// Trials: different goroutine counts, shuffled event order.
 	for _, workers := range []int{2, 5, 16} {
-		r := NewRegistry()
-		shuffled := append([]ev(nil), events...)
+		h := NewHistogram()
+		shuffled := append([]int64(nil), values...)
 		rand.New(rand.NewSource(int64(workers))).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		var wg sync.WaitGroup
 		per := (len(shuffled) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > len(shuffled) {
-				hi = len(shuffled)
-			}
-			if lo >= hi {
-				continue
-			}
+		for lo := 0; lo < len(shuffled); lo += per {
+			part := shuffled[lo:min(lo+per, len(shuffled))]
 			wg.Add(1)
-			go func(part []ev) {
+			go func() {
 				defer wg.Done()
-				record(r, part)
-			}(shuffled[lo:hi])
+				for _, v := range part {
+					h.Observe(v)
+				}
+			}()
 		}
 		wg.Wait()
-		if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: snapshot differs from serial reference", workers)
+		if got := readings(h); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: readings %v differ from serial reference %v", workers, got, want)
 		}
 	}
 }

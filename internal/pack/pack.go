@@ -230,7 +230,6 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
-	recordPackOp(p, "pack", len(res.V))
 	return res, nil
 }
 

@@ -190,7 +190,6 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 	p.SetPhase(prev)
 	if tot[1] != expected {
 		cache.noteMiss()
-		recordPlanLookup(p, false)
 		return gfp, nil
 	}
 	if pl == nil {
@@ -199,7 +198,6 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 		panic("pack: plan-cache agreement collision with empty local slot")
 	}
 	cache.noteHit()
-	recordPlanLookup(p, true)
 	return gfp, pl
 }
 
@@ -222,9 +220,6 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 	case SchemeSSS, SchemeCSS, SchemeCMS:
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
-	}
-	if done := planCompileTimer(p); done != nil {
-		defer done()
 	}
 	rnk, err := ranking.Rank(p, l, m, ranking.Options{
 		PRS: opt.PRS, KeepRecords: false, SeparatePrefixReduce: opt.SeparatePrefixReduce,
@@ -323,7 +318,6 @@ func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Resul
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
 	exchangeSegments(p, composeSegmentsPlanned(p, pl, a), vec, res.V, pl.opt.A2A)
-	recordPackOp(p, "pack", len(res.V))
 	return res, nil
 }
 
@@ -378,7 +372,6 @@ func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*U
 		gotData[src] = gotData[src][cnt:]
 	})
 	p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
-	recordPackOp(p, "unpack", len(res.A))
 	return res, nil
 }
 

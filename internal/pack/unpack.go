@@ -150,7 +150,6 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 			}
 		}
 	}
-	recordPackOp(p, "unpack", len(res.A))
 	return res, nil
 }
 

@@ -141,8 +141,6 @@ type Config struct {
 	// Spans caps the retained per-request spans (default 256, for the
 	// Chrome trace export).
 	Spans int
-	// Metrics optionally instruments the execute/wall-phase server.
-	Metrics *metrics.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -471,8 +469,7 @@ func (r *waitRing) pop() (arrival, svc uint64, class int) {
 // half of res.
 func (res *Result) simulate(cfg Config, svcUS []uint64, rate float64) error {
 	sched := newSchedule(cfg.Seed, rate, cfg.Mix)
-	reg := metrics.NewRegistry()
-	hist := reg.Histogram("loadgen_latency_us", "virtual total latency").With()
+	hist := metrics.NewHistogram()
 
 	var busy busyHeap
 	free := make([]int, cfg.Workers)
@@ -559,7 +556,7 @@ func (res *Result) execute(cfg Config) error {
 	srv, err := serve.New(serve.Config{
 		Workers: cfg.Workers, Queue: cfg.Queue,
 		Backend: cfg.Backend, Params: cfg.Params,
-		Metrics: cfg.Metrics, Chaos: cfg.Chaos,
+		Chaos: cfg.Chaos,
 	})
 	if err != nil {
 		return err
@@ -661,7 +658,7 @@ func RunWall(cfg Config) (*Result, error) {
 	srv, err := serve.New(serve.Config{
 		Workers: cfg.Workers, Queue: cfg.Queue,
 		Backend: cfg.Backend, Params: cfg.Params,
-		Metrics: cfg.Metrics, Chaos: cfg.Chaos,
+		Chaos: cfg.Chaos,
 	})
 	if err != nil {
 		return nil, err
@@ -672,8 +669,7 @@ func RunWall(cfg Config) (*Result, error) {
 	for i, c := range cfg.Mix {
 		res.Classes = append(res.Classes, ClassStat{Name: c.Name, Weight: c.Weight, ServiceUS: svcUS[i]})
 	}
-	reg := metrics.NewRegistry()
-	hist := reg.Histogram("loadgen_wall_latency_us", "wall total latency").With()
+	hist := metrics.NewHistogram()
 
 	sched := newSchedule(cfg.Seed, rate, cfg.Mix)
 	var wg sync.WaitGroup

@@ -23,7 +23,9 @@
 // carries wall-clock queue and service durations (what an operator
 // sees), and — on the sim backend — the virtual makespan of the
 // machine run (what the cost model predicts, bit-for-bit reproducible
-// and therefore gateable). The two never mix.
+// and therefore gateable). The two never mix. The service keeps no
+// metrics of its own: these per-job figures, the typed ErrOverloaded
+// and TenantPlanStats are all it reports.
 package serve
 
 import (

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/sim"
 	"packunpack/internal/transport"
@@ -31,12 +30,6 @@ type Config struct {
 	Backend transport.Backend
 	// Params are the cost-model constants each machine carries.
 	Params sim.Params
-	// Metrics, when non-nil, instruments the service (and every
-	// machine it runs): job counters, queue depth, wall-clock latency
-	// histograms, virtual-makespan histogram. Attaching a registry
-	// never changes any response byte or virtual time — the PR 8
-	// invariant, extended to the service path and pinned by a test.
-	Metrics *metrics.Registry
 	// Chaos, when non-nil, is the opt-in chaos mode: every sim machine
 	// runs under this deterministic fault-injection plan. Jobs then
 	// either succeed byte-identically (the reliable transport absorbs
@@ -103,14 +96,6 @@ type Server struct {
 	depth       atomic.Int64 // jobs admitted but not yet started
 	ewmaSvcUS   atomic.Int64 // EWMA of wall service time, microseconds
 	jobsStarted atomic.Int64
-
-	// Metric handles; all nil-safe no-ops without a registry.
-	mJobs     *metrics.CounterVec
-	mOverload *metrics.Counter
-	mDepth    *metrics.Gauge
-	mDepthHW  *metrics.Gauge
-	mLatency  *metrics.HistogramVec
-	mVirtual  *metrics.Histogram
 }
 
 // New builds and starts a server: its workers are running and Submit
@@ -124,13 +109,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		queue: make(chan *task, cfg.Queue),
 	}
-	r := cfg.Metrics
-	s.mJobs = r.Counter("serve_jobs_total", "jobs completed by the service", "tenant", "kind", "outcome")
-	s.mOverload = r.Counter("serve_overloaded_total", "submissions rejected by admission control").With()
-	s.mDepth = r.Gauge("serve_queue_depth", "jobs admitted but not yet started").With()
-	s.mDepthHW = r.Gauge("serve_queue_depth_hw", "admission-queue high-water mark").With()
-	s.mLatency = r.Histogram("serve_latency_us", "wall-clock job latency by stage, microseconds", "stage")
-	s.mVirtual = r.Histogram("serve_virtual_us", "virtual machine makespan per job, microseconds (sim backend)").With()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -174,12 +152,9 @@ func (s *Server) Submit(job *Job) (*Future, error) {
 	}
 	select {
 	case s.queue <- t:
-		d := s.depth.Add(1)
-		s.mDepth.Set(d)
-		s.mDepthHW.SetMax(d)
+		s.depth.Add(1)
 		return t.fut, nil
 	default:
-		s.mOverload.Inc()
 		return nil, &ErrOverloaded{
 			Queued:     cap(s.queue),
 			Capacity:   cap(s.queue),
@@ -245,10 +220,9 @@ func (s *Server) machineFor(cache map[int]transport.Machine, procs int) (transpo
 		return m, nil
 	}
 	m, err := transport.New(s.cfg.Backend, sim.Config{
-		Procs:   procs,
-		Params:  s.cfg.Params,
-		Metrics: s.cfg.Metrics,
-		Faults:  s.cfg.Chaos,
+		Procs:  procs,
+		Params: s.cfg.Params,
+		Faults: s.cfg.Chaos,
 	})
 	if err != nil {
 		return nil, err
@@ -262,8 +236,7 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	machines := make(map[int]transport.Machine)
 	for t := range s.queue {
-		d := s.depth.Add(-1)
-		s.mDepth.Set(d)
+		s.depth.Add(-1)
 		start := time.Now()
 		if t.job.gate != nil {
 			close(t.job.held)
@@ -274,18 +247,10 @@ func (s *Server) worker() {
 		resp, err := s.execute(machines, t.job)
 
 		svc := time.Since(start)
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		} else {
+		if err == nil {
 			resp.Queue = start.Sub(t.submitted)
 			resp.Service = svc
-			s.mLatency.With("queue").Observe(resp.Queue.Microseconds())
-			s.mLatency.With("service").Observe(svc.Microseconds())
-			s.mLatency.With("total").Observe((resp.Queue + svc).Microseconds())
-			s.mVirtual.Observe(int64(resp.VirtualUS))
 		}
-		s.mJobs.With(t.job.Tenant, t.job.Kind.String(), outcome).Inc()
 		s.noteService(svc)
 		t.fut.complete(resp, err)
 	}

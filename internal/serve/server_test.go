@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"packunpack/internal/dist"
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/seq"
 	"packunpack/internal/sim"
@@ -219,60 +218,6 @@ func TestBadJobRejectedBeforeAdmission(t *testing.T) {
 		if _, err := s.Submit(job); !errors.Is(err, ErrBadJob) {
 			t.Fatalf("case %d: got %v, want ErrBadJob", i, err)
 		}
-	}
-}
-
-// TestTelemetryNeverPerturbsService extends the PR 8 invariant to the
-// service path: attaching a metrics registry must not change a single
-// response byte or virtual microsecond. Jobs are submitted
-// sequentially so the shared plan cache traverses the same state
-// sequence in both runs.
-func TestTelemetryNeverPerturbsService(t *testing.T) {
-	l := testLayout(t)
-	run := func(reg *metrics.Registry) (vecs [][]int, virts []float64) {
-		s := newTestServer(t, Config{Workers: 2, Metrics: reg})
-		defer s.Close()
-		for seed := uint64(1); seed <= 6; seed++ {
-			fut, err := s.Submit(fillJob(l, seed, pack.SchemeCMS))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := fut.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			vecs = append(vecs, resp.Vector)
-			virts = append(virts, resp.VirtualUS)
-		}
-		return vecs, virts
-	}
-
-	bareVecs, bareVirts := run(nil)
-	reg := metrics.NewRegistry()
-	instVecs, instVirts := run(reg)
-
-	for i := range bareVecs {
-		if len(bareVecs[i]) != len(instVecs[i]) {
-			t.Fatalf("job %d: result length changed with telemetry attached", i)
-		}
-		for j := range bareVecs[i] {
-			if bareVecs[i][j] != instVecs[i][j] {
-				t.Fatalf("job %d: byte %d changed with telemetry attached", i, j)
-			}
-		}
-		if bareVirts[i] != instVirts[i] {
-			t.Fatalf("job %d: virtual makespan %v -> %v with telemetry attached", i, bareVirts[i], instVirts[i])
-		}
-	}
-
-	snap := reg.Snapshot()
-	if f, ok := snap.Family("serve_jobs_total"); !ok || f.Total() != 6 {
-		t.Fatalf("serve_jobs_total = %v, want 6 jobs recorded", f.Total())
-	}
-	if f, ok := snap.Family("serve_latency_us"); !ok {
-		t.Fatal("serve_latency_us family missing")
-	} else if c, ok := f.Child("total"); !ok || c.Count != 6 {
-		t.Fatalf("serve_latency_us{total} count = %d, want 6", c.Count)
 	}
 }
 

@@ -18,6 +18,9 @@
 // cooperative scheduler (coop.go). The maximum clock over all
 // processors at the end of a run plays the role of the wall-clock time
 // the paper measures on the CM-5.
+//
+// The machine's one telemetry output is its structured event stream
+// (Config.Sink, trace.go).
 package sim
 
 import (
@@ -26,8 +29,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"packunpack/internal/metrics"
 )
 
 // Params holds the two-level machine model constants, all in
@@ -89,14 +90,6 @@ type Config struct {
 	// to several. A sink built for fewer ranks than Procs (SizedSink) is
 	// rejected by New. See EventSink for the concurrency contract.
 	Sink EventSink
-	// Metrics, when non-nil, attaches the backend-agnostic telemetry
-	// registry (internal/metrics): the instrumented layers above the
-	// endpoint (pack, comm) record counters and latency histograms into
-	// it. The emulator itself records nothing — virtual-time accounting
-	// already lives in Stats and the event stream — so attaching a
-	// registry never perturbs virtual results. Nil (the default) disables
-	// telemetry at one-branch cost in the instrumented paths.
-	Metrics *metrics.Registry
 	// Faults, when non-nil, enables the deterministic fault-injection
 	// subsystem (fault.go): TrySend delivery attempts are subjected to
 	// a seeded schedule of drops, duplications, reorderings, delays,
@@ -141,7 +134,7 @@ func (b *mailbox) removeAt(i int) message {
 
 // ErrDeadlock is the sentinel every deadlock-shaped run error matches
 // via errors.Is: the cooperative scheduler's machine-level wait-for
-// diagnostic and the real backend's watchdog abort both identify as
+// diagnostic and the real backend's deadlock abort both identify as
 // ErrDeadlock. Callers (the bench harness's flight-recorder dump
 // trigger, tests) should test errors.Is(err, sim.ErrDeadlock) rather
 // than matching message text.
@@ -444,11 +437,6 @@ type Proc struct {
 	held        []heldMsg // reorder-faulted messages awaiting overtake
 	commState   any       // opaque slot for the reliable transport (CommState)
 }
-
-// Metrics returns the telemetry registry attached via Config.Metrics,
-// nil when telemetry is off (the instrumented layers' nil-registry
-// fast path then short-circuits every recording).
-func (p *Proc) Metrics() *metrics.Registry { return p.m.cfg.Metrics }
 
 // Rank returns this processor's id in [0, NProcs).
 func (p *Proc) Rank() int { return p.rank }

@@ -148,46 +148,57 @@ func TestChromeStructure(t *testing.T) {
 	}
 }
 
-// TestMatrixTotals cross-checks the communication matrix against the
-// machine statistics: summed cells must equal MsgsSent/WordsSent.
+// TestMatrixTotals reconciles a capture's event-built matrix with the
+// machine's own Stats — in total, per sender row, and across phases —
+// for an emulator PACK and a real-backend exchange.
 func TestMatrixTotals(t *testing.T) {
-	c := packCapture(t)
-	m := BuildMatrix(c)
-	gotMsgs, gotWords := m.Total.Totals()
-	var wantMsgs, wantWords int64
-	for _, s := range c.Stats {
-		wantMsgs += s.MsgsSent
-		wantWords += s.WordsSent
-	}
-	if gotMsgs != wantMsgs || gotWords != wantWords {
-		t.Fatalf("matrix totals %d msgs / %d words, stats say %d / %d", gotMsgs, gotWords, wantMsgs, wantWords)
-	}
-	// Per-phase cells partition the total.
-	var phaseMsgs int64
-	for _, cells := range m.ByPhase {
-		n, _ := cells.Totals()
-		phaseMsgs += n
-	}
-	if phaseMsgs != wantMsgs {
-		t.Fatalf("per-phase msgs sum %d != total %d", phaseMsgs, wantMsgs)
-	}
-	// Row sums must match each sender's own counter.
-	for src, s := range c.Stats {
-		var row int64
-		for dst := 0; dst < m.P; dst++ {
-			row += m.Total.Msgs[src*m.P+dst]
+	for _, in := range []struct {
+		name, phase string
+		c           *Capture
+	}{
+		{"sim pack", "m2m", packCapture(t)},
+		{"real exchange", "exchange", runTracedReal(t, 4)},
+	} {
+		c := in.c
+		m := BuildMatrix(c)
+		gotMsgs, gotWords := m.Total.Totals()
+		var wantMsgs, wantWords int64
+		for _, s := range c.Stats {
+			wantMsgs += s.MsgsSent
+			wantWords += s.WordsSent
 		}
-		if row != s.MsgsSent {
-			t.Fatalf("row %d sums %d msgs, stats say %d", src, row, s.MsgsSent)
+		if gotMsgs != wantMsgs || gotWords != wantWords {
+			t.Fatalf("%s: matrix totals %d msgs / %d words, stats say %d / %d", in.name, gotMsgs, gotWords, wantMsgs, wantWords)
 		}
-	}
+		// Per-phase cells partition the total.
+		var phaseMsgs, phaseWords int64
+		for _, cells := range m.ByPhase {
+			n, w := cells.Totals()
+			phaseMsgs += n
+			phaseWords += w
+		}
+		if phaseMsgs != wantMsgs || phaseWords != wantWords {
+			t.Fatalf("%s: per-phase sums %d msgs / %d words != total %d / %d", in.name, phaseMsgs, phaseWords, wantMsgs, wantWords)
+		}
+		// Row sums must match each sender's own counters.
+		for src, s := range c.Stats {
+			var row, rowWords int64
+			for dst := 0; dst < m.P; dst++ {
+				row += m.Total.Msgs[src*m.P+dst]
+				rowWords += m.Total.Words[src*m.P+dst]
+			}
+			if row != s.MsgsSent || rowWords != s.WordsSent {
+				t.Fatalf("%s: row %d sums %d msgs / %d words, stats say %d / %d", in.name, src, row, rowWords, s.MsgsSent, s.WordsSent)
+			}
+		}
 
-	var buf bytes.Buffer
-	WriteMatrix(&buf, m)
-	out := buf.String()
-	for _, want := range []string{"total:", "m2m", "grand total:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("matrix rendering missing %q:\n%s", want, out)
+		var buf bytes.Buffer
+		WriteMatrix(&buf, m)
+		out := buf.String()
+		for _, want := range []string{"total:", in.phase, "grand total:"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: matrix rendering missing %q:\n%s", in.name, want, out)
+			}
 		}
 	}
 }

@@ -10,9 +10,9 @@ package trace
 // when it died. ViPIOS-style reasoning (PAPERS.md): a long-running
 // redistribution system must explain its failures after the fact, so
 // the dump path triggers itself on the error classes that leave no
-// other evidence: structural deadlock (the emulator's scheduler and the
-// real backend's watchdog identify as sim.ErrDeadlock) and exhausted
-// fault-retry budgets (sim.FaultBudgetError).
+// other evidence: structural deadlock (both backends' deadlock proofs
+// identify as sim.ErrDeadlock) and exhausted fault-retry budgets
+// (sim.FaultBudgetError).
 //
 // Concurrency contract: like every per-rank sink, ring r is written
 // only by rank r's emit path. On the emulator all writes are
@@ -118,9 +118,9 @@ func (f *FlightRecorder) Snapshot() [][]sim.Event {
 
 // ShouldDumpFlight classifies a run error: true for the failure modes
 // whose post-mortem lives in the flight recorder — structural deadlock
-// (the emulator scheduler's proof or the real backend's watchdog
-// abort; both match sim.ErrDeadlock) and fault-budget exhaustion. Root-cause panics carry their own stack and do not
-// trigger a dump.
+// (the emulator scheduler's proof or the real backend's park-state
+// proof; both match sim.ErrDeadlock) and fault-budget exhaustion.
+// Root-cause panics carry their own stack and do not trigger a dump.
 func ShouldDumpFlight(err error) bool {
 	return err != nil && (errors.Is(err, sim.ErrDeadlock) || sim.IsFaultBudget(err))
 }

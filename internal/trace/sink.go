@@ -29,8 +29,9 @@ package trace
 // Concurrency: Emit is called by the rank that owns the event. On the
 // emulator calls are serialized; on the real backend ranks call
 // concurrently. RetainSink, AggSink and FlightRecorder exploit
-// ownership (per-rank state, no locks on the hot path; the histograms
-// are atomic) and report their rank count through Procs
+// ownership (per-rank state, no locks on the hot path; AggSink's
+// shared per-phase histograms are created once under its lock and
+// observed atomically) and report their rank count through Procs
 // (sim.SizedSink); JSONLSink serializes on a mutex because its output
 // is one shared stream.
 
@@ -243,30 +244,30 @@ type aggCell struct {
 // touches it during a run.
 type aggRank struct {
 	roll  RankRollup
-	total map[int]*aggCell            // dst -> counts, all phases
-	byPh  map[string]map[int]*aggCell // phase -> dst -> counts
-	sizes map[string]*metrics.Histogram
+	total map[int]*aggCell              // dst -> counts, all phases
+	byPh  map[string]map[int]*aggCell   // phase -> dst -> counts
+	sizes map[string]*metrics.Histogram // this rank's handles into AggSink.sizes
 }
 
 // AggSink folds the event stream into per-phase rollups online: a
 // sparse communication matrix (per-rank destination maps, so memory
 // tracks active src->dst pairs rather than P^2), per-rank
 // busy/comm/wait accumulators, and per-phase message-size histograms
-// recorded through an internal/metrics registry. No event is retained;
-// the sink's memory is O(active cells + P) regardless of how many
-// events pass through — the property that makes tracing affordable at
-// P >= 1024 (pinned by TestScaleAggregatedObservability).
+// shared by every rank. No event is retained; the sink's memory is
+// O(active cells + P) regardless of how many events pass through — the
+// property that makes tracing affordable at P >= 1024 (pinned by
+// TestScaleAggregatedObservability).
 type AggSink struct {
 	procs int
 	ranks []*aggRank
-	reg   *metrics.Registry
-	hist  *metrics.HistogramVec
+
+	mu    sync.Mutex                    // guards sizes; taken once per (rank, phase)
+	sizes map[string]*metrics.Histogram // phase -> message sizes, machine words
 }
 
 // NewAggSink builds an aggregating sink for procs ranks.
 func NewAggSink(procs int) *AggSink {
-	s := &AggSink{procs: procs, ranks: make([]*aggRank, procs), reg: metrics.NewRegistry()}
-	s.hist = s.reg.Histogram("trace_msg_words", "message sizes folded by the aggregating trace sink, machine words", "phase")
+	s := &AggSink{procs: procs, ranks: make([]*aggRank, procs), sizes: map[string]*metrics.Histogram{}}
 	for i := range s.ranks {
 		s.ranks[i] = &aggRank{
 			roll:  RankRollup{Rank: i},
@@ -316,13 +317,26 @@ func (s *AggSink) Emit(ev sim.Event) {
 		}
 		h := r.sizes[ev.Phase]
 		if h == nil {
-			h = s.hist.With(ev.Phase)
+			h = s.sizeHist(ev.Phase)
 			r.sizes[ev.Phase] = h
 		}
 		h.Observe(int64(ev.Words))
 	case sim.EvRecvWake:
 		r.roll.Wait += ev.Dur
 	}
+}
+
+// sizeHist returns the phase's shared size histogram, creating it on
+// first use. Real-backend ranks call it concurrently.
+func (s *AggSink) sizeHist(phase string) *metrics.Histogram {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.sizes[phase]
+	if h == nil {
+		h = metrics.NewHistogram()
+		s.sizes[phase] = h
+	}
+	return h
 }
 
 // Flush is a no-op; aggregation holds no deferred I/O.
@@ -405,13 +419,13 @@ func (s *AggSink) EventsSeen() int64 {
 // SizeQuantile extracts quantile q of the message-size distribution of
 // one phase, in machine words (0 when the phase saw no sends).
 func (s *AggSink) SizeQuantile(phase string, q float64) int64 {
-	return s.hist.With(phase).Quantile(q)
+	return s.sizeHist(phase).Quantile(q)
 }
 
 // SizeCount returns how many sends the named phase's size histogram
 // observed.
 func (s *AggSink) SizeCount(phase string) int64 {
-	return s.hist.With(phase).Count()
+	return s.sizeHist(phase).Count()
 }
 
 // CheckStats verifies the rollups reconcile exactly with the

@@ -89,6 +89,41 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAggSinkOnRealBackend: real-backend ranks emit concurrently, so
+// they also create the shared per-phase size histograms concurrently
+// (the case -race checks). The rollups still reconcile with Stats, and
+// each phase's histogram counts exactly that phase's sends.
+func TestAggSinkOnRealBackend(t *testing.T) {
+	const procs = 4
+	agg := NewAggSink(procs)
+	m, err := transport.New(transport.BackendReal, sim.Config{Procs: procs, Sink: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.Run(func(p transport.Endpoint) {
+		allToAllBody(p)
+		p.SetPhase("ring")
+		p.Send((p.Rank()+1)%procs, 2, nil, 3)
+		p.Recv((p.Rank()+procs-1)%procs, 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.CheckStats(m.Stats()); err != nil {
+		t.Fatalf("CheckStats: %v", err)
+	}
+	phases := agg.Matrix().ByPhase
+	if len(phases) != 2 {
+		t.Fatalf("%d phases carried sends, want 2 (exchange, ring)", len(phases))
+	}
+	for phase, cells := range phases {
+		sends, _ := cells.Totals()
+		if n := agg.SizeCount(phase); n != sends {
+			t.Errorf("phase %q size histogram has %d observations, want its %d sends", phase, n, sends)
+		}
+	}
+}
+
 func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 	const procs = 4
 	agg := NewAggSink(procs)

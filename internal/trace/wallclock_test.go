@@ -3,23 +3,21 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
 	"packunpack/internal/transport"
 )
 
-// runTracedReal executes a small exchange pattern on a real machine
-// with a RetainSink and metrics on, returning the machine and its
-// capture.
-func runTracedReal(t *testing.T, procs int) (*transport.RealMachine, *Capture) {
+// runTracedReal executes a small exchange pattern in phase "exchange"
+// on a real machine with a RetainSink (teed with any extra sinks),
+// returning its capture.
+func runTracedReal(t *testing.T, procs int, extra ...sim.EventSink) *Capture {
 	t.Helper()
 	rs := NewRetainSink(procs)
 	m, err := transport.NewReal(transport.RealConfig{
-		Procs: procs, Params: sim.CM5Params(), Sink: rs, Metrics: metrics.NewRegistry(),
+		Procs: procs, Params: sim.CM5Params(), Sink: NewTee(append([]sim.EventSink{rs}, extra...)...),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +38,11 @@ func runTracedReal(t *testing.T, procs int) (*transport.RealMachine, *Capture) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, NewCapture(m, rs)
+	return NewCapture(m, rs)
 }
 
 func TestCaptureRealProducesSpansAndEvents(t *testing.T) {
-	_, c := runTracedReal(t, 4)
+	c := runTracedReal(t, 4)
 	if !c.HasEvents() {
 		t.Fatal("real capture has no events")
 	}
@@ -91,7 +89,7 @@ func TestSpansFromEventsSynthesis(t *testing.T) {
 }
 
 func TestWriteChromeRealCapture(t *testing.T) {
-	_, c := runTracedReal(t, 4)
+	c := runTracedReal(t, 4)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, c); err != nil {
 		t.Fatal(err)
@@ -136,15 +134,20 @@ func TestWriteChromeRealCapture(t *testing.T) {
 }
 
 // TestMatrixFromMetricsMatchesEventMatrix cross-checks the two
-// independent records of real-backend traffic: the P×P matrix
-// BuildMatrix derives from the event stream must equal the one read
-// back from the transport_link_* counters, cell by cell.
+// records of real-backend traffic: the P×P matrix an AggSink rolls up
+// from its per-link counters while the ranks emit concurrently must
+// equal the one BuildMatrix derives afterwards from the retained events
+// of the same stream, cell by cell, in total and per phase.
 func TestMatrixFromMetricsMatchesEventMatrix(t *testing.T) {
-	m, c := runTracedReal(t, 4)
+	agg := NewAggSink(4)
+	c := runTracedReal(t, 4, agg)
 	fromEvents := BuildMatrix(c)
-	fromMetrics := matrixFromCounters(t, m.Metrics().Snapshot(), m.Procs())
+	fromMetrics := agg.Matrix()
 	if !matrixEqual(fromEvents.Total, fromMetrics.Total) {
 		t.Errorf("total matrices disagree:\nevents:  %+v\nmetrics: %+v", fromEvents.Total, fromMetrics.Total)
+	}
+	if len(fromMetrics.ByPhase) != len(fromEvents.ByPhase) {
+		t.Errorf("metrics carry %d phases, events %d", len(fromMetrics.ByPhase), len(fromEvents.ByPhase))
 	}
 	for _, phase := range fromEvents.PhaseNames() {
 		if !matrixEqual(fromEvents.ByPhase[phase], fromMetrics.ByPhase[phase]) {
@@ -156,49 +159,6 @@ func TestMatrixFromMetricsMatchesEventMatrix(t *testing.T) {
 	if !strings.Contains(buf.String(), "exchange") {
 		t.Errorf("rendered event matrix lacks the phase section:\n%s", buf.String())
 	}
-}
-
-// matrixFromCounters reads the real backend's per-link counters
-// (transport_link_* and transport_phase_link_*, see
-// internal/transport/realmeters.go; bytes/8 = words) back into a P×P
-// matrix.
-func matrixFromCounters(t *testing.T, snap metrics.Snapshot, procs int) *CommMatrix {
-	t.Helper()
-	m := &CommMatrix{P: procs, Total: newCells(procs), ByPhase: map[string]*MatrixCells{}}
-	for _, fam := range []struct {
-		name          string
-		phased, bytes bool
-	}{
-		{"transport_link_msgs_total", false, false},
-		{"transport_link_bytes_total", false, true},
-		{"transport_phase_link_msgs_total", true, false},
-		{"transport_phase_link_bytes_total", true, true},
-	} {
-		f, ok := snap.Family(fam.name)
-		if !ok {
-			t.Fatalf("metric family %s missing from the snapshot", fam.name)
-		}
-		for _, child := range f.Children {
-			labels, cells := child.LabelValues, m.Total
-			if fam.phased {
-				if m.ByPhase[labels[0]] == nil {
-					m.ByPhase[labels[0]] = newCells(procs)
-				}
-				cells, labels = m.ByPhase[labels[0]], labels[1:]
-			}
-			src, err1 := strconv.Atoi(labels[0])
-			dst, err2 := strconv.Atoi(labels[1])
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s has malformed link labels %v", fam.name, child.LabelValues)
-			}
-			if fam.bytes {
-				cells.Words[src*procs+dst] += child.Value / 8
-			} else {
-				cells.Msgs[src*procs+dst] += child.Value
-			}
-		}
-	}
-	return m
 }
 
 func matrixEqual(a, b *MatrixCells) bool {

@@ -5,8 +5,8 @@ package transport
 // locked to OS threads when the host has at least P cores, which is as
 // close to core pinning as the Go runtime allows — and exchange
 // messages through unbounded lock-free SPSC queues, one per ordered
-// processor pair (spsc.go). Nothing is virtual: Charge only counts,
-// Clock reads the wall, and Machine.Elapsed is the measured run time.
+// processor pair (spsc.go). Nothing is virtual: Charge only counts and
+// Clock reads the wall.
 //
 // Message semantics mirror the emulator exactly — eager non-blocking
 // sends, FIFO per (source, destination, tag) stream, tag-matched
@@ -16,19 +16,21 @@ package transport
 // conformance suite). Observability carries over too: with
 // RealConfig.Sink the backend emits the same structured sim.Event
 // stream — wall-clock microsecond timestamps instead of virtual time,
-// same message-id scheme — and with RealConfig.Metrics it records the
-// telemetry families of realmeters.go. What does NOT carry over is the
-// model side: virtual clocks, cost charging, and fault injection are
-// emulator devices (they need an omniscient network), so realProc is
-// a plain Endpoint, not a FaultEndpoint, and the reliable transport's
-// fault path never engages.
+// same message-id scheme. What does NOT carry over is the model side:
+// virtual clocks, cost charging, and fault injection are emulator
+// devices (they need an omniscient network), so realProc is a plain
+// Endpoint, not a FaultEndpoint, and the reliable transport's fault
+// path never engages.
 //
-// Deadlock handling is heuristic, unlike the emulator's structural
-// proof: a watchdog samples a global progress counter, and when every
-// live processor has been parked in Recv with no delivery for several
-// consecutive scans, the run is declared wedged and every waiter is
-// unwound with a diagnostic instead of hanging the process. A panic in
-// one body likewise unwinds the peers through the same abort channel.
+// Deadlock detection is a structural proof, like the emulator's: a
+// rank that parks in Recv records the source it waits on, and when a
+// park or a body return leaves no rank running, the run is wedged
+// exactly when every parked rank's awaited queue is empty. Only a
+// running rank can send, so that state cannot change any more, and a
+// parked rank touches its queue only after it unparks under the same
+// mutex, so the check races with nothing. Every waiter is then unwound
+// with a diagnostic instead of hanging the process. A panic in one
+// body likewise unwinds the peers through the same abort channel.
 
 import (
 	"errors"
@@ -38,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
 )
 
@@ -56,17 +57,10 @@ type RealConfig struct {
 	// NoPin disables locking processor goroutines to OS threads even
 	// when the host has enough cores.
 	NoPin bool
-	// Metrics, when non-nil, attaches the telemetry registry
-	// (internal/metrics): the backend records the families documented
-	// in realmeters.go (per-link traffic, queue depths, park/wake
-	// counts, stash occupancy, per-phase wall spans) and the
-	// instrumented layers above the endpoint record theirs. Nil
-	// disables all recording at one-branch cost.
-	Metrics *metrics.Registry
 	// Sink, when non-nil, receives every structured event (sim.Event
 	// schema, wall-clock microsecond timestamps) as it is produced —
 	// the real-backend counterpart of sim.Config.Sink, and like it the
-	// machine's only event output. Ranks call Emit concurrently; the
+	// machine's only telemetry output. Ranks call Emit concurrently; the
 	// sink must be safe for that. A sink built for fewer ranks than
 	// Procs (sim.SizedSink) is rejected by NewReal.
 	Sink sim.EventSink
@@ -80,21 +74,23 @@ type RealMachine struct {
 
 	running atomic.Bool
 
-	// Abort/watchdog state, reset per run.
+	// Abort state, reset per run.
 	aborted  chan struct{}
 	abortErr atomic.Pointer[realDeadlockError]
-	progress atomic.Uint64 // bumped on every put and successful poll
-	blocked  atomic.Int64  // processors currently parked in Recv
-	finished atomic.Int64  // processors whose body returned
 	runStart time.Time
 
-	mu      sync.Mutex
-	stats   []sim.Stats
-	elapsed time.Duration
+	// Deadlock-proof state, reset per run. Only the park, unpark and
+	// body-return paths take parkMu.
+	parkMu  sync.Mutex
+	live    int   // ranks neither parked in Recv nor returned
+	waitSrc []int // per rank: the source it is parked on, -1 otherwise
+
+	mu    sync.Mutex
+	stats []sim.Stats
 }
 
-// realDeadlockError unwinds a processor when the watchdog declares the
-// machine wedged (or a peer panicked first).
+// realDeadlockError unwinds a processor when the machine is proven
+// wedged (or a peer panicked first).
 type realDeadlockError struct {
 	rank, src, tag int
 	peerPanic      bool
@@ -107,8 +103,8 @@ func (e *realDeadlockError) Error() string {
 	return fmt.Sprintf("transport: deadlock: processor %d waiting for a message from %d with tag %d that never arrives", e.rank, e.src, e.tag)
 }
 
-// Is makes errors.Is(err, sim.ErrDeadlock) hold for genuine watchdog
-// aborts. Peer-panic unwinds are collateral of another failure, not a
+// Is makes errors.Is(err, sim.ErrDeadlock) hold for proven deadlocks.
+// Peer-panic unwinds are collateral of another failure, not a
 // deadlock, so they do not match.
 func (e *realDeadlockError) Is(target error) bool {
 	return target == sim.ErrDeadlock && !e.peerPanic
@@ -125,22 +121,15 @@ func NewReal(cfg RealConfig) (*RealMachine, error) {
 	if s, ok := cfg.Sink.(sim.SizedSink); ok && s.Procs() < cfg.Procs {
 		return nil, fmt.Errorf("transport: event sink built for %d ranks cannot cover P=%d", s.Procs(), cfg.Procs)
 	}
-	m := &RealMachine{cfg: cfg, queues: make([][]*spscQueue, cfg.Procs)}
+	m := &RealMachine{cfg: cfg, queues: make([][]*spscQueue, cfg.Procs), waitSrc: make([]int, cfg.Procs)}
 	for s := range m.queues {
 		m.queues[s] = make([]*spscQueue, cfg.Procs)
 		for d := range m.queues[s] {
 			m.queues[s][d] = newSpscQueue()
 		}
 	}
-	if cfg.Metrics != nil {
-		m.attachQueueMeters(cfg.Metrics)
-	}
 	return m, nil
 }
-
-// Metrics returns the registry configured at construction (nil when
-// telemetry is off).
-func (m *RealMachine) Metrics() *metrics.Registry { return m.cfg.Metrics }
 
 // MustNewReal is NewReal for configurations known to be valid.
 func MustNewReal(cfg RealConfig) *RealMachine {
@@ -168,9 +157,10 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 	n := m.cfg.Procs
 	m.aborted = make(chan struct{})
 	m.abortErr.Store(nil)
-	m.progress.Store(0)
-	m.blocked.Store(0)
-	m.finished.Store(0)
+	m.live = n
+	for i := range m.waitSrc {
+		m.waitSrc[i] = -1
+	}
 	pin := !m.cfg.NoPin && n <= runtime.NumCPU()
 
 	procs := make([]*realProc, n)
@@ -186,30 +176,22 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 			stats:   sim.Stats{Rank: i, Phases: make(map[string]sim.PhaseStats)},
 			tr:      m.cfg.Sink != nil,
 		}
-		if m.cfg.Metrics != nil {
-			procs[i].met = newProcMeters(m.cfg.Metrics, i, n, "default", 0)
-		}
 	}
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	m.runStart = time.Now()
-	stopWatch := make(chan struct{})
-	go m.watchdog(stopWatch)
 	for i := range procs {
 		go func(p *realProc) {
 			defer wg.Done()
-			defer m.finished.Add(1)
+			defer m.retire()
 			defer func() {
 				if r := recover(); r != nil {
 					errs[p.rank] = recoverRealErr(p.rank, r)
 					m.abort(true)
 				}
 				p.stats.Clock = p.clockNow()
-				if p.met != nil {
-					p.met.notePhaseEnd(p.phase, p.stats.Clock)
-				}
 			}()
 			if pin {
 				runtime.LockOSThread()
@@ -219,11 +201,8 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 		}(procs[i])
 	}
 	wg.Wait()
-	close(stopWatch)
-	elapsed := time.Since(m.runStart)
 
 	m.mu.Lock()
-	m.elapsed = elapsed
 	m.stats = make([]sim.Stats, n)
 	for i, p := range procs {
 		m.stats[i] = p.stats
@@ -285,34 +264,54 @@ func (m *RealMachine) abort(peerPanic bool) {
 	}
 }
 
-// watchdog declares the machine wedged when every live processor has
-// been parked in Recv with zero message traffic across several
-// consecutive scans. Heuristic by design: a notify token can be in
-// flight during one scan, but not across 50 ms of total stillness.
-func (m *RealMachine) watchdog(stop chan struct{}) {
-	const scans = 5
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
-	stable := 0
-	var lastProgress uint64
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			prog := m.progress.Load()
-			blocked, done := m.blocked.Load(), m.finished.Load()
-			if blocked > 0 && blocked+done == int64(m.cfg.Procs) && prog == lastProgress {
-				stable++
-				if stable >= scans {
-					m.abort(false)
-					return
-				}
-			} else {
-				stable = 0
-			}
-			lastProgress = prog
+// park records that rank r waits on its queue from src, and aborts the
+// run if that leaves the machine wedged.
+func (m *RealMachine) park(r, src int) {
+	m.parkMu.Lock()
+	m.waitSrc[r] = src
+	m.live--
+	m.checkWedged()
+	m.parkMu.Unlock()
+}
+
+// unpark records that rank r runs again.
+func (m *RealMachine) unpark(r int) {
+	m.parkMu.Lock()
+	m.waitSrc[r] = -1
+	m.live++
+	m.parkMu.Unlock()
+}
+
+// retire records that a rank's body returned (or unwound), and aborts
+// the run if that leaves the machine wedged.
+func (m *RealMachine) retire() {
+	m.parkMu.Lock()
+	m.live--
+	m.checkWedged()
+	m.parkMu.Unlock()
+}
+
+// checkWedged aborts the run when no rank is running, some rank is
+// parked, and every parked rank's awaited queue is empty: no message
+// can ever arrive again. A non-empty awaited queue means its rank
+// holds a wake-up token and will run (and park again, re-checking).
+// Caller holds parkMu.
+func (m *RealMachine) checkWedged() {
+	if m.live > 0 {
+		return
+	}
+	parked := false
+	for r, src := range m.waitSrc {
+		if src < 0 {
+			continue
 		}
+		if !m.queues[src][r].empty() {
+			return
+		}
+		parked = true
+	}
+	if parked {
+		m.abort(false)
 	}
 }
 
@@ -347,13 +346,6 @@ func (m *RealMachine) MaxClock() float64 {
 	return max
 }
 
-// Elapsed returns the wall-clock duration of the most recent Run.
-func (m *RealMachine) Elapsed() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.elapsed
-}
-
 // realProc is one processor of a real run. Only its own goroutine
 // touches it.
 type realProc struct {
@@ -364,13 +356,11 @@ type realProc struct {
 	phase   string
 	stats   sim.Stats
 
-	// Telemetry state; zero/nil when the machine has none configured,
-	// so every hot-path guard below is a single predictable branch.
-	tr       bool        // emit trace events (RealConfig.Sink set)
-	met      *procMeters // pre-resolved metric handles, nil = off
-	seq      uint64      // per-rank event sequence number
-	sends    uint64      // per-rank message counter for MsgID
-	stashLen int         // current tag-mismatch stash size, all sources
+	// Event-tracing state; zero when the machine has no Sink, so every
+	// hot-path guard below is a single predictable branch.
+	tr    bool   // emit trace events (RealConfig.Sink set)
+	seq   uint64 // per-rank event sequence number
+	sends uint64 // per-rank message counter for MsgID
 }
 
 func (p *realProc) Rank() int          { return p.rank }
@@ -386,11 +376,6 @@ func (p *realProc) Clock() float64 { return p.clockNow() }
 
 func (p *realProc) SetPhase(name string) (previous string) {
 	previous = p.phase
-	if p.met != nil {
-		now := p.clockNow()
-		p.met.notePhaseEnd(previous, now)
-		p.met.setPhase(p.rank, p.m.cfg.Procs, name)
-	}
 	p.phase = name
 	if p.tr {
 		p.emit(sim.Event{Kind: sim.EvPhase, Time: p.clockNow(), Phase: name})
@@ -415,16 +400,12 @@ func (p *realProc) Send(dst, tag int, payload any, words int) {
 	}
 	p.stats.MsgsSent++
 	p.stats.WordsSent += int64(words)
-	if p.met != nil {
-		p.met.noteSend(p.rank, dst, words)
-	}
 	var id uint64
 	if p.tr {
 		p.sends++
 		id = sim.MakeMsgID(p.rank, p.sends)
 	}
 	p.m.queues[p.rank][dst].put(rmsg{tag: tag, payload: payload, words: words, id: id})
-	p.m.progress.Add(1)
 	if p.tr {
 		now := p.clockNow()
 		p.emit(sim.Event{Kind: sim.EvSend, Peer: dst, Tag: tag, Words: words, Time: now, MsgID: id})
@@ -442,7 +423,6 @@ func (p *realProc) SendFree(dst, tag int, payload any) {
 		id = sim.MakeMsgID(p.rank, p.sends)
 	}
 	p.m.queues[p.rank][dst].put(rmsg{tag: tag, payload: payload, free: true, id: id})
-	p.m.progress.Add(1)
 	if p.tr {
 		p.emit(sim.Event{Kind: sim.EvDeliver, Peer: dst, Tag: tag, Time: p.clockNow(), MsgID: id})
 	}
@@ -461,13 +441,7 @@ func (p *realProc) Recv(src, tag int) (payload any, words int) {
 		t0 = p.clockNow()
 		p.emit(sim.Event{Kind: sim.EvRecvBlock, Peer: src, Tag: tag, Time: t0})
 	}
-	msg, parks := p.recvMatch(src, tag)
-	if p.met != nil {
-		p.met.recvs.AddShard(p.rank, 1)
-		if parks > 0 {
-			p.met.parks.AddShard(p.rank, parks)
-		}
-	}
+	msg := p.recvMatch(src, tag)
 	if p.tr {
 		now := p.clockNow()
 		p.emit(sim.Event{Kind: sim.EvRecvWake, Peer: src, Tag: tag, Words: msg.words, Time: now, Dur: now - t0, MsgID: msg.id})
@@ -476,45 +450,54 @@ func (p *realProc) Recv(src, tag int) (payload any, words int) {
 }
 
 // recvMatch finds the (src, tag) message — stash first, then the SPSC
-// queue, parking on its notify channel while empty — and reports how
-// many times it parked.
-func (p *realProc) recvMatch(src, tag int) (rmsg, int64) {
+// queue, parking on its notify channel while empty.
+func (p *realProc) recvMatch(src, tag int) rmsg {
 	stash := p.pending[src]
 	for i, m := range stash {
 		if m.tag == tag {
 			p.pending[src] = append(stash[:i], stash[i+1:]...)
-			p.stashLen--
-			return m, 0
+			return m
 		}
 	}
 	q := p.in[src]
-	var parks int64
 	for {
 		m, ok := q.poll()
 		if !ok {
-			parks++
-			p.m.blocked.Add(1)
+			p.m.park(p.rank, src)
+			var aborted bool
 			select {
 			case <-q.notify:
 			case <-p.m.aborted:
-				p.m.blocked.Add(-1)
+				aborted = true
+			}
+			p.m.unpark(p.rank)
+			if aborted {
 				e := p.m.abortErr.Load()
 				panic(&realDeadlockError{rank: p.rank, src: src, tag: tag, peerPanic: e != nil && e.peerPanic})
 			}
-			p.m.blocked.Add(-1)
 			continue
 		}
-		p.m.progress.Add(1)
 		if m.tag == tag {
-			return m, parks
+			return m
 		}
 		p.pending[src] = append(p.pending[src], m)
-		p.stashLen++
-		if p.met != nil {
-			p.met.stashHW.SetMax(int64(p.stashLen))
-		}
 	}
 }
 
-// Metrics returns the machine's telemetry registry, nil when off.
-func (p *realProc) Metrics() *metrics.Registry { return p.m.cfg.Metrics }
+// emit stamps one event and hands it to the sink, mirroring the
+// emulator's emit: Seq is per-rank (the real machine has no
+// deterministic global order to offer), timestamps are wall-clock
+// microseconds since the run started. The streams use the same
+// sim.Event schema and message-id scheme as the emulator, so every
+// exporter in internal/trace consumes them unchanged — only the
+// meaning of Time differs (never virtual time; the two units never
+// appear in one capture).
+func (p *realProc) emit(ev sim.Event) {
+	p.seq++
+	ev.Seq = p.seq
+	ev.Rank = p.rank
+	if ev.Phase == "" {
+		ev.Phase = p.phase
+	}
+	p.m.cfg.Sink.Emit(ev)
+}

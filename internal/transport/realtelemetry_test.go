@@ -1,14 +1,13 @@
 package transport
 
 // Tests for the real backend's observability layer: wall-clock trace
-// events (RealConfig.Sink), the metric families of realmeters.go, and
-// the zero-overhead guard for the disabled case.
+// events (RealConfig.Sink) and the zero-overhead guard for the
+// untraced case.
 
 import (
 	"sync"
 	"testing"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
 	"packunpack/internal/trace"
 )
@@ -142,86 +141,9 @@ func TestRealSizedSinkTooSmall(t *testing.T) {
 	}
 }
 
-func TestRealBackendMetrics(t *testing.T) {
-	const procs = 4
-	reg := metrics.NewRegistry()
-	m := MustNewReal(RealConfig{Procs: procs, Params: sim.CM5Params(), Metrics: reg})
-	if err := m.Run(ringBody); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-
-	// Per-link counters must reconcile exactly with Stats.
-	stats := m.Stats()
-	msgs, ok := snap.Family("transport_link_msgs_total")
-	if !ok {
-		t.Fatal("transport_link_msgs_total missing")
-	}
-	bytes, _ := snap.Family("transport_link_bytes_total")
-	var wantMsgs, wantWords int64
-	for _, s := range stats {
-		wantMsgs += s.MsgsSent
-		wantWords += s.WordsSent
-	}
-	if got := msgs.Total(); got != wantMsgs {
-		t.Errorf("link msgs total = %d, Stats say %d", got, wantMsgs)
-	}
-	if got := bytes.Total(); got != wantWords*8 {
-		t.Errorf("link bytes total = %d, Stats words*8 = %d", got, wantWords*8)
-	}
-	// The ring pattern: rank r sends r+1 words to r+1 then 2 more words
-	// in phase "second" — check one concrete link cell.
-	c, ok := msgs.Child("0", "1")
-	if !ok || c.Value != 2 {
-		t.Errorf("link (0,1) msgs = %+v ok=%v, want 2", c, ok)
-	}
-	cb, _ := bytes.Child("0", "1")
-	if cb.Value != (1+2)*8 {
-		t.Errorf("link (0,1) bytes = %d, want %d", cb.Value, (1+2)*8)
-	}
-
-	// Per-phase split: the tag-8 traffic must sit under "second".
-	pb, ok := snap.Family("transport_phase_link_bytes_total")
-	if !ok {
-		t.Fatal("transport_phase_link_bytes_total missing")
-	}
-	if c, ok := pb.Child("second", "0", "1"); !ok || c.Value != 2*8 {
-		t.Errorf("phase-second link (0,1) bytes = %+v ok=%v, want 16", c, ok)
-	}
-	if c, ok := pb.Child("default", "0", "1"); !ok || c.Value != 1*8 {
-		t.Errorf("phase-default link (0,1) bytes = %+v ok=%v, want 8", c, ok)
-	}
-
-	// Receives: every rank completed two.
-	recvs, ok := snap.Family("transport_recvs_total")
-	if !ok || recvs.Total() != int64(procs*2) {
-		t.Errorf("recvs total = %d ok=%v, want %d", recvs.Total(), ok, procs*2)
-	}
-
-	// Phase wall spans observed for both phases.
-	pw, ok := snap.Family("transport_phase_wall_us")
-	if !ok {
-		t.Fatal("transport_phase_wall_us missing")
-	}
-	for _, phase := range []string{"default", "second"} {
-		if c, ok := pw.Child(phase); !ok || c.Count < int64(procs) {
-			t.Errorf("phase %q wall spans = %d ok=%v, want >= %d", phase, c.Count, ok, procs)
-		}
-	}
-
-	// Queue depth meters engaged.
-	if f, ok := snap.Family("transport_queue_depth"); !ok || f.Children[0].Count != wantMsgs {
-		t.Errorf("queue depth observations = %v ok=%v, want %d (one per counted put)", f, ok, wantMsgs)
-	}
-	if _, ok := snap.Family("transport_queue_depth_hw"); !ok {
-		t.Error("transport_queue_depth_hw missing")
-	}
-}
-
 // TestRealSendRecvDisabledAllocs is the zero-overhead regression guard
-// at the transport layer: with no registry and no tracing, put costs
-// exactly its one inherent node allocation and poll costs none — the
-// telemetry branches must add zero.
+// at the transport layer: put costs exactly its one inherent node
+// allocation and poll costs none.
 func TestRealSendRecvDisabledAllocs(t *testing.T) {
 	q := newSpscQueue()
 	msg := rmsg{tag: 1, payload: nil, words: 3}
@@ -233,15 +155,12 @@ func TestRealSendRecvDisabledAllocs(t *testing.T) {
 	}
 }
 
-// TestRealBackendDisabledStatsUnchanged pins that a telemetry-less run
-// still counts its traffic and carries no registry.
+// TestRealBackendDisabledStatsUnchanged pins that an untraced run
+// still counts its traffic.
 func TestRealBackendDisabledStatsUnchanged(t *testing.T) {
 	m := MustNewReal(RealConfig{Procs: 2, Params: sim.CM5Params()})
 	if err := m.Run(ringBody); err != nil {
 		t.Fatal(err)
-	}
-	if m.Metrics() != nil {
-		t.Error("Metrics() non-nil without a registry")
 	}
 	for r, st := range m.Stats() {
 		if st.MsgsSent != 2 {
@@ -252,16 +171,6 @@ func TestRealBackendDisabledStatsUnchanged(t *testing.T) {
 
 func BenchmarkRealRingDisabled(b *testing.B) {
 	m := MustNewReal(RealConfig{Procs: 4, Params: sim.CM5Params()})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := m.Run(ringBody); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealRingMetrics(b *testing.B) {
-	m := MustNewReal(RealConfig{Procs: 4, Params: sim.CM5Params(), Metrics: metrics.NewRegistry()})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := m.Run(ringBody); err != nil {

@@ -1,18 +1,12 @@
 package transport
 
-import (
-	"time"
-
-	"packunpack/internal/sim"
-)
+import "packunpack/internal/sim"
 
 // SimMachine adapts *sim.Machine to the Machine interface. The emulator
 // keeps its full concrete API (event sink, fault reports); this
-// wrapper only narrows Run to the Endpoint-typed body and measures the
-// host wall time of each run so sim and real report Elapsed uniformly.
+// wrapper only narrows Run to the Endpoint-typed body.
 type SimMachine struct {
-	M       *sim.Machine
-	elapsed time.Duration
+	M *sim.Machine
 }
 
 // WrapSim adapts an existing emulator machine.
@@ -31,13 +25,9 @@ func (s *SimMachine) Procs() int         { return s.M.Procs() }
 func (s *SimMachine) Params() sim.Params { return s.M.Params() }
 
 func (s *SimMachine) Run(body func(Endpoint)) error {
-	start := time.Now()
-	err := s.M.Run(func(p *sim.Proc) { body(p) })
-	s.elapsed = time.Since(start)
-	return err
+	return s.M.Run(func(p *sim.Proc) { body(p) })
 }
 
-func (s *SimMachine) Stats() []sim.Stats     { return s.M.Stats() }
-func (s *SimMachine) MaxClock() float64      { return s.M.MaxClock() }
-func (s *SimMachine) Elapsed() time.Duration { return s.elapsed }
-func (s *SimMachine) Backend() Backend       { return BackendSim }
+func (s *SimMachine) Stats() []sim.Stats { return s.M.Stats() }
+func (s *SimMachine) MaxClock() float64  { return s.M.MaxClock() }
+func (s *SimMachine) Backend() Backend   { return BackendSim }

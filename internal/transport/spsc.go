@@ -37,12 +37,6 @@ type spscQueue struct {
 	head   *spscNode // consumer-owned; head.next is the front
 	tail   *spscNode // producer-owned
 	notify chan struct{}
-
-	// Telemetry (realmeters.go): depth is maintained — and meter
-	// consulted — only when the machine was built with a registry, so
-	// the uninstrumented put/poll pay exactly one nil check.
-	meter *linkMeter
-	depth atomic.Int64
 }
 
 func newSpscQueue() *spscQueue {
@@ -55,11 +49,6 @@ func (q *spscQueue) put(m rmsg) {
 	n := &spscNode{msg: m}
 	q.tail.next.Store(n)
 	q.tail = n
-	if mt := q.meter; mt != nil {
-		d := q.depth.Add(1)
-		mt.depthHW.SetMax(d)
-		mt.depthHist.Observe(d)
-	}
 	select {
 	case q.notify <- struct{}{}:
 	default:
@@ -76,11 +65,13 @@ func (q *spscQueue) poll() (m rmsg, ok bool) {
 	m = n.msg
 	n.msg = rmsg{} // drop the payload reference from the retired node
 	q.head = n
-	if q.meter != nil {
-		q.depth.Add(-1)
-	}
 	return m, true
 }
+
+// empty reports whether the queue holds no message. Called by the
+// deadlock proof while the consumer is parked; the consumer's head
+// write happened before it parked under the same mutex.
+func (q *spscQueue) empty() bool { return q.head.next.Load() == nil }
 
 // take dequeues the front message, parking until one arrives.
 // Consumer side only.

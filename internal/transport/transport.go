@@ -2,10 +2,10 @@
 // algorithms program against. It defines three interfaces:
 //
 //   - Endpoint, the per-processor handle inside an SPMD run: point-to-
-//     point send/receive, cost charging, and the clock/phase/metrics
-//     hooks. Everything in internal/comm, internal/ranking,
-//     internal/pack and internal/redist takes an Endpoint, never a
-//     concrete machine type.
+//     point send/receive, cost charging, and the clock/phase hooks.
+//     Everything in internal/comm, internal/ranking, internal/pack and
+//     internal/redist takes an Endpoint, never a concrete machine
+//     type.
 //   - FaultEndpoint, the optional fault-injection surface layered on
 //     an Endpoint. Only the emulator implements it; the reliable
 //     transport in internal/comm looks it up by type assertion.
@@ -21,9 +21,8 @@
 //   - BackendReal is a real shared-memory parallel machine (real.go):
 //     the P processor bodies run as host goroutines (pinned to OS
 //     threads when the host has the cores) communicating through
-//     unbounded lock-free SPSC queues. No virtual charging — Clock and
-//     Machine.Elapsed report wall time, which is what the repository
-//     benchmark (perfbench) measures.
+//     unbounded lock-free SPSC queues. No virtual charging — Clock
+//     reports wall time since the run started.
 //
 // Both backends present identical message semantics (eager sends,
 // FIFO per (source, destination, tag) stream, tag-matched receives),
@@ -32,18 +31,16 @@
 // byte-identical. Virtual metrics (clocks, phase breakdowns, cost
 // charges) are meaningful on the sim backend only; the real backend
 // counts ops/messages/words and measures wall time. Both backends are
-// observable: they emit the same structured trace-event stream
-// (sim.Event — virtual timestamps on sim, wall-clock microseconds on
-// real; the two never mix in one capture, see DESIGN.md §14) and both
-// carry an optional internal/metrics registry that the instrumented
-// layers above the endpoint record into.
+// observable through one output, the same structured trace-event
+// stream (sim.Event — virtual timestamps on sim, wall-clock
+// microseconds on real; the two never mix in one capture, see
+// DESIGN.md §14), and both prove a deadlock structurally instead of
+// timing one out.
 package transport
 
 import (
 	"fmt"
-	"time"
 
-	"packunpack/internal/metrics"
 	"packunpack/internal/sim"
 )
 
@@ -84,13 +81,6 @@ type Endpoint interface {
 	// arrives and returns its payload and word count. Messages of one
 	// (src, tag) stream are delivered in send order.
 	Recv(src, tag int) (payload any, words int)
-
-	// Metrics returns the machine's telemetry registry
-	// (internal/metrics), nil when telemetry is off. Instrumented
-	// layers resolve handles through it; every handle off a nil
-	// registry is a nil no-op, so disabled telemetry costs one
-	// predictable branch per recording site.
-	Metrics() *metrics.Registry
 }
 
 // FaultEndpoint is an Endpoint whose network can misbehave under a
@@ -139,9 +129,6 @@ type Machine interface {
 	// MaxClock returns the largest final per-processor clock of the
 	// most recent Run in microseconds (virtual on sim, wall on real).
 	MaxClock() float64
-	// Elapsed returns the host wall-clock duration of the most recent
-	// Run (including processor spawn/join overhead).
-	Elapsed() time.Duration
 	// Backend identifies the implementation.
 	Backend() Backend
 }
@@ -180,11 +167,10 @@ func ParseBackend(s string) (Backend, error) {
 
 // New builds a Machine of the requested backend from a sim.Config.
 // The sim backend honours every Config field, and its endpoints are
-// FaultEndpoints. The real backend maps Procs, Params, Metrics, and
-// Sink (events carry wall-clock microsecond timestamps instead of
-// virtual time); its endpoints are plain Endpoints, and it rejects
-// fault injection, which genuinely needs the emulator's omniscient
-// network.
+// FaultEndpoints. The real backend maps Procs, Params and Sink (events
+// carry wall-clock microsecond timestamps instead of virtual time);
+// its endpoints are plain Endpoints, and it rejects fault injection,
+// which genuinely needs the emulator's omniscient network.
 func New(b Backend, cfg sim.Config) (Machine, error) {
 	switch b {
 	case BackendSim:
@@ -197,7 +183,7 @@ func New(b Backend, cfg sim.Config) (Machine, error) {
 		if cfg.Faults != nil {
 			return nil, fmt.Errorf("transport: fault injection is sim-only (the real network is not under our control); run the fault plan on the sim backend")
 		}
-		return NewReal(RealConfig{Procs: cfg.Procs, Params: cfg.Params, Metrics: cfg.Metrics, Sink: cfg.Sink})
+		return NewReal(RealConfig{Procs: cfg.Procs, Params: cfg.Params, Sink: cfg.Sink})
 	}
 	return nil, fmt.Errorf("transport: unknown backend %v", b)
 }

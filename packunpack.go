@@ -40,7 +40,6 @@ import (
 	"packunpack/internal/dist"
 	"packunpack/internal/hpf"
 	"packunpack/internal/mask"
-	"packunpack/internal/metrics"
 	"packunpack/internal/pack"
 	"packunpack/internal/ranking"
 	"packunpack/internal/redist"
@@ -85,8 +84,7 @@ const (
 )
 
 // ParallelMachine is the backend-independent machine interface: Run an
-// SPMD body, then read Stats/MaxClock/Elapsed. Both backends implement
-// it.
+// SPMD body, then read Stats and MaxClock. Both backends implement it.
 type ParallelMachine = transport.Machine
 
 // RealConfig describes a real shared-memory machine (BackendReal).
@@ -98,9 +96,9 @@ func ParseBackend(s string) (Backend, error) { return transport.ParseBackend(s) 
 
 // NewBackendMachine builds a machine of the requested backend from one
 // Config. The sim backend honours every field; the real backend maps
-// Procs, Params, Metrics and the tracing switches (events then carry
-// wall-clock microsecond timestamps) and rejects only fault injection,
-// which needs the emulator's omniscient network.
+// Procs, Params and the event Sink (events then carry wall-clock
+// microsecond timestamps) and rejects only fault injection, which
+// needs the emulator's omniscient network.
 func NewBackendMachine(b Backend, cfg Config) (ParallelMachine, error) {
 	return transport.New(b, cfg)
 }
@@ -108,29 +106,6 @@ func NewBackendMachine(b Backend, cfg Config) (ParallelMachine, error) {
 // NewRealMachine builds a real shared-memory parallel machine.
 func NewRealMachine(cfg RealConfig) (*transport.RealMachine, error) {
 	return transport.NewReal(cfg)
-}
-
-// ---- Telemetry (internal/metrics) ----
-
-// MetricsRegistry is the wall-clock telemetry registry both backends
-// record into when one is attached (Config.Metrics / RealConfig
-// .Metrics): sharded lock-free counters, gauges and log-linear latency
-// histograms, snapshot- and Prometheus-exportable. A nil registry is
-// fully operational as a no-op, so instrumented code never checks.
-type MetricsRegistry = metrics.Registry
-
-// MetricsServer is the live exposition HTTP server (/metrics
-// Prometheus text, /vars expvar JSON).
-type MetricsServer = metrics.Server
-
-// NewMetricsRegistry builds an empty telemetry registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ServeMetrics starts the live exposition endpoint on addr (":0" picks
-// a free port; read it back with Addr). Close the server to release
-// the port.
-func ServeMetrics(addr string, r *MetricsRegistry) (*MetricsServer, error) {
-	return metrics.Serve(addr, r)
 }
 
 // Stats summarises one processor's activity after a run.
