@@ -107,6 +107,7 @@ fuzz-short:
 	$(GO) test ./internal/comm -run '^$$' -fuzz '^FuzzPrefixReductionSum$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDimRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzVectorDist$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzScatterRuns$$' -fuzztime $(FUZZTIME)
 
 # fault-race runs the fault-injection, property-differential and
 # shared-plan-cache suites under the race detector. `make race` already

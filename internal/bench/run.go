@@ -386,10 +386,7 @@ func (r Run) verify(results []*pack.Result[int], unpacked []*pack.UnpackResult[i
 			return err
 		}
 		for rank := 0; rank < r.Layout.Procs(); rank++ {
-			v := fillLocalData(nil, rank+1000, vec.LocalLen(rank))
-			for i, val := range v {
-				vGlobal[vec.ToGlobal(rank, i)] = val
-			}
+			dist.GatherVector(vec, rank, fillLocalData(nil, rank+1000, vec.LocalLen(rank)), vGlobal)
 		}
 		want := make([]int, len(global))
 		ri := 0
@@ -420,9 +417,9 @@ func (r Run) verify(results []*pack.Result[int], unpacked []*pack.UnpackResult[i
 			want = append(want, global[i])
 		}
 	}
-	var got []int
-	for _, res := range results {
-		got = append(got, res.V...)
+	got := make([]int, results[0].Vec.Size)
+	for rank, res := range results {
+		dist.GatherVector(res.Vec, rank, res.V, got)
 	}
 	if len(got) != len(want) {
 		return fmt.Errorf("bench: pack verify failed: got %d elements, want %d", len(got), len(want))

@@ -189,6 +189,9 @@ func (l *GeneralLayout) GlobalToLocal(global []int) (rank, local int) {
 	return rank, local
 }
 
+// runs walks processor rank's ragged local array.
+func (l *GeneralLayout) runs(rank int) RunWalker { return newRunWalker(l.Dims, rank) }
+
 // ScatterGeneral splits a flat row-major global array into ragged
 // per-processor local arrays.
 func ScatterGeneral[T any](l *GeneralLayout, global []T) [][]T {
@@ -198,10 +201,8 @@ func ScatterGeneral[T any](l *GeneralLayout, global []T) [][]T {
 	out := make([][]T, l.Procs())
 	for r := range out {
 		out[r] = make([]T, l.LocalSizeAt(r))
+		scatterRuns(l.runs(r), global, out[r])
 	}
-	walkGeneral(l, func(pos, rank, local int) {
-		out[rank][local] = global[pos]
-	})
 	return out
 }
 
@@ -211,25 +212,11 @@ func GatherGeneral[T any](l *GeneralLayout, locals [][]T) []T {
 		panic("dist: GatherGeneral needs one local buffer per processor")
 	}
 	global := make([]T, l.GlobalSize())
-	walkGeneral(l, func(pos, rank, local int) {
-		global[pos] = locals[rank][local]
-	})
-	return global
-}
-
-func walkGeneral(l *GeneralLayout, visit func(pos, rank, local int)) {
-	d := l.Rank()
-	n := l.GlobalSize()
-	global := make([]int, d)
-	for pos := 0; pos < n; pos++ {
-		rank, local := l.GlobalToLocal(global)
-		visit(pos, rank, local)
-		for i := 0; i < d; i++ {
-			global[i]++
-			if global[i] < l.Dims[i].N {
-				break
-			}
-			global[i] = 0
+	for r, local := range locals {
+		if len(local) != l.LocalSizeAt(r) {
+			panic("dist: GatherGeneral local buffer of wrong size")
 		}
+		gatherRuns(l.runs(r), local, global)
 	}
+	return global
 }

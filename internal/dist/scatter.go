@@ -12,10 +12,8 @@ func Scatter[T any](l *Layout, global []T) [][]T {
 	out := make([][]T, l.Procs())
 	for r := range out {
 		out[r] = make([]T, l.LocalSize())
+		scatterRuns(l.Runs(r), global, out[r])
 	}
-	walkOwners(l, func(pos, rank, local int) {
-		out[rank][local] = global[pos]
-	})
 	return out
 }
 
@@ -26,32 +24,8 @@ func Gather[T any](l *Layout, locals [][]T) []T {
 		panic("dist: Gather needs one local buffer per processor")
 	}
 	global := make([]T, l.GlobalSize())
-	walkOwners(l, func(pos, rank, local int) {
-		global[pos] = locals[rank][local]
-	})
-	return global
-}
-
-// walkOwners visits every global position in row-major order together
-// with its (owner rank, local offset) pair, using incremental odometer
-// arithmetic instead of per-element map calls.
-func walkOwners(l *Layout, visit func(pos, rank, local int)) {
-	d := l.Rank()
-	n := l.GlobalSize()
-	global := make([]int, d)
-	coords := make([]int, d)
-	locals := make([]int, d)
-	for pos := 0; pos < n; pos++ {
-		for i := 0; i < d; i++ {
-			coords[i], locals[i] = l.Dims[i].ToLocal(global[i])
-		}
-		visit(pos, l.GridRank(coords), l.FlattenLocal(locals))
-		for i := 0; i < d; i++ {
-			global[i]++
-			if global[i] < l.Dims[i].N {
-				break
-			}
-			global[i] = 0
-		}
+	for r, local := range locals {
+		GatherRank(l, r, local, global)
 	}
+	return global
 }

@@ -96,3 +96,10 @@ func (v VectorDist) BlockRunEnd(r int) int {
 	}
 	return end
 }
+
+// runs walks processor rank's local part of the vector: the vector is
+// the 1-D block-cyclic array Dim{Size, P, W}, so its runs are its
+// blocks.
+func (v VectorDist) runs(rank int) RunWalker {
+	return newRunWalker([]Dim{{N: v.Size, P: v.P, W: v.W}}, rank)
+}

@@ -94,48 +94,6 @@ func sameShape(a, b *dist.Layout) error {
 	return nil
 }
 
-// globalWalk iterates a processor's local elements of a layout in
-// local row-major order, yielding for each the flat global position.
-// It mirrors mask.FillLocal's odometer walk.
-func globalWalk(l *dist.Layout, rank int, visit func(off, globalPos int)) {
-	d := l.Rank()
-	coords := l.GridCoords(rank)
-	locals := make([]int, d)
-	global := make([]int, d)
-	strides := make([]int, d)
-	s := 1
-	for i := 0; i < d; i++ {
-		strides[i] = s
-		s *= l.Dims[i].N
-		global[i] = l.Dims[i].ToGlobal(coords[i], 0)
-	}
-	pos := 0
-	for i := 0; i < d; i++ {
-		pos += global[i] * strides[i]
-	}
-	n := l.LocalSize()
-	for off := 0; off < n; off++ {
-		visit(off, pos)
-		for i := 0; i < d; i++ {
-			locals[i]++
-			if locals[i] < l.Dims[i].L() {
-				old := global[i]
-				if locals[i]%l.Dims[i].W == 0 {
-					global[i] = l.Dims[i].ToGlobal(coords[i], locals[i])
-				} else {
-					global[i]++
-				}
-				pos += (global[i] - old) * strides[i]
-				break
-			}
-			locals[i] = 0
-			old := global[i]
-			global[i] = l.Dims[i].ToGlobal(coords[i], 0)
-			pos += (global[i] - old) * strides[i]
-		}
-	}
-}
-
 // incoming records where one received element lands: its offset in the
 // sender's local scan order determines the order within the message,
 // dstOff where it is stored.
@@ -172,11 +130,14 @@ func NewPlan(p transport.Endpoint, src, dst *dist.Layout) (*Plan, error) {
 	// Phase 1: where does each of my source elements go?
 	detectionCharge(p, src)
 	pl.sendDst = make([]int, src.LocalSize())
-	globalWalk(src, p.Rank(), func(off, pos int) {
-		rank, _ := dst.GlobalPosOwner(pos)
-		pl.sendDst[off] = rank
-		pl.sendLen[rank]++
-	})
+	w := src.Runs(p.Rank())
+	for off, pos, ln, ok := w.Next(); ok; off, pos, ln, ok = w.Next() {
+		for k := range ln {
+			rank, _ := dst.GlobalPosOwner(pos + k)
+			pl.sendDst[off+k] = rank
+			pl.sendLen[rank]++
+		}
+	}
 	p.Charge(src.LocalSize()) // send-set enumeration
 
 	// Phase 2: which of my destination elements come from whom, and
@@ -184,10 +145,13 @@ func NewPlan(p transport.Endpoint, src, dst *dist.Layout) (*Plan, error) {
 	// the sender's local scan order, i.e. ascending source offset.
 	detectionCharge(p, src)
 	pl.place = make([][]incoming, n)
-	globalWalk(dst, p.Rank(), func(off, pos int) {
-		rank, srcOff := src.GlobalPosOwner(pos)
-		pl.place[rank] = append(pl.place[rank], incoming{srcOff: srcOff, dstOff: off})
-	})
+	w = dst.Runs(p.Rank())
+	for off, pos, ln, ok := w.Next(); ok; off, pos, ln, ok = w.Next() {
+		for k := range ln {
+			rank, srcOff := src.GlobalPosOwner(pos + k)
+			pl.place[rank] = append(pl.place[rank], incoming{srcOff: srcOff, dstOff: off + k})
+		}
+	}
 	for _, list := range pl.place {
 		sort.Slice(list, func(i, j int) bool { return list[i].srcOff < list[j].srcOff })
 	}
@@ -281,14 +245,17 @@ func RedistributeSelected[T any](p transport.Endpoint, src, dst *dist.Layout, a 
 	detectionCharge(p, src)
 	send := make([][]indexed[T], n)
 	selected := 0
-	globalWalk(src, p.Rank(), func(off, pos int) {
-		if !m[off] {
-			return
+	w := src.Runs(p.Rank())
+	for off, pos, ln, ok := w.Next(); ok; off, pos, ln, ok = w.Next() {
+		for k := range ln {
+			if !m[off+k] {
+				continue
+			}
+			rank, _ := dst.GlobalPosOwner(pos + k)
+			send[rank] = append(send[rank], indexed[T]{Pos: pos + k, Datum: a[off+k]})
+			selected++
 		}
-		rank, _ := dst.GlobalPosOwner(pos)
-		send[rank] = append(send[rank], indexed[T]{Pos: pos, Datum: a[off]})
-		selected++
-	})
+	}
 	p.Charge(src.LocalSize() + (2+d)*selected) // mask scan + pair and index composition
 
 	prev := p.SetPhase(PhaseRedist)

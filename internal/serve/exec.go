@@ -8,24 +8,33 @@ import (
 	"packunpack/internal/transport"
 )
 
-// runJob executes one job as a full SPMD machine run: scatter the
-// global inputs over the processors, run the distributed algorithm,
-// gather the result into freshly allocated response buffers. The
-// machine is owned by the calling worker; plans is the tenant's shared
-// cache (nil disables planning).
+// runJob executes one job as a full SPMD machine run into freshly
+// allocated response buffers. Inside the body each rank copies its own
+// part of the global array and mask (and of UNPACK's input vector) in
+// runs, and an UNPACK rank writes its own runs of the response array;
+// PACK's result vector is assembled after the run, once ranking has
+// fixed its size. These copies are host work: they charge nothing, so
+// the virtual makespan is the algorithm's alone. The machine is owned
+// by the calling worker; plans is the tenant's shared cache (nil
+// disables planning).
 func runJob(m transport.Machine, job *Job, plans *pack.PlanCache) (*Response, error) {
 	l := job.Layout
 	procs := l.Procs()
-	locals := dist.Scatter(l, job.Global)
-	maskLocals := dist.Scatter(l, job.Mask)
 	opt := pack.Options{Scheme: job.Scheme, VectorW: job.VectorW, Plans: plans}
 	resp := &Response{}
+	scatter := func(rank int) ([]int, []bool) {
+		a, mask := make([]int, l.LocalSize()), make([]bool, l.LocalSize())
+		dist.ScatterRank(l, rank, job.Global, a)
+		dist.ScatterRank(l, rank, job.Mask, mask)
+		return a, mask
+	}
 
 	switch job.Kind {
 	case JobPack:
 		results := make([]*pack.Result[int], procs)
 		err := m.Run(func(ep transport.Endpoint) {
-			r, err := pack.Pack(ep, l, locals[ep.Rank()], maskLocals[ep.Rank()], opt)
+			a, mask := scatter(ep.Rank())
+			r, err := pack.Pack(ep, l, a, mask, opt)
 			if err != nil {
 				panic(err)
 			}
@@ -35,13 +44,10 @@ func runJob(m transport.Machine, job *Job, plans *pack.PlanCache) (*Response, er
 			return nil, fmt.Errorf("serve: pack job: %w", err)
 		}
 		count := results[0].Ranking.Size
-		out := make([]int, count)
+		resp.Vector, resp.Count = make([]int, count), count
 		for rank, r := range results {
-			for i, v := range r.V {
-				out[r.Vec.ToGlobal(rank, i)] = v
-			}
+			dist.GatherVector(r.Vec, rank, r.V, resp.Vector)
 		}
-		resp.Vector, resp.Count = out, count
 
 	case JobUnpack:
 		// CMS is PACK-only (the paper defines no CMS UNPACK); fall back
@@ -54,25 +60,23 @@ func runJob(m transport.Machine, job *Job, plans *pack.PlanCache) (*Response, er
 		if err != nil {
 			return nil, fmt.Errorf("%w: input vector distribution: %v", ErrBadJob, err)
 		}
-		outs := make([][]int, procs)
+		resp.Array = make([]int, l.GlobalSize())
 		counts := make([]int, procs)
 		err = m.Run(func(ep transport.Endpoint) {
 			rank := ep.Rank()
+			field, mask := scatter(rank)
 			lv := make([]int, vdist.LocalLen(rank))
-			for i := range lv {
-				lv[i] = job.Vector[vdist.ToGlobal(rank, i)]
-			}
-			r, err := pack.Unpack(ep, l, lv, nPrime, maskLocals[rank], locals[rank], opt)
+			dist.ScatterVector(vdist, rank, job.Vector, lv)
+			r, err := pack.Unpack(ep, l, lv, nPrime, mask, field, opt)
 			if err != nil {
 				panic(err)
 			}
-			outs[rank] = r.A
+			dist.GatherRank(l, rank, r.A, resp.Array)
 			counts[rank] = r.Ranking.Size
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: unpack job: %w", err)
 		}
-		resp.Array = dist.Gather(l, outs)
 		resp.Count = counts[0]
 	}
 

@@ -281,3 +281,47 @@ func TestChaosRejectedOnRealBackend(t *testing.T) {
 		t.Fatal("New accepted chaos mode on the real backend")
 	}
 }
+
+// TestRealBackendP4MatchesSequential runs both job kinds under every
+// scheme on the real backend at P=4, on a 1-D and a 2-D layout, with
+// block and cyclic vectors, plans on and off, and compares every
+// response with internal/seq. Each mask is submitted twice, so with
+// plans on the second job hits the cache. Under -race it also proves
+// that the ranks' concurrent copies out of the job and into its one
+// response buffer do not race.
+func TestRealBackendP4MatchesSequential(t *testing.T) {
+	layouts := []*dist.Layout{
+		dist.MustLayout(dist.Dim{N: 256, P: 4, W: 8}),
+		dist.MustLayout(dist.Dim{N: 16, P: 2, W: 4}, dist.Dim{N: 12, P: 2, W: 3}),
+	}
+	var cases []*loadCase
+	for li, l := range layouts {
+		for _, kind := range []JobKind{JobPack, JobUnpack} {
+			for si, scheme := range []pack.Scheme{pack.SchemeSSS, pack.SchemeCSS, pack.SchemeCMS} {
+				for _, vw := range []int{0, 3} {
+					job := fillJob(l, uint64(1+li*10+si), scheme)
+					job.Kind, job.VectorW = kind, vw
+					lc := &loadCase{job: job}
+					if kind == JobPack {
+						lc.want = seq.Pack(job.Global, job.Mask)
+						lc.wantCount = len(lc.want)
+					} else {
+						lc.wantCount = seq.Count(job.Mask)
+						job.Vector = make([]int, lc.wantCount)
+						for i := range job.Vector {
+							job.Vector[i] = 2_000_000 + 3*i
+						}
+						lc.want = seq.Unpack(job.Vector, job.Mask, job.Global)
+					}
+					cases = append(cases, lc, lc)
+				}
+			}
+		}
+	}
+	for _, plans := range []bool{true, false} {
+		t.Run(fmt.Sprintf("plans=%v", plans), func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 2, Queue: len(cases), Backend: transport.BackendReal, DisablePlans: !plans})
+			submitAll(t, s, cases, 4)
+		})
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,7 +174,7 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 			rank: i, m: m, in: in,
 			pending: make([][]rmsg, n),
 			phase:   "default",
-			stats:   sim.Stats{Rank: i, Phases: make(map[string]sim.PhaseStats)},
+			stats:   sim.Stats{Rank: i},
 			tr:      m.cfg.Sink != nil,
 		}
 	}
@@ -315,21 +316,14 @@ func (m *RealMachine) checkWedged() {
 	}
 }
 
-// Stats returns the per-processor statistics of the most recent Run
-// (deep copies; the real backend fills the counters and wall clocks).
+// Stats returns a copy of the per-processor statistics of the most
+// recent Run. The real backend fills the counters and wall clocks only:
+// it keeps no per-phase split, so Phases is nil (reads of it see no
+// phases).
 func (m *RealMachine) Stats() []sim.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]sim.Stats, len(m.stats))
-	for i, s := range m.stats {
-		phases := make(map[string]sim.PhaseStats, len(s.Phases))
-		for name, ph := range s.Phases {
-			phases[name] = ph
-		}
-		s.Phases = phases
-		out[i] = s
-	}
-	return out
+	return slices.Clone(m.stats)
 }
 
 // MaxClock returns the largest per-processor wall clock of the most

@@ -30,9 +30,10 @@ type spscNode struct {
 // Sends never block (the eager protocol both backends share): the list
 // grows as needed. A consumer that finds the queue empty parks on the
 // notify channel; the producer posts a non-blocking token after every
-// link. The token can be stale (a previous take consumed the node
-// already), so take re-checks after every wake — a spurious wake costs
-// one loop iteration, never correctness.
+// link. The token can be stale (a previous poll consumed the node
+// already), so the receiver (realProc.recvMatch) polls again after
+// every wake — a spurious wake costs one loop iteration, never
+// correctness.
 type spscQueue struct {
 	head   *spscNode // consumer-owned; head.next is the front
 	tail   *spscNode // producer-owned
@@ -72,17 +73,6 @@ func (q *spscQueue) poll() (m rmsg, ok bool) {
 // deadlock proof while the consumer is parked; the consumer's head
 // write happened before it parked under the same mutex.
 func (q *spscQueue) empty() bool { return q.head.next.Load() == nil }
-
-// take dequeues the front message, parking until one arrives.
-// Consumer side only.
-func (q *spscQueue) take() rmsg {
-	for {
-		if m, ok := q.poll(); ok {
-			return m
-		}
-		<-q.notify
-	}
-}
 
 // drainCount empties the queue and returns how many messages it held.
 // Only called after the run's goroutines have all joined.

@@ -110,16 +110,6 @@ func TestSpscFIFOAndPoll(t *testing.T) {
 	}
 }
 
-func TestSpscTakeParksUntilPut(t *testing.T) {
-	q := newSpscQueue()
-	done := make(chan rmsg)
-	go func() { done <- q.take() }()
-	q.put(rmsg{tag: 42})
-	if m := <-done; m.tag != 42 {
-		t.Fatalf("take = %+v, want tag 42", m)
-	}
-}
-
 func TestSpscConcurrentProducerConsumer(t *testing.T) {
 	q := newSpscQueue()
 	const n = 10000
@@ -131,10 +121,18 @@ func TestSpscConcurrentProducerConsumer(t *testing.T) {
 			q.put(rmsg{tag: i})
 		}
 	}()
-	for i := 0; i < n; i++ {
-		if m := q.take(); m.tag != i {
+	// Consume as the receiver does: poll, and park on the notify token
+	// whenever the queue is empty.
+	for i := 0; i < n; {
+		m, ok := q.poll()
+		if !ok {
+			<-q.notify
+			continue
+		}
+		if m.tag != i {
 			t.Fatalf("message %d arrived with tag %d (order broken)", i, m.tag)
 		}
+		i++
 	}
 	wg.Wait()
 	if got := q.drainCount(); got != 0 {
@@ -178,6 +176,33 @@ func TestRealMachineRingExchange(t *testing.T) {
 	}
 	if m.MaxClock() <= 0 {
 		t.Error("MaxClock() <= 0 after a run")
+	}
+}
+
+// TestRealStatsCarryNoPhases pins that the real backend keeps no
+// per-phase split: a run that switches phases, charges and sends
+// reports its counters with a nil Phases map, which reads as empty.
+func TestRealStatsCarryNoPhases(t *testing.T) {
+	m := MustNewReal(RealConfig{Procs: 2})
+	err := m.Run(func(e Endpoint) {
+		e.SetPhase("prs")
+		e.Charge(5)
+		if e.Rank() == 0 {
+			sendInts(e, 1, 1, []int{7})
+		} else {
+			recvInts(e, 0, 1)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, s := range m.Stats() {
+		if s.Phases != nil || s.Phases["prs"] != (sim.PhaseStats{}) {
+			t.Errorf("rank %d Phases = %v, want nil", i, s.Phases)
+		}
+		if s.Ops != 5 {
+			t.Errorf("rank %d Ops = %d, want 5", i, s.Ops)
+		}
 	}
 }
 
