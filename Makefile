@@ -67,14 +67,15 @@ validate-perf:
 # difference is a correctness regression, or a grid change that needs a
 # new baseline, and fails the build.
 #
-# The sweep is pinned to -parallel 1: virtual results are bit-exact
-# only between serial runs (worker completion order perturbs float
-# accumulation; see DESIGN.md §10).
-PERFGATE_BASELINE ?= BENCH_pr17.json
+# The sweep runs on four workers, so the gate also exercises the
+# collect/prefetch path. Each report row books its points in the
+# serial replay's order, which makes every figure the same at any
+# -parallel (DESIGN.md §10).
+PERFGATE_BASELINE ?= BENCH_pr20.json
 PERFGATE_OUT      ?= /tmp/packbench-perfgate.json
 PERFGATE_DELTA    ?= /tmp/packdiff-delta.md
 perfgate:
-	$(GO) run ./cmd/packbench -exp all -quick -seed 1 -parallel 1 \
+	$(GO) run ./cmd/packbench -exp all -quick -seed 1 -parallel 4 \
 		-service 1000000 -json $(PERFGATE_OUT) >/dev/null
 	$(GO) run ./cmd/packdiff -o $(PERFGATE_DELTA) $(PERFGATE_BASELINE) $(PERFGATE_OUT)
 
@@ -86,7 +87,7 @@ perfgate:
 # trips each) must show warm round trips summing to no more than cold
 # ones (packbench exits non-zero when either check fails).
 planbench:
-	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -parallel 1 -plan-gate
+	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -plan-gate
 
 # real-race runs the cross-backend conformance grid and the transport
 # layer's own suite under the race detector: the real backend's SPSC
@@ -119,21 +120,20 @@ fault-race:
 # reportcheck proves the scalable-observability layer end to end: the
 # packreport golden dashboard (byte-determinism included), the trace
 # sink suites (JSONL stream round-trip, aggregated rollup/Stats
-# reconciliation, sampling charge-exactness), the flight recorder's
-# dump-on-abort paths (structural deadlock and fault-budget
-# exhaustion), and the CLIs on real inputs: packreport over every
-# committed baseline, packdiff over the committed perfbench fixtures
-# (the change passes, the regressed run set must fail), packtrace
-# streaming a JSONL feed alongside a Chrome export, and packtrace -open
-# digesting that export.
+# reconciliation), the flight recorder's dump-on-abort paths
+# (structural deadlock and fault-budget exhaustion), and the CLIs on
+# real inputs: packreport over every committed baseline, packdiff over
+# the committed perfbench fixtures (the change passes, the regressed
+# run set must fail), packtrace streaming a JSONL feed alongside a
+# Chrome export, and packtrace -open digesting that export.
 reportcheck:
 	$(GO) test ./internal/report/
-	$(GO) test ./internal/trace/ -run 'JSONL|Flight|Sampling|Agg|Sink'
+	$(GO) test ./internal/trace/ -run 'JSONL|Flight|Agg|Sink'
 	$(GO) test ./internal/bench/ -run 'FlightDump'
 	$(GO) run ./cmd/packreport -o /tmp/packreport.html \
 		BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr4.json \
 		BENCH_pr5.json BENCH_pr6.json BENCH_pr8.json BENCH_pr10.json \
-		BENCH_pr16.json BENCH_pr17.json
+		BENCH_pr16.json BENCH_pr17.json BENCH_pr20.json
 	grep -q "Scheme crossover model" /tmp/packreport.html
 	grep -q "Serving traffic" /tmp/packreport.html
 	$(GO) run ./cmd/packdiff internal/bench/testdata/perfbench_parent.jsonl \

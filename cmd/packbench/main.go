@@ -6,7 +6,7 @@
 //	packbench -exp all            # everything (DESIGN.md experiment index)
 //	packbench -exp fig3           # one artifact: fig3|fig4|fig5|table1|table2|scale|prs|ablate
 //	packbench -exp table2 -quick  # trimmed parameter sets (seconds instead of minutes)
-//	packbench -parallel 1         # serial sweep (output is identical either way)
+//	packbench -parallel 1         # serial sweep (tables and report are identical either way)
 //	packbench -json perf.json     # also write the exact report packdiff compares
 //	packbench -exp faults -quick  # fault-injection robustness sweep (hidden from 'all')
 //	packbench -faults 42:drop=0.01,dup=0.005  # inject faults into any experiment's machines
@@ -17,9 +17,11 @@
 // All reported times are virtual machine times under the two-level
 // cost model (CM-5-flavoured constants), in milliseconds. The -parallel
 // flag only changes how fast the host gets there: experiment points run
-// on a worker pool, but every virtual measurement and every rendered
-// table is byte-identical to the serial run. Measured speed is the repo
-// benchmark's business (perfbench, compared by packdiff).
+// on a worker pool, but every virtual measurement, every rendered table
+// and every figure of the -json report is the same as the serial run's
+// (each report row books its points in the serial replay's order).
+// Measured speed is the repo benchmark's business (perfbench, compared
+// by packdiff).
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed for the random masks")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("out", "", "also write the tables to this file")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "host worker pool size for the sweep engine (1 = serial)")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "host worker pool size for the sweep engine (1 = serial); tables and the -json report are the same at any value")
 	jsonPath := flag.String("json", "", "write the exact per-experiment report (schema "+bench.PerfSchema+") to this file")
 	traceDir := flag.String("trace-dir", "", "run every experiment point with event tracing on and dump one Chrome trace-event JSON per point into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (samples carry experiment/stage/scheme labels)")

@@ -25,10 +25,9 @@
 // holding a traced run or a workload or metric BENCHMARK.json does
 // not declare.
 //
-// Exact comparison assumes both reports were generated at -parallel 1
-// (worker completion order perturbs the floating-point accumulation of
-// virtual_ms, and the parallel collect pass over-collects on
-// data-dependent grids). `make perfgate` pins that.
+// Two reports of the same grid, seed and cost model agree exactly
+// whatever -parallel each ran at: every row books its points in the
+// serial replay's order (DESIGN.md §10).
 package main
 
 import (

@@ -28,7 +28,8 @@ type Suite struct {
 	// Workers bounds the host worker pool the sweep engine fans
 	// experiment points out to: 0 means runtime.NumCPU(), 1 reproduces
 	// the fully serial behaviour. Whatever the value, rendered tables
-	// are byte-identical (the determinism invariant of DESIGN.md §7).
+	// and report rows are identical (the determinism invariant of
+	// DESIGN.md §7).
 	Workers int
 	// Faults, when non-nil, installs this fault-injection plan on every
 	// measured machine that does not carry its own (packbench -faults).
@@ -56,8 +57,9 @@ type Suite struct {
 	// collect, when non-nil, switches measure into the grid-discovery
 	// mode of the parallel sweep engine (see parallel.go).
 	collect *runCollector
-	// counters instrument machine executions for the perf report.
-	counters *perfCounters
+	// row, when non-nil, is the report row of the experiment being
+	// generated (RunInstrumented); the engine books points into it.
+	row *ExperimentPerf
 	// labelExp is the experiment id the instrumented runner stamps on
 	// the engine's pprof labels (parallel.go), so -cpuprofile samples
 	// attribute to the experiment that spent them. Empty outside
@@ -71,7 +73,7 @@ type Suite struct {
 
 // NewSuite builds a suite with a shared measurement cache.
 func NewSuite(quick bool, seed uint64) Suite {
-	return Suite{Quick: quick, Seed: seed, cache: newRunCache(), counters: &perfCounters{}}
+	return Suite{Quick: quick, Seed: seed, cache: newRunCache()}
 }
 
 // maskSpec names a mask generator for a given array shape.
@@ -170,30 +172,15 @@ func (s Suite) packArrays() []arraySpec {
 	return specs
 }
 
-// measure runs one configuration and panics on harness bugs (the
-// experiment grid is fixed, so an error is a programming error, not an
-// input error). Results are memoized when the suite has a cache. In
-// collect mode the point is only recorded for the parallel prefetcher
-// and a zero Metrics is returned (the dry pass's tables are discarded).
+// measure reads one PACK/UNPACK configuration through the sweep
+// engine (Suite.point); a harness bug panics in execute (the experiment
+// grid is fixed, so an error is a programming error, not an input
+// error).
 func (s Suite) measure(r Run) Metrics {
 	if r.Faults == nil {
 		r.Faults = s.Faults
 	}
-	key := runKey(r)
-	if s.collect != nil {
-		s.collect.add(key, r)
-		return Metrics{}
-	}
-	if s.cache != nil {
-		if m, ok := s.cache.get(key); ok {
-			return m
-		}
-	}
-	m := s.execute(r)
-	if s.cache != nil {
-		s.cache.put(key, m)
-	}
-	return m
+	return s.point(runKey(r), func(s Suite) Metrics { return s.execute(r) })
 }
 
 // packSchemes are the three PACK schemes in the paper's order.
@@ -503,14 +490,13 @@ type prsPoint struct {
 
 // prsKey identifies a PRS point in the suite's shared memo cache (the
 // "prs|" prefix keeps it disjoint from the PACK/UNPACK run keys).
-func (s Suite) prsKey(pt prsPoint) string {
+func prsKey(pt prsPoint) string {
 	return fmt.Sprintf("prs|%d|%d|%v", pt.p, pt.m, pt.algo)
 }
 
-// prsExecute runs one bare PRS collective and books it like any other
-// machine execution — including the TraceDir dump, so a traced sweep
-// covers the PRS grid too. Like execute, the point carries pprof
-// labels identifying it in a -cpuprofile.
+// prsExecute runs one bare PRS collective — with the TraceDir dump, so
+// a traced sweep covers the PRS grid too. Like execute, the point
+// carries pprof labels identifying it in a -cpuprofile.
 func (s Suite) prsExecute(pt prsPoint) (met Metrics) {
 	labels := pprof.Labels("op", "prs", "algo", fmt.Sprint(pt.algo),
 		"procs", strconv.Itoa(pt.p), "veclen", strconv.Itoa(pt.m))
@@ -539,72 +525,26 @@ func (s Suite) prsExecutePoint(pt prsPoint) Metrics {
 		panic(err)
 	}
 	m := metricsFrom(machine)
-	s.counters.record(m)
 	if retain != nil {
-		s.dumpTrace(s.prsKey(pt), trace.NewCapture(machine, retain))
+		s.dumpTrace(prsKey(pt), trace.NewCapture(machine, retain))
 	}
 	return m
 }
 
 // PRS regenerates the prefix-reduction-sum comparison the paper refers
 // to (Section 7 and reference [6]): direct vs split vs the auto rule,
-// across processor counts and vector lengths. The runs are bare
-// collectives, not PACK/UNPACK points, so it does not go through
-// measure; it follows the same two-phase shape as parallelize instead:
-// the (P, M, algo) grid is prefetched into the shared cache across the
-// worker pool, and the rows are assembled serially in grid order from
-// the warm cache — byte-identical regardless of the worker count.
-func (s Suite) PRS() []*Table {
+// across processor counts and vector lengths. The points are bare
+// collectives, not PACK/UNPACK runs, but they go through the same
+// engine under their own keys.
+func (s Suite) PRS() []*Table { return s.parallelize(Suite.prs) }
+
+func (s Suite) prs() []*Table {
 	procs := []int{4, 16, 64, 256}
 	vecs := []int{16, 256, 4096, 65536}
 	if s.Quick {
 		procs = []int{4, 16}
 		vecs = []int{16, 1024}
 	}
-	algos := []comm.PRSAlgorithm{comm.PRSDirect, comm.PRSSplit, comm.PRSAuto}
-	var grid []prsPoint
-	for _, p := range procs {
-		for _, m := range vecs {
-			for _, algo := range algos {
-				grid = append(grid, prsPoint{p: p, m: m, algo: algo})
-			}
-		}
-	}
-	if s.cache != nil && s.workerCount() > 1 {
-		var todo []int
-		for i, pt := range grid {
-			if !s.cache.peek(s.prsKey(pt)) {
-				todo = append(todo, i)
-			}
-		}
-		s.withStage("prefetch", func(ctx context.Context) {
-			ps := s
-			ps.labelCtx = ctx
-			ps.forEach(len(todo), func(j int) {
-				pt := grid[todo[j]]
-				ps.cache.put(ps.prsKey(pt), ps.prsExecute(pt))
-			})
-		})
-	}
-	vals := make([]float64, len(grid))
-	s.withStage("replay", func(ctx context.Context) {
-		rs := s
-		rs.labelCtx = ctx
-		for i, pt := range grid {
-			met, ok := Metrics{}, false
-			if rs.cache != nil {
-				met, ok = rs.cache.get(rs.prsKey(pt))
-			}
-			if !ok {
-				met = rs.prsExecute(pt)
-				if rs.cache != nil {
-					rs.cache.put(rs.prsKey(pt), met)
-				}
-			}
-			vals[i] = met.TotalMS
-		}
-	})
-
 	t := &Table{
 		ID:      "prs",
 		Title:   "Vector prefix-reduction-sum time (ms) by algorithm",
@@ -613,13 +553,13 @@ func (s Suite) PRS() []*Table {
 			"expected shape: direct wins for small M or small P; split wins as both grow (its bandwidth term is P-independent)",
 		},
 	}
-	i := 0
-	for range procs {
-		for range vecs {
-			row := []string{fmt.Sprint(grid[i].p), fmt.Sprint(grid[i].m)}
-			for range algos {
-				row = append(row, ms(vals[i]))
-				i++
+	for _, p := range procs {
+		for _, m := range vecs {
+			row := []string{fmt.Sprint(p), fmt.Sprint(m)}
+			for _, algo := range []comm.PRSAlgorithm{comm.PRSDirect, comm.PRSSplit, comm.PRSAuto} {
+				pt := prsPoint{p: p, m: m, algo: algo}
+				met := s.point(prsKey(pt), func(s Suite) Metrics { return s.prsExecute(pt) })
+				row = append(row, ms(met.TotalMS))
 			}
 			t.AddRow(row...)
 		}
@@ -652,25 +592,17 @@ func (s Suite) Registry() map[string]func() []*Table {
 // (packbench -exp faults).
 var hiddenExperiments = map[string]bool{"faults": true, "scale1k": true}
 
-// ExperimentIDs returns the canonical registry keys in stable order.
+// ExperimentIDs returns the canonical registry keys in sorted order.
+// Each report row books only the points its own replay reads first, so
+// where a new experiment sorts moves no other row.
 func (s Suite) ExperimentIDs() []string {
-	reg := s.Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		if !hiddenExperiments[id] && id != "planrepeat" {
+	var ids []string
+	for id := range s.Registry() {
+		if !hiddenExperiments[id] {
 			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
-	// planrepeat always runs last: the perf report's per-experiment
-	// virtual_ms figures are deltas of one cumulative float sum, so
-	// inserting a new experiment mid-order would shift the running
-	// total and perturb every later row's delta by an ulp — breaking
-	// bit-exact packdiff comparisons with the committed baselines for
-	// experiments that themselves never changed.
-	if _, ok := reg["planrepeat"]; ok && !hiddenExperiments["planrepeat"] {
-		ids = append(ids, "planrepeat")
-	}
 	return ids
 }
 

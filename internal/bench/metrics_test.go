@@ -99,7 +99,7 @@ func TestExecuteTraceMetrics(t *testing.T) {
 	}
 }
 
-// TestTraceDirDumpsParse runs one quick experiment with a TraceDir and
+// TestTraceDirDumpsParse runs the quick sweep with a TraceDir and
 // checks the engine dumped one parseable Chrome trace per machine run,
 // and that enabling tracing did not perturb the rendered tables.
 func TestTraceDirDumpsParse(t *testing.T) {
@@ -112,7 +112,12 @@ func TestTraceDirDumpsParse(t *testing.T) {
 	s := NewSuite(true, 1)
 	s.Workers = 1
 	s.TraceDir = dir
-	if got := renderSuite(s); got != want {
+	tables, rows := instrumentAll(t, s)
+	var got strings.Builder
+	for _, id := range s.ExperimentIDs() {
+		RenderAll(&got, tables[id])
+	}
+	if got.String() != want {
 		t.Fatal("tracing the sweep changed the rendered tables")
 	}
 
@@ -120,7 +125,10 @@ func TestTraceDirDumpsParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := s.PerfSnapshot().MachineRuns
+	var runs int64
+	for _, row := range rows {
+		runs += row.MachineRuns
+	}
 	if int64(len(entries)) != runs {
 		t.Fatalf("dumped %d trace files for %d machine runs", len(entries), runs)
 	}

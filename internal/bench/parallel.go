@@ -23,37 +23,29 @@ import (
 // discover its measurement grid (tables discarded), the grid is
 // executed concurrently into the shared cache, and then the generator
 // is replayed serially against the warm cache, producing exactly the
-// rows a fully serial run would.
+// rows a fully serial run would. The perf report follows the replay
+// too: a point is booked into the row of the experiment whose replay
+// first reads it, never when a worker executes it, so the rows are as
+// independent of the worker count as the tables.
 
-// runCache memoizes Metrics by configuration key. It is safe for
-// concurrent use: the sweep engine fills it from several workers at
-// once.
+// runCache memoizes Metrics by point key and remembers which points a
+// report row has booked. It is safe for concurrent use: the sweep
+// engine fills it from several workers at once.
 type runCache struct {
-	mu   sync.Mutex
-	m    map[string]Metrics
-	hits atomic.Int64
+	mu     sync.Mutex
+	m      map[string]Metrics
+	booked map[string]bool
 }
 
-func newRunCache() *runCache { return &runCache{m: make(map[string]Metrics)} }
+func newRunCache() *runCache {
+	return &runCache{m: make(map[string]Metrics), booked: make(map[string]bool)}
+}
 
-// get returns the cached metrics for key, counting a hit on success.
 func (c *runCache) get(key string) (Metrics, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	m, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	}
 	return m, ok
-}
-
-// peek is get without hit accounting (used by the prefetcher to skip
-// already-measured points).
-func (c *runCache) peek(key string) bool {
-	c.mu.Lock()
-	_, ok := c.m[key]
-	c.mu.Unlock()
-	return ok
 }
 
 func (c *runCache) put(key string, m Metrics) {
@@ -68,97 +60,72 @@ func (c *runCache) len() int {
 	return len(c.m)
 }
 
-// runKey identifies a measurement configuration for memoization.
+// book marks key booked and reports whether no row had booked it yet.
+func (c *runCache) book(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.booked[key] {
+		return false
+	}
+	c.booked[key] = true
+	return true
+}
+
+// runKey identifies a measurement configuration for memoization. The
+// mask generator is keyed by its type and value (a random mask's
+// density, seed and shape), so two experiments' masks share an entry
+// only when they select the same elements.
 func runKey(r Run) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v|%d|%v|%v|%v|%v|%v|%v|%s|%d|%v",
-		r.Layout.String(), r.Gen.Name(), r.Opt.Scheme, r.Mode, r.Opt.PRS,
+	return fmt.Sprintf("%s|%T%v|%v|%v|%v|%d|%v|%v|%v|%v|%v|%v|%s|%d|%v",
+		r.Layout.String(), r.Gen, r.Gen, r.Opt.Scheme, r.Mode, r.Opt.PRS,
 		r.Opt.VectorW, r.Opt.WholeSliceScan, r.Opt.A2A, r.Opt.SeparatePrefixReduce,
 		r.SelfSendFree, r.Params, r.Trace, r.Faults.String(),
 		r.Repeat, r.Planned)
 }
 
 // runCollector accumulates the distinct experiment points a generator
-// would measure, during the dry (collect) pass of the engine.
+// would measure, during the dry (collect) pass of the engine: each
+// point's key and the thunk that executes it.
 type runCollector struct {
 	seen map[string]bool
 	keys []string
-	runs []Run
+	runs []func(Suite) Metrics
 }
 
-func (c *runCollector) add(key string, r Run) {
+func (c *runCollector) add(key string, run func(Suite) Metrics) {
 	if c.seen[key] {
 		return
 	}
 	c.seen[key] = true
 	c.keys = append(c.keys, key)
-	c.runs = append(c.runs, r)
+	c.runs = append(c.runs, run)
 }
 
-// perfCounters aggregates host-side instrumentation of the suite's
-// work for the -json perf report.
-type perfCounters struct {
-	mu        sync.Mutex
-	runs      int64
-	virtualMS float64
-	// derived sums each registry metric (metrics.go) over the recorded
-	// runs; the report divides by the run count for per-experiment
-	// means.
-	derived map[string]float64
-}
-
-func (c *perfCounters) record(m Metrics) {
-	if c == nil {
-		return
+// point is the engine's one way to read an experiment point: measure
+// and the PRS grid route every point through it, keyed exactly. In
+// collect mode it only records the thunk for the prefetcher and returns
+// a zero Metrics (the dry pass's tables are discarded). Otherwise it
+// answers from the cache, executing the thunk on a miss, and books the
+// point into the current experiment's row when this is the first read
+// of it inside any experiment; a read outside one (PlanHitRate, a bare
+// generator call) books nowhere.
+func (s Suite) point(key string, run func(Suite) Metrics) Metrics {
+	if s.collect != nil {
+		s.collect.add(key, run)
+		return Metrics{}
 	}
-	c.mu.Lock()
-	c.runs++
-	c.virtualMS += m.TotalMS
-	if len(m.Derived) > 0 {
-		if c.derived == nil {
-			c.derived = make(map[string]float64, len(m.Derived))
-		}
-		for name, v := range m.Derived {
-			c.derived[name] += v
-		}
+	if s.cache == nil {
+		return run(s)
 	}
-	c.mu.Unlock()
-}
-
-// PerfTotals is a point-in-time snapshot of the suite's cumulative
-// instrumentation; deltas between snapshots give per-experiment
-// figures.
-type PerfTotals struct {
-	// MachineRuns counts machine executions, VirtualMS the virtual time
-	// they produced (summed TotalMS — the cross-machine checksum).
-	MachineRuns int64
-	VirtualMS   float64
-	CacheHits   int64
-	// DerivedSum sums each derived metric over the runs (a copy; safe
-	// to keep across later work).
-	DerivedSum map[string]float64
-}
-
-// PerfSnapshot captures the suite's cumulative instrumentation: machine
-// executions, the virtual time they produced, cache hits, and the
-// summed derived metrics.
-func (s Suite) PerfSnapshot() PerfTotals {
-	var t PerfTotals
-	if s.counters != nil {
-		s.counters.mu.Lock()
-		t.MachineRuns = s.counters.runs
-		t.VirtualMS = s.counters.virtualMS
-		if len(s.counters.derived) > 0 {
-			t.DerivedSum = make(map[string]float64, len(s.counters.derived))
-			for name, v := range s.counters.derived {
-				t.DerivedSum[name] = v
-			}
-		}
-		s.counters.mu.Unlock()
+	m, ok := s.cache.get(key)
+	if !ok {
+		m = run(s)
+		s.cache.put(key, m)
 	}
-	if s.cache != nil {
-		t.CacheHits = s.cache.hits.Load()
+	if s.row != nil && s.cache.book(key) {
+		s.row.book(m)
 	}
-	return t
+	return m
 }
 
 // workerCount resolves the Workers field: 0 means one worker per CPU.
@@ -220,18 +187,19 @@ func (s Suite) forEach(n int, fn func(int)) {
 }
 
 // prefetch executes every not-yet-cached collected point across the
-// worker pool, filling the shared cache. No output is produced here;
-// the caller replays its generator against the warm cache afterwards.
+// worker pool, filling the shared cache. No output is produced and
+// nothing is booked here; the caller replays its generator against the
+// warm cache afterwards.
 func (s Suite) prefetch(col *runCollector) {
 	var todo []int
 	for i, key := range col.keys {
-		if !s.cache.peek(key) {
+		if _, ok := s.cache.get(key); !ok {
 			todo = append(todo, i)
 		}
 	}
 	s.forEach(len(todo), func(j int) {
 		i := todo[j]
-		s.cache.put(col.keys[i], s.execute(col.runs[i]))
+		s.cache.put(col.keys[i], col.runs[i](s))
 	})
 }
 
@@ -276,8 +244,7 @@ func runLabels(r Run) pprof.LabelSet {
 	)
 }
 
-// execute runs one point and books it in the perf counters. The
-// experiment grid is fixed, so an error is a programming error, not an
+// execute runs one point. The experiment grid is fixed, so an error is a programming error, not an
 // input error — hence the panic. With a TraceDir configured, the point
 // runs with the observability layer on and its Chrome trace is dumped
 // there (tracedump.go); virtual results are identical either way.
@@ -303,7 +270,6 @@ func (s Suite) executePoint(r Run) Metrics {
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v%s", err, s.dumpFlightOnAbort(runKey(r), r, err)))
 		}
-		s.counters.record(m)
 		s.dumpTrace(runKey(r), capture)
 		return m
 	}
@@ -311,7 +277,6 @@ func (s Suite) executePoint(r Run) Metrics {
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v%s", err, s.dumpFlightOnAbort(runKey(r), r, err)))
 	}
-	s.counters.record(m)
 	return m
 }
 

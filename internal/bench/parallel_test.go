@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,20 +34,29 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("parallel sweep output differs from serial run:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 	}
-	if parallel.PerfSnapshot().MachineRuns == 0 {
-		t.Fatal("parallel suite recorded no machine runs")
+	if parallel.cache.len() == 0 {
+		t.Fatal("parallel suite measured no points")
 	}
 }
 
 // TestParallelPrefetchWarmsCache verifies the collect/prefetch pass
-// actually routes points through the worker pool: after one parallel
-// experiment, the replay must have answered from the warm cache.
+// actually routes points through the worker pool: when a parallel
+// experiment's replay starts, every point it reads is already cached.
 func TestParallelPrefetchWarmsCache(t *testing.T) {
 	s := NewSuite(true, 1)
 	s.Workers = 4
-	s.Fig3()
-	if s.PerfSnapshot().CacheHits == 0 {
-		t.Fatal("parallel sweep replay produced no cache hits; the prefetch pass did not run")
+	var atReplay, afterReplay int
+	s.parallelize(func(s Suite) []*Table {
+		if s.collect != nil {
+			return s.fig3()
+		}
+		atReplay = s.cache.len()
+		tables := s.fig3()
+		afterReplay = s.cache.len()
+		return tables
+	})
+	if atReplay == 0 || afterReplay != atReplay {
+		t.Fatalf("replay started with %d cached points and ended with %d; the prefetch pass did not run", atReplay, afterReplay)
 	}
 }
 
@@ -123,33 +133,66 @@ func BenchmarkMeasurePoint(b *testing.B) {
 	}
 }
 
-// TestPerExperimentPerfParallelInvariant: the report rows count the
-// same rendered output and the same machine runs whatever the worker
-// count. virtual_ms is not compared: it is a delta of one running float
-// sum, and at Workers 4 the prefetch pool adds in completion order, so
-// it can move by an ulp (DESIGN.md §10). The rows hold no host
-// allocation figure any more, so none is compared either.
-func TestPerExperimentPerfParallelInvariant(t *testing.T) {
-	ids := []string{"fig3", "fig4", "prs"}
-	collect := func(workers int) map[string]ExperimentPerf {
-		s := NewSuite(true, 1)
-		s.Workers = workers
-		out := make(map[string]ExperimentPerf)
-		for _, id := range ids {
-			_, perf, err := s.RunInstrumented(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[id] = perf
+// instrumentAll runs every canonical experiment through
+// RunInstrumented, as packbench -exp all does, and returns the tables
+// of each and its report row.
+func instrumentAll(t *testing.T, s Suite) (map[string][]*Table, map[string]ExperimentPerf) {
+	t.Helper()
+	tables := make(map[string][]*Table)
+	rows := make(map[string]ExperimentPerf)
+	for _, id := range s.ExperimentIDs() {
+		tb, perf, err := s.RunInstrumented(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		tables[id], rows[id] = tb, perf
 	}
-	serial, parallel := collect(1), collect(4)
-	for _, id := range ids {
-		sp, pp := serial[id], parallel[id]
-		if sp.Rows != pp.Rows || sp.Tables != pp.Tables || sp.MachineRuns != pp.MachineRuns {
-			t.Errorf("%s: serial %d/%d/%d, parallel %d/%d/%d tables/rows/machine_runs",
-				id, sp.Tables, sp.Rows, sp.MachineRuns, pp.Tables, pp.Rows, pp.MachineRuns)
+	return tables, rows
+}
+
+// TestPerExperimentPerfParallelInvariant: every report row — tables,
+// rows, machine runs, virtual_ms and each derived mean — is the same
+// whatever the worker count. Points are booked in replay order, so the
+// prefetch pool's completion order and the points it over-collects on
+// the data-dependent table1 and model grids move nothing.
+func TestPerExperimentPerfParallelInvariant(t *testing.T) {
+	serial := NewSuite(true, 1)
+	serial.Workers = 1
+	parallel := NewSuite(true, 1)
+	parallel.Workers = 4
+	_, want := instrumentAll(t, serial)
+	_, got := instrumentAll(t, parallel)
+	for _, id := range serial.ExperimentIDs() {
+		if !reflect.DeepEqual(got[id], want[id]) {
+			t.Errorf("%s: Workers 4 row %+v, Workers 1 row %+v", id, got[id], want[id])
+		}
+	}
+}
+
+// TestExperimentAloneMatchesSequence: each canonical experiment renders
+// the same tables on a fresh suite as inside the ExperimentIDs()
+// sequence, where earlier experiments have filled the shared cache. A
+// run key that named two different masks alike answered one
+// experiment's lookups with another's runs.
+func TestExperimentAloneMatchesSequence(t *testing.T) {
+	seq := NewSuite(true, 1)
+	seq.Workers = 1
+	inSeq, _ := instrumentAll(t, seq)
+	for _, id := range seq.ExperimentIDs() {
+		alone := NewSuite(true, 1)
+		alone.Workers = 1
+		var got, want strings.Builder
+		RenderAll(&got, alone.Registry()[id]())
+		RenderAll(&want, inSeq[id])
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Errorf("%s line %d: alone %q, inside the sequence %q", id, i+1, gl[i], wl[i])
+				break
+			}
+		}
+		if len(gl) != len(wl) {
+			t.Errorf("%s: %d lines alone, %d inside the sequence", id, len(gl), len(wl))
 		}
 	}
 }

@@ -96,7 +96,8 @@ func (s Suite) planRepeat() []*Table {
 // PlanHitRate is the plan-cache hit rate of the experiment's
 // representative configuration (planned SSS PACK at the larger block
 // size), read from its cost-model run; make planbench gates it at 0.99.
-// After -exp planrepeat the run is a cache hit.
+// After -exp planrepeat the run is a cache hit, and being read outside
+// any experiment it books into no report row.
 func (s Suite) PlanHitRate() float64 {
 	n, p, ws := s.planRepeatArray()
 	met := s.measure(Run{

@@ -83,35 +83,40 @@ type ExperimentPerf struct {
 }
 
 // RunInstrumented generates one experiment's tables and its report
-// row, whose figures are the deltas of the suite's counters around the
-// generation. Machine runs that an earlier experiment already cached
-// (fig4 renders fig3's runs) are not counted again.
+// row. The row books each point the experiment's replay is the first
+// in the suite to read, in replay order, so it is the same whatever
+// the worker count; a point an earlier experiment already read (fig4
+// renders fig3's runs) is not booked again.
 func (s Suite) RunInstrumented(id string) ([]*Table, ExperimentPerf, error) {
 	s.labelExp = id
+	row := &ExperimentPerf{ID: id}
+	s.row = row
 	gen, ok := s.Registry()[id]
 	if !ok {
 		return nil, ExperimentPerf{}, fmt.Errorf("bench: unknown experiment %q", id)
 	}
-	before := s.PerfSnapshot()
 	tables := gen()
-	after := s.PerfSnapshot()
-
-	perf := ExperimentPerf{
-		ID:          id,
-		Tables:      len(tables),
-		MachineRuns: after.MachineRuns - before.MachineRuns,
-		VirtualMS:   after.VirtualMS - before.VirtualMS,
-	}
+	row.Tables = len(tables)
 	for _, t := range tables {
-		perf.Rows += len(t.Rows)
+		row.Rows += len(t.Rows)
 	}
-	if perf.MachineRuns > 0 {
-		perf.Derived = make(map[string]float64)
-		for name, sum := range after.DerivedSum {
-			perf.Derived[name] = (sum - before.DerivedSum[name]) / float64(perf.MachineRuns)
+	for name, sum := range row.Derived {
+		row.Derived[name] = sum / float64(row.MachineRuns)
+	}
+	return tables, *row, nil
+}
+
+// book adds one machine run to a row being generated; Derived holds
+// running sums until RunInstrumented turns them into per-run means.
+func (p *ExperimentPerf) book(m Metrics) {
+	p.MachineRuns++
+	p.VirtualMS += m.TotalMS
+	for name, v := range m.Derived {
+		if p.Derived == nil {
+			p.Derived = make(map[string]float64, len(m.Derived))
 		}
+		p.Derived[name] += v
 	}
-	return tables, perf, nil
 }
 
 // SumPerf folds per-experiment rows into the report's total line.

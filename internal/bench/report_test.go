@@ -23,9 +23,9 @@ func TestRunInstrumentedSamples(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatal("RunInstrumented rendered different tables than Fig3")
 	}
-	runs := s.PerfSnapshot().MachineRuns
+	runs := int64(s.cache.len())
 	if first.ID != "fig3" || first.Tables != len(tables) || first.MachineRuns == 0 || first.MachineRuns != runs {
-		t.Fatalf("first fig3 row %+v for %d tables and %d machine runs", first, len(tables), runs)
+		t.Fatalf("first fig3 row %+v for %d tables and %d measured points", first, len(tables), runs)
 	}
 
 	tables2, second, err := s.RunInstrumented("fig3")
@@ -44,7 +44,7 @@ func TestRunInstrumentedSamples(t *testing.T) {
 		t.Fatalf("replay row counts %d tables/%d rows, first run %d/%d",
 			second.Tables, second.Rows, first.Tables, first.Rows)
 	}
-	if s.PerfSnapshot().MachineRuns != runs {
+	if int64(s.cache.len()) != runs {
 		t.Fatal("warm-cache replay executed machines")
 	}
 }

@@ -288,10 +288,26 @@ func (l *Layout) UnflattenGlobal(pos int) []int {
 }
 
 // GlobalPosOwner maps a flat global row-major position directly to
-// (owner rank, flat local offset). It is GlobalToLocal composed with
-// UnflattenGlobal.
+// (owner rank, flat local offset): GlobalToLocal composed with
+// UnflattenGlobal, with GridRank's and FlattenLocal's range checks, in
+// one pass over the dimensions that allocates nothing.
 func (l *Layout) GlobalPosOwner(pos int) (rank, local int) {
-	return l.GlobalToLocal(l.UnflattenGlobal(pos))
+	rstride, lstride := 1, 1
+	for _, d := range l.Dims {
+		c, li := d.ToLocal(pos % d.N)
+		pos /= d.N
+		if c < 0 || c >= d.P {
+			panic(fmt.Sprintf("dist: coordinate %d out of range [0,%d)", c, d.P))
+		}
+		if li < 0 || li >= d.L() {
+			panic(fmt.Sprintf("dist: local index %d out of range [0,%d)", li, d.L()))
+		}
+		rank += c * rstride
+		local += li * lstride
+		rstride *= d.P
+		lstride *= d.L()
+	}
+	return rank, local
 }
 
 // String renders the layout in HPF-like notation.

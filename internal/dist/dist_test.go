@@ -143,6 +143,11 @@ func TestLayoutRoundTrips(t *testing.T) {
 				t.Fatalf("%v: GlobalPosOwner(%d) = (%d,%d), want (%d,%d)", l, pos, r2, lo2, rank, local)
 			}
 		}
+		// The redistribution pipelines map every element through
+		// GlobalPosOwner, so it must not allocate.
+		if allocs := testing.AllocsPerRun(10, func() { l.GlobalPosOwner(n - 1) }); allocs != 0 {
+			t.Fatalf("%v: GlobalPosOwner allocates %v times per call", l, allocs)
+		}
 		for rank, c := range counts {
 			if c != l.LocalSize() {
 				t.Fatalf("%v: rank %d owns %d elements, want %d", l, rank, c, l.LocalSize())

@@ -8,17 +8,12 @@
 // in 1-D; strict upper triangle in 2-D).
 package mask
 
-import (
-	"fmt"
-
-	"packunpack/internal/dist"
-)
+import "packunpack/internal/dist"
 
 // Gen decides the mask value for a global index vector (dimension 0
 // first).
 type Gen interface {
 	At(global []int) bool
-	Name() string
 }
 
 // Random is a pseudo-random mask where each element is independently
@@ -58,8 +53,6 @@ func (r Random) At(global []int) bool {
 	return u < r.Density
 }
 
-func (r Random) Name() string { return fmt.Sprintf("random(%.0f%%)", r.Density*100) }
-
 // FirstHalf is the paper's deterministic 1-D "LT" mask: true iff the
 // global index is below N/2.
 type FirstHalf struct {
@@ -68,26 +61,20 @@ type FirstHalf struct {
 
 func (f FirstHalf) At(global []int) bool { return global[0] < f.N/2 }
 
-func (f FirstHalf) Name() string { return "LT-1d(firsthalf)" }
-
 // UpperTriangle is the paper's deterministic 2-D "LT" mask: true iff
 // the global index on dimension 1 is larger than that on dimension 0.
 type UpperTriangle struct{}
 
 func (UpperTriangle) At(global []int) bool { return global[1] > global[0] }
 
-func (UpperTriangle) Name() string { return "LT-2d(upper)" }
-
 // Full and Empty are degenerate masks for edge-case tests.
 type Full struct{}
 
 func (Full) At([]int) bool { return true }
-func (Full) Name() string  { return "full" }
 
 type Empty struct{}
 
 func (Empty) At([]int) bool { return false }
-func (Empty) Name() string  { return "empty" }
 
 // FillLocal evaluates the generator over processor rank's local portion
 // of the layout, in local row-major order (dimension 0 fastest). The

@@ -100,14 +100,6 @@ func TestFullEmpty(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	for _, g := range []Gen{NewRandom(0.3, 1, 8), FirstHalf{N: 8}, UpperTriangle{}, Full{}, Empty{}} {
-		if g.Name() == "" {
-			t.Errorf("%T has empty name", g)
-		}
-	}
-}
-
 // TestFillLocalMatchesFillGlobal is the core property: scattering the
 // global mask must equal filling locally on every processor, for every
 // layout.
@@ -132,11 +124,11 @@ func TestFillLocalMatchesFillGlobal(t *testing.T) {
 			for rank := 0; rank < l.Procs(); rank++ {
 				got := FillLocal(l, rank, g)
 				if len(got) != len(want[rank]) {
-					t.Fatalf("%v %s rank %d: length %d vs %d", l, g.Name(), rank, len(got), len(want[rank]))
+					t.Fatalf("%v %#v rank %d: length %d vs %d", l, g, rank, len(got), len(want[rank]))
 				}
 				for off := range got {
 					if got[off] != want[rank][off] {
-						t.Fatalf("%v %s rank %d: mismatch at local %d", l, g.Name(), rank, off)
+						t.Fatalf("%v %#v rank %d: mismatch at local %d", l, g, rank, off)
 					}
 				}
 			}

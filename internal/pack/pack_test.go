@@ -65,7 +65,6 @@ func (s singleTrue) At(global []int) bool {
 	total := stride
 	return pos == total-1-total/3
 }
-func (s singleTrue) Name() string { return "single" }
 
 // runPack executes Pack on an emulated machine and checks the gathered
 // result vector against the sequential oracle.

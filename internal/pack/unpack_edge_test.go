@@ -16,7 +16,6 @@ import (
 type prefixGen struct{ K int }
 
 func (g prefixGen) At(global []int) bool { return global[0] < g.K }
-func (g prefixGen) Name() string         { return fmt.Sprintf("prefix(%d)", g.K) }
 
 func sumMsgs(m *sim.Machine) int64 {
 	var total int64

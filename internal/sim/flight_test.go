@@ -98,16 +98,15 @@ func TestFlightRecorderTooSmall(t *testing.T) {
 }
 
 // TestSizedSinkTooSmall: every per-rank sink built for fewer ranks
-// than the machine is rejected, directly, inside a Tee and behind a
-// SamplingSink, instead of silently dropping the extra ranks' events.
+// than the machine is rejected, directly and inside a Tee, instead of
+// silently dropping the extra ranks' events.
 // Sinks that cover the machine, and sinks with no rank count, pass.
 func TestSizedSinkTooSmall(t *testing.T) {
 	small := map[string]sim.EventSink{
-		"retain":          trace.NewRetainSink(3),
-		"agg":             trace.NewAggSink(3),
-		"tee/retain":      trace.NewTee(trace.NewJSONLSink(io.Discard), trace.NewRetainSink(3)),
-		"tee/agg":         trace.NewTee(trace.NewAggSink(4), trace.NewAggSink(3)),
-		"sampling/retain": trace.NewSamplingSink(trace.NewRetainSink(3), trace.SamplePolicy{MsgEvery: 2}),
+		"retain":     trace.NewRetainSink(3),
+		"agg":        trace.NewAggSink(3),
+		"tee/retain": trace.NewTee(trace.NewJSONLSink(io.Discard), trace.NewRetainSink(3)),
+		"tee/agg":    trace.NewTee(trace.NewAggSink(4), trace.NewAggSink(3)),
 	}
 	for name, sink := range small {
 		if _, err := sim.New(sim.Config{Procs: 4, Sink: sink}); err == nil {

@@ -20,11 +20,7 @@ package trace
 //   - FlightRecorder (flight.go) keeps the last few events per rank in
 //     rings, a bounded post-mortem window.
 //
-// Tee fans one stream out to several of them, and SamplingSink
-// composes in front of any of them: per-rank subsets, event-kind
-// filters, and 1-in-N message sampling. Charge batches are never
-// message-sampled or kind-filtered away, so the op accounting of
-// whatever survives stays exact (DESIGN.md §15).
+// Tee fans one stream out to several of them.
 //
 // Concurrency: Emit is called by the rank that owns the event. On the
 // emulator calls are serialized; on the real backend ranks call
@@ -446,99 +442,6 @@ func (s *AggSink) CheckStats(stats []sim.Stats) error {
 	}
 	return nil
 }
-
-// --- sampling ---
-
-// SamplePolicy selects which events a SamplingSink forwards.
-type SamplePolicy struct {
-	// Ranks, when non-nil, keeps only events owned by these ranks.
-	Ranks []int
-	// Kinds, when non-nil, keeps only these event kinds. EvCharge is
-	// exempt: charge batches always pass (subject to the rank filter),
-	// so the op accounting of the surviving ranks stays exact under
-	// any kind filter.
-	Kinds []sim.EventKind
-	// MsgEvery, when > 1, keeps roughly 1-in-MsgEvery messages: events
-	// carrying a MsgID are forwarded only when the id hashes into the
-	// selected residue, so a surviving message keeps its send,
-	// delivery, and receive-wake together (they share the id).
-	// Non-message events (charges, phase marks, recv-blocks) are not
-	// message-sampled.
-	MsgEvery int
-}
-
-// SamplingSink filters events by a SamplePolicy before forwarding to
-// an inner sink. It adds no state beyond the precompiled policy, so it
-// is safe under concurrent ranks whenever the inner sink is.
-type SamplingSink struct {
-	inner    sim.EventSink
-	ranks    map[int]bool
-	kindMask uint64
-	msgEvery uint64
-}
-
-// NewSamplingSink compiles the policy in front of inner.
-func NewSamplingSink(inner sim.EventSink, pol SamplePolicy) *SamplingSink {
-	s := &SamplingSink{inner: inner}
-	if pol.Ranks != nil {
-		s.ranks = make(map[int]bool, len(pol.Ranks))
-		for _, r := range pol.Ranks {
-			s.ranks[r] = true
-		}
-	}
-	for _, k := range pol.Kinds {
-		s.kindMask |= 1 << uint(k)
-	}
-	if pol.MsgEvery > 1 {
-		s.msgEvery = uint64(pol.MsgEvery)
-	}
-	return s
-}
-
-// sampleMix decorrelates message ids before the residue test, so
-// sampling does not systematically favour low send counts or low
-// ranks (splitmix64 finalizer, same shape the fault layer uses).
-func sampleMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Keep reports whether the policy retains ev.
-func (s *SamplingSink) Keep(ev sim.Event) bool {
-	if s.ranks != nil && !s.ranks[ev.Rank] {
-		return false
-	}
-	if ev.Kind == sim.EvCharge {
-		return true
-	}
-	if s.kindMask != 0 && s.kindMask&(1<<uint(ev.Kind)) == 0 {
-		return false
-	}
-	if s.msgEvery > 1 && ev.MsgID != 0 && sampleMix(ev.MsgID)%s.msgEvery != 0 {
-		return false
-	}
-	return true
-}
-
-// Emit forwards the event when the policy keeps it.
-func (s *SamplingSink) Emit(ev sim.Event) {
-	if s.Keep(ev) {
-		s.inner.Emit(ev)
-	}
-}
-
-// Flush forwards to the inner sink when it is flushable.
-func (s *SamplingSink) Flush() error {
-	if f, ok := s.inner.(Sink); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-// Procs returns the rank count the inner sink covers.
-func (s *SamplingSink) Procs() int { return sinkProcs(s.inner) }
 
 // --- fan-out ---
 

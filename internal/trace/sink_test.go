@@ -179,74 +179,3 @@ func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
 		t.Fatal("aggregator saw no events")
 	}
 }
-
-func TestSamplingKindAndRankFilter(t *testing.T) {
-	inner := NewRetainSink(4)
-	pol := SamplePolicy{Ranks: []int{1, 2}, Kinds: []sim.EventKind{sim.EvSend}}
-	c := sinkRun(t, 4, NewSamplingSink(inner, pol))
-
-	full := c.Events
-	got := inner.Events()
-	for r := 0; r < 4; r++ {
-		if r != 1 && r != 2 {
-			if len(got[r]) != 0 {
-				t.Fatalf("rank %d filtered out but kept %d events", r, len(got[r]))
-			}
-			continue
-		}
-		var wantCharges, gotCharges int64
-		for _, e := range full[r] {
-			if e.Kind == sim.EvCharge {
-				wantCharges += e.Ops
-			}
-		}
-		for _, e := range got[r] {
-			switch e.Kind {
-			case sim.EvSend:
-				// kept by the kind filter
-			case sim.EvCharge:
-				gotCharges += e.Ops
-			default:
-				t.Fatalf("rank %d: kind filter leaked %v", r, e.Kind)
-			}
-		}
-		// Charge batches bypass the kind filter, so the op accounting
-		// of the surviving ranks is exact.
-		if gotCharges != wantCharges {
-			t.Fatalf("rank %d: sampled charges %d ops, want %d", r, gotCharges, wantCharges)
-		}
-	}
-}
-
-func TestSamplingKeepsMessagesWhole(t *testing.T) {
-	const procs = 4
-	inner := NewRetainSink(procs)
-	c := sinkRun(t, procs, NewSamplingSink(inner, SamplePolicy{MsgEvery: 3}))
-
-	// Kinds per message id in the full stream and in the sampled one.
-	collect := func(rows [][]sim.Event) map[uint64]map[sim.EventKind]int {
-		out := map[uint64]map[sim.EventKind]int{}
-		for _, row := range rows {
-			for _, e := range row {
-				if e.MsgID == 0 {
-					continue
-				}
-				if out[e.MsgID] == nil {
-					out[e.MsgID] = map[sim.EventKind]int{}
-				}
-				out[e.MsgID][e.Kind]++
-			}
-		}
-		return out
-	}
-	full := collect(c.Events)
-	sampled := collect(inner.Events())
-	if len(sampled) == 0 || len(sampled) >= len(full) {
-		t.Fatalf("1-in-3 sampling kept %d of %d messages", len(sampled), len(full))
-	}
-	for id, kinds := range sampled {
-		if !reflect.DeepEqual(kinds, full[id]) {
-			t.Fatalf("message %d sampled partially: got %v, want %v", id, kinds, full[id])
-		}
-	}
-}
