@@ -89,14 +89,16 @@ perfgate:
 planbench:
 	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -plan-gate
 
-# real-race runs the cross-backend conformance grid and the transport
-# layer's own suite under the race detector: the real backend's SPSC
-# queues are lock-free concurrent code and its deadlock proof reads
-# them across ranks, so every CI run must prove both race-clean, not
-# just correct.
+# real-race runs the cross-backend conformance grid, the transport
+# layer's own suite and the message-pool ownership test under the race
+# detector: the real backend's SPSC queues are lock-free concurrent code
+# and its deadlock proof reads them across ranks, and concurrent
+# machines hand pooled message buffers from sender to receiver, so every
+# CI run must prove all three race-clean, not just correct.
 real-race:
 	$(GO) test -race -run 'CrossBackend|Conformance' .
 	$(GO) test -race ./internal/transport/
+	$(GO) test -race -run 'TestMessagePoolOwnership' ./internal/pack/
 
 # fuzz-short gives each native fuzz target a brief budget of fresh
 # coverage-guided inputs on top of the checked-in seed corpus. `go test
@@ -109,6 +111,7 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzDimRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzVectorDist$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzScatterRuns$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pack -run '^$$' -fuzz '^FuzzPackWordBoundary$$' -fuzztime $(FUZZTIME)
 
 # fault-race runs the fault-injection, property-differential and
 # shared-plan-cache suites under the race detector. `make race` already

@@ -97,6 +97,49 @@ func (v VectorDist) BlockRunEnd(r int) int {
 	return end
 }
 
+// Cursor follows a walk over the vector's global indices: Seek divides
+// only when the walk leaves the current block for one that is not the
+// next, so a walk in rising order divides once. Segment walks (the
+// compact schemes' compose, decomposition and serving) seek every
+// segment's base rank, which is where Owner's four divisions per
+// segment went.
+type Cursor struct {
+	v          VectorDist
+	start, end int // the current block's global range [start, end)
+	rank, base int // its owner and the owner's local index of start
+}
+
+// Cursor returns a cursor that holds no block yet.
+func (v VectorDist) Cursor() Cursor { return Cursor{v: v, start: 1} }
+
+// Seek returns the processor owning global index r, the local index
+// there, and BlockRunEnd(r), the end of r's same-owner run.
+func (c *Cursor) Seek(r int) (rank, local, end int) {
+	if r < c.start || r >= c.end {
+		c.enter(r)
+	}
+	return c.rank, c.base + r - c.start, c.end
+}
+
+// enter moves the cursor to the block holding r: one step when that
+// block follows the current one, four divisions otherwise.
+func (c *Cursor) enter(r int) {
+	v := c.v
+	if r < 0 || r >= v.Size {
+		panic(fmt.Sprintf("dist: vector index %d out of range [0,%d)", r, v.Size))
+	}
+	if c.start <= c.end && r >= c.end && r < c.end+v.W {
+		c.start = c.end
+		if c.rank++; c.rank == v.P {
+			c.rank, c.base = 0, c.base+v.W
+		}
+	} else {
+		b := r / v.W
+		c.start, c.rank, c.base = b*v.W, b%v.P, (b/v.P)*v.W
+	}
+	c.end = min(c.start+v.W, v.Size)
+}
+
 // runs walks processor rank's local part of the vector: the vector is
 // the 1-D block-cyclic array Dim{Size, P, W}, so its runs are its
 // blocks.

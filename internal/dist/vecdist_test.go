@@ -145,3 +145,36 @@ func TestBlockRunEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorMatchesOwner pins Cursor.Seek to Owner and BlockRunEnd on
+// rising walks (every index, and every third), a falling walk and
+// random jumps, over block and block-cyclic vectors with a partial
+// trailing block.
+func TestCursorMatchesOwner(t *testing.T) {
+	for _, c := range []struct{ size, p, w int }{{10, 4, 0}, {37, 3, 4}, {64, 2, 1}, {100, 5, 7}, {1, 1, 0}} {
+		v, err := NewVectorDist(c.size, c.p, c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks := [][]int{{}, {}, {}, {}}
+		for r := 0; r < v.Size; r++ {
+			walks[0] = append(walks[0], r)
+			walks[1] = append(walks[1], v.Size-1-r)
+			walks[3] = append(walks[3], (r*7919)%v.Size)
+		}
+		for r := 0; r < v.Size; r += 3 {
+			walks[2] = append(walks[2], r)
+		}
+		for wi, walk := range walks {
+			cur := v.Cursor()
+			for _, r := range walk {
+				rank, local, end := cur.Seek(r)
+				wantRank, wantLocal := v.Owner(r)
+				if rank != wantRank || local != wantLocal || end != v.BlockRunEnd(r) {
+					t.Fatalf("%+v walk %d index %d: Seek (%d, %d, %d), want (%d, %d, %d)",
+						v, wi, r, rank, local, end, wantRank, wantLocal, v.BlockRunEnd(r))
+				}
+			}
+		}
+	}
+}

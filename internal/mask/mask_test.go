@@ -2,6 +2,8 @@ package mask
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +207,44 @@ func TestFillLocalIntoReusesBuffer(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("grown fill differs from FillLocal at %d", i)
+		}
+	}
+}
+
+// TestBitsMatchesNaivePacking pins Bits to a one-element-at-a-time
+// packer: every pattern of eight elements at every byte of a word, and
+// random masks whose lengths end inside, at and past word boundaries.
+func TestBitsMatchesNaivePacking(t *testing.T) {
+	naive := func(m []bool) []uint64 {
+		sel := make([]uint64, (len(m)+63)/64)
+		for i, b := range m {
+			if b {
+				sel[i/64] |= 1 << (i % 64)
+			}
+		}
+		return sel
+	}
+	var masks [][]bool
+	for v := 0; v < 256; v++ {
+		for at := 0; at < 64; at += 8 {
+			m := make([]bool, 64)
+			for i := 0; i < 8; i++ {
+				m[at+i] = v>>i&1 == 1
+			}
+			masks = append(masks, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 7, 63, 64, 65, 127, 128, 200} {
+		m := make([]bool, n)
+		for i := range m {
+			m[i] = rng.Intn(2) == 1
+		}
+		masks = append(masks, m)
+	}
+	for _, m := range masks {
+		if got, want := Bits(m), naive(m); !slices.Equal(got, want) {
+			t.Fatalf("Bits(%v) = %x, want %x", m, got, want)
 		}
 	}
 }

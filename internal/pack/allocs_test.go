@@ -14,7 +14,7 @@ import (
 // ranking stage (a collective) runs once up front; the compose
 // functions themselves are pure local work, so they can be measured
 // after the machine run on a quiet heap.
-func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist)) float64 {
+func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist)) float64 {
 	t.Helper()
 	l := dist.MustLayout(dist.Dim{N: n, P: 4, W: 8})
 	machine := sim.MustNew(sim.Config{Procs: 4})
@@ -46,39 +46,40 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, l *dist.Layout
 	}
 	// Charging against a finished machine's rank-0 proc is harmless:
 	// it only advances that proc's (no longer read) virtual clock.
+	cs := &coldScan{w0: l.Dims[0].W, sel: mask.Bits(m)}
 	return testing.AllocsPerRun(20, func() {
-		compose(proc, l, a, m, rnk, vec)
+		compose(proc, cs, a, rnk, vec)
 	})
 }
 
 // TestComposeHotPathAllocations is the allocation-regression guard for
 // the exact-sized send lists: the compose functions must allocate a
-// small constant number of buffers (the counts, the arenas, the slice
-// scratch) regardless of how many elements are selected. Per-element
-// append growth would scale these numbers with n.
+// small constant number of buffers (the counts, the header and pair
+// arenas, one data buffer per destination) regardless of how many
+// elements are selected. Per-element append growth would scale these
+// numbers with n.
 func TestComposeHotPathAllocations(t *testing.T) {
 	const maxAllocs = 10.0
 	for _, n := range []int{1024, 8192} {
-		css := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist) {
+		css := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist) {
 			send := make([][]pair[int], 4)
-			composePairsCSS(p, l, a, m, rnk, vec, send, false)
+			composePairsCSS(p, cs, a, rnk, vec, send)
 		})
 		if css > maxAllocs {
 			t.Errorf("composePairsCSS(n=%d): %.0f allocs/run, want <= %.0f (send lists must be exact-sized)", n, css, maxAllocs)
 		}
-		cms := composeAllocs(t, n, func(p *sim.Proc, l *dist.Layout, a []int, m []bool, rnk *ranking.Result, vec dist.VectorDist) {
-			send := make([][]segMsg[int], 4)
-			composeSegmentsCMS(p, l, a, m, rnk, vec, send, false)
+		cms := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist) {
+			composeSegments(p, rnk, vec, segmentCounts(rnk, vec), cs.sel, a, cs)
 		})
 		if cms > maxAllocs {
-			t.Errorf("composeSegmentsCMS(n=%d): %.0f allocs/run, want <= %.0f (segment/data arenas must be exact-sized)", n, cms, maxAllocs)
+			t.Errorf("composeSegments(n=%d): %.0f allocs/run, want <= %.0f (segment/data buffers must be exact-sized)", n, cms, maxAllocs)
 		}
 	}
 }
 
 // TestPlanComposeAllocations extends the guard to the compiled-plan
 // path: executing a plan walks its bitset into exact-sized segment and
-// data arenas, so the per-call allocation count must stay a small
+// data buffers, so the per-call allocation count must stay a small
 // constant regardless of n — the warm-call cost the plan cache
 // amortizes toward.
 func TestPlanComposeAllocations(t *testing.T) {
@@ -107,10 +108,10 @@ func TestPlanComposeAllocations(t *testing.T) {
 			a[i] = i
 		}
 		got := testing.AllocsPerRun(20, func() {
-			composeSegmentsPlanned(proc, pl, a)
+			composeSegments(proc, pl.rnk, pl.vec, pl.counts, pl.sel, a, nil)
 		})
 		if got > maxAllocs {
-			t.Errorf("composeSegmentsPlanned(n=%d): %.0f allocs/run, want <= %.0f (segment and data arenas must be exact-sized)", n, got, maxAllocs)
+			t.Errorf("planned composeSegments(n=%d): %.0f allocs/run, want <= %.0f (segment and data buffers must be exact-sized)", n, got, maxAllocs)
 		}
 	}
 }

@@ -12,9 +12,19 @@ import (
 	"packunpack/internal/transport"
 )
 
-// refCollectSlice is collectSlice as it was written before the
-// branch-free kernel: one branch per element and an early exit. It stays
-// as the reference the kernel is compared against.
+// sliceGeom is the references' slice arithmetic: dimension 0's local
+// extent, block size and tile count, and the number of slices.
+type sliceGeom struct {
+	l0, w0, t0, slices int
+}
+
+func geomOf(l *dist.Layout) sliceGeom {
+	return sliceGeom{l0: l.Dims[0].L(), w0: l.Dims[0].W, t0: l.Dims[0].T(), slices: l.Slices()}
+}
+
+// refCollectSlice is the compact schemes' second slice scan as it was
+// first written: one branch per element and an early exit. It stays as
+// the reference the bitset compose is compared against.
 func refCollectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, count int, whole bool, buf []T) []T {
 	base := ranking.SliceBase(slice, g.l0, g.w0, g.t0)
 	found := 0
@@ -33,8 +43,8 @@ func refCollectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, 
 	return buf
 }
 
-// refPlaceIntoSlice is placeIntoSlice as it was written before the
-// branch-free kernel, kept as its reference.
+// refPlaceIntoSlice is UNPACK's CSS placement rescan of one segment as
+// it was first written, kept as the reference of the bitset placement.
 func refPlaceIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, skip, count int, data []T, whole bool) int {
 	base := ranking.SliceBase(slice, g.l0, g.w0, g.t0)
 	seen := 0
@@ -149,92 +159,6 @@ func kernelCases() []kernelCase {
 	return out
 }
 
-// TestCollectSliceMatchesReference pins the branch-free collectSlice to
-// the branchy one on every non-empty slice (the only slices the compose
-// functions scan), under both scan policies: same values in the same
-// order, and the same charge.
-func TestCollectSliceMatchesReference(t *testing.T) {
-	for _, kc := range kernelCases() {
-		for _, whole := range []bool{false, true} {
-			buf := make([]int, kc.g.w0)
-			for slice, n := range kc.counts {
-				if n == 0 {
-					continue
-				}
-				want, got := &chargeLog{}, &chargeLog{}
-				ref := refCollectSlice(want, kc.g, kc.a, kc.m, slice, n, whole, nil)
-				out := collectSlice(got, kc.g, kc.a, kc.m, slice, n, whole, buf)
-				if !slices.Equal(out, ref) || !slices.Equal(got.ops, want.ops) {
-					t.Fatalf("%s whole=%v slice %d: got %v charging %v, reference %v charging %v",
-						kc.name, whole, slice, out, got.ops, ref, want.ops)
-				}
-			}
-		}
-	}
-}
-
-// TestPlaceIntoSliceMatchesReference pins the branch-free placement to
-// the branchy one. Each non-empty slice is split into the segments
-// UNPACK would request, with the ranks numbered across the local slices
-// and cut at the vector's block boundaries: VectorW 0 (block, rarely a
-// cut) and VectorW 2 (most slices split, skip > 0). Every call must
-// charge the same, and after every slice the arrays must be identical.
-func TestPlaceIntoSliceMatchesReference(t *testing.T) {
-	for _, kc := range kernelCases() {
-		total := 0
-		for _, n := range kc.counts {
-			total += n
-		}
-		for _, vw := range []int{0, 2} {
-			vec, err := dist.NewVectorDist(total, 2, vw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, whole := range []bool{false, true} {
-				name := fmt.Sprintf("%s VectorW=%d whole=%v", kc.name, vw, whole)
-				ref, out := slices.Clone(kc.field), slices.Clone(kc.field)
-				offs := make([]int, kc.g.w0)
-				r := 0
-				for slice, n := range kc.counts {
-					for skip := 0; skip < n; {
-						count := min(vec.BlockRunEnd(r)-r, n-skip)
-						data := make([]int, count)
-						for j := range data {
-							data[j] = 1_000_000 + r + j
-						}
-						want, got := &chargeLog{}, &chargeLog{}
-						refPlaceIntoSlice(want, kc.g, ref, kc.m, slice, skip, count, data, whole)
-						if placeIntoSlice(got, kc.g, out, kc.m, slice, skip, count, data, whole, offs) != count {
-							t.Fatalf("%s slice %d: placeIntoSlice did not return count %d", name, slice, count)
-						}
-						if !slices.Equal(got.ops, want.ops) {
-							t.Fatalf("%s slice %d skip %d count %d: charged %v, reference %v", name, slice, skip, count, got.ops, want.ops)
-						}
-						skip += count
-						r += count
-					}
-					if !slices.Equal(out, ref) {
-						t.Fatalf("%s slice %d: placed %v, reference %v", name, slice, out, ref)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPlaceIntoSliceInternalError keeps the consistency check: asking
-// for more selected positions than the slice holds panics.
-func TestPlaceIntoSliceInternalError(t *testing.T) {
-	g := geomOf(dist.MustLayout(dist.Dim{N: 8, P: 1, W: 4}))
-	m := []bool{true, false, true, false, false, false, false, false}
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "internal error") {
-			t.Fatalf("recovered %v, want the internal-error panic", r)
-		}
-	}()
-	placeIntoSlice(&chargeLog{}, g, make([]int, 8), m, 0, 1, 2, []int{7, 8}, false, make([]int, 4))
-}
-
 // rankingOf returns the slice arrays a ranking would give a lone
 // processor holding the case's mask: PS_c is the slice counters and
 // PS_f their exclusive prefix sum.
@@ -248,51 +172,253 @@ func (kc kernelCase) rankingOf() *ranking.Result {
 	return rnk
 }
 
-// TestCollectBitsMatchesCollectSlice pins the plan's bitset collect to
-// the cold path's slice collect: walking the whole bitset must yield
-// exactly the concatenation of collectSlice over the non-empty slices.
+// refSeg is one segment as the paper's compose loops cut it: skip
+// selected elements into its slice, count of them, from rank base, for
+// vector owner dst.
+type refSeg struct{ slice, dst, skip, count, base int }
+
+// refSegments cuts the case's segments with the reference arithmetic:
+// every non-empty slice's ranks (numbered across the local slices, as
+// for a lone processor) split at the vector's block boundaries, in
+// local order.
+func (kc kernelCase) refSegments(vec dist.VectorDist) []refSeg {
+	var out []refSeg
+	r := 0
+	for slice, n := range kc.counts {
+		for skip := 0; skip < n; {
+			count := min(vec.BlockRunEnd(r)-r, n-skip)
+			dst, _ := vec.Owner(r)
+			out = append(out, refSeg{slice, dst, skip, count, r})
+			skip += count
+			r += count
+		}
+	}
+	return out
+}
+
+// kernelVecs are the vector distributions the kernel tests cut
+// segments with: VectorW 0 (block, rarely a cut) and VectorW 2 (most
+// slices split, so skip > 0), both over two owners.
+func kernelVecs(t *testing.T, size int) []dist.VectorDist {
+	var out []dist.VectorDist
+	for _, vw := range []int{0, 2} {
+		vec, err := dist.NewVectorDist(size, 2, vw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, vec)
+	}
+	return out
+}
+
+// TestCollectSliceMatchesReference pins the cold compact-scheme PACK
+// compose, which walks the call's bitset, to the branchy slice scan:
+// composeSegments (CMS) must send every owner the segment headers and
+// data the reference cuts from refCollectSlice's output, and
+// composePairsCSS the same (datum, rank) pairs, with the same charges
+// in the same order, per slice and per segment. Every case runs under
+// both scan policies and with segments cut at VectorW 0 and 2.
+func TestCollectSliceMatchesReference(t *testing.T) {
+	for _, kc := range kernelCases() {
+		rnk := kc.rankingOf()
+		for vi, vec := range kernelVecs(t, rnk.Size) {
+			segs := kc.refSegments(vec)
+			for _, whole := range []bool{false, true} {
+				name := fmt.Sprintf("%s vector %d whole=%v", kc.name, vi, whole)
+				cs := &coldScan{w0: kc.g.w0, sel: kc.sel, whole: whole}
+
+				// CMS: [slices], then per segment the slice's scan
+				// (at its first segment) and two header words.
+				want := &chargeLog{}
+				want.Charge(kc.g.slices)
+				wantHdr, wantData := make([][]reqSeg, 2), make([][]int, 2)
+				var collected []int
+				for _, sg := range segs {
+					if sg.skip == 0 {
+						collected = refCollectSlice(want, kc.g, kc.a, kc.m, sg.slice, kc.counts[sg.slice], whole, nil)
+					}
+					wantHdr[sg.dst] = append(wantHdr[sg.dst], reqSeg{Base: sg.base, Count: sg.count})
+					wantData[sg.dst] = append(wantData[sg.dst], collected[sg.skip:sg.skip+sg.count]...)
+					want.Charge(2)
+				}
+				got := &chargeLog{}
+				send := composeSegments(got, rnk, vec, segmentCounts(rnk, vec), kc.sel, kc.a, cs)
+				for dst, msg := range send {
+					var hdr []reqSeg
+					var data []int
+					for _, b := range msg {
+						hdr, data = b.Segs, b.Data
+					}
+					if !slices.Equal(hdr, wantHdr[dst]) || !slices.Equal(data, wantData[dst]) {
+						t.Fatalf("%s CMS to %d: segments %v data %v, reference %v %v", name, dst, hdr, data, wantHdr[dst], wantData[dst])
+					}
+				}
+				if !slices.Equal(got.ops, want.ops) {
+					t.Fatalf("%s CMS: charged %v, reference %v", name, got.ops, want.ops)
+				}
+
+				// CSS pairs: [slices], then per non-empty slice its
+				// scan with datum writes, and its rank writes.
+				want = &chargeLog{}
+				want.Charge(kc.g.slices)
+				wantPairs := make([][]pair[int], 2)
+				for _, sg := range segs {
+					if sg.skip == 0 {
+						n := kc.counts[sg.slice]
+						collected = refCollectSlice(want, kc.g, kc.a, kc.m, sg.slice, n, whole, nil)
+						want.Charge(n)
+					}
+					for i := range sg.count {
+						wantPairs[sg.dst] = append(wantPairs[sg.dst], pair[int]{Datum: collected[sg.skip+i], Rank: sg.base + i})
+					}
+				}
+				got = &chargeLog{}
+				pairs := make([][]pair[int], 2)
+				composePairsCSS(got, cs, kc.a, rnk, vec, pairs)
+				for dst := range pairs {
+					if !slices.Equal(pairs[dst], wantPairs[dst]) {
+						t.Fatalf("%s CSS to %d: pairs %v, reference %v", name, dst, pairs[dst], wantPairs[dst])
+					}
+				}
+				if !slices.Equal(got.ops, want.ops) {
+					t.Fatalf("%s CSS: charged %v, reference %v", name, got.ops, want.ops)
+				}
+			}
+		}
+	}
+}
+
+// TestPlaceIntoSliceMatchesReference pins the cold CSS UNPACK, whose
+// requests and placement walk the call's bitset, to the branchy
+// placement: requestSegments must request the reference's segments
+// with the reference's charges, and placeReplies, given each owner's
+// reply, must leave the array refPlaceIntoSlice leaves, while the
+// per-segment rescan charges it books match the reference's, segment
+// for segment, in the order the replies are visited (by owner, then
+// local order). Segments are cut at VectorW 0 and 2, under both scan
+// policies.
+func TestPlaceIntoSliceMatchesReference(t *testing.T) {
+	for _, kc := range kernelCases() {
+		rnk := kc.rankingOf()
+		for vi, vec := range kernelVecs(t, rnk.Size) {
+			segs := kc.refSegments(vec)
+			for _, whole := range []bool{false, true} {
+				name := fmt.Sprintf("%s vector %d whole=%v", kc.name, vi, whole)
+				want := &chargeLog{}
+				ref := slices.Clone(kc.field)
+				wantReqs := make([][]reqSeg, 2)
+				replies := make([][]int, 2)
+				for src := range 2 {
+					for _, sg := range segs {
+						if sg.dst != src {
+							continue
+						}
+						data := make([]int, sg.count)
+						for j := range data {
+							data[j] = 1_000_000 + sg.base + j
+						}
+						refPlaceIntoSlice(want, kc.g, ref, kc.m, sg.slice, sg.skip, sg.count, data, whole)
+						wantReqs[src] = append(wantReqs[src], reqSeg{Base: sg.base, Count: sg.count})
+						replies[src] = append(replies[src], data...)
+					}
+				}
+
+				got := &chargeLog{}
+				reqs, ops := requestSegments(got, rnk, vec, segmentCounts(rnk, vec), &coldScan{w0: kc.g.w0, sel: kc.sel, whole: whole})
+				wantOps := []int{kc.g.slices}
+				for range segs {
+					wantOps = append(wantOps, 2)
+				}
+				if !slices.Equal(got.ops, wantOps) {
+					t.Fatalf("%s: request charges %v, want %v", name, got.ops, wantOps)
+				}
+				var placeOps []int
+				for src := range reqs {
+					if !slices.Equal(reqs[src], wantReqs[src]) {
+						t.Fatalf("%s: requests to %d %v, reference %v", name, src, reqs[src], wantReqs[src])
+					}
+					placeOps = append(placeOps, ops[src]...)
+				}
+				if !slices.Equal(placeOps, want.ops) {
+					t.Fatalf("%s: placement charges %v, reference %v", name, placeOps, want.ops)
+				}
+				out := slices.Clone(kc.field)
+				placeReplies(out, kc.sel, rnk, vec, replies)
+				if !slices.Equal(out, ref) {
+					t.Fatalf("%s: placed %v, reference %v", name, out, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestPlaceIntoSliceInternalError keeps the consistency check: asking
+// the placement walk for more selected positions than the bitset holds
+// panics with an internal error instead of reading past the bitset.
+func TestPlaceIntoSliceInternalError(t *testing.T) {
+	sel := refBits([]bool{true, false, true, false, false, false, false, false})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "internal error") {
+			t.Fatalf("recovered %v, want the internal-error panic", r)
+		}
+	}()
+	placeBits(make([]int, 8), sel, -1, 0, []int{7, 8, 9})
+}
+
+// TestCollectBitsMatchesCollectSlice pins the bitset collect to the
+// slice collect: walking the whole bitset must yield exactly the
+// concatenation of refCollectSlice over the non-empty slices, and so
+// must collectBits resuming its walk once per segment of
+// forEachRankRun, cut at the vector's block boundaries (VectorW 0, and
+// 2, which splits most slices).
 func TestCollectBitsMatchesCollectSlice(t *testing.T) {
 	for _, kc := range kernelCases() {
 		var want []int
 		buf := make([]int, kc.g.w0)
 		for slice, n := range kc.counts {
 			if n > 0 {
-				want = append(want, collectSlice(&chargeLog{}, kc.g, kc.a, kc.m, slice, n, false, buf)...)
+				want = append(want, refCollectSlice(&chargeLog{}, kc.g, kc.a, kc.m, slice, n, false, buf[:0])...)
 			}
 		}
 		got := make([]int, len(want))
-		collectBits(got, kc.a, kc.sel)
+		collectBits(got, kc.a, kc.sel, -1, 0)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: collectBits %v, collectSlice %v", kc.name, got, want)
+		}
+		rnk := kc.rankingOf()
+		for vi, vec := range kernelVecs(t, rnk.Size) {
+			got := make([]int, len(want))
+			wi, word := -1, uint64(0)
+			forEachRankRun(rnk, vec, func(_, _, base, cnt int) {
+				wi, word = collectBits(got[base:base+cnt], kc.a, kc.sel, wi, word)
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s vector %d: resumed collectBits %v, collectSlice %v", kc.name, vi, got, want)
+			}
 		}
 	}
 }
 
-// TestPlaceBitsMatchesPlaceIntoSlice pins the plan's bitset placement
-// to the cold path's: the segments of forEachRankRun, cut at the
-// vector's block boundaries (VectorW 0, and 2, which splits most
-// slices), are placed one at a time by placeIntoSlice and by placeBits
-// resuming its walk, and the arrays must agree after every segment.
+// TestPlaceBitsMatchesPlaceIntoSlice pins the bitset placement to the
+// slice placement: the segments of forEachRankRun, cut at the vector's
+// block boundaries (VectorW 0, and 2, which splits most slices), are
+// placed one at a time by refPlaceIntoSlice and by placeBits resuming
+// its walk, and the arrays must agree after every segment.
 func TestPlaceBitsMatchesPlaceIntoSlice(t *testing.T) {
 	for _, kc := range kernelCases() {
 		rnk := kc.rankingOf()
-		for _, vw := range []int{0, 2} {
-			vec, err := dist.NewVectorDist(rnk.Size, 2, vw)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for vi, vec := range kernelVecs(t, rnk.Size) {
 			ref, out := slices.Clone(kc.field), slices.Clone(kc.field)
-			offs := make([]int, kc.g.w0)
 			wi, word := -1, uint64(0)
 			forEachRankRun(rnk, vec, func(slice, _, base, cnt int) {
 				data := make([]int, cnt)
 				for j := range data {
 					data[j] = 1_000_000 + base + j
 				}
-				placeIntoSlice(&chargeLog{}, kc.g, ref, kc.m, slice, base-rnk.PSf[slice], cnt, data, false, offs)
+				refPlaceIntoSlice(&chargeLog{}, kc.g, ref, kc.m, slice, base-rnk.PSf[slice], cnt, data, false)
 				wi, word = placeBits(out, kc.sel, wi, word, data)
 				if !slices.Equal(out, ref) {
-					t.Fatalf("%s VectorW=%d slice %d base %d count %d: placeBits %v, placeIntoSlice %v", kc.name, vw, slice, base, cnt, out, ref)
+					t.Fatalf("%s vector %d slice %d base %d count %d: placeBits %v, placeIntoSlice %v", kc.name, vi, slice, base, cnt, out, ref)
 				}
 			})
 		}
@@ -341,100 +467,89 @@ func benchKernels(b *testing.B, fn func(b *testing.B, kb kernelBench)) {
 }
 
 // BenchmarkKernelCollect times the compact schemes' second slice scan
-// (collectSlice over every non-empty slice, as CMS compose runs it),
-// branch-free kernel against the branchy reference, and the plan's
-// bitset walk over the whole local array (collectBits, as a planned
-// PACK runs it).
+// over one rank: the branchy reference over every non-empty slice,
+// against the bitset walk that collects every selected element in
+// local order (collectBits, as composeSegments runs it), alone and
+// with the stop-early scan length that a cold call charges per slice.
 func BenchmarkKernelCollect(b *testing.B) {
 	var p transport.Endpoint = nopCharge{}
-	variants := []struct {
-		name    string
-		collect func(kb kernelBench, slice, n int, buf []int) []int
-	}{
-		{"branchy", func(kb kernelBench, slice, n int, buf []int) []int {
-			return refCollectSlice(p, kb.g, kb.a, kb.m, slice, n, false, buf[:0])
-		}},
-		{"branchfree", func(kb kernelBench, slice, n int, buf []int) []int {
-			return collectSlice(p, kb.g, kb.a, kb.m, slice, n, false, buf)
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			benchKernels(b, func(b *testing.B, kb kernelBench) {
-				buf := make([]int, kb.g.w0)
-				for b.Loop() {
-					for slice, n := range kb.counts {
-						if n > 0 {
-							v.collect(kb, slice, n, buf)
-						}
+	b.Run("branchy", func(b *testing.B) {
+		benchKernels(b, func(b *testing.B, kb kernelBench) {
+			buf := make([]int, kb.g.w0)
+			for b.Loop() {
+				for slice, n := range kb.counts {
+					if n > 0 {
+						refCollectSlice(p, kb.g, kb.a, kb.m, slice, n, false, buf[:0])
 					}
 				}
-			})
+			}
 		})
-	}
+	})
 	b.Run("bitset", func(b *testing.B) {
 		benchKernels(b, func(b *testing.B, kb kernelBench) {
-			out := make([]int, len(kb.m))
+			out := make([]int, kb.selected())
 			for b.Loop() {
-				collectBits(out, kb.a, kb.sel)
+				collectBits(out, kb.a, kb.sel, -1, 0)
+			}
+		})
+	})
+	b.Run("bitset+scan", func(b *testing.B) {
+		benchKernels(b, func(b *testing.B, kb kernelBench) {
+			out := make([]int, kb.selected())
+			cs := &coldScan{w0: kb.g.w0, sel: kb.sel}
+			for b.Loop() {
+				collectBits(out, kb.a, kb.sel, -1, 0)
+				for slice, n := range kb.counts {
+					if n > 0 {
+						p.Charge(cs.scanLen(slice, n, n) + n)
+					}
+				}
 			}
 		})
 	})
 }
 
-// BenchmarkKernelPlace times UNPACK's CSS placement: the field-array
-// transfer followed by one placeIntoSlice per non-empty slice (one
-// segment each, as under the default block vector). The reference
-// variant is the old zeroed result plus branchy field pass and
-// placement; the bitset variant places the same segments with the
-// plan's placeBits walk.
+// BenchmarkKernelPlace times UNPACK's CSS placement over one rank: the
+// reference (a zeroed result, the branchy field pass and one
+// refPlaceIntoSlice per non-empty slice) against the bitset path (the
+// field copied whole, then one placeBits walk over every selected
+// element, as placeReplies runs it for a single owner).
 func BenchmarkKernelPlace(b *testing.B) {
 	var p transport.Endpoint = nopCharge{}
-	variants := []struct {
-		name  string
-		place func(kb kernelBench, data []int, offs []int) []int
-	}{
-		{"branchy", func(kb kernelBench, data []int, _ []int) []int {
-			out := make([]int, len(kb.field))
-			for off, sel := range kb.m {
-				if !sel {
-					out[off] = kb.field[off]
+	b.Run("branchy", func(b *testing.B) {
+		benchKernels(b, func(b *testing.B, kb kernelBench) {
+			data := make([]int, kb.g.w0)
+			for b.Loop() {
+				out := make([]int, len(kb.field))
+				for off, sel := range kb.m {
+					if !sel {
+						out[off] = kb.field[off]
+					}
+				}
+				for slice, n := range kb.counts {
+					if n > 0 {
+						refPlaceIntoSlice(p, kb.g, out, kb.m, slice, 0, n, data, false)
+					}
 				}
 			}
-			for slice, n := range kb.counts {
-				if n > 0 {
-					refPlaceIntoSlice(p, kb.g, out, kb.m, slice, 0, n, data, false)
-				}
-			}
-			return out
-		}},
-		{"branchfree", func(kb kernelBench, data []int, offs []int) []int {
-			out := slices.Clone(kb.field)
-			for slice, n := range kb.counts {
-				if n > 0 {
-					placeIntoSlice(p, kb.g, out, kb.m, slice, 0, n, data, false, offs)
-				}
-			}
-			return out
-		}},
-		{"bitset", func(kb kernelBench, data []int, _ []int) []int {
-			out := slices.Clone(kb.field)
-			wi, word := -1, uint64(0)
-			for _, n := range kb.counts {
-				wi, word = placeBits(out, kb.sel, wi, word, data[:n])
-			}
-			return out
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			benchKernels(b, func(b *testing.B, kb kernelBench) {
-				data := make([]int, kb.g.w0)
-				offs := make([]int, kb.g.w0)
-				for b.Loop() {
-					v.place(kb, data, offs)
-				}
-			})
 		})
+	})
+	b.Run("bitset", func(b *testing.B) {
+		benchKernels(b, func(b *testing.B, kb kernelBench) {
+			data := make([]int, len(kb.m))
+			for b.Loop() {
+				out := slices.Clone(kb.field)
+				placeBits(out, kb.sel, -1, 0, data[:kb.selected()])
+			}
+		})
+	})
+}
+
+// selected is the number of selected elements of the bench mask.
+func (kb kernelBench) selected() int {
+	n := 0
+	for _, c := range kb.counts {
+		n += c
 	}
+	return n
 }

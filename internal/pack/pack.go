@@ -28,9 +28,11 @@ package pack
 
 import (
 	"fmt"
+	"math/bits"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -109,11 +111,14 @@ type pair[T any] struct {
 	Rank  int
 }
 
-// segMsg is one segment of the compact message scheme: the ranks of
-// Data are Base, Base+1, ..., so only the base rank and the implicit
-// count travel as header words.
-type segMsg[T any] struct {
-	Base int
+// segBatch is the compact message scheme's message to one peer: a
+// (base rank, count) header per segment, in local order, and the
+// segments' data back to back in one buffer. The ranks of a segment's
+// data are Base, Base+1, ..., so only the two header words travel per
+// segment. Data comes from the message pool (pool.go), and the
+// receiver returns it once decomposed.
+type segBatch[T any] struct {
+	Segs []reqSeg
 	Data []T
 }
 
@@ -122,21 +127,27 @@ type segMsg[T any] struct {
 // result portion: each segment costs its two header words plus one op
 // per datum. Cold and planned PACK share it, so both send the same
 // messages.
-func exchangeSegments[T any](p transport.Endpoint, send [][]segMsg[T], vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
+func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
 	words := make([]int, len(send))
-	for dst, segs := range send {
-		for _, s := range segs {
-			words[dst] += 2 + len(s.Data)
+	for dst, msg := range send {
+		for _, b := range msg {
+			words[dst] += 2*len(b.Segs) + len(b.Data)
 		}
 	}
 	prev := p.SetPhase(PhaseM2M)
 	recv := comm.AlltoallVW(comm.World(p), send, words, a2a)
 	p.SetPhase(prev)
-	for _, buf := range recv {
-		for _, seg := range buf {
-			p.Charge(2 + len(seg.Data)) // header + data decomposition
-			_, lo := vec.Owner(seg.Base)
-			copy(v[lo:], seg.Data)
+	cur := vec.Cursor()
+	for _, msg := range recv {
+		for _, b := range msg {
+			data := b.Data
+			for _, s := range b.Segs {
+				p.Charge(2 + s.Count) // header + data decomposition
+				_, lo, _ := cur.Seek(s.Base)
+				copy(v[lo:lo+s.Count], data[:s.Count])
+				data = data[s.Count:]
+			}
+			putBuf(b.Data)
 		}
 	}
 }
@@ -177,10 +188,11 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 	if len(a) != l.LocalSize() || len(m) != l.LocalSize() {
 		return nil, fmt.Errorf("pack: local array %d / mask %d, layout needs %d", len(a), len(m), l.LocalSize())
 	}
+	sel := mask.Bits(m)
 	if opt.Plans != nil {
-		return packPlanned(p, l, a, m, opt, pad, nVec)
+		return packPlanned(p, l, a, sel, opt, pad, nVec)
 	}
-	rnk, err := ranking.Rank(p, l, m, opt.rankingOptions(opt.Scheme == SchemeSSS))
+	rnk, err := ranking.RankBits(p, l, sel, opt.rankingOptions(opt.Scheme == SchemeSSS))
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +215,7 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 		copy(res.V, pad)
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
-	world := comm.World(p)
+	cs := &coldScan{w0: l.Dims[0].W, sel: sel, whole: opt.WholeSliceScan}
 
 	switch opt.Scheme {
 	case SchemeSSS, SchemeCSS:
@@ -211,22 +223,21 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 		if opt.Scheme == SchemeSSS {
 			composePairsSSS(p, a, rnk, vec, send)
 		} else {
-			composePairsCSS(p, l, a, m, rnk, vec, send, opt.WholeSliceScan)
+			composePairsCSS(p, cs, a, rnk, vec, send)
 		}
 		prev := p.SetPhase(PhaseM2M)
-		recv := comm.AlltoallVOpt(world, send, 2, opt.A2A)
+		recv := comm.AlltoallVOpt(comm.World(p), send, 2, opt.A2A)
 		p.SetPhase(prev)
+		cur := vec.Cursor()
 		for _, buf := range recv {
 			p.Charge(2 * len(buf)) // message decomposition
 			for _, pr := range buf {
-				_, lo := vec.Owner(pr.Rank)
+				_, lo, _ := cur.Seek(pr.Rank)
 				res.V[lo] = pr.Datum
 			}
 		}
 	case SchemeCMS:
-		send := make([][]segMsg[T], p.NProcs())
-		composeSegmentsCMS(p, l, a, m, rnk, vec, send, opt.WholeSliceScan)
-		exchangeSegments(p, send, vec, res.V, opt.A2A)
+		exchangeSegments(p, composeSegments(p, rnk, vec, segmentCounts(rnk, vec), sel, a, cs), vec, res.V, opt.A2A)
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
@@ -262,54 +273,74 @@ func carve[E any](lists [][]E, counts []int) {
 // from the records saved by the simple storage scheme.
 func composePairsSSS[T any](p transport.Endpoint, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T]) {
 	counts := make([]int, len(send))
+	cur := vec.Cursor()
 	for _, rec := range rnk.Records {
-		dst, _ := vec.Owner(rnk.RankOf(rec))
+		dst, _, _ := cur.Seek(rnk.RankOf(rec))
 		counts[dst]++
 	}
 	carve(send, counts)
 	for _, rec := range rnk.Records {
 		r := rnk.RankOf(rec)
-		dst, _ := vec.Owner(r)
+		dst, _, _ := cur.Seek(r)
 		send[dst] = append(send[dst], pair[T]{Datum: a[rec.Off], Rank: r})
 	}
 	p.Charge(2 * len(rnk.Records)) // write datum and rank per element
 }
 
-// sliceGeom captures the dimension-0 slice arithmetic of a layout.
-type sliceGeom struct {
-	l0, w0, t0, slices int
+// coldScan is what an unplanned compact-scheme call needs to charge the
+// paper's second slice scan (§6.1): the slice width W_0, the call's
+// mask bitset and the scan policy. A planned call passes nil and
+// charges its bulk-copy formula instead.
+type coldScan struct {
+	w0    int
+	sel   []uint64
+	whole bool
 }
 
-func geomOf(l *dist.Layout) sliceGeom {
-	return sliceGeom{l0: l.Dims[0].L(), w0: l.Dims[0].W, t0: l.Dims[0].T(), slices: l.Slices()}
+// scanLen is the charged length of the scan that finds the first upto
+// of a slice's count selected elements: W_0 under WholeSliceScan, and
+// otherwise the slice's elements up to and including the upto-th
+// selected one. That is the slice's last selected element when upto ==
+// count, read with bits.Len64 from the slice's last words; a segment
+// that a vector block boundary cuts off earlier selects its last
+// element within the slice's words.
+func (cs *coldScan) scanLen(slice, upto, count int) int {
+	if cs.whole {
+		return cs.w0
+	}
+	lo := slice * cs.w0
+	if upto == count {
+		return lastSet(cs.sel, lo+cs.w0) + 1 - lo
+	}
+	return nthSet(cs.sel, lo, upto) + 1 - lo
 }
 
-// collectSlice writes the data values of the slice's count selected
-// elements, in order, to buf[:count] and returns that prefix; buf must
-// hold W_0 values and count must be the slice's PS_c entry. The host
-// loop reads the whole slice without a data-dependent branch: every
-// element is written at the next free position, and only a selected
-// element advances it. The charge is the paper's second scan under the
-// chosen policy, plus one datum write per selected element: the
-// stop-early default reads up to the slice's last selected element
-// (the slice holds exactly count of them), WholeSliceScan all W_0.
-func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, count int, whole bool, buf []T) []T {
-	base := slice * g.w0
-	ms := m[base : base+g.w0]
-	as := a[base : base+len(ms)]
-	k := 0
-	for i, b := range ms {
-		buf[k] = as[i]
-		if b {
-			k++
-		}
+// lastSet returns the offset of the last set bit of sel below hi; one
+// must exist.
+func lastSet(sel []uint64, hi int) int {
+	wi := (hi - 1) >> 6
+	word := sel[wi] & (^uint64(0) >> (63 - (hi-1)&63))
+	for word == 0 {
+		wi--
+		word = sel[wi]
 	}
-	scanned := len(ms)
-	for !whole && scanned > 0 && !ms[scanned-1] {
-		scanned-- // stop early: up to the last selected element
+	return wi<<6 + bits.Len64(word) - 1
+}
+
+// nthSet returns the offset of the k-th (k >= 1) set bit of sel at or
+// after lo; it must exist.
+func nthSet(sel []uint64, lo, k int) int {
+	wi := lo >> 6
+	word := sel[wi] &^ (1<<(lo&63) - 1)
+	for c := bits.OnesCount64(word); c < k; c = bits.OnesCount64(word) {
+		k -= c
+		wi++
+		word = sel[wi]
 	}
-	p.Charge(scanned + count) // element reads + datum writes
-	return buf[:count]
+	for ; k > 1; k-- {
+		word &= word - 1
+	}
+	return wi<<6 + bits.TrailingZeros64(word)
 }
 
 // forEachRankRun walks the segments of the compact schemes: for every
@@ -317,76 +348,128 @@ func collectSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, sli
 // result vector's block boundaries, and fn sees one piece at a time, in
 // local order: its slice, destination, base rank and count. The walk
 // only reads the ranking's slice arrays, so callers may use it as an
-// uncharged sizing pre-pass. Cold compose, cold UNPACK requests and
-// plan execution all cut their segments here, which is why a planned
-// call sends exactly the messages of a cold one.
+// uncharged sizing pre-pass, and it follows the vector's blocks with a
+// cursor that divides only when the walk jumps a block. Cold compose,
+// cold UNPACK requests and plan execution all cut their segments here,
+// which is why a planned call sends exactly the messages of a cold one.
 func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, fn func(slice, dst, base, cnt int)) {
+	cur := vec.Cursor()
 	for slice, n := range rnk.PSc {
 		r := rnk.PSf[slice]
 		for end := r + n; r < end; {
-			dst, _ := vec.Owner(r)
-			c := min(vec.BlockRunEnd(r), end) - r
+			dst, _, blockEnd := cur.Seek(r)
+			c := min(blockEnd, end) - r
 			fn(slice, dst, r, c)
 			r += c
 		}
 	}
 }
 
+// segmentCounts returns, per destination, the number of segments
+// forEachRankRun cuts for it (counts[:P]) and the number of elements
+// they hold (counts[P:]): the exact sizes of the compact schemes'
+// per-destination lists and buffers. It is an uncharged sizing walk; a
+// plan stores its result.
+func segmentCounts(rnk *ranking.Result, vec dist.VectorDist) []int {
+	n := vec.P
+	counts := make([]int, 2*n)
+	forEachRankRun(rnk, vec, func(_, dst, _, cnt int) {
+		counts[dst]++
+		counts[n+dst] += cnt
+	})
+	return counts
+}
+
 // composePairsCSS regenerates ranks by comparing PS_c with PS_f
 // (Section 6.1) and builds (datum, rank) messages with a second slice
 // scan; only slices with at least one selected element are scanned.
-func composePairsCSS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T], whole bool) {
-	g := geomOf(l)
-	counts := make([]int, len(send))
-	forEachRankRun(rnk, vec, func(_, dst, _, cnt int) { counts[dst] += cnt })
-	carve(send, counts)
-	buf := make([]T, g.w0)
-	p.Charge(g.slices) // check the counter array, one read per slice
-	for slice := 0; slice < g.slices; slice++ {
-		n := rnk.PSc[slice]
-		if n == 0 {
-			continue
-		}
-		r0 := rnk.PSf[slice]
-		for i, datum := range collectSlice(p, g, a, m, slice, n, whole, buf) {
-			r := r0 + i
-			dst, _ := vec.Owner(r)
-			send[dst] = append(send[dst], pair[T]{Datum: datum, Rank: r})
-		}
-		p.Charge(n) // rank writes (the datum writes were charged above)
-	}
-}
-
-// carveSegments pre-sizes the compact message scheme's send lists from
-// the ranking alone (see carve) and returns one data arena for every
-// segment's words. The arena holds the rank's selected elements in
-// local order, so each segment of the walk owns the next count words.
-func carveSegments[T any](rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T]) []T {
-	counts := make([]int, len(send))
-	forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
-	carve(send, counts)
-	return make([]T, rnk.LocalTrue)
-}
-
-// composeSegmentsCMS builds the compact message scheme's segment
-// messages: the consecutive ranks r0..r0+n-1 of a slice are split at
-// the result vector's block boundaries, and each piece travels as
-// (base rank, count, data...). The smaller the vector's blocks, the
-// more segments (Section 6.2).
-func composeSegmentsCMS[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, rnk *ranking.Result, vec dist.VectorDist, send [][]segMsg[T], whole bool) {
-	g := geomOf(l)
-	data := carveSegments(rnk, vec, send)
-	buf := make([]T, g.w0)
-	p.Charge(g.slices) // check the counter array, one read per slice
-	var got []T
+// The host walks the call's bitset segment by segment, and each
+// non-empty slice charges its scan and datum writes, then its rank
+// writes, when its first segment comes up.
+func composePairsCSS[T any](p transport.Endpoint, cs *coldScan, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T]) {
+	carve(send, segmentCounts(rnk, vec)[len(send):])
+	p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+	sel := cs.sel
+	wi, word := -1, uint64(0)
 	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
-		skip := base - rnk.PSf[slice]
-		if skip == 0 {
-			got = collectSlice(p, g, a, m, slice, rnk.PSc[slice], whole, buf)
+		if c := rnk.PSc[slice]; base == rnk.PSf[slice] {
+			p.Charge(cs.scanLen(slice, c, c) + c) // element reads + datum writes
+			p.Charge(c)                           // rank writes
 		}
-		copy(data, got[skip:skip+cnt])
-		send[dst] = append(send[dst], segMsg[T]{Base: base, Data: data[:cnt:cnt]})
-		data = data[cnt:]
-		p.Charge(2) // segment header (base rank + count)
+		out := send[dst]
+		k := len(out)
+		out = out[:k+cnt]
+		for i := range out[k:] {
+			for word == 0 {
+				wi++
+				word = sel[wi]
+			}
+			out[k+i] = pair[T]{Datum: a[wi<<6|bits.TrailingZeros64(word)], Rank: base + i}
+			word &= word - 1
+		}
+		send[dst] = out
 	})
+}
+
+// composeSegments builds the compact message scheme's messages, one
+// segBatch per destination: the consecutive ranks r0..r0+n-1 of a
+// slice are split at the result vector's block boundaries, and each
+// piece travels as (base rank, count, data...). The smaller the
+// vector's blocks, the more segments (Section 6.2). counts is
+// segmentCounts(rnk, vec). Each destination's data buffer comes from
+// the message pool at its exact final length, and the bitset walk fills
+// it once per stretch of consecutive segments bound for that
+// destination. Cold and planned PACK share it and send
+// the same messages: a cold call (cs non-nil) charges the counter-array
+// check, each non-empty slice's second scan and datum writes, and two
+// header words per segment, in walk order; a planned call (cs nil)
+// charges the bulk-copy formula once, one PS_c read per slice, two
+// header words per segment and one op per datum.
+func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, a []T, cs *coldScan) [][]segBatch[T] {
+	n := vec.P
+	hdrs := make([][]reqSeg, n)
+	carve(hdrs, counts[:n])
+	batches := make([]segBatch[T], n)
+	send := make([][]segBatch[T], n)
+	for dst := range batches {
+		if counts[dst] > 0 {
+			batches[dst] = segBatch[T]{Segs: hdrs[dst], Data: getBuf[T](counts[n+dst])[:0]}
+			send[dst] = batches[dst : dst+1 : dst+1]
+		}
+	}
+	if cs != nil {
+		p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+	}
+	wi, word := -1, uint64(0)
+	runDst, run, segs := 0, 0, 0
+	flush := func() {
+		b := &batches[runDst]
+		k := len(b.Data)
+		b.Data = b.Data[:k+run]
+		wi, word = collectBits(b.Data[k:], a, sel, wi, word)
+		run = 0
+	}
+	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
+		if dst != runDst && run > 0 {
+			flush()
+		}
+		runDst = dst
+		run += cnt
+		b := &batches[dst]
+		b.Segs = append(b.Segs, reqSeg{Base: base, Count: cnt})
+		segs++
+		if cs != nil {
+			if c := rnk.PSc[slice]; base == rnk.PSf[slice] {
+				p.Charge(cs.scanLen(slice, c, c) + c) // element reads + datum writes
+			}
+			p.Charge(2) // segment header (base rank + count)
+		}
+	})
+	if run > 0 {
+		flush()
+	}
+	if cs == nil {
+		p.Charge(len(rnk.PSc) + 2*segs + rnk.LocalTrue)
+	}
+	return send
 }

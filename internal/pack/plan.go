@@ -9,15 +9,13 @@ package pack
 // its ranking: the slice arrays PS_f and PS_c, the vector
 // distribution, and the local mask as a bitset (one uint64 per 64
 // elements). Execution cuts the same segments a cold call cuts
-// (forEachRankRun): a planned PACK walks the bitset into one data
-// arena in local order and slices it into the compact message scheme's
-// (base rank, count, data...) segments, and a planned UNPACK sends the
-// compact storage scheme's (base rank, count) requests and places the
-// replies with the same bitset walk. Both walks rely on ranks rising
-// with local offset on every processor. So a warm call sends exactly
-// the messages of a cold CMS PACK or CSS UNPACK, whatever scheme the
-// options name, and its host work is one bitset walk instead of a
-// ranking scan plus a second slice scan.
+// (forEachRankRun) and runs the same compose and placement code: a
+// planned PACK is the compact message scheme's composeSegments, and a
+// planned UNPACK is the compact storage scheme's requests and placement
+// walk. Only the charges differ (the bulk-copy formula, see below). So
+// a warm call sends exactly the messages of a cold CMS PACK or CSS
+// UNPACK, whatever scheme the options name, and its host work skips the
+// ranking stage.
 //
 // The transparent cache path (Options.Plans) must keep a collective
 // invariant: ranking is a collective, so every processor of the
@@ -33,6 +31,7 @@ import (
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -40,12 +39,12 @@ import (
 // Plan is a compiled PACK/UNPACK schedule for one (layout, mask,
 // options) configuration on one processor: the slice arrays of the
 // ranking, the vector distribution, and the local mask as a bitset.
-// Its memory is 16 bytes per slice plus one bit per local element.
-// Plans are immutable once compiled and carry no references to the
-// arrays they were compiled from, so they may be cached, shared across
-// machines, and executed any number of times. A plan compiled for PACK
-// serves UNPACK too: the same segments describe where vector data
-// lands in the local array.
+// Its memory is 16 bytes per slice, one bit per local element and two
+// words per destination. Plans are immutable once compiled and carry
+// no references to the arrays they were compiled from, so they may be
+// cached, shared across machines, and executed any number of times. A
+// plan compiled for PACK serves UNPACK too: the same segments describe
+// where vector data lands in the local array.
 type Plan struct {
 	layout *dist.Layout
 	opt    Options // Plans stripped; A2A/Scheme/VectorW live here
@@ -62,6 +61,9 @@ type Plan struct {
 	// sel is the local mask as a bitset: element i is bit i%64 of
 	// word i/64.
 	sel []uint64
+	// counts is segmentCounts(rnk, vec): the segments, then the
+	// elements, per destination.
+	counts []int
 }
 
 // Size returns the global number of selected elements the plan was
@@ -83,53 +85,18 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// maskFingerprint hashes the local mask 64 elements at a time: the
-// booleans of one group pack into a bit word (maskWord), and each word
-// feeds the splitmix64 mixer. The length folds in last so masks that
-// differ only by trailing false elements stay distinct.
-func maskFingerprint(m []bool) uint64 {
-	h := uint64(0x243f6a8885a308d3)
-	for i := 0; i < len(m); i += 64 {
-		h = mix64(h ^ maskWord(m[i:min(i+64, len(m))]))
-	}
-	return mix64(h ^ uint64(len(m)))
-}
-
-// maskWord packs up to 64 mask elements into one word, element j at
-// bit j. Full words pack 8 bits at a time with branchless bool-to-bit
-// conversion: the mask is hashed on every transparent call, so this
-// must stay cheap next to the copies it saves.
-func maskWord(c []bool) uint64 {
-	var w uint64
-	if len(c) == 64 {
-		for j := 0; j < 64; j += 8 {
-			w |= (b2u(c[j]) | b2u(c[j+1])<<1 | b2u(c[j+2])<<2 | b2u(c[j+3])<<3 |
-				b2u(c[j+4])<<4 | b2u(c[j+5])<<5 | b2u(c[j+6])<<6 | b2u(c[j+7])<<7) << uint(j)
-		}
-		return w
-	}
-	for j, b := range c {
-		w |= b2u(b) << uint(j)
-	}
-	return w
-}
-
-// b2u converts a bool to 0/1 without a branch (the compiler lowers
-// this pattern to a flag-set instruction).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// planFingerprint is the local cache key: the mask hash with the
+// planFingerprint is the local cache key: the mask words hashed from
+// the cache's random seed (maskChain), then the local mask length, the
 // layout dimensions, scheme, vector block size and the requested
-// vector length folded in. vecLen is -1 for plain PACK (the vector
-// takes the selected count), the VECTOR length for PackVector, and N'
-// for UNPACK.
-func planFingerprint(l *dist.Layout, m []bool, opt Options, vecLen int) uint64 {
-	h := maskFingerprint(m)
+// vector length. vecLen is -1 for plain PACK (the vector takes the
+// selected count), the VECTOR length for PackVector, and N' for
+// UNPACK. Each chain step is a bijection of its word, so anyone who
+// knows the chains' starting points can build two masks with one key;
+// the secret seed keeps those points unknown, and a hit is checked
+// against the plan anyway (Plan.compiledFor).
+func planFingerprint(seed uint64, l *dist.Layout, sel []uint64, opt Options, vecLen int) uint64 {
+	h := maskChain(seed, sel)
+	h = mix64(h ^ uint64(l.LocalSize()))
 	h = mix64(h ^ uint64(len(l.Dims)))
 	for _, d := range l.Dims {
 		h = mix64(h ^ uint64(d.N))
@@ -139,6 +106,36 @@ func planFingerprint(l *dist.Layout, m []bool, opt Options, vecLen int) uint64 {
 	h = mix64(h ^ uint64(opt.Scheme))
 	h = mix64(h ^ uint64(opt.VectorW))
 	return mix64(h ^ uint64(int64(vecLen)))
+}
+
+// maskChain hashes the mask words from seed: word i feeds lane i%4 of
+// four splitmix64 chains, each started from its own mix of the seed, so
+// the four chains' multiplies overlap (a third of one chain's time on
+// 2^13 words), and the lanes fold into one word at the end.
+func maskChain(seed uint64, sel []uint64) uint64 {
+	var h [4]uint64
+	for l := range h {
+		h[l] = mix64(seed + uint64(l))
+	}
+	i := 0
+	for ; i+4 <= len(sel); i += 4 {
+		h[0] = mix64(h[0] ^ sel[i])
+		h[1] = mix64(h[1] ^ sel[i+1])
+		h[2] = mix64(h[2] ^ sel[i+2])
+		h[3] = mix64(h[3] ^ sel[i+3])
+	}
+	for ; i < len(sel); i++ {
+		h[i&3] = mix64(h[i&3] ^ sel[i])
+	}
+	return mix64(h[0] ^ mix64(h[1]^mix64(h[2]^mix64(h[3]))))
+}
+
+// compiledFor reports whether the plan was compiled for exactly this
+// call: the same mask words, layout, scheme, vector block size and
+// vector length, everything the fingerprint keys.
+func (pl *Plan) compiledFor(l *dist.Layout, sel []uint64, opt Options, vecLen int) bool {
+	return pl.nVec == vecLen && pl.opt.Scheme == opt.Scheme && pl.opt.VectorW == opt.VectorW &&
+		slices.Equal(pl.layout.Dims, l.Dims) && slices.Equal(pl.sel, sel)
 }
 
 // Rank salts keep the agreement sums order-sensitive: without them,
@@ -156,20 +153,22 @@ const (
 //	word 1 sums rank-salted hashes of the local mask fingerprints —
 //	the global fingerprint gfp; any rank whose mask changed moves it.
 //	word 2 sums rank-salted hashes of each rank's STORED global
-//	fingerprint (the gfp recorded in its cached plan for this local
-//	key; zero when it has none).
+//	fingerprint: the gfp recorded in pl, the plan its cache holds
+//	for this local key and that passed the exact check of
+//	Plan.compiledFor; zero when it has none.
 //
 // Every rank then locally folds the sum word 2 WOULD have if every
 // rank held a plan compiled under exactly this gfp. The hit/miss
 // decision compares the two sums — both collective outputs — so all
 // ranks decide identically by construction: a shared cache caught
-// mid-fill by another machine's compile skews word 2 and the whole
-// machine recompiles together, never deadlocking on a partial rank
-// set. The decision is probabilistic the same way the fingerprint is
-// (wrap-around sums of splitmix64 words); a collision that fakes
-// unanimity against an empty slot panics rather than desyncing.
-func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo comm.PRSAlgorithm) (gfp uint64, pl *Plan) {
-	pl = cache.get(localFP, p.Rank())
+// mid-fill by another machine's compile, or a rank whose key collided
+// with another mask's, skews word 2 and the whole machine recompiles
+// together, never deadlocking on a partial rank set. A hit therefore
+// means every rank holds a plan compiled for exactly its own call,
+// under a gfp that matches; the sums can only fake that by a 2^-64
+// collision of the seeded fingerprints, and one that fakes unanimity
+// against an empty slot panics rather than desyncing.
+func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, pl *Plan, algo comm.PRSAlgorithm) (uint64, *Plan) {
 	var stored uint64
 	if pl != nil {
 		stored = pl.gfp
@@ -181,7 +180,7 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 		int(mix64(stored ^ mix64(uint64(p.Rank())+agreeRankSalt))),
 	}
 	_, tot := world.PrefixReductionSum(contrib, algo)
-	gfp = uint64(tot[0])
+	gfp := uint64(tot[0])
 	expected := 0
 	for j := 0; j < p.NProcs(); j++ {
 		expected += int(mix64(gfp ^ mix64(uint64(j)+agreeRankSalt)))
@@ -209,19 +208,21 @@ func planLookup(p transport.Endpoint, cache *PlanCache, localFP uint64, algo com
 // ones. Beyond the ranking, the compile charges one read per mask
 // element: the pass that packs the mask into the plan's bitset.
 func CompilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*Plan, error) {
-	return compilePlan(p, l, m, opt, -1)
-}
-
-func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, vecLen int) (*Plan, error) {
 	if len(m) != l.LocalSize() {
 		return nil, fmt.Errorf("pack: local mask %d, layout needs %d", len(m), l.LocalSize())
 	}
+	return compilePlan(p, l, mask.Bits(m), opt, -1)
+}
+
+// compilePlan compiles the call's mask bitset sel, which the plan then
+// owns.
+func compilePlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options, vecLen int) (*Plan, error) {
 	switch opt.Scheme {
 	case SchemeSSS, SchemeCSS, SchemeCMS:
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
-	rnk, err := ranking.Rank(p, l, m, ranking.Options{
+	rnk, err := ranking.RankBits(p, l, sel, ranking.Options{
 		PRS: opt.PRS, KeepRecords: false, SeparatePrefixReduce: opt.SeparatePrefixReduce,
 	})
 	if err != nil {
@@ -238,67 +239,49 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options, ve
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk, sel: make([]uint64, (len(m)+63)/64)}
-	pl.opt.Plans = nil // a plan must not retain the cache that holds it
-	for i := range pl.sel {
-		pl.sel[i] = maskWord(m[i*64 : min(i*64+64, len(m))])
-	}
-	p.Charge(len(m)) // one read per mask element: the bitset pack
+	pl := &Plan{layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk, sel: sel, counts: segmentCounts(rnk, vec)}
+	pl.opt.Plans = nil      // a plan must not retain the cache that holds it
+	p.Charge(l.LocalSize()) // one read per mask element: the bitset pack
 	return pl, nil
 }
 
-// collectBits writes a's selected elements, in local order, to out,
-// which must hold exactly as many elements as sel has set bits. The
-// walk visits each set bit once (bits.TrailingZeros64 finds it, and
-// word &= word-1 clears it), so the per-element cost does not depend
-// on the gaps between selected elements. The loop is spelled out here,
-// with no helper call per element (DESIGN §4c).
-func collectBits[T any](out, a []T, sel []uint64) {
-	k := 0
-	for wi, word := range sel {
-		for word != 0 {
-			out[k] = a[wi<<6|bits.TrailingZeros64(word)]
-			word &= word - 1
-			k++
+// collectBits writes the next len(out) selected elements of a, in
+// local order, to out. The walk visits each set bit once
+// (bits.TrailingZeros64 finds it, and word &= word-1 clears it), so the
+// per-element cost does not depend on the gaps between selected
+// elements. It resumes at word wi, whose unvisited bits are word, and
+// returns its new position; (-1, 0) starts it at the first element.
+// The loop is spelled out here, with no helper call per element
+// (DESIGN §4c).
+func collectBits[T any](out, a []T, sel []uint64, wi int, word uint64) (int, uint64) {
+	for k := range out {
+		for word == 0 {
+			wi++
+			word = sel[wi]
 		}
+		out[k] = a[wi<<6|bits.TrailingZeros64(word)]
+		word &= word - 1
 	}
+	return wi, word
 }
 
-// placeBits is collectBits' inverse for one segment: it writes data to
-// a at the offsets of the next len(data) selected elements of sel. The
-// walk resumes at word wi, whose unvisited bits are word, and returns
-// its new position; (-1, 0) starts it at the first element.
+// placeBits is collectBits' inverse: it writes data to a at the offsets
+// of the next len(data) selected elements of sel, resuming the walk at
+// (wi, word) and returning its new position. Running out of selected
+// elements means the ranking and the mask disagree; it panics with an
+// internal error rather than reading past the bitset.
 func placeBits[T any](a []T, sel []uint64, wi int, word uint64, data []T) (int, uint64) {
 	for _, d := range data {
 		for word == 0 {
-			wi++
+			if wi++; wi == len(sel) {
+				panic(fmt.Sprintf("pack: internal error: placement ran out of selected elements (%d words)", len(sel)))
+			}
 			word = sel[wi]
 		}
 		a[wi<<6|bits.TrailingZeros64(word)] = d
 		word &= word - 1
 	}
 	return wi, word
-}
-
-// composeSegmentsPlanned builds a planned PACK's messages: the bitset
-// walk collects every selected element into one data arena, in local
-// (and therefore rank) order, and the segment walk slices that arena
-// into exactly the segments composeSegmentsCMS sends. The charge keeps
-// the cost model's bulk-copy formula with the segment as its unit: one
-// PS_c read per slice, two header words per segment and one op per
-// datum.
-func composeSegmentsPlanned[T any](p transport.Endpoint, pl *Plan, a []T) [][]segMsg[T] {
-	send := make([][]segMsg[T], p.NProcs())
-	data := carveSegments(pl.rnk, pl.vec, send)
-	collectBits(data, a, pl.sel)
-	segs := 0
-	forEachRankRun(pl.rnk, pl.vec, func(_, dst, base, cnt int) {
-		send[dst] = append(send[dst], segMsg[T]{Base: base, Data: data[:cnt:cnt]})
-		data = data[cnt:]
-		segs++
-	})
-	p.Charge(len(pl.rnk.PSc) + 2*segs + pl.rnk.LocalTrue)
-	return send
 }
 
 // execPackPlan executes a compiled plan as PACK: bitset compose, the
@@ -317,17 +300,13 @@ func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Resul
 		copy(res.V, pad)
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
-	exchangeSegments(p, composeSegmentsPlanned(p, pl, a), vec, res.V, pl.opt.A2A)
+	exchangeSegments(p, composeSegments(p, pl.rnk, vec, pl.counts, pl.sel, a, nil), vec, res.V, pl.opt.A2A)
 	return res, nil
 }
 
 // execUnpackPlan executes a compiled plan as UNPACK: the compact
-// storage scheme's (base rank, count) requests, the owners serving
-// vector slices exactly as the unplanned path does, and placement of
-// the replies by the bitset walk, segment by segment in local order,
-// each segment reading the next words of its owner's reply. Requests
-// charge one PS_c read per slice and two header words per segment;
-// placement charges two header words per segment and one op per datum.
+// storage scheme's requests, serving and placement walk, under the
+// planned charges (unpackCompact).
 func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*UnpackResult[T], error) {
 	if pl.opt.Scheme == SchemeCMS {
 		return nil, fmt.Errorf("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
@@ -336,43 +315,10 @@ func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*U
 	if len(field) != l.LocalSize() {
 		return nil, fmt.Errorf("unpack: local field %d, plan's layout needs %d", len(field), l.LocalSize())
 	}
-	vec, rnk := pl.vec, pl.rnk
-	if want := vec.LocalLen(p.Rank()); len(v) != want {
+	if want := pl.vec.LocalLen(p.Rank()); len(v) != want {
 		return nil, fmt.Errorf("unpack: local vector has %d elements, plan's distribution gives %d", len(v), want)
 	}
-	n := p.NProcs()
-	counts := make([]int, n)
-	forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
-	reqs := make([][]reqSeg, n)
-	carve(reqs, counts)
-	words := make([]int, n)
-	segs := 0
-	forEachRankRun(rnk, vec, func(_, dst, base, cnt int) {
-		reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: cnt})
-		words[dst] += 2
-		segs++
-	})
-	p.Charge(len(rnk.PSc) + 2*segs) // counter-array check + request headers
-	world := comm.World(p)
-	prev := p.SetPhase(PhaseM2M)
-	gotReqs := comm.AlltoallVW(world, reqs, words, pl.opt.A2A)
-	p.SetPhase(prev)
-
-	replies := serveVecRequests(p, vec, v, gotReqs)
-
-	prev = p.SetPhase(PhaseM2M)
-	gotData := comm.AlltoallVOpt(world, replies, 1, pl.opt.A2A)
-	p.SetPhase(prev)
-
-	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
-	p.Charge(l.LocalSize()) // the local field-array transfer pass
-	wi, word := -1, uint64(0)
-	forEachRankRun(rnk, vec, func(_, src, _, cnt int) {
-		wi, word = placeBits(res.A, pl.sel, wi, word, gotData[src][:cnt])
-		gotData[src] = gotData[src][cnt:]
-	})
-	p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
-	return res, nil
+	return unpackCompact(p, pl.rnk, pl.vec, pl.counts, pl.sel, v, field, pl.opt.A2A, nil), nil
 }
 
 // PlanPack executes a compiled plan as PACK (the explicit two-step
@@ -391,37 +337,45 @@ func PlanUnpack[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*Unpac
 	return execUnpackPlan(p, pl, v, field)
 }
 
-// packPlanned is the transparent cache path of packImpl: fingerprint,
-// collective lookup, compile on a miss, bulk execute.
-func packPlanned[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt Options, pad []T, nVec int) (*Result[T], error) {
-	fp := planFingerprint(l, m, opt, nVec)
-	p.Charge(len(m)/64 + 1) // mask hashing, one op per 64-element word
-	gfp, pl := planLookup(p, opt.Plans, fp, opt.PRS)
+// cachedPlan is the front half of the transparent cache path:
+// fingerprint the call, check the plan its key finds, agree on hit or
+// miss with the whole machine, and compile on a miss.
+func cachedPlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options, vecLen int) (*Plan, error) {
+	cache := opt.Plans
+	fp := planFingerprint(cache.seed, l, sel, opt, vecLen)
+	p.Charge(l.LocalSize()/64 + 1) // mask hashing and checking, one op per 64-element word
+	pl := cache.get(fp, p.Rank())
+	if pl != nil && !pl.compiledFor(l, sel, opt, vecLen) {
+		pl = nil // another call's plan under this key: the machine misses
+	}
+	gfp, pl := planLookup(p, cache, fp, pl, opt.PRS)
 	if pl == nil {
 		var err error
-		pl, err = compilePlan(p, l, m, opt, nVec)
+		pl, err = compilePlan(p, l, sel, opt, vecLen)
 		if err != nil {
 			return nil, err
 		}
 		pl.gfp = gfp
-		opt.Plans.put(fp, p.Rank(), pl)
+		cache.put(fp, p.Rank(), pl)
+	}
+	return pl, nil
+}
+
+// packPlanned is the transparent cache path of packImpl: fingerprint,
+// collective lookup, compile on a miss, bulk execute.
+func packPlanned[T any](p transport.Endpoint, l *dist.Layout, a []T, sel []uint64, opt Options, pad []T, nVec int) (*Result[T], error) {
+	pl, err := cachedPlan(p, l, sel, opt, nVec)
+	if err != nil {
+		return nil, err
 	}
 	return execPackPlan(p, pl, a, pad)
 }
 
 // unpackPlanned is the transparent cache path of Unpack.
-func unpackPlanned[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []bool, field []T, opt Options) (*UnpackResult[T], error) {
-	fp := planFingerprint(l, m, opt, nPrime)
-	p.Charge(len(m)/64 + 1) // mask hashing, one op per 64-element word
-	gfp, pl := planLookup(p, opt.Plans, fp, opt.PRS)
-	if pl == nil {
-		var err error
-		pl, err = compilePlan(p, l, m, opt, nPrime)
-		if err != nil {
-			return nil, err
-		}
-		pl.gfp = gfp
-		opt.Plans.put(fp, p.Rank(), pl)
+func unpackPlanned[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, sel []uint64, field []T, opt Options) (*UnpackResult[T], error) {
+	pl, err := cachedPlan(p, l, sel, opt, nPrime)
+	if err != nil {
+		return nil, err
 	}
 	return execUnpackPlan(p, pl, v, field)
 }

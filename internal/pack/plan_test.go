@@ -415,30 +415,38 @@ func TestPlanErrors(t *testing.T) {
 
 // TestMaskFingerprintDistinguishes spot-checks the fingerprint: masks
 // differing in one element, in trailing length, or only in layout /
-// scheme / vector block size must key different plans.
+// scheme / vector block size must key different plans, and so must
+// the same call under two caches' seeds.
 func TestMaskFingerprintDistinguishes(t *testing.T) {
-	m1 := make([]bool, 130)
-	m2 := make([]bool, 130)
+	seed := NewPlanCache().seed
+	l := dist.MustLayout(dist.Dim{N: 260, P: 2, W: 130})
+	m1 := make([]bool, l.LocalSize())
+	m2 := make([]bool, l.LocalSize())
 	m1[129] = true
-	if maskFingerprint(m1) == maskFingerprint(m2) {
+	if planFingerprint(seed, l, mask.Bits(m1), Options{}, -1) == planFingerprint(seed, l, mask.Bits(m2), Options{}, -1) {
 		t.Fatal("single-bit difference not reflected")
 	}
-	if maskFingerprint(m1[:64]) == maskFingerprint(m1[:65]) {
+	short := dist.MustLayout(dist.Dim{N: 128, P: 2, W: 64})
+	long := dist.MustLayout(dist.Dim{N: 130, P: 2, W: 65})
+	if planFingerprint(seed, short, mask.Bits(m2[:64]), Options{}, -1) == planFingerprint(seed, long, mask.Bits(m2[:65]), Options{}, -1) {
 		t.Fatal("length difference not reflected")
 	}
-	l := dist.MustLayout(dist.Dim{N: 16, P: 2, W: 4})
+	l1 := dist.MustLayout(dist.Dim{N: 16, P: 2, W: 4})
 	l2 := dist.MustLayout(dist.Dim{N: 16, P: 2, W: 2})
-	lm := make([]bool, l.LocalSize())
-	if planFingerprint(l, lm, Options{}, -1) == planFingerprint(l2, lm, Options{}, -1) {
+	lm := mask.Bits(make([]bool, l1.LocalSize()))
+	if planFingerprint(seed, l1, lm, Options{}, -1) == planFingerprint(seed, l2, lm, Options{}, -1) {
 		t.Fatal("layout difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{Scheme: SchemeCSS}, -1) == planFingerprint(l, lm, Options{Scheme: SchemeCMS}, -1) {
+	if planFingerprint(seed, l1, lm, Options{Scheme: SchemeCSS}, -1) == planFingerprint(seed, l1, lm, Options{Scheme: SchemeCMS}, -1) {
 		t.Fatal("scheme difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{VectorW: 1}, -1) == planFingerprint(l, lm, Options{VectorW: 2}, -1) {
+	if planFingerprint(seed, l1, lm, Options{VectorW: 1}, -1) == planFingerprint(seed, l1, lm, Options{VectorW: 2}, -1) {
 		t.Fatal("vector block difference not reflected")
 	}
-	if planFingerprint(l, lm, Options{}, -1) == planFingerprint(l, lm, Options{}, 8) {
+	if planFingerprint(seed, l1, lm, Options{}, -1) == planFingerprint(seed, l1, lm, Options{}, 8) {
 		t.Fatal("vector length difference not reflected")
+	}
+	if planFingerprint(seed, l1, lm, Options{}, -1) == planFingerprint(NewPlanCache().seed, l1, lm, Options{}, -1) {
+		t.Fatal("cache seed not reflected")
 	}
 }

@@ -1,6 +1,9 @@
 package pack
 
-import "sync"
+import (
+	"math/rand/v2"
+	"sync"
+)
 
 // PlanCache stores compiled plans keyed by (local fingerprint, rank);
 // each plan additionally records the global fingerprint it was
@@ -11,8 +14,12 @@ import "sync"
 // transparent lookup path never acts on a partial rank set (the
 // unanimity sum fails unless every rank's stored plan matches the
 // current global fingerprint). Entries are never evicted; a changed
-// mask changes the fingerprint and simply compiles a new entry.
+// mask changes the fingerprint and simply compiles a new entry. Each
+// cache keys its fingerprints with its own random seed, so no caller
+// can build masks whose fingerprints collide, in one rank's key or in
+// the machine-wide sum.
 type PlanCache struct {
+	seed   uint64
 	mu     sync.Mutex
 	plans  map[planKey]*Plan
 	hits   int
@@ -26,7 +33,7 @@ type planKey struct {
 
 // NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[planKey]*Plan)}
+	return &PlanCache{seed: rand.Uint64(), plans: make(map[planKey]*Plan)}
 }
 
 // PlanCacheStats is a snapshot of the cache's hit/miss counters. A hit

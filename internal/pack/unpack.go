@@ -6,6 +6,7 @@ import (
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/ranking"
 	"packunpack/internal/transport"
 )
@@ -49,8 +50,9 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	if opt.Scheme == SchemeCMS {
 		return nil, fmt.Errorf("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
 	}
+	sel := mask.Bits(m)
 	if opt.Plans != nil {
-		return unpackPlanned(p, l, v, nPrime, m, field, opt)
+		return unpackPlanned(p, l, v, nPrime, sel, field, opt)
 	}
 	vec, err := dist.NewVectorDist(nPrime, p.NProcs(), opt.VectorW)
 	if err != nil {
@@ -60,154 +62,195 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 		return nil, fmt.Errorf("unpack: local vector has %d elements, distribution of N'=%d gives %d", len(v), nPrime, want)
 	}
 
-	rnk, err := ranking.Rank(p, l, m, opt.rankingOptions(opt.Scheme == SchemeSSS))
+	rnk, err := ranking.RankBits(p, l, sel, opt.rankingOptions(opt.Scheme == SchemeSSS))
 	if err != nil {
 		return nil, err
 	}
 	if rnk.Size > nPrime {
 		return nil, fmt.Errorf("unpack: vector too short: N'=%d < Size=%d", nPrime, rnk.Size)
 	}
-
-	world := comm.World(p)
-	n := p.NProcs()
-
-	// ---- Compose requests, remembering how to place the replies. ----
-	reqs := make([][]reqSeg, n)
-	reqWords := make([]int, n)
-	// For CSS, placement[i] lists (slice, skip, count) triples in
-	// request order; for SSS, recIdx[i] lists record indices.
-	type placeSeg struct{ slice, skip, count int }
-	var placement [][]placeSeg
-	var recIdx [][]int
-
-	// The per-destination request/placement lists are pre-sized to
-	// their exact final lengths from the ranking results (uncharged
-	// host bookkeeping), so the append loops below never reallocate.
-	counts := make([]int, n)
-	if opt.Scheme == SchemeSSS {
-		for _, rec := range rnk.Records {
-			dst, _ := vec.Owner(rnk.RankOf(rec))
-			counts[dst]++
-		}
-		carve(reqs, counts)
-		recIdx = make([][]int, n)
-		carve(recIdx, counts)
-		for ri, rec := range rnk.Records {
-			r := rnk.RankOf(rec)
-			dst, _ := vec.Owner(r)
-			reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: 1})
-			recIdx[dst] = append(recIdx[dst], ri)
-			reqWords[dst]++ // one word per individual rank request
-		}
-		p.Charge(2 * len(rnk.Records)) // resolve rank, write request
-	} else {
-		forEachRankRun(rnk, vec, func(_, dst, _, _ int) { counts[dst]++ })
-		carve(reqs, counts)
-		placement = make([][]placeSeg, n)
-		carve(placement, counts)
-		p.Charge(geomOf(l).slices) // check the counter array, one read per slice
-		forEachRankRun(rnk, vec, func(slice, dst, base, c int) {
-			reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: c})
-			placement[dst] = append(placement[dst], placeSeg{slice: slice, skip: base - rnk.PSf[slice], count: c})
-			reqWords[dst] += 2
-			p.Charge(2) // request segment header
-		})
+	if opt.Scheme != SchemeSSS {
+		cs := &coldScan{w0: l.Dims[0].W, sel: sel, whole: opt.WholeSliceScan}
+		return unpackCompact(p, rnk, vec, segmentCounts(rnk, vec), sel, v, field, opt.A2A, cs), nil
 	}
 
-	// ---- Stage 1: requests to the vector owners. ----
-	prev := p.SetPhase(PhaseM2M)
-	gotReqs := comm.AlltoallVW(world, reqs, reqWords, opt.A2A)
-	p.SetPhase(prev)
+	// ---- SSS: one single-rank request per saved record, remembering
+	// which record each request serves. The lists are pre-sized to
+	// their exact final lengths (uncharged host bookkeeping), so the
+	// append loop never reallocates. ----
+	n := p.NProcs()
+	reqs := make([][]reqSeg, n)
+	reqWords := make([]int, n)
+	recIdx := make([][]int, n)
+	counts := make([]int, n)
+	cur := vec.Cursor()
+	for _, rec := range rnk.Records {
+		dst, _, _ := cur.Seek(rnk.RankOf(rec))
+		counts[dst]++
+	}
+	carve(reqs, counts)
+	carve(recIdx, counts)
+	for ri, rec := range rnk.Records {
+		r := rnk.RankOf(rec)
+		dst, _, _ := cur.Seek(r)
+		reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: 1})
+		recIdx[dst] = append(recIdx[dst], ri)
+		reqWords[dst]++ // one word per individual rank request
+	}
+	p.Charge(2 * len(rnk.Records)) // resolve rank, write request
 
-	// ---- Serve: slice the local vector portion per request. ----
-	replies := serveVecRequests(p, vec, v, gotReqs)
-
-	// ---- Stage 2: data back to the requesters. ----
-	prev = p.SetPhase(PhaseM2M)
-	gotData := comm.AlltoallVOpt(world, replies, 1, opt.A2A)
-	p.SetPhase(prev)
+	gotData := fetchRuns(p, vec, v, reqs, reqWords, opt.A2A)
 
 	// ---- Place: field values where the mask is false, vector data
 	// where it is true. The field array is copied whole and the
 	// placement below overwrites every selected position. ----
 	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
-	if opt.Scheme == SchemeSSS {
-		for src, data := range gotData {
-			for i, ri := range recIdx[src] {
-				rec := rnk.Records[ri]
-				res.A[rec.Off] = data[i]
-			}
-			p.Charge(2 * len(data)) // read record, write datum
+	for src, data := range gotData {
+		for i, ri := range recIdx[src] {
+			res.A[rnk.Records[ri].Off] = data[i]
 		}
-	} else {
-		g := geomOf(l)
-		offs := make([]int, g.w0)
-		for src, data := range gotData {
-			pos := 0
-			for _, pl := range placement[src] {
-				pos += placeIntoSlice(p, g, res.A, m, pl.slice, pl.skip, pl.count, data[pos:], opt.WholeSliceScan, offs)
-			}
-		}
+		p.Charge(2 * len(data)) // read record, write datum
+		putBuf(data)
 	}
 	return res, nil
 }
 
+// fetchRuns is UNPACK's two-phase redistribution: the requests travel
+// to the vector owners, the owners serve them, and the replies travel
+// back. gotData[src] is src's reply, the requested runs back to back in
+// request order; it is a pooled buffer, which the caller returns once
+// placed.
+func fetchRuns[T any](p transport.Endpoint, vec dist.VectorDist, v []T, reqs [][]reqSeg, words []int, a2a comm.A2AOptions) [][]T {
+	world := comm.World(p)
+	prev := p.SetPhase(PhaseM2M)
+	gotReqs := comm.AlltoallVW(world, reqs, words, a2a)
+	p.SetPhase(prev)
+	replies := serveVecRequests(p, vec, v, gotReqs)
+	prev = p.SetPhase(PhaseM2M)
+	gotData := comm.AlltoallVOpt(world, replies, 1, a2a)
+	p.SetPhase(prev)
+	return gotData
+}
+
+// unpackCompact is the compact storage scheme's UNPACK after the
+// ranking, shared by cold calls and plans: the (base rank, count)
+// requests of requestSegments, the owners serving them, the field-array
+// transfer, and placement of the replies by placeReplies' bitset walk;
+// counts is segmentCounts(rnk, vec). A cold call (cs non-nil) charges
+// the paper's placement rescan per segment, grouped by owner as the
+// replies arrive; a planned call charges two header words per segment
+// and one op per datum.
+func unpackCompact[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, v, field []T, a2a comm.A2AOptions, cs *coldScan) *UnpackResult[T] {
+	reqs, ops := requestSegments(p, rnk, vec, counts, cs)
+	words := make([]int, len(reqs))
+	segs := 0
+	for dst, list := range reqs {
+		words[dst] = 2 * len(list)
+		segs += len(list)
+	}
+	gotData := fetchRuns(p, vec, v, reqs, words, a2a)
+	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
+	p.Charge(len(field)) // the local field-array transfer pass
+	placeReplies(res.A, sel, rnk, vec, gotData)
+	if cs == nil {
+		p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
+		return res
+	}
+	for _, list := range ops {
+		for _, n := range list {
+			p.Charge(n)
+		}
+	}
+	return res
+}
+
+// requestSegments cuts the compact storage scheme's requests: one
+// (base rank, count) segment per forEachRankRun piece, listed per
+// vector owner in local order; counts is segmentCounts(rnk, vec). A
+// cold call (cs non-nil) charges the counter-array check and then each
+// request header as it is written, and returns, in the same per-owner
+// lists, the charge of the rescan that will place each segment
+// (scanLen up to the segment's last element, plus one write per
+// element), so that unpackCompact can book them in the order the
+// paper's placement loop visits the replies. A planned call charges
+// the check and the headers once.
+func requestSegments(p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, cs *coldScan) (reqs [][]reqSeg, ops [][]int) {
+	n := vec.P
+	reqs = make([][]reqSeg, n)
+	carve(reqs, counts[:n])
+	if cs != nil {
+		ops = make([][]int, n)
+		carve(ops, counts[:n])
+		p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
+	}
+	segs := 0
+	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
+		reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: cnt})
+		segs++
+		if cs != nil {
+			ops[dst] = append(ops[dst], cs.scanLen(slice, base-rnk.PSf[slice]+cnt, rnk.PSc[slice])+cnt)
+			p.Charge(2) // request segment header
+		}
+	})
+	if cs == nil {
+		p.Charge(len(rnk.PSc) + 2*segs) // counter-array check + request headers
+	}
+	return reqs, ops
+}
+
+// placeReplies writes the replies to a's selected positions: one walk
+// over sel in local order, which places each stretch of consecutive
+// segments from one owner as one run of that owner's reply (ranks rise
+// with local offset, so a reply's runs come in local order). Each reply
+// goes back to the message pool once placed.
+func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.VectorDist, gotData [][]T) {
+	off := make([]int, len(gotData))
+	wi, word := -1, uint64(0)
+	src, run := 0, 0
+	flush := func() {
+		data := gotData[src][off[src] : off[src]+run]
+		wi, word = placeBits(a, sel, wi, word, data)
+		off[src] += run
+		run = 0
+	}
+	forEachRankRun(rnk, vec, func(_, owner, _, cnt int) {
+		if owner != src && run > 0 {
+			flush()
+		}
+		src = owner
+		run += cnt
+	})
+	if run > 0 {
+		flush()
+	}
+	for _, data := range gotData {
+		putBuf(data)
+	}
+}
+
 // serveVecRequests answers the owner side of UNPACK's two-phase
-// exchange: for every received request segment, the owner slices the
-// requested run out of its local vector portion. The planned and
-// unplanned paths share this helper, so a served request costs the
+// exchange: for every received request segment, the owner copies the
+// requested run out of its local vector portion into the requester's
+// reply, a pooled buffer of exactly the requested length. The planned
+// and unplanned paths share this helper, so a served request costs the
 // same (one header read plus one op per copied word) either way.
 func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, gotReqs [][]reqSeg) [][]T {
 	replies := make([][]T, len(gotReqs))
+	cur := vec.Cursor()
 	for src, list := range gotReqs {
-		if len(list) == 0 {
-			continue
-		}
 		total := 0
 		for _, rq := range list {
 			total += rq.Count
 		}
-		out := make([]T, 0, total)
+		out := getBuf[T](total)
+		k := 0
 		for _, rq := range list {
 			p.Charge(1 + rq.Count) // read request, copy data
-			_, lo := vec.Owner(rq.Base)
-			out = append(out, v[lo:lo+rq.Count]...)
+			_, lo, _ := cur.Seek(rq.Base)
+			k += copy(out[k:], v[lo:lo+rq.Count])
 		}
 		replies[src] = out
 	}
 	return replies
-}
-
-// placeIntoSlice writes data[:count] to the slice's selected positions
-// number skip .. skip+count-1 (in slice order) and returns count; offs
-// is scratch for W_0 offsets. The host first packs the local offsets of
-// the slice's selected elements into offs without a data-dependent
-// branch (every offset is written at the next free position, and only
-// a selected element advances it), then writes straight to them. The
-// charge is the paper's rescan under the chosen policy plus one write
-// per element, as in collectSlice: the stop-early default reads up to
-// the last written position, WholeSliceScan all W_0.
-func placeIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool, slice, skip, count int, data []T, whole bool, offs []int) int {
-	base := slice * g.w0
-	n := 0
-	for i, b := range m[base : base+g.w0] {
-		offs[n] = base + i
-		if b {
-			n++
-		}
-	}
-	if n < skip+count {
-		panic(fmt.Sprintf("pack: internal error: placed %d of %d elements in slice %d", max(n-skip, 0), count, slice))
-	}
-	data = data[:count]
-	for j, off := range offs[skip : skip+count] {
-		a[off] = data[j]
-	}
-	scanned := g.w0
-	if !whole {
-		scanned = offs[skip+count-1] + 1 - base
-	}
-	p.Charge(scanned + count)
-	return count
 }

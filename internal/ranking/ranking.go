@@ -28,9 +28,11 @@ package ranking
 
 import (
 	"fmt"
+	"math/bits"
 
 	"packunpack/internal/comm"
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/transport"
 )
 
@@ -150,13 +152,23 @@ func DimGroups(p transport.Endpoint, l *dist.Layout) ([]comm.Group, error) {
 }
 
 // Rank executes the parallel ranking algorithm for the calling
-// processor. mask is the processor's local portion of the mask array in
+// processor. m is the processor's local portion of the mask array in
 // local row-major order (dimension 0 fastest); its length must be the
 // layout's local size. Every processor of the machine must call Rank
 // with the same layout and options.
-func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Result, error) {
-	if len(mask) != l.LocalSize() {
-		return nil, fmt.Errorf("ranking: local mask has %d elements, layout needs %d", len(mask), l.LocalSize())
+func Rank(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*Result, error) {
+	if len(m) != l.LocalSize() {
+		return nil, fmt.Errorf("ranking: local mask has %d elements, layout needs %d", len(m), l.LocalSize())
+	}
+	return RankBits(p, l, mask.Bits(m), opt)
+}
+
+// RankBits is Rank on the local mask packed by mask.Bits: element i is
+// bit i%64 of word i/64. The charges are Rank's, element for element.
+func RankBits(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options) (*Result, error) {
+	n := l.LocalSize()
+	if len(sel) != (n+63)/64 {
+		return nil, fmt.Errorf("ranking: local mask has %d words, layout needs %d", len(sel), (n+63)/64)
 	}
 	groups, err := DimGroups(p, l)
 	if err != nil {
@@ -169,24 +181,23 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 	res := &Result{}
 	ps := make([][]int, d)
 	ps[0] = make([]int, geo.size(0))
+	w0 := l.Dims[0].W
 	if opt.KeepRecords {
-		l0 := l.Dims[0].L()
-		w0 := l.Dims[0].W
-		t0 := l.Dims[0].T()
-		for off, sel := range mask {
-			if !sel {
-				continue
+		// Slice s is offsets [s*W_0, (s+1)*W_0): dist.Dim.Validate
+		// makes L_0 a multiple of W_0.
+		for wi, word := range sel {
+			for ; word != 0; word &= word - 1 {
+				off := wi<<6 | bits.TrailingZeros64(word)
+				slice := off / w0
+				res.Records = append(res.Records, Record{Off: off, Slice: slice, InitRank: ps[0][slice]})
+				ps[0][slice]++
 			}
-			rest := off / l0
-			slice := rest*t0 + (off%l0)/w0
-			res.Records = append(res.Records, Record{Off: off, Slice: slice, InitRank: ps[0][slice]})
-			ps[0][slice]++
-			res.LocalTrue++
 		}
+		res.LocalTrue = len(res.Records)
 	} else {
-		res.LocalTrue = countSlices(mask, l.Dims[0].W, ps[0])
+		res.LocalTrue = countSliceBits(sel, w0, ps[0])
 	}
-	p.Charge(len(mask)) // read every mask element
+	p.Charge(n) // read every mask element
 	if opt.KeepRecords {
 		// SSS: save a d+3-item record per element — a local index on
 		// each dimension, a tile number, an initial rank and a
@@ -328,30 +339,44 @@ func Rank(p transport.Endpoint, l *dist.Layout, mask []bool, opt Options) (*Resu
 // base-rank array.
 func (r *Result) RankOf(rec Record) int { return r.PSf[rec.Slice] + rec.InitRank }
 
-// countSlices is the compact schemes' initial scan: it stores the number
-// of selected elements of every slice in ps0 and returns their sum.
-// Because dist.Dim.Validate makes L_0 a multiple of W_0, slice s is
-// exactly mask[s*w0 : (s+1)*w0], so the scan needs no division. The
-// conditional increment compiles to a conditional move: the loop has no
-// data-dependent branch for a random mask to mispredict. It is kept out
-// of line because, inlined into Rank, its counters spill to the stack:
-// a one-processor Rank of a 2^19-element mask at density 0.5 then took
-// 1.7 instead of 1.1 ns per element (Go 1.24, 2-vCPU Xeon).
-//
-//go:noinline
-func countSlices(mask []bool, w0 int, ps0 []int) int {
+// countSliceBits is the compact schemes' initial scan: it stores the
+// number of selected elements of every slice in ps0 and returns their
+// sum. Slice s is bits [s*w0, (s+1)*w0) of sel, because
+// dist.Dim.Validate makes L_0 a multiple of W_0, so the scan needs no
+// division: it counts each slice with bits.OnesCount64 over the slice's
+// words, masking the words it shares with its neighbours.
+func countSliceBits(sel []uint64, w0 int, ps0 []int) int {
 	total := 0
-	for s := range ps0 {
-		c := 0
-		for _, b := range mask[s*w0 : (s+1)*w0] {
-			if b {
-				c++
-			}
+	if w0 == 1 {
+		for s := range ps0 {
+			c := int(sel[s>>6] >> (s & 63) & 1)
+			ps0[s] = c
+			total += c
 		}
+		return total
+	}
+	lo := 0
+	for s := range ps0 {
+		c := countRange(sel, lo, lo+w0)
 		ps0[s] = c
 		total += c
+		lo += w0
 	}
 	return total
+}
+
+// countRange returns the number of set bits in [lo, hi) of sel, hi > lo.
+func countRange(sel []uint64, lo, hi int) int {
+	wlo, whi := lo>>6, (hi-1)>>6
+	first := sel[wlo] >> (lo & 63)
+	if wlo == whi {
+		return bits.OnesCount64(first & (1<<(hi-lo) - 1))
+	}
+	c := bits.OnesCount64(first)
+	for _, w := range sel[wlo+1 : whi] {
+		c += bits.OnesCount64(w)
+	}
+	return c + bits.OnesCount64(sel[whi]<<(63-(hi-1)&63))
 }
 
 func cloneInts(v []int) []int {

@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"packunpack/internal/dist"
+	"packunpack/internal/mask"
 	"packunpack/internal/sim"
 	"packunpack/internal/transport"
 )
 
-// refScan is the counting scan as it was written before countSlices:
-// one branch per mask element and two divisions per selected element to
-// find its slice. It stays as the reference the branch-free kernel is
-// compared against. ps0 must be zeroed.
+// refScan is the counting scan as it was first written: one branch per
+// mask element and two divisions per selected element to find its
+// slice. It stays as the reference the bitset scan is compared against.
+// ps0 must be zeroed.
 func refScan(l *dist.Layout, mask []bool, ps0 []int) (localTrue int) {
 	l0, w0, t0 := l.Dims[0].L(), l.Dims[0].W, l.Dims[0].T()
 	for off, sel := range mask {
@@ -40,11 +41,11 @@ func (c *chargeLog) Charge(n int) {
 	c.Endpoint.Charge(n)
 }
 
-// scanLayouts are the kernel-equivalence layouts: W_0 in {1, 3, 64},
-// rank 1 and 2.
+// scanLayouts are the kernel-equivalence layouts: W_0 in {1, 3, 64,
+// 100} (3 and 100 make slices straddle bitset words), rank 1 and 2.
 func scanLayouts() []*dist.Layout {
 	var out []*dist.Layout
-	for _, w0 := range []int{1, 3, 64} {
+	for _, w0 := range []int{1, 3, 64, 100} {
 		d0 := dist.Dim{N: 2 * 8 * w0, P: 2, W: w0}
 		out = append(out,
 			dist.MustLayout(d0),
@@ -63,10 +64,10 @@ func randomBools(rng *rand.Rand, n int, density float64) []bool {
 	return m
 }
 
-// TestCountSlicesMatchesReference pins the branch-free scan to the
-// branchy one: identical PS_0 and LocalTrue on every rank, and Rank's
-// two scan charges (one read per mask element, one counter increment
-// per selected element) are unchanged.
+// TestCountSlicesMatchesReference pins the bitset scan to the branchy
+// one: identical PS_0 and LocalTrue on every rank, from countSliceBits
+// and from Rank, and Rank's two scan charges (one read per mask
+// element, one counter increment per selected element) are unchanged.
 func TestCountSlicesMatchesReference(t *testing.T) {
 	for _, l := range scanLayouts() {
 		for _, density := range kernelDensities {
@@ -81,8 +82,8 @@ func TestCountSlicesMatchesReference(t *testing.T) {
 				want := make([]int, l.Slices())
 				wantTrue := refScan(l, mask, want)
 				ps0 := make([]int, len(want))
-				if got := countSlices(mask, l.Dims[0].W, ps0); got != wantTrue {
-					t.Errorf("%s rank %d: countSlices = %d, reference %d", name, p.Rank(), got, wantTrue)
+				if got := countSliceBits(bitsOf(mask), l.Dims[0].W, ps0); got != wantTrue {
+					t.Errorf("%s rank %d: countSliceBits = %d, reference %d", name, p.Rank(), got, wantTrue)
 				}
 				if !equalInts(ps0, want) {
 					t.Errorf("%s rank %d: PS_0 = %v, reference %v", name, p.Rank(), ps0, want)
@@ -106,24 +107,39 @@ func TestCountSlicesMatchesReference(t *testing.T) {
 	}
 }
 
+// bitsOf packs a mask into the bitset layout one element at a time,
+// element i at bit i%64 of word i/64.
+func bitsOf(m []bool) []uint64 {
+	sel := make([]uint64, (len(m)+63)/64)
+	for i, b := range m {
+		if b {
+			sel[i/64] |= 1 << (i % 64)
+		}
+	}
+	return sel
+}
+
 // BenchmarkKernelScan times the compact schemes' initial scan over one
-// rank's mask of 2^19 elements (a P=2 rank of a 2^20-element array),
-// branch-free kernel against the branchy reference, and reports ns per
-// mask element. Both variants zero PS_0 first, as Rank's allocation
-// does.
+// rank's mask of 2^19 elements (a P=2 rank of a 2^20-element array):
+// the bitset scan, with and without packing the mask into words first
+// (mask.Bits, which every call pays once), against the branchy
+// reference, in ns per mask element. Every variant zeroes PS_0 first,
+// as Rank's allocation does.
 func BenchmarkKernelScan(b *testing.B) {
 	const n = 1 << 19
 	for _, w0 := range []int{1, 64} {
 		l := dist.MustLayout(dist.Dim{N: 2 * n, P: 2, W: w0})
 		for _, density := range []float64{0.1, 0.5, 0.9} {
-			mask := randomBools(rand.New(rand.NewSource(1)), n, density)
+			m := randomBools(rand.New(rand.NewSource(1)), n, density)
+			sel := bitsOf(m)
 			ps0 := make([]int, l.Slices())
 			variants := []struct {
 				name string
 				scan func()
 			}{
-				{"branchy", func() { clear(ps0); refScan(l, mask, ps0) }},
-				{"branchfree", func() { clear(ps0); countSlices(mask, w0, ps0) }},
+				{"branchy", func() { clear(ps0); refScan(l, m, ps0) }},
+				{"bitset", func() { clear(ps0); countSliceBits(sel, w0, ps0) }},
+				{"bitset+pack", func() { clear(ps0); countSliceBits(mask.Bits(m), w0, ps0) }},
 			}
 			for _, v := range variants {
 				b.Run(fmt.Sprintf("w0=%d/d=%.1f/%s", w0, density, v.name), func(b *testing.B) {

@@ -259,3 +259,54 @@ func TestTenantPlanCacheSharing(t *testing.T) {
 		t.Fatalf("tenant other: %+v, want 4 misses 0 hits (no cross-tenant sharing)", so)
 	}
 }
+
+// TestTenantPlanCacheChecksHits sends two pack jobs of one tenant whose
+// masks differ on rank 0 in both local words but chain to the same
+// state under a fingerprint with a fixed, public starting point: the
+// splitmix64 chain from 0x243f6a8885a308d3, with b1 = a1 ^ mix(h^a0) ^
+// mix(h^b0). A cache that trusted such a key would answer the second
+// job with the first mask's selection; each response must match
+// seq.Pack.
+func TestTenantPlanCacheChecksHits(t *testing.T) {
+	mix := func(x uint64) uint64 {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		return x ^ (x >> 31)
+	}
+	const h = 0x243f6a8885a308d3
+	l := dist.MustLayout(dist.Dim{N: 256, P: 2, W: 64})
+	a := [2]uint64{0x0123456789abcdef, 0xfedcba9876543210}
+	b0 := a[0] ^ 0xff00ff00
+	b := [2]uint64{b0, a[1] ^ mix(h^a[0]) ^ mix(h^b0)}
+	bools := func(w [2]uint64) []bool {
+		m := make([]bool, 128)
+		for i := range m {
+			m[i] = w[i/64]>>(i%64)&1 == 1
+		}
+		return m
+	}
+	rank1 := bools([2]uint64{0x5555aaaa5555aaaa, 0x0f0f0f0f0f0f0f0f})
+	s := newTestServer(t, Config{Workers: 1})
+	for i, words := range [][2]uint64{a, b} {
+		job := fillJob(l, 5, pack.SchemeCMS)
+		job.Mask = dist.Gather(l, [][]bool{bools(words), rank1})
+		fut, err := s.Submit(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seq.Pack(job.Global, job.Mask)
+		if resp.Count != len(want) || len(resp.Vector) != len(want) {
+			t.Fatalf("job %d: %d packed elements, seq.Pack %d", i, len(resp.Vector), len(want))
+		}
+		for k := range want {
+			if resp.Vector[k] != want[k] {
+				t.Fatalf("job %d: packed[%d] = %d, seq.Pack %d", i, k, resp.Vector[k], want[k])
+			}
+		}
+	}
+}
