@@ -71,7 +71,7 @@ validate-perf:
 # collect/prefetch path. Each report row books its points in the
 # serial replay's order, which makes every figure the same at any
 # -parallel (DESIGN.md §10).
-PERFGATE_BASELINE ?= BENCH_pr20.json
+PERFGATE_BASELINE ?= BENCH_pr22.json
 PERFGATE_OUT      ?= /tmp/packbench-perfgate.json
 PERFGATE_DELTA    ?= /tmp/packdiff-delta.md
 perfgate:
@@ -122,7 +122,7 @@ fault-race:
 
 # reportcheck proves the scalable-observability layer end to end: the
 # packreport golden dashboard (byte-determinism included), the trace
-# sink suites (JSONL stream round-trip, aggregated rollup/Stats
+# sink suites (JSONL stream round-trip, retained-stream/Stats
 # reconciliation), the flight recorder's dump-on-abort paths
 # (structural deadlock and fault-budget exhaustion), and the CLIs on
 # real inputs: packreport over every committed baseline, packdiff over
@@ -131,12 +131,12 @@ fault-race:
 # Chrome export, and packtrace -open digesting that export.
 reportcheck:
 	$(GO) test ./internal/report/
-	$(GO) test ./internal/trace/ -run 'JSONL|Flight|Agg|Sink'
+	$(GO) test ./internal/trace/ -run 'JSONL|Flight|Retain|Sink'
 	$(GO) test ./internal/bench/ -run 'FlightDump'
 	$(GO) run ./cmd/packreport -o /tmp/packreport.html \
 		BENCH_pr1.json BENCH_pr2.json BENCH_pr3.json BENCH_pr4.json \
 		BENCH_pr5.json BENCH_pr6.json BENCH_pr8.json BENCH_pr10.json \
-		BENCH_pr16.json BENCH_pr17.json BENCH_pr20.json
+		BENCH_pr16.json BENCH_pr17.json BENCH_pr20.json BENCH_pr22.json
 	grep -q "Scheme crossover model" /tmp/packreport.html
 	grep -q "Serving traffic" /tmp/packreport.html
 	$(GO) run ./cmd/packdiff internal/bench/testdata/perfbench_parent.jsonl \

@@ -6,21 +6,19 @@
 //	packserve -requests 1000000 -seed 1        # the million-request schedule
 //	packserve -soak                            # additionally execute every request, byte-verified
 //	packserve -gate-p99 8000                   # exit 1 if p99 latency exceeds 8000 virtual µs
-//	packserve -backend real -requests 5000     # wall-clock paced run on the real backend
 //	packserve -chaos "7:drop=0.2" -soak        # chaos soak: jobs succeed byte-identically or fail structured
 //	packserve -json run.json -trace-out svc.json  # machine-readable report + Perfetto schedule
 //
-// On the sim backend the run is a discrete-event simulation of the
-// admission queue in virtual microseconds: every class's service time
-// is first measured as the warm plan-cached virtual makespan of the
-// real job through a real server (byte-verified against the
-// sequential reference), and the reported histogram is then a pure
+// The run is a discrete-event simulation of the admission queue in
+// virtual microseconds: every class's service time is first measured
+// as the warm plan-cached virtual makespan of the real job through a
+// real server (byte-verified against the sequential reference), and
+// the reported histogram is then a pure
 // function of the seed — identical across runs and machines, which is
 // what lets `make servgate` enforce a p99 threshold without noise.
 // With -soak every request additionally executes for real with its
-// own payload and is byte-compared against internal/seq. With
-// -backend real the same deterministic schedule is paced in wall
-// time and the latencies are host measurements (never gateable).
+// own payload and is byte-compared against internal/seq. Wall-clock
+// serving latency is measured by perfbench's serve workload, not here.
 package main
 
 import (
@@ -33,7 +31,6 @@ import (
 	"packunpack/internal/serve/loadgen"
 	"packunpack/internal/sim"
 	"packunpack/internal/trace"
-	"packunpack/internal/transport"
 )
 
 func main() {
@@ -45,20 +42,15 @@ func main() {
 		rate     = flag.Float64("rate", 0, "arrival rate per second (0: 70% of modelled pool capacity)")
 		workers  = flag.Int("workers", 8, "service worker-pool size")
 		queue    = flag.Int("queue", 256, "admission-queue capacity")
-		backend  = flag.String("backend", "sim", "backend: sim (virtual clock, deterministic) or real (wall clock, paced)")
-		soak     = flag.Bool("soak", false, "execute every request through the server, byte-verified (sim)")
+		soak     = flag.Bool("soak", false, "execute every request through the server, byte-verified")
 		mix      = flag.String("mix", "default", "workload mix: default (small/medium/large) or small (tiny layouts, budget for million-request execute soaks)")
-		chaos    = flag.String("chaos", "", "chaos mode fault spec, e.g. \"7:drop=0.2,stall=0.1\" (sim only)")
-		gateP99  = flag.Int64("gate-p99", 0, "fail (exit 1) if p99 latency exceeds this many virtual µs (sim only)")
+		chaos    = flag.String("chaos", "", "chaos mode fault spec, e.g. \"7:drop=0.2,stall=0.1\"")
+		gateP99  = flag.Int64("gate-p99", 0, "fail (exit 1) if p99 latency exceeds this many virtual µs")
 		jsonOut  = flag.String("json", "", "write the run report as JSON to this file")
 		traceOut = flag.String("trace-out", "", "write the service schedule as Chrome trace JSON (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
 
-	b, err := transport.ParseBackend(*backend)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := loadgen.Config{
 		Seed: *seed, Requests: *requests, RatePerSec: *rate,
 		Workers: *workers, Queue: *queue, Execute: *soak,
@@ -78,31 +70,17 @@ func main() {
 		cfg.Chaos = fc
 	}
 
-	var res *loadgen.Result
-	switch b {
-	case transport.BackendReal:
-		if *soak || *gateP99 > 0 || cfg.Chaos != nil {
-			log.Fatal("-soak, -gate-p99 and -chaos are sim-only (the real backend's latencies are wall measurements)")
-		}
-		cfg.Backend = transport.BackendReal
-		res, err = loadgen.RunWall(cfg)
-	default:
-		res, err = loadgen.Run(cfg)
-	}
+	res, err := loadgen.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	unit := "virtual µs"
-	if b == transport.BackendReal {
-		unit = "wall µs"
-	}
-	fmt.Printf("packserve: seed %d, %d requests at %.1f req/s over %d workers (queue %d, %s backend)\n",
-		res.Seed, res.Requests, res.RatePerSec, *workers, *queue, b)
+	fmt.Printf("packserve: seed %d, %d requests at %.1f req/s over %d workers (queue %d)\n",
+		res.Seed, res.Requests, res.RatePerSec, *workers, *queue)
 	fmt.Printf("  admitted %d, overloaded %d, duration %.3f s, throughput %.1f req/s\n",
 		res.Admitted, res.Overloaded, float64(res.DurationUS)/1e6, res.ThroughputRPS)
-	fmt.Printf("  latency (%s): p50 %d  p99 %d  p999 %d  (checksum %d)\n",
-		unit, res.P50US, res.P99US, res.P999US, res.SumUS)
+	fmt.Printf("  latency (virtual µs): p50 %d  p99 %d  p999 %d  (checksum %d)\n",
+		res.P50US, res.P99US, res.P999US, res.SumUS)
 	for _, c := range res.Classes {
 		fmt.Printf("  class %-14s weight %d  service %6d µs  arrivals %d\n",
 			c.Name, c.Weight, c.ServiceUS, c.Arrivals)

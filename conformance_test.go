@@ -294,10 +294,10 @@ func TestConformanceVirtualMetricsSimOnly(t *testing.T) {
 
 // TestRealLinkBytesReconcileWithSimStats pins the real backend's link
 // traffic, as its send events count it, to the emulator's accounting at
-// P=8: per sender, the bytes (8 per word) and messages an AggSink sums
-// over the real machine's links equal the emulator's Stats for the same
-// CMS round trip, and the two machines' link matrices agree cell by
-// cell, in total and per phase.
+// P=8: per sender, the bytes (8 per word) and messages that BuildMatrix
+// sums over the real machine's retained send events equal the
+// emulator's Stats for the same CMS round trip, and the two machines'
+// link matrices agree cell by cell, in total and per phase.
 func TestRealLinkBytesReconcileWithSimStats(t *testing.T) {
 	const n, p = 96, 8
 	layout := packunpack.MustLayout(packunpack.Dim{N: n, P: p, W: 4})
@@ -305,14 +305,14 @@ func TestRealLinkBytesReconcileWithSimStats(t *testing.T) {
 	opt := packunpack.Options{Scheme: packunpack.CMS}
 
 	run := func(b packunpack.Backend) ([]packunpack.Stats, *trace.CommMatrix) {
-		agg := trace.NewAggSink(p)
+		rs := trace.NewRetainSink(p)
 		m, err := packunpack.NewBackendMachine(b,
-			packunpack.Config{Procs: p, Params: packunpack.CM5Params(), Sink: agg})
+			packunpack.Config{Procs: p, Params: packunpack.CM5Params(), Sink: rs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		runPackUnpack(t, m, layout, locals, fields, maskLocals, opt)
-		return m.Stats(), agg.Matrix()
+		return m.Stats(), trace.BuildMatrix(trace.NewCapture(m, rs))
 	}
 	simStats, simLinks := run(packunpack.BackendSim)
 	_, realLinks := run(packunpack.BackendReal)

@@ -115,6 +115,48 @@ func TestPr17MatchesPr16Exact(t *testing.T) {
 	}
 }
 
+// TestWholeSweepBaselineMovesOnlyItsRows is the acceptance check of the
+// re-baseline in which Table I's crossover search and the §6.4 model
+// check read their whole ascending sweeps: against BENCH_pr20 every
+// experiment row but table1 and model is bit-identical; those two rows
+// and the total keep their table and row counts and only gain machine
+// runs; the service object is unchanged.
+func TestWholeSweepBaselineMovesOnlyItsRows(t *testing.T) {
+	old := loadCommitted(t, "BENCH_pr20.json")
+	cur := loadCommitted(t, "BENCH_pr22.json")
+	if cur.Schema != PerfSchema {
+		t.Fatalf("BENCH_pr22 schema %q, want %q", cur.Schema, PerfSchema)
+	}
+	rows := make(map[string]ExperimentPerf, len(old.Experiments))
+	for _, e := range old.Experiments {
+		rows[e.ID] = e
+	}
+	if len(cur.Experiments) != len(old.Experiments) {
+		t.Fatalf("%d rows, BENCH_pr20 has %d", len(cur.Experiments), len(old.Experiments))
+	}
+	grows := func(id string, was, is ExperimentPerf) {
+		if is.Tables != was.Tables || is.Rows != was.Rows || is.MachineRuns <= was.MachineRuns {
+			t.Errorf("%s: tables/rows/runs %d/%d/%d, BENCH_pr20 %d/%d/%d: want the same tables and rows and more runs",
+				id, is.Tables, is.Rows, is.MachineRuns, was.Tables, was.Rows, was.MachineRuns)
+		}
+	}
+	for _, e := range cur.Experiments {
+		was, ok := rows[e.ID]
+		switch {
+		case !ok:
+			t.Errorf("%s: no BENCH_pr20 row", e.ID)
+		case e.ID == "table1" || e.ID == "model":
+			grows(e.ID, was, e)
+		case !reflect.DeepEqual(e, was):
+			t.Errorf("%s: %+v, BENCH_pr20 %+v", e.ID, e, was)
+		}
+	}
+	grows("all", old.Total, cur.Total)
+	if !reflect.DeepEqual(cur.Service, old.Service) {
+		t.Errorf("service %+v, BENCH_pr20 %+v", cur.Service, old.Service)
+	}
+}
+
 // TestDiffPerturbedVirtualFails: a virtual_ms nudged by one ulp must
 // fail the exact rule on that row only.
 func TestDiffPerturbedVirtualFails(t *testing.T) {

@@ -290,22 +290,19 @@ func (s Suite) fig5() []*Table {
 
 // beta finds the smallest power-of-two block size at which challenger
 // local computation is no worse than incumbent local computation, or 0
-// if it never happens (the paper prints infinity). In collect mode the
-// crossover predicate cannot be evaluated, so the whole sweep is
-// enumerated for the prefetcher — a superset of what the real pass
-// will read, which keeps the replay byte-identical.
+// if it never happens (the paper prints infinity). It measures the
+// whole ascending sweep before taking the first winner, so the collect
+// pass reads exactly the points the replay reads.
 func (s Suite) beta(build func(w int) *dist.Layout, localW int, gen mask.Gen, challenger, incumbent pack.Scheme) int {
+	first := 0
 	for w := 1; w <= localW; w *= 2 {
 		inc := s.measure(Run{Layout: build(w), Gen: gen, Opt: pack.Options{Scheme: incumbent}, Mode: ModePack})
 		ch := s.measure(Run{Layout: build(w), Gen: gen, Opt: pack.Options{Scheme: challenger}, Mode: ModePack})
-		if s.collect != nil {
-			continue
-		}
-		if ch.LocalMS <= inc.LocalMS {
-			return w
+		if first == 0 && ch.LocalMS <= inc.LocalMS {
+			first = w
 		}
 	}
-	return 0
+	return first
 }
 
 // Table1 regenerates Table I: the beta_1 crossover block sizes (first
@@ -581,7 +578,6 @@ func (s Suite) Registry() map[string]func() []*Table {
 		"model":      s.Model,
 		"faults":     s.FaultSweep,
 		"planrepeat": s.PlanRepeat,
-		"scale1k":    s.Scale1K,
 	}
 }
 
@@ -590,7 +586,7 @@ func (s Suite) Registry() map[string]func() []*Table {
 // paper artifacts, and keeping them out preserves the bit-for-bit
 // stability of the canonical BENCH reports. They run by explicit id
 // (packbench -exp faults).
-var hiddenExperiments = map[string]bool{"faults": true, "scale1k": true}
+var hiddenExperiments = map[string]bool{"faults": true}
 
 // ExperimentIDs returns the canonical registry keys in sorted order.
 // Each report row books only the points its own replay reads first, so

@@ -99,25 +99,35 @@ func TestExecuteTraceMetrics(t *testing.T) {
 	}
 }
 
-// TestTraceDirDumpsParse runs the quick sweep with a TraceDir and
-// checks the engine dumped one parseable Chrome trace per machine run,
-// and that enabling tracing did not perturb the rendered tables.
+// TestTraceDirDumpsParse runs table1 and prs with a TraceDir on four
+// workers and checks that tracing left the tables unchanged, that the
+// engine dumped exactly one trace per booked machine run (the prefetch
+// executes no point the replay does not read), and that every file is
+// a parseable Chrome trace with events.
 func TestTraceDirDumpsParse(t *testing.T) {
-	dir := t.TempDir()
-
+	ids := []string{"table1", "prs"}
 	plain := NewSuite(true, 1)
 	plain.Workers = 1
-	want := renderSuite(plain)
-
-	s := NewSuite(true, 1)
-	s.Workers = 1
-	s.TraceDir = dir
-	tables, rows := instrumentAll(t, s)
-	var got strings.Builder
-	for _, id := range s.ExperimentIDs() {
-		RenderAll(&got, tables[id])
+	var want strings.Builder
+	for _, id := range ids {
+		RenderAll(&want, plain.Registry()[id]())
 	}
-	if got.String() != want {
+
+	dir := t.TempDir()
+	s := NewSuite(true, 1)
+	s.Workers = 4
+	s.TraceDir = dir
+	var got strings.Builder
+	var runs int64
+	for _, id := range ids {
+		tables, row, err := s.RunInstrumented(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RenderAll(&got, tables)
+		runs += row.MachineRuns
+	}
+	if got.String() != want.String() {
 		t.Fatal("tracing the sweep changed the rendered tables")
 	}
 
@@ -125,17 +135,10 @@ func TestTraceDirDumpsParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs int64
-	for _, row := range rows {
-		runs += row.MachineRuns
-	}
 	if int64(len(entries)) != runs {
 		t.Fatalf("dumped %d trace files for %d machine runs", len(entries), runs)
 	}
-	for i, e := range entries {
-		if i >= 5 { // parsing a sample is enough; all come from one writer
-			break
-		}
+	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)

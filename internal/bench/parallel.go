@@ -23,7 +23,10 @@ import (
 // discover its measurement grid (tables discarded), the grid is
 // executed concurrently into the shared cache, and then the generator
 // is replayed serially against the warm cache, producing exactly the
-// rows a fully serial run would. The perf report follows the replay
+// rows a fully serial run would. No generator's loop depends on a
+// measured value (Table I's crossover search measures its whole sweep
+// before taking the first winner), so the dry pass collects exactly
+// the points the replay reads. The perf report follows the replay
 // too: a point is booked into the row of the experiment whose replay
 // first reads it, never when a worker executes it, so the rows are as
 // independent of the worker count as the tables.
@@ -293,7 +296,7 @@ func (s Suite) parallelize(gen func(Suite) []*Table) []*Table {
 		dry.collect = &runCollector{seen: make(map[string]bool)}
 		s.withStage("collect", func(ctx context.Context) {
 			dry.labelCtx = ctx
-			gen(dry) // tables discarded; may over-collect (see beta)
+			gen(dry) // tables discarded
 		})
 		s.withStage("prefetch", func(ctx context.Context) {
 			ps := s

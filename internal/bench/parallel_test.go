@@ -22,12 +22,16 @@ func renderSuite(s Suite) string {
 // TestParallelOutputByteIdentical is the determinism invariant of the
 // sweep engine (DESIGN.md §7): the rendered tables of a parallel sweep
 // must be byte-identical to the serial run's. Host parallelism may only
-// change wall-clock time, never a virtual measurement.
+// change wall-clock time, never a virtual measurement. The parallel
+// side also carries the flight recorder on every PACK/UNPACK machine,
+// so the same comparison pins that an attached event sink changes no
+// virtual time anywhere in the sweep.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	serial := NewSuite(true, 1)
 	serial.Workers = 1
 	parallel := NewSuite(true, 1)
 	parallel.Workers = 4
+	parallel.FlightDir = t.TempDir()
 
 	want := renderSuite(serial)
 	got := renderSuite(parallel)
@@ -36,6 +40,31 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	if parallel.cache.len() == 0 {
 		t.Fatal("parallel suite measured no points")
+	}
+}
+
+// TestCollectReadsWhatReplayReads: for every registered experiment,
+// the points a fresh suite's collect pass records are, as a set, the
+// points a serial replay reads into its cache. The prefetch therefore
+// executes nothing the replay discards, and a -trace-dir holds one
+// file per booked run at any worker count.
+func TestCollectReadsWhatReplayReads(t *testing.T) {
+	for id := range NewSuite(true, 1).Registry() {
+		dry := NewSuite(true, 1)
+		dry.collect = &runCollector{seen: make(map[string]bool)}
+		dry.Registry()[id]()
+		serial := NewSuite(true, 1)
+		serial.Workers = 1
+		serial.Registry()[id]()
+		both := 0
+		for _, key := range dry.collect.keys {
+			if _, ok := serial.cache.get(key); ok {
+				both++
+			}
+		}
+		if collected, read := len(dry.collect.keys), serial.cache.len(); collected == 0 || both != collected || both != read {
+			t.Errorf("%s: the collect pass records %d points and the replay reads %d, %d of them in both", id, collected, read, both)
+		}
 	}
 }
 
@@ -153,8 +182,7 @@ func instrumentAll(t *testing.T, s Suite) (map[string][]*Table, map[string]Exper
 // TestPerExperimentPerfParallelInvariant: every report row — tables,
 // rows, machine runs, virtual_ms and each derived mean — is the same
 // whatever the worker count. Points are booked in replay order, so the
-// prefetch pool's completion order and the points it over-collects on
-// the data-dependent table1 and model grids move nothing.
+// prefetch pool's completion order moves nothing.
 func TestPerExperimentPerfParallelInvariant(t *testing.T) {
 	serial := NewSuite(true, 1)
 	serial.Workers = 1

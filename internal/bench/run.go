@@ -167,16 +167,9 @@ type Run struct {
 	// machine's Sink (packbench -flight-dir). Deliberately NOT part of
 	// the memoization key (runKey): the recorder observes the event
 	// feed and never perturbs virtual results. The sweep engine dumps its
-	// window when a machine aborts (parallel.go).
+	// window when a machine aborts (parallel.go). Trace and Flight share
+	// the machine's one Sink through a trace.Tee.
 	Flight *trace.FlightRecorder
-	// Sink attaches a streaming event sink to the measured machine
-	// (sim.Config.Sink) — e.g. trace.NewAggSink for the bounded-memory
-	// P >= 1024 observability sweep (scale1k.go). Like Flight, NOT
-	// part of the memoization key, and unlike Trace it
-	// retains no events: memory stays O(P) however long the run.
-	// Trace, Flight and Sink share the machine's one Sink through a
-	// trace.Tee.
-	Sink sim.EventSink
 	// failRank is a test seam: when set, it is consulted after the
 	// operation and its non-nil error is reported as that rank's
 	// failure (exercises the any-rank first-error capture).
@@ -236,7 +229,7 @@ func (r Run) exec() (Metrics, *trace.Capture, error) {
 	if params == (sim.Params{}) {
 		params = sim.CM5Params()
 	}
-	sinks := []sim.EventSink{r.Sink}
+	var sinks []sim.EventSink
 	var retain *trace.RetainSink
 	if r.Trace {
 		retain = trace.NewRetainSink(r.Layout.Procs())

@@ -1,10 +1,9 @@
 // Package metrics holds Histogram, a lock-free log-linear histogram
-// with exact quantile extraction. Two readers use it: loadgen's latency
+// with exact quantile extraction. Its reader is loadgen's latency
 // model, whose quantiles are the deterministic service figures the
-// perf gate compares, and trace.AggSink's per-phase message sizes. The
-// machines themselves have no metrics output; their one telemetry
-// source is the event stream (sim.EventSink), from which every figure
-// is derived (DESIGN.md §14).
+// perf gate compares. The machines themselves have no metrics output;
+// their one telemetry source is the event stream (sim.EventSink), from
+// which every figure is derived (DESIGN.md §14).
 package metrics
 
 import (

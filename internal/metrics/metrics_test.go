@@ -123,7 +123,8 @@ func TestObserveNegativeClampsToZero(t *testing.T) {
 }
 
 // TestEnabledHotPathAllocs pins that Observe does not allocate: it
-// runs once per send event in trace.AggSink, on every rank.
+// runs once per admitted request of loadgen's latency model, a million
+// times in a servgate run.
 func TestEnabledHotPathAllocs(t *testing.T) {
 	h := NewHistogram()
 	if n := testing.AllocsPerRun(100, func() {

@@ -36,10 +36,10 @@ func TestMetricsRaceHammer(t *testing.T) {
 	}
 }
 
-// TestMetricsMergeDeterminism pins the merge-determinism contract that
-// trace.AggSink relies on when real-backend ranks emit concurrently:
-// the same multiset of observations, recorded under any partitioning
-// across goroutines and any interleaving, gives identical readings.
+// TestMetricsMergeDeterminism pins the merge-determinism contract of
+// the lock-free histogram: the same multiset of observations, recorded
+// under any partitioning across goroutines and any interleaving, gives
+// identical readings.
 func TestMetricsMergeDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	values := make([]int64, 20000)

@@ -23,11 +23,6 @@
 //     byte-compared against its own sequential reference. That is the
 //     correctness-under-load soak; its wall-clock throughput is
 //     reported but never gated.
-//
-//   - RunWall paces the same deterministic schedule in wall time
-//     against a server on either backend (the real one in particular)
-//     and reports observed wall latencies. Only the measurements are
-//     wall-clock; the schedule and payloads stay seeded.
 package loadgen
 
 import (
@@ -135,9 +130,6 @@ type Config struct {
 	// mode: responses must then be byte-identical or structured
 	// FaultBudgetErrors (counted in Result.ExecFaulted).
 	Chaos *sim.FaultConfig
-	// Backend selects the execute-phase backend (default sim; RunWall
-	// defaults to real).
-	Backend transport.Backend
 	// Spans caps the retained per-request spans (default 256, for the
 	// Chrome trace export).
 	Spans int
@@ -555,7 +547,7 @@ func (res *Result) simulate(cfg Config, svcUS []uint64, rate float64) error {
 func (res *Result) execute(cfg Config) error {
 	srv, err := serve.New(serve.Config{
 		Workers: cfg.Workers, Queue: cfg.Queue,
-		Backend: cfg.Backend, Params: cfg.Params,
+		Backend: transport.BackendSim, Params: cfg.Params,
 		Chaos: cfg.Chaos,
 	})
 	if err != nil {
@@ -634,104 +626,4 @@ func (res *Result) execute(cfg Config) error {
 	res.ExecFaulted = int(faulted.Load())
 	res.ExecWallMS = float64(time.Since(start).Microseconds()) / 1e3
 	return nil
-}
-
-// RunWall paces the deterministic schedule in wall time against a
-// server (default: the real backend) and reports observed wall
-// latencies. The decision path — arrival times, class choices,
-// payloads — is still a pure function of the seed; only the
-// measurements (and the admission outcomes, which depend on real
-// timing) are wall-clock.
-func RunWall(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Backend == transport.BackendSim && cfg.Chaos == nil {
-		cfg.Backend = transport.BackendReal
-	}
-	svcUS, err := measureClasses(cfg) // byte-verifies the mix; rate derivation
-	if err != nil {
-		return nil, err
-	}
-	rate := cfg.RatePerSec
-	if rate <= 0 {
-		rate = deriveRate(cfg, svcUS)
-	}
-	srv, err := serve.New(serve.Config{
-		Workers: cfg.Workers, Queue: cfg.Queue,
-		Backend: cfg.Backend, Params: cfg.Params,
-		Chaos: cfg.Chaos,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
-	res := &Result{Seed: cfg.Seed, Requests: cfg.Requests, RatePerSec: rate}
-	for i, c := range cfg.Mix {
-		res.Classes = append(res.Classes, ClassStat{Name: c.Name, Weight: c.Weight, ServiceUS: svcUS[i]})
-	}
-	hist := metrics.NewHistogram()
-
-	sched := newSchedule(cfg.Seed, rate, cfg.Mix)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var sum uint64
-	var firstErr error
-	start := time.Now()
-	var due time.Duration
-	for i := 0; i < cfg.Requests; i++ {
-		gap, class := sched.next()
-		due += time.Duration(gap) * time.Microsecond
-		if wait := due - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		job, want, wantCount := jobFor(cfg.Mix, class, cfg.Seed, i)
-		fut, err := srv.Submit(job)
-		if err != nil {
-			if serve.IsOverloaded(err) {
-				res.Overloaded++
-				res.Classes[class].Arrivals++
-				continue
-			}
-			return nil, fmt.Errorf("loadgen: wall submit %d: %w", i, err)
-		}
-		res.Classes[class].Arrivals++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := fut.Wait()
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				if verr := verify(job, resp, want, wantCount); verr != nil && firstErr == nil {
-					firstErr = fmt.Errorf("request %d: %w", i, verr)
-					return
-				}
-				lat := uint64((resp.Queue + resp.Service).Microseconds())
-				hist.Observe(int64(lat))
-				sum += lat
-				res.Admitted++
-			case cfg.Chaos != nil && sim.IsFaultBudget(err):
-				res.ExecFaulted++
-			default:
-				if firstErr == nil {
-					firstErr = fmt.Errorf("request %d: %w", i, err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("loadgen: wall run failed: %w", firstErr)
-	}
-	res.DurationUS = uint64(time.Since(start).Microseconds())
-	if res.DurationUS > 0 {
-		res.ThroughputRPS = float64(res.Admitted) / float64(res.DurationUS) * 1e6
-	}
-	res.P50US = hist.Quantile(0.50)
-	res.P99US = hist.Quantile(0.99)
-	res.P999US = hist.Quantile(0.999)
-	res.SumUS = sum
-	res.Executed = res.Admitted
-	return res, nil
 }

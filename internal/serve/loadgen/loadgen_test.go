@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"packunpack/internal/transport"
 )
 
 // TestSameSeedSameRun pins loadgen determinism end to end: two runs
@@ -89,25 +87,5 @@ func TestExecuteSoak(t *testing.T) {
 	}
 	if res.Executed != n {
 		t.Fatalf("executed %d of %d", res.Executed, n)
-	}
-}
-
-// TestRunWallSmoke paces a short schedule against the real backend.
-func TestRunWallSmoke(t *testing.T) {
-	res, err := RunWall(Config{
-		Seed: 5, Requests: 40, Workers: 2, Queue: 8,
-		Backend: transport.BackendReal, RatePerSec: 2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Admitted+res.Overloaded != res.Requests {
-		t.Fatalf("admitted %d + overloaded %d != %d", res.Admitted, res.Overloaded, res.Requests)
-	}
-	if res.Admitted == 0 {
-		t.Fatal("no request admitted")
-	}
-	if res.P50US <= 0 {
-		t.Fatal("no wall latency observed")
 	}
 }

@@ -104,9 +104,8 @@ func TestFlightRecorderTooSmall(t *testing.T) {
 func TestSizedSinkTooSmall(t *testing.T) {
 	small := map[string]sim.EventSink{
 		"retain":     trace.NewRetainSink(3),
-		"agg":        trace.NewAggSink(3),
 		"tee/retain": trace.NewTee(trace.NewJSONLSink(io.Discard), trace.NewRetainSink(3)),
-		"tee/agg":    trace.NewTee(trace.NewAggSink(4), trace.NewAggSink(3)),
+		"tee/sized":  trace.NewTee(trace.NewRetainSink(4), trace.NewRetainSink(3)),
 	}
 	for name, sink := range small {
 		if _, err := sim.New(sim.Config{Procs: 4, Sink: sink}); err == nil {
@@ -115,7 +114,7 @@ func TestSizedSinkTooSmall(t *testing.T) {
 	}
 	fits := map[string]sim.EventSink{
 		"retain": trace.NewRetainSink(4),
-		"tee":    trace.NewTee(trace.NewRetainSink(5), trace.NewAggSink(4), trace.MustNewFlightRecorder(4, 8)),
+		"tee":    trace.NewTee(trace.NewRetainSink(5), trace.NewRetainSink(4), trace.MustNewFlightRecorder(4, 8)),
 		"jsonl":  trace.NewJSONLSink(io.Discard),
 		"plain":  &captureSink{},
 	}

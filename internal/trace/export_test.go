@@ -180,17 +180,7 @@ func TestMatrixTotals(t *testing.T) {
 		if phaseMsgs != wantMsgs || phaseWords != wantWords {
 			t.Fatalf("%s: per-phase sums %d msgs / %d words != total %d / %d", in.name, phaseMsgs, phaseWords, wantMsgs, wantWords)
 		}
-		// Row sums must match each sender's own counters.
-		for src, s := range c.Stats {
-			var row, rowWords int64
-			for dst := 0; dst < m.P; dst++ {
-				row += m.Total.Msgs[src*m.P+dst]
-				rowWords += m.Total.Words[src*m.P+dst]
-			}
-			if row != s.MsgsSent || rowWords != s.WordsSent {
-				t.Fatalf("%s: row %d sums %d msgs / %d words, stats say %d / %d", in.name, src, row, rowWords, s.MsgsSent, s.WordsSent)
-			}
-		}
+		checkRowsMatchStats(t, in.name, m, c.Stats)
 
 		var buf bytes.Buffer
 		WriteMatrix(&buf, m)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"packunpack/internal/sim"
@@ -89,14 +90,33 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAggSinkOnRealBackend: real-backend ranks emit concurrently, so
-// they also create the shared per-phase size histograms concurrently
-// (the case -race checks). The rollups still reconcile with Stats, and
-// each phase's histogram counts exactly that phase's sends.
-func TestAggSinkOnRealBackend(t *testing.T) {
+// checkRowsMatchStats asserts that each sender's row of the matrix
+// sums to its own Stats counters: no send event was lost or counted
+// twice between the emit path and the retained capture.
+func checkRowsMatchStats(t *testing.T, name string, m *CommMatrix, stats []sim.Stats) {
+	t.Helper()
+	for src, st := range stats {
+		var msgs, words int64
+		for dst := 0; dst < m.P; dst++ {
+			msgs += m.Total.Msgs[src*m.P+dst]
+			words += m.Total.Words[src*m.P+dst]
+		}
+		if msgs != st.MsgsSent || words != st.WordsSent {
+			t.Fatalf("%s: rank %d sent %d msgs / %d words by its events, stats say %d / %d",
+				name, src, msgs, words, st.MsgsSent, st.WordsSent)
+		}
+	}
+}
+
+// TestRetainedMatrixOnRealBackend: real-backend ranks emit concurrently
+// into one RetainSink (the case -race checks). The matrix built from
+// the capture still reconciles with every rank's Stats, exactly the
+// two phases that sent carry cells, and the rendering has a section
+// for each.
+func TestRetainedMatrixOnRealBackend(t *testing.T) {
 	const procs = 4
-	agg := NewAggSink(procs)
-	m, err := transport.New(transport.BackendReal, sim.Config{Procs: procs, Sink: agg})
+	rs := NewRetainSink(procs)
+	m, err := transport.New(transport.BackendReal, sim.Config{Procs: procs, Sink: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,73 +129,44 @@ func TestAggSinkOnRealBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.CheckStats(m.Stats()); err != nil {
-		t.Fatalf("CheckStats: %v", err)
+	c := NewCapture(m, rs)
+	mat := BuildMatrix(c)
+	checkRowsMatchStats(t, "real", mat, c.Stats)
+	if got := mat.PhaseNames(); !reflect.DeepEqual(got, []string{"exchange", "ring"}) {
+		t.Fatalf("phases carrying sends %v, want [exchange ring]", got)
 	}
-	phases := agg.Matrix().ByPhase
-	if len(phases) != 2 {
-		t.Fatalf("%d phases carried sends, want 2 (exchange, ring)", len(phases))
-	}
-	for phase, cells := range phases {
-		sends, _ := cells.Totals()
-		if n := agg.SizeCount(phase); n != sends {
-			t.Errorf("phase %q size histogram has %d observations, want its %d sends", phase, n, sends)
+	var buf bytes.Buffer
+	WriteMatrix(&buf, mat)
+	for _, want := range []string{"exchange:", "ring:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("rendered matrix lacks the %q section:\n%s", want, buf.String())
 		}
 	}
 }
 
-func TestAggSinkReconcilesWithRetainedCapture(t *testing.T) {
+// TestRetainedStreamReconcilesWithStats: on the emulator, the retained
+// events account for every rank's counters: sends and words per sender
+// equal Stats, charge batches sum to Comp, and send occupancy plus
+// receive waiting sum to Comm.
+func TestRetainedStreamReconcilesWithStats(t *testing.T) {
 	const procs = 4
-	agg := NewAggSink(procs)
-	c := sinkRun(t, procs, agg)
-
-	if err := agg.CheckStats(c.Stats); err != nil {
-		t.Fatalf("CheckStats: %v", err)
-	}
-
-	// The dense matrix materialized from the sparse cells must equal
-	// the one built from the fully retained capture.
-	want := BuildMatrix(c)
-	got := agg.Matrix()
-	if !reflect.DeepEqual(got.Total, want.Total) {
-		t.Fatalf("aggregated total matrix diverges from retained BuildMatrix")
-	}
-	if len(got.ByPhase) != len(want.ByPhase) {
-		t.Fatalf("phase sections: got %d, want %d", len(got.ByPhase), len(want.ByPhase))
-	}
-	for phase, cells := range want.ByPhase {
-		if !reflect.DeepEqual(got.ByPhase[phase], cells) {
-			t.Fatalf("phase %q matrix diverges", phase)
-		}
-	}
-
-	// Busy/Comm/Wait reconcile with the machine stats: charges sum to
-	// Comp, send occupancy plus receive waiting to Comm.
+	c := sinkRun(t, procs, nil)
+	checkRowsMatchStats(t, "sim", BuildMatrix(c), c.Stats)
 	for i, st := range c.Stats {
-		r := agg.Rollups()[i]
-		if math.Abs(r.Busy-st.Comp) > 1e-6 {
-			t.Fatalf("rank %d Busy %.9f != Comp %.9f", i, r.Busy, st.Comp)
+		var busy, comm float64
+		for _, e := range c.Events[i] {
+			switch e.Kind {
+			case sim.EvCharge:
+				busy += e.Dur
+			case sim.EvSend, sim.EvRecvWake:
+				comm += e.Dur
+			}
 		}
-		if math.Abs((r.Comm+r.Wait)-st.Comm) > 1e-6 {
-			t.Fatalf("rank %d Comm+Wait %.9f != stats Comm %.9f", i, r.Comm+r.Wait, st.Comm)
+		if math.Abs(busy-st.Comp) > 1e-6 {
+			t.Fatalf("rank %d charges sum to %.9f, Comp %.9f", i, busy, st.Comp)
 		}
-	}
-
-	// Size histogram: every send of the exchange phase was observed.
-	msgs, _ := agg.Totals()
-	if n := agg.SizeCount("exchange"); n != msgs {
-		t.Fatalf("exchange size histogram has %d observations, want %d", n, msgs)
-	}
-	if q := agg.SizeQuantile("exchange", 1); q < 1 || q > 5 {
-		t.Fatalf("exchange p100 message size %d, want within [1,5]", q)
-	}
-
-	// No event retention: the sink's variable memory is the sparse
-	// cells, bounded by (ranks × phases × destinations), not by events.
-	if cells := agg.Cells(); cells > procs*procs*2 {
-		t.Fatalf("aggregator allocated %d cells for a %d-rank machine", cells, procs)
-	}
-	if agg.EventsSeen() == 0 {
-		t.Fatal("aggregator saw no events")
+		if math.Abs(comm-st.Comm) > 1e-6 {
+			t.Fatalf("rank %d sends and waits sum to %.9f, stats Comm %.9f", i, comm, st.Comm)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,13 +12,12 @@ import (
 )
 
 // runTracedReal executes a small exchange pattern in phase "exchange"
-// on a real machine with a RetainSink (teed with any extra sinks),
-// returning its capture.
-func runTracedReal(t *testing.T, procs int, extra ...sim.EventSink) *Capture {
+// on a real machine with a RetainSink, returning its capture.
+func runTracedReal(t *testing.T, procs int) *Capture {
 	t.Helper()
 	rs := NewRetainSink(procs)
 	m, err := transport.NewReal(transport.RealConfig{
-		Procs: procs, Params: sim.CM5Params(), Sink: NewTee(append([]sim.EventSink{rs}, extra...)...),
+		Procs: procs, Params: sim.CM5Params(), Sink: rs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,47 +133,37 @@ func TestWriteChromeRealCapture(t *testing.T) {
 	}
 }
 
-// TestMatrixFromMetricsMatchesEventMatrix cross-checks the two
-// records of real-backend traffic: the P×P matrix an AggSink rolls up
-// from its per-link counters while the ranks emit concurrently must
-// equal the one BuildMatrix derives afterwards from the retained events
-// of the same stream, cell by cell, in total and per phase.
+// TestMatrixFromMetricsMatchesEventMatrix cross-checks the two records
+// of real-backend traffic: each rank's own send counters (Stats), kept
+// while the ranks run concurrently, and the P×P matrix BuildMatrix
+// derives afterwards from the retained events of the same run. Every
+// row sums to its sender's counters, and the matrix is the exchange
+// pattern (one 2-word message to each peer, none to itself) cell by
+// cell, in total and in its one phase.
 func TestMatrixFromMetricsMatchesEventMatrix(t *testing.T) {
-	agg := NewAggSink(4)
-	c := runTracedReal(t, 4, agg)
-	fromEvents := BuildMatrix(c)
-	fromMetrics := agg.Matrix()
-	if !matrixEqual(fromEvents.Total, fromMetrics.Total) {
-		t.Errorf("total matrices disagree:\nevents:  %+v\nmetrics: %+v", fromEvents.Total, fromMetrics.Total)
-	}
-	if len(fromMetrics.ByPhase) != len(fromEvents.ByPhase) {
-		t.Errorf("metrics carry %d phases, events %d", len(fromMetrics.ByPhase), len(fromEvents.ByPhase))
-	}
-	for _, phase := range fromEvents.PhaseNames() {
-		if !matrixEqual(fromEvents.ByPhase[phase], fromMetrics.ByPhase[phase]) {
-			t.Errorf("phase %q matrices disagree", phase)
-		}
-	}
-	var buf bytes.Buffer
-	WriteMatrix(&buf, fromEvents)
-	if !strings.Contains(buf.String(), "exchange") {
-		t.Errorf("rendered event matrix lacks the phase section:\n%s", buf.String())
-	}
-}
+	const procs = 4
+	c := runTracedReal(t, procs)
+	m := BuildMatrix(c)
+	checkRowsMatchStats(t, "real", m, c.Stats)
 
-func matrixEqual(a, b *MatrixCells) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Msgs) != len(b.Msgs) {
-		return false
-	}
-	for i := range a.Msgs {
-		if a.Msgs[i] != b.Msgs[i] || a.Words[i] != b.Words[i] {
-			return false
+	want := newCells(procs)
+	for src := 0; src < procs; src++ {
+		for dst := 0; dst < procs; dst++ {
+			if src != dst {
+				want.Msgs[src*procs+dst] = 1
+				want.Words[src*procs+dst] = 2
+			}
 		}
 	}
-	return true
+	if !reflect.DeepEqual(m.Total, want) {
+		t.Errorf("total matrix %+v, want %+v", m.Total, want)
+	}
+	if got := m.PhaseNames(); !reflect.DeepEqual(got, []string{"exchange"}) {
+		t.Fatalf("phases carrying sends %v, want [exchange]", got)
+	}
+	if !reflect.DeepEqual(m.ByPhase["exchange"], want) {
+		t.Errorf("exchange matrix %+v, want %+v", m.ByPhase["exchange"], want)
+	}
 }
 
 func TestGanttUnitLabel(t *testing.T) {

@@ -127,7 +127,7 @@ func TestRealSizedSinkTooSmall(t *testing.T) {
 	for name, sink := range map[string]sim.EventSink{
 		"retain": trace.NewRetainSink(2),
 		"flight": trace.MustNewFlightRecorder(2, 8),
-		"tee":    trace.NewTee(&collectSink{}, trace.NewAggSink(2)),
+		"tee":    trace.NewTee(&collectSink{}, trace.NewRetainSink(2)),
 	} {
 		if _, err := NewReal(RealConfig{Procs: 4, Sink: sink}); err == nil {
 			t.Errorf("%s: NewReal accepted a sink built for 2 ranks at P=4", name)

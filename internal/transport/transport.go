@@ -153,8 +153,8 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// ParseBackend maps the -backend flag values of packtrace and packserve
-// to a Backend.
+// ParseBackend maps the -backend flag values of packtrace to a
+// Backend.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "sim":

@@ -90,8 +90,8 @@ type ParallelMachine = transport.Machine
 // RealConfig describes a real shared-memory machine (BackendReal).
 type RealConfig = transport.RealConfig
 
-// ParseBackend maps the -backend flag values of packtrace and packserve
-// to a Backend.
+// ParseBackend maps the -backend flag values of packtrace to a
+// Backend.
 func ParseBackend(s string) (Backend, error) { return transport.ParseBackend(s) }
 
 // NewBackendMachine builds a machine of the requested backend from one
