@@ -90,15 +90,16 @@ planbench:
 	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -plan-gate
 
 # real-race runs the cross-backend conformance grid, the transport
-# layer's own suite and the message-pool ownership test under the race
-# detector: the real backend's SPSC queues are lock-free concurrent code
-# and its deadlock proof reads them across ranks, and concurrent
-# machines hand pooled message buffers from sender to receiver, so every
-# CI run must prove all three race-clean, not just correct.
+# layer's own suite, the message-pool ownership test and the
+# self-delivery tests under the race detector: the real backend's SPSC
+# queues are lock-free concurrent code and its deadlock proof reads them
+# across ranks, concurrent machines hand pooled message buffers from
+# sender to receiver, and a rank's own data bypasses those buffers, so
+# every CI run must prove them race-clean, not just correct.
 real-race:
 	$(GO) test -race -run 'CrossBackend|Conformance' .
 	$(GO) test -race ./internal/transport/
-	$(GO) test -race -run 'TestMessagePoolOwnership' ./internal/pack/
+	$(GO) test -race -run 'TestMessagePoolOwnership|TestSelfDeliveryCompact|TestSkipEmptyAllSelfExchange' ./internal/pack/
 
 # fuzz-short gives each native fuzz target a brief budget of fresh
 # coverage-guided inputs on top of the checked-in seed corpus. `go test
@@ -112,6 +113,7 @@ fuzz-short:
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzVectorDist$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzScatterRuns$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pack -run '^$$' -fuzz '^FuzzPackWordBoundary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mask -run '^$$' -fuzz '^FuzzBits$$' -fuzztime $(FUZZTIME)
 
 # fault-race runs the fault-injection, property-differential and
 # shared-plan-cache suites under the race detector. `make race` already

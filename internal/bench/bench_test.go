@@ -141,7 +141,7 @@ func TestQuickSuiteProducesAllArtifacts(t *testing.T) {
 			t.Fatalf("experiment %s missing from registry", id)
 		}
 	}
-	tables := s.All()
+	tables := sharedSerialSweep(t).all()
 	if len(tables) < 8 {
 		t.Fatalf("suite produced only %d tables", len(tables))
 	}
@@ -277,8 +277,7 @@ func TestScaleCommunicationDominates(t *testing.T) {
 // TestTablesWellFormed checks structural integrity of every quick-mode
 // artifact: consistent column counts and non-empty cells.
 func TestTablesWellFormed(t *testing.T) {
-	s := NewSuite(true, 1)
-	for _, tb := range s.All() {
+	for _, tb := range sharedSerialSweep(t).all() {
 		for ri, row := range tb.Rows {
 			if len(row) != len(tb.Columns) {
 				t.Errorf("[%s] %s: row %d has %d cells for %d columns", tb.ID, tb.Title, ri, len(row), len(tb.Columns))

@@ -100,17 +100,16 @@ func TestExecuteTraceMetrics(t *testing.T) {
 }
 
 // TestTraceDirDumpsParse runs table1 and prs with a TraceDir on four
-// workers and checks that tracing left the tables unchanged, that the
-// engine dumped exactly one trace per booked machine run (the prefetch
-// executes no point the replay does not read), and that every file is
-// a parseable Chrome trace with events.
+// workers and checks that tracing left the tables unchanged (against
+// their untraced alone runs), that the engine dumped exactly one trace
+// per booked machine run (the prefetch executes no point the replay
+// does not read), and that every file is a parseable Chrome trace with
+// events.
 func TestTraceDirDumpsParse(t *testing.T) {
 	ids := []string{"table1", "prs"}
-	plain := NewSuite(true, 1)
-	plain.Workers = 1
 	var want strings.Builder
 	for _, id := range ids {
-		RenderAll(&want, plain.Registry()[id]())
+		RenderAll(&want, aloneRuns()[id].tables)
 	}
 
 	dir := t.TempDir()

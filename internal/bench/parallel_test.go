@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"packunpack/internal/dist"
@@ -12,12 +13,77 @@ import (
 	"packunpack/internal/pack"
 )
 
-// renderSuite renders every experiment of a suite to one string.
-func renderSuite(s Suite) string {
+// render renders tables to one string.
+func render(tables []*Table) string {
 	var sb strings.Builder
-	RenderAll(&sb, s.All())
+	RenderAll(&sb, tables)
 	return sb.String()
 }
+
+// serialSweep is the quick sweep that the package's tests compare
+// other runs against: every canonical experiment through
+// RunInstrumented on one fresh Workers 1 suite, in ExperimentIDs
+// order, as packbench -exp all runs them. It is computed once per test
+// binary and read only.
+type serialSweep struct {
+	ids    []string
+	tables map[string][]*Table
+	rows   map[string]ExperimentPerf
+}
+
+// all returns the sweep's tables in ExperimentIDs order, as Suite.All
+// returns them.
+func (sw *serialSweep) all() []*Table {
+	var out []*Table
+	for _, id := range sw.ids {
+		out = append(out, sw.tables[id]...)
+	}
+	return out
+}
+
+var serialSweepOnce = sync.OnceValues(func() (*serialSweep, error) {
+	s := NewSuite(true, 1)
+	s.Workers = 1
+	sw := &serialSweep{ids: s.ExperimentIDs(), tables: make(map[string][]*Table), rows: make(map[string]ExperimentPerf)}
+	for _, id := range sw.ids {
+		tb, perf, err := s.RunInstrumented(id)
+		if err != nil {
+			return nil, err
+		}
+		sw.tables[id], sw.rows[id] = tb, perf
+	}
+	return sw, nil
+})
+
+// sharedSerialSweep returns the package's one serial quick sweep.
+func sharedSerialSweep(t *testing.T) *serialSweep {
+	t.Helper()
+	sw, err := serialSweepOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
+// aloneRun is one registered experiment run alone: its tables and the
+// fresh Workers 1 suite that generated them, whose cache holds exactly
+// the points its replay read.
+type aloneRun struct {
+	suite  Suite
+	tables []*Table
+}
+
+// aloneRuns runs every registered experiment, hidden ones included,
+// alone, once per test binary; the runs are read only.
+var aloneRuns = sync.OnceValue(func() map[string]aloneRun {
+	out := make(map[string]aloneRun)
+	for id := range NewSuite(true, 1).Registry() {
+		s := NewSuite(true, 1)
+		s.Workers = 1
+		out[id] = aloneRun{suite: s, tables: s.Registry()[id]()}
+	}
+	return out
+})
 
 // TestParallelOutputByteIdentical is the determinism invariant of the
 // sweep engine (DESIGN.md §7): the rendered tables of a parallel sweep
@@ -27,14 +93,12 @@ func renderSuite(s Suite) string {
 // so the same comparison pins that an attached event sink changes no
 // virtual time anywhere in the sweep.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	serial := NewSuite(true, 1)
-	serial.Workers = 1
 	parallel := NewSuite(true, 1)
 	parallel.Workers = 4
 	parallel.FlightDir = t.TempDir()
 
-	want := renderSuite(serial)
-	got := renderSuite(parallel)
+	want := render(sharedSerialSweep(t).all())
+	got := render(parallel.All())
 	if got != want {
 		t.Fatalf("parallel sweep output differs from serial run:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 	}
@@ -45,17 +109,15 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 
 // TestCollectReadsWhatReplayReads: for every registered experiment,
 // the points a fresh suite's collect pass records are, as a set, the
-// points a serial replay reads into its cache. The prefetch therefore
-// executes nothing the replay discards, and a -trace-dir holds one
-// file per booked run at any worker count.
+// points a serial replay reads into its cache (the experiment's alone
+// run). The prefetch therefore executes nothing the replay discards,
+// and a -trace-dir holds one file per booked run at any worker count.
 func TestCollectReadsWhatReplayReads(t *testing.T) {
-	for id := range NewSuite(true, 1).Registry() {
+	for id, alone := range aloneRuns() {
 		dry := NewSuite(true, 1)
 		dry.collect = &runCollector{seen: make(map[string]bool)}
 		dry.Registry()[id]()
-		serial := NewSuite(true, 1)
-		serial.Workers = 1
-		serial.Registry()[id]()
+		serial := alone.suite
 		both := 0
 		for _, key := range dry.collect.keys {
 			if _, ok := serial.cache.get(key); ok {
@@ -184,15 +246,13 @@ func instrumentAll(t *testing.T, s Suite) (map[string][]*Table, map[string]Exper
 // whatever the worker count. Points are booked in replay order, so the
 // prefetch pool's completion order moves nothing.
 func TestPerExperimentPerfParallelInvariant(t *testing.T) {
-	serial := NewSuite(true, 1)
-	serial.Workers = 1
+	serial := sharedSerialSweep(t)
 	parallel := NewSuite(true, 1)
 	parallel.Workers = 4
-	_, want := instrumentAll(t, serial)
 	_, got := instrumentAll(t, parallel)
-	for _, id := range serial.ExperimentIDs() {
-		if !reflect.DeepEqual(got[id], want[id]) {
-			t.Errorf("%s: Workers 4 row %+v, Workers 1 row %+v", id, got[id], want[id])
+	for _, id := range serial.ids {
+		if want := serial.rows[id]; !reflect.DeepEqual(got[id], want) {
+			t.Errorf("%s: Workers 4 row %+v, Workers 1 row %+v", id, got[id], want)
 		}
 	}
 }
@@ -203,16 +263,10 @@ func TestPerExperimentPerfParallelInvariant(t *testing.T) {
 // run key that named two different masks alike answered one
 // experiment's lookups with another's runs.
 func TestExperimentAloneMatchesSequence(t *testing.T) {
-	seq := NewSuite(true, 1)
-	seq.Workers = 1
-	inSeq, _ := instrumentAll(t, seq)
-	for _, id := range seq.ExperimentIDs() {
-		alone := NewSuite(true, 1)
-		alone.Workers = 1
-		var got, want strings.Builder
-		RenderAll(&got, alone.Registry()[id]())
-		RenderAll(&want, inSeq[id])
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+	seq := sharedSerialSweep(t)
+	alone := aloneRuns()
+	for _, id := range seq.ids {
+		gl, wl := strings.Split(render(alone[id].tables), "\n"), strings.Split(render(seq.tables[id]), "\n")
 		for i := range min(len(gl), len(wl)) {
 			if gl[i] != wl[i] {
 				t.Errorf("%s line %d: alone %q, inside the sequence %q", id, i+1, gl[i], wl[i])

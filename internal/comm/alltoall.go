@@ -4,7 +4,7 @@ import "sync"
 
 // A2AOptions tunes the many-to-many personalized communication.
 type A2AOptions struct {
-	// SkipEmpty omits zero-length messages. The default (false)
+	// SkipEmpty omits messages of zero words. The default (false)
 	// transmits every round's message even when empty, which models
 	// the cost of the count exchange / termination detection that a
 	// receiver-oblivious exchange otherwise needs; the paper's active
@@ -65,7 +65,9 @@ func AlltoallVOpt[T any](g Group, send [][]T, wordsPerElem int, opt A2AOptions) 
 // machine-word size of the message for member i (which may differ from
 // a per-element multiple, e.g. for the compact message scheme's
 // segment-encoded buffers). A message is considered empty, for
-// SkipEmpty purposes, when its buffer has no elements.
+// SkipEmpty purposes, when its word count is 0, whatever its buffer
+// holds: a message whose data the sender delivered to itself by other
+// means still travels, probes and is charged at its words.
 func AlltoallVW[T any](g Group, send [][]T, words []int, opt A2AOptions) [][]T {
 	n := len(g.ranks)
 	if len(send) != n || len(words) != n {
@@ -85,8 +87,8 @@ func AlltoallVW[T any](g Group, send [][]T, words []int, opt A2AOptions) [][]T {
 	if opt.Naive {
 		for i := 0; i < n; i++ {
 			if opt.SkipEmpty {
-				g.p.SendFree(g.ranks[i], tagA2AProbe, len(send[i]) > 0)
-				if len(send[i]) == 0 {
+				g.p.SendFree(g.ranks[i], tagA2AProbe, words[i] > 0)
+				if words[i] == 0 {
 					continue
 				}
 			}
@@ -109,8 +111,8 @@ func AlltoallVW[T any](g Group, send [][]T, words []int, opt A2AOptions) [][]T {
 		dst := (g.me + r) % n
 		src := (g.me - r + n) % n
 		if opt.SkipEmpty {
-			g.p.SendFree(g.ranks[dst], tagA2AProbe+r, len(send[dst]) > 0)
-			if len(send[dst]) > 0 {
+			g.p.SendFree(g.ranks[dst], tagA2AProbe+r, words[dst] > 0)
+			if words[dst] > 0 {
 				g.send(g.ranks[dst], tagA2A+r, send[dst], words[dst])
 			}
 			probe, _ := g.p.Recv(g.ranks[src], tagA2AProbe+r)

@@ -313,6 +313,35 @@ func TestAlltoallVWWordAccounting(t *testing.T) {
 	}
 }
 
+// TestAlltoallVWSkipEmptyTestsWords pins what SkipEmpty calls empty: a
+// message of zero words. Each of 3 members sends its successor an
+// empty, non-nil payload of 5 words and everyone else (itself
+// included) nil of 0 words. Under both schedules the 5-word message
+// must be sent, charged and delivered, and only the 0-word ones
+// skipped: one message and 5 words per member.
+func TestAlltoallVWSkipEmptyTestsWords(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		opt := A2AOptions{SkipEmpty: true, Naive: naive}
+		m := runGroups(t, 3, sim.Params{Tau: 10, Mu: 1}, func(g Group) {
+			me := g.Index()
+			send := make([][]int, 3)
+			words := make([]int, 3)
+			send[(me+1)%3], words[(me+1)%3] = []int{}, 5
+			recv := AlltoallVW(g, send, words, opt)
+			for src, buf := range recv {
+				if delivered := buf != nil; delivered != (src == (me+2)%3) {
+					panic(fmt.Sprintf("naive=%v: member %d got %#v from %d", naive, me, buf, src))
+				}
+			}
+		})
+		for _, s := range m.Stats() {
+			if s.MsgsSent != 1 || s.WordsSent != 5 {
+				t.Errorf("naive=%v: rank %d sent %d messages of %d words, want 1 of 5", naive, s.Rank, s.MsgsSent, s.WordsSent)
+			}
+		}
+	}
+}
+
 func TestAlltoallVSkipEmptySavesStartups(t *testing.T) {
 	params := sim.CM5Params()
 	sparse := func(opt A2AOptions) float64 {

@@ -211,40 +211,64 @@ func TestFillLocalIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// naiveBits is Bits' reference: a one-element-at-a-time packer.
+func naiveBits(m []bool) []uint64 {
+	sel := make([]uint64, (len(m)+63)/64)
+	for i, b := range m {
+		if b {
+			sel[i/64] |= 1 << (i % 64)
+		}
+	}
+	return sel
+}
+
 // TestBitsMatchesNaivePacking pins Bits to a one-element-at-a-time
 // packer: every pattern of eight elements at every byte of a word, and
-// random masks whose lengths end inside, at and past word boundaries.
+// random masks of every length from 0 to 200 (ending inside, at and
+// past word boundaries) that start at offsets 0 to 7 of their backing
+// array, so full words are read from unaligned addresses too (under
+// -race, checkptr checks each *[64]byte conversion).
 func TestBitsMatchesNaivePacking(t *testing.T) {
-	naive := func(m []bool) []uint64 {
-		sel := make([]uint64, (len(m)+63)/64)
-		for i, b := range m {
-			if b {
-				sel[i/64] |= 1 << (i % 64)
-			}
-		}
-		return sel
-	}
-	var masks [][]bool
 	for v := 0; v < 256; v++ {
 		for at := 0; at < 64; at += 8 {
 			m := make([]bool, 64)
 			for i := 0; i < 8; i++ {
 				m[at+i] = v>>i&1 == 1
 			}
-			masks = append(masks, m)
+			if got, want := Bits(m), naiveBits(m); !slices.Equal(got, want) {
+				t.Fatalf("Bits(%v) = %x, want %x", m, got, want)
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 63, 64, 65, 127, 128, 200} {
-		m := make([]bool, n)
-		for i := range m {
-			m[i] = rng.Intn(2) == 1
-		}
-		masks = append(masks, m)
+	backing := make([]bool, 7+200)
+	for i := range backing {
+		backing[i] = rng.Intn(2) == 1
 	}
-	for _, m := range masks {
-		if got, want := Bits(m), naive(m); !slices.Equal(got, want) {
+	for k := 0; k < 8; k++ {
+		for n := 0; n <= 200; n++ {
+			m := backing[k : k+n]
+			if got, want := Bits(m), naiveBits(m); !slices.Equal(got, want) {
+				t.Fatalf("Bits(m[%d:%d]) = %x, want %x", k, k+n, got, want)
+			}
+		}
+	}
+}
+
+// FuzzBits compares Bits with naiveBits on any mask (byte b becomes
+// the element b != 0) from any start offset of its backing array.
+func FuzzBits(f *testing.F) {
+	f.Add(make([]byte, 64), uint(0))
+	f.Add([]byte("\x01\x00\x01\x01\x00\x00\x00\x01\x01"), uint(3))
+	f.Add(make([]byte, 200), uint(5))
+	f.Fuzz(func(t *testing.T, data []byte, start uint) {
+		backing := make([]bool, len(data))
+		for i, b := range data {
+			backing[i] = b != 0
+		}
+		m := backing[start%uint(len(backing)+1):]
+		if got, want := Bits(m), naiveBits(m); !slices.Equal(got, want) {
 			t.Fatalf("Bits(%v) = %x, want %x", m, got, want)
 		}
-	}
+	})
 }

@@ -25,9 +25,11 @@ import (
 // the collector off, that rest is about 180 KiB: the ranking's slice
 // and prefix-sum arrays (about 100 KiB), the segment headers and
 // request lists, the mask bitsets and the machine's own bookkeeping.
-// Fresh message buffers, one per destination for PACK's data and one
-// per requester for UNPACK's replies, would add the packed elements
-// twice more (512 KiB). The figure is bytes allocated per round trip
+// Only peer-bound data travels in message buffers (a rank's own
+// segments and runs skip them), so fresh buffers, one per peer for
+// PACK's data and one per requesting peer for UNPACK's replies, would
+// add the peer-bound half of the packed elements twice more (about
+// 256 KiB). The figure is bytes allocated per round trip
 // over many round trips, so collections during the measurement, each
 // of which can empty the pool once, move it by tens of KiB at most.
 func TestRoundTripAllocatesOnlyResults(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // ranking stage (a collective) runs once up front; the compose
 // functions themselves are pure local work, so they can be measured
 // after the machine run on a quiet heap.
-func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist)) float64 {
+func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, a, v []int, rnk *ranking.Result, vec dist.VectorDist)) float64 {
 	t.Helper()
 	l := dist.MustLayout(dist.Dim{N: n, P: 4, W: 8})
 	machine := sim.MustNew(sim.Config{Procs: 4})
@@ -47,8 +47,9 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, 
 	// Charging against a finished machine's rank-0 proc is harmless:
 	// it only advances that proc's (no longer read) virtual clock.
 	cs := &coldScan{w0: l.Dims[0].W, sel: mask.Bits(m)}
+	v := make([]int, vec.LocalLen(0))
 	return testing.AllocsPerRun(20, func() {
-		compose(proc, cs, a, rnk, vec)
+		compose(proc, cs, a, v, rnk, vec)
 	})
 }
 
@@ -61,15 +62,15 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, 
 func TestComposeHotPathAllocations(t *testing.T) {
 	const maxAllocs = 10.0
 	for _, n := range []int{1024, 8192} {
-		css := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist) {
+		css := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a, _ []int, rnk *ranking.Result, vec dist.VectorDist) {
 			send := make([][]pair[int], 4)
 			composePairsCSS(p, cs, a, rnk, vec, send)
 		})
 		if css > maxAllocs {
 			t.Errorf("composePairsCSS(n=%d): %.0f allocs/run, want <= %.0f (send lists must be exact-sized)", n, css, maxAllocs)
 		}
-		cms := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a []int, rnk *ranking.Result, vec dist.VectorDist) {
-			composeSegments(p, rnk, vec, segmentCounts(rnk, vec), cs.sel, a, cs)
+		cms := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a, v []int, rnk *ranking.Result, vec dist.VectorDist) {
+			composeSegments(p, rnk, vec, segmentCounts(rnk, vec), cs.sel, a, v, cs)
 		})
 		if cms > maxAllocs {
 			t.Errorf("composeSegments(n=%d): %.0f allocs/run, want <= %.0f (segment/data buffers must be exact-sized)", n, cms, maxAllocs)
@@ -107,8 +108,9 @@ func TestPlanComposeAllocations(t *testing.T) {
 		for i := range a {
 			a[i] = i
 		}
+		v := make([]int, pl.vec.LocalLen(0))
 		got := testing.AllocsPerRun(20, func() {
-			composeSegments(proc, pl.rnk, pl.vec, pl.counts, pl.sel, a, nil)
+			composeSegments(proc, pl.rnk, pl.vec, pl.counts, pl.sel, a, v, nil)
 		})
 		if got > maxAllocs {
 			t.Errorf("planned composeSegments(n=%d): %.0f allocs/run, want <= %.0f (segment and data buffers must be exact-sized)", n, got, maxAllocs)

@@ -73,15 +73,19 @@ func refPlaceIntoSlice[T any](p transport.Endpoint, g sliceGeom, a []T, m []bool
 	return count
 }
 
-// chargeLog is an endpoint for the kernels, which only ever Charge: it
-// records the op count of every call, in order. Any other method would
-// hit the nil embedded interface and panic.
+// chargeLog is an endpoint for the kernels, which only ever Charge and
+// ask their rank: it records the op count of every call, in order, and
+// answers rank. Any other method would hit the nil embedded interface
+// and panic.
 type chargeLog struct {
 	transport.Endpoint
-	ops []int
+	rank int
+	ops  []int
 }
 
 func (c *chargeLog) Charge(n int) { c.ops = append(c.ops, n) }
+
+func (c *chargeLog) Rank() int { return c.rank }
 
 // nopCharge is the benchmarks' endpoint: Charge is a dynamic call, as
 // on a real machine, that does nothing.
@@ -213,11 +217,14 @@ func kernelVecs(t *testing.T, size int) []dist.VectorDist {
 
 // TestCollectSliceMatchesReference pins the cold compact-scheme PACK
 // compose, which walks the call's bitset, to the branchy slice scan:
-// composeSegments (CMS) must send every owner the segment headers and
-// data the reference cuts from refCollectSlice's output, and
-// composePairsCSS the same (datum, rank) pairs, with the same charges
-// in the same order, per slice and per segment. Every case runs under
-// both scan policies and with segments cut at VectorW 0 and 2.
+// composeSegments (CMS) must send every owner the segment headers the
+// reference cuts, with the data the reference cuts from
+// refCollectSlice's output, and composePairsCSS the same (datum, rank)
+// pairs, with the same charges in the same order, per slice and per
+// segment. The composing rank's own segments carry no data; their data
+// must be in its result portion at the segments' local offsets, so the
+// CMS compose runs once as each of the two owners. Every case runs
+// under both scan policies and with segments cut at VectorW 0 and 2.
 func TestCollectSliceMatchesReference(t *testing.T) {
 	for _, kc := range kernelCases() {
 		rnk := kc.rankingOf()
@@ -241,20 +248,32 @@ func TestCollectSliceMatchesReference(t *testing.T) {
 					wantData[sg.dst] = append(wantData[sg.dst], collected[sg.skip:sg.skip+sg.count]...)
 					want.Charge(2)
 				}
-				got := &chargeLog{}
-				send := composeSegments(got, rnk, vec, segmentCounts(rnk, vec), kc.sel, kc.a, cs)
-				for dst, msg := range send {
-					var hdr []reqSeg
-					var data []int
-					for _, b := range msg {
-						hdr, data = b.Segs, b.Data
+				for me := range 2 {
+					got := &chargeLog{rank: me}
+					v := make([]int, vec.LocalLen(me))
+					send := composeSegments(got, rnk, vec, segmentCounts(rnk, vec), kc.sel, kc.a, v, cs)
+					for dst, msg := range send {
+						var hdr []reqSeg
+						var data []int
+						for _, b := range msg {
+							hdr, data = b.Segs, b.Data
+						}
+						if dst == me {
+							if data != nil {
+								t.Fatalf("%s CMS as %d: the self message carries data %v", name, me, data)
+							}
+							for _, sg := range hdr {
+								_, lo := vec.Owner(sg.Base)
+								data = append(data, v[lo:lo+sg.Count]...)
+							}
+						}
+						if !slices.Equal(hdr, wantHdr[dst]) || !slices.Equal(data, wantData[dst]) {
+							t.Fatalf("%s CMS as %d to %d: segments %v data %v, reference %v %v", name, me, dst, hdr, data, wantHdr[dst], wantData[dst])
+						}
 					}
-					if !slices.Equal(hdr, wantHdr[dst]) || !slices.Equal(data, wantData[dst]) {
-						t.Fatalf("%s CMS to %d: segments %v data %v, reference %v %v", name, dst, hdr, data, wantHdr[dst], wantData[dst])
+					if !slices.Equal(got.ops, want.ops) {
+						t.Fatalf("%s CMS as %d: charged %v, reference %v", name, me, got.ops, want.ops)
 					}
-				}
-				if !slices.Equal(got.ops, want.ops) {
-					t.Fatalf("%s CMS: charged %v, reference %v", name, got.ops, want.ops)
 				}
 
 				// CSS pairs: [slices], then per non-empty slice its
@@ -272,7 +291,7 @@ func TestCollectSliceMatchesReference(t *testing.T) {
 						wantPairs[sg.dst] = append(wantPairs[sg.dst], pair[int]{Datum: collected[sg.skip+i], Rank: sg.base + i})
 					}
 				}
-				got = &chargeLog{}
+				got := &chargeLog{}
 				pairs := make([][]pair[int], 2)
 				composePairsCSS(got, cs, kc.a, rnk, vec, pairs)
 				for dst := range pairs {
@@ -291,12 +310,13 @@ func TestCollectSliceMatchesReference(t *testing.T) {
 // TestPlaceIntoSliceMatchesReference pins the cold CSS UNPACK, whose
 // requests and placement walk the call's bitset, to the branchy
 // placement: requestSegments must request the reference's segments
-// with the reference's charges, and placeReplies, given each owner's
-// reply, must leave the array refPlaceIntoSlice leaves, while the
-// per-segment rescan charges it books match the reference's, segment
-// for segment, in the order the replies are visited (by owner, then
-// local order). Segments are cut at VectorW 0 and 2, under both scan
-// policies.
+// with the reference's charges, and placeReplies, given each peer's
+// reply and its own vector portion, must leave the array
+// refPlaceIntoSlice leaves, while the per-segment rescan charges it
+// books match the reference's, segment for segment, in the order the
+// replies are visited (by owner, then local order). Placement runs once
+// as each of the two owners, whose own reply is empty. Segments are cut
+// at VectorW 0 and 2, under both scan policies.
 func TestPlaceIntoSliceMatchesReference(t *testing.T) {
 	for _, kc := range kernelCases() {
 		rnk := kc.rankingOf()
@@ -342,10 +362,18 @@ func TestPlaceIntoSliceMatchesReference(t *testing.T) {
 				if !slices.Equal(placeOps, want.ops) {
 					t.Fatalf("%s: placement charges %v, reference %v", name, placeOps, want.ops)
 				}
-				out := slices.Clone(kc.field)
-				placeReplies(out, kc.sel, rnk, vec, replies)
-				if !slices.Equal(out, ref) {
-					t.Fatalf("%s: placed %v, reference %v", name, out, ref)
+				for me := range 2 {
+					v := make([]int, vec.LocalLen(me))
+					for i := range v {
+						v[i] = 1_000_000 + vec.ToGlobal(me, i)
+					}
+					got := slices.Clone(replies)
+					got[me] = nil
+					out := slices.Clone(kc.field)
+					placeReplies(out, kc.sel, rnk, vec, me, v, got)
+					if !slices.Equal(out, ref) {
+						t.Fatalf("%s as %d: placed %v, reference %v", name, me, out, ref)
+					}
 				}
 			}
 		}

@@ -116,7 +116,9 @@ type pair[T any] struct {
 // segments' data back to back in one buffer. The ranks of a segment's
 // data are Base, Base+1, ..., so only the two header words travel per
 // segment. Data comes from the message pool (pool.go), and the
-// receiver returns it once decomposed.
+// receiver returns it once decomposed. The self message carries its
+// headers and no data: composeSegments collected that data straight
+// into V.
 type segBatch[T any] struct {
 	Segs []reqSeg
 	Data []T
@@ -125,21 +127,30 @@ type segBatch[T any] struct {
 // exchangeSegments runs the compact message scheme's many-to-many
 // exchange and decomposes the received segments into v, the local
 // result portion: each segment costs its two header words plus one op
-// per datum. Cold and planned PACK share it, so both send the same
-// messages.
-func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
-	words := make([]int, len(send))
-	for dst, msg := range send {
-		for _, b := range msg {
-			words[dst] += 2*len(b.Segs) + len(b.Data)
-		}
+// per datum. counts is the segmentCounts the messages were composed
+// from, and the word counts come from it, so the self message, which
+// carries no data, is sent and charged at its full size. Its segments
+// are charged but not copied: they are in v already. Cold and planned
+// PACK share it, so both send the same messages.
+func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], counts []int, vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
+	n := vec.P
+	words := make([]int, n)
+	for dst := range words {
+		words[dst] = 2*counts[dst] + counts[n+dst]
 	}
 	prev := p.SetPhase(PhaseM2M)
 	recv := comm.AlltoallVW(comm.World(p), send, words, a2a)
 	p.SetPhase(prev)
+	me := p.Rank()
 	cur := vec.Cursor()
-	for _, msg := range recv {
+	for src, msg := range recv {
 		for _, b := range msg {
+			if src == me {
+				for _, s := range b.Segs {
+					p.Charge(2 + s.Count) // header + data decomposition
+				}
+				continue
+			}
 			data := b.Data
 			for _, s := range b.Segs {
 				p.Charge(2 + s.Count) // header + data decomposition
@@ -237,7 +248,8 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 			}
 		}
 	case SchemeCMS:
-		exchangeSegments(p, composeSegments(p, rnk, vec, segmentCounts(rnk, vec), sel, a, cs), vec, res.V, opt.A2A)
+		counts := segmentCounts(rnk, vec)
+		exchangeSegments(p, composeSegments(p, rnk, vec, counts, sel, a, res.V, cs), counts, vec, res.V, opt.A2A)
 	default:
 		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
@@ -416,24 +428,30 @@ func composePairsCSS[T any](p transport.Endpoint, cs *coldScan, a []T, rnk *rank
 // slice are split at the result vector's block boundaries, and each
 // piece travels as (base rank, count, data...). The smaller the
 // vector's blocks, the more segments (Section 6.2). counts is
-// segmentCounts(rnk, vec). Each destination's data buffer comes from
-// the message pool at its exact final length, and the bitset walk fills
-// it once per stretch of consecutive segments bound for that
-// destination. Cold and planned PACK share it and send
+// segmentCounts(rnk, vec). Each peer's data buffer comes from the
+// message pool at its exact final length, and the bitset walk fills it
+// once per stretch of consecutive segments bound for that peer. A
+// segment bound for the calling rank itself is collected straight into
+// v, its local result portion, at the segment's local offset, and its
+// batch keeps only the headers. Cold and planned PACK share it and send
 // the same messages: a cold call (cs non-nil) charges the counter-array
 // check, each non-empty slice's second scan and datum writes, and two
 // header words per segment, in walk order; a planned call (cs nil)
 // charges the bulk-copy formula once, one PS_c read per slice, two
 // header words per segment and one op per datum.
-func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, a []T, cs *coldScan) [][]segBatch[T] {
+func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, a, v []T, cs *coldScan) [][]segBatch[T] {
 	n := vec.P
+	me := p.Rank()
 	hdrs := make([][]reqSeg, n)
 	carve(hdrs, counts[:n])
 	batches := make([]segBatch[T], n)
 	send := make([][]segBatch[T], n)
 	for dst := range batches {
 		if counts[dst] > 0 {
-			batches[dst] = segBatch[T]{Segs: hdrs[dst], Data: getBuf[T](counts[n+dst])[:0]}
+			batches[dst].Segs = hdrs[dst]
+			if dst != me {
+				batches[dst].Data = getBuf[T](counts[n+dst])[:0]
+			}
 			send[dst] = batches[dst : dst+1 : dst+1]
 		}
 	}
@@ -449,15 +467,21 @@ func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.
 		wi, word = collectBits(b.Data[k:], a, sel, wi, word)
 		run = 0
 	}
+	self := vec.Cursor()
 	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
 		if dst != runDst && run > 0 {
 			flush()
 		}
-		runDst = dst
-		run += cnt
 		b := &batches[dst]
 		b.Segs = append(b.Segs, reqSeg{Base: base, Count: cnt})
 		segs++
+		if dst == me {
+			_, lo, _ := self.Seek(base)
+			wi, word = collectBits(v[lo:lo+cnt], a, sel, wi, word)
+		} else {
+			runDst = dst
+			run += cnt
+		}
 		if cs != nil {
 			if c := rnk.PSc[slice]; base == rnk.PSf[slice] {
 				p.Charge(cs.scanLen(slice, c, c) + c) // element reads + datum writes

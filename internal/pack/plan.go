@@ -300,7 +300,7 @@ func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Resul
 		copy(res.V, pad)
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
-	exchangeSegments(p, composeSegments(p, pl.rnk, vec, pl.counts, pl.sel, a, nil), vec, res.V, pl.opt.A2A)
+	exchangeSegments(p, composeSegments(p, pl.rnk, vec, pl.counts, pl.sel, a, res.V, nil), pl.counts, vec, res.V, pl.opt.A2A)
 	return res, nil
 }
 

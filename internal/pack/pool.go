@@ -2,11 +2,15 @@ package pack
 
 // This file is the message-buffer pool. Two kinds of message carry one
 // buffer of elements each: a compact-scheme PACK message (its segments'
-// data, one buffer per destination) and an UNPACK reply (the served
-// vector runs, one buffer per requester). Each call used to allocate
+// data, one buffer per peer) and an UNPACK reply (the served vector
+// runs, one buffer per requesting peer). Each call used to allocate
 // those buffers fresh, and the allocator zeroed memory that the call
-// then overwrote in full. The pool keeps them across calls instead,
-// under one ownership rule:
+// then overwrote in full. The pool keeps them across calls instead.
+// Only peer-bound data is pooled: a rank's message to itself is still
+// sent and charged at its full word count, but with no data payload,
+// because the rank places its own data itself (PACK collects it
+// straight into V, UNPACK reads it straight from its vector portion).
+// The ownership rule:
 //
 //   - A buffer has one owner at a time. The sender takes it from the
 //     pool, writes every element of it and sends it; from then on it

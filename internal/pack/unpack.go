@@ -103,10 +103,22 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 
 	// ---- Place: field values where the mask is false, vector data
 	// where it is true. The field array is copied whole and the
-	// placement below overwrites every selected position. ----
+	// placement below overwrites every selected position. The
+	// requests a rank sent itself were answered with no data, so
+	// their elements are read straight from v. ----
 	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(l.LocalSize()) // the local field-array transfer pass
+	me := p.Rank()
 	for src, data := range gotData {
+		if src == me {
+			self := vec.Cursor()
+			for i, ri := range recIdx[src] {
+				_, lo, _ := self.Seek(reqs[src][i].Base)
+				res.A[rnk.Records[ri].Off] = v[lo]
+			}
+			p.Charge(2 * len(recIdx[src])) // read record, write datum
+			continue
+		}
 		for i, ri := range recIdx[src] {
 			res.A[rnk.Records[ri].Off] = data[i]
 		}
@@ -118,17 +130,18 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 
 // fetchRuns is UNPACK's two-phase redistribution: the requests travel
 // to the vector owners, the owners serve them, and the replies travel
-// back. gotData[src] is src's reply, the requested runs back to back in
-// request order; it is a pooled buffer, which the caller returns once
-// placed.
+// back. gotData[src] is a peer src's reply, the requested runs back to
+// back in request order; it is a pooled buffer, which the caller
+// returns once placed. The reply a rank sends itself has no data (the
+// caller reads its own runs from v), so gotData[p.Rank()] is nil.
 func fetchRuns[T any](p transport.Endpoint, vec dist.VectorDist, v []T, reqs [][]reqSeg, words []int, a2a comm.A2AOptions) [][]T {
 	world := comm.World(p)
 	prev := p.SetPhase(PhaseM2M)
 	gotReqs := comm.AlltoallVW(world, reqs, words, a2a)
 	p.SetPhase(prev)
-	replies := serveVecRequests(p, vec, v, gotReqs)
+	replies, replyWords := serveVecRequests(p, vec, v, gotReqs)
 	prev = p.SetPhase(PhaseM2M)
-	gotData := comm.AlltoallVOpt(world, replies, 1, a2a)
+	gotData := comm.AlltoallVW(world, replies, replyWords, a2a)
 	p.SetPhase(prev)
 	return gotData
 }
@@ -152,7 +165,7 @@ func unpackCompact[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.Ve
 	gotData := fetchRuns(p, vec, v, reqs, words, a2a)
 	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(len(field)) // the local field-array transfer pass
-	placeReplies(res.A, sel, rnk, vec, gotData)
+	placeReplies(res.A, sel, rnk, vec, p.Rank(), v, gotData)
 	if cs == nil {
 		p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
 		return res
@@ -201,10 +214,12 @@ func requestSegments(p transport.Endpoint, rnk *ranking.Result, vec dist.VectorD
 
 // placeReplies writes the replies to a's selected positions: one walk
 // over sel in local order, which places each stretch of consecutive
-// segments from one owner as one run of that owner's reply (ranks rise
-// with local offset, so a reply's runs come in local order). Each reply
-// goes back to the message pool once placed.
-func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.VectorDist, gotData [][]T) {
+// segments from one peer as one run of that peer's reply (ranks rise
+// with local offset, so a reply's runs come in local order). A segment
+// that rank me owns is placed straight from v, its local vector
+// portion, at the segment's local offset; me's own reply carries no
+// data. Each peer's reply goes back to the message pool once placed.
+func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.VectorDist, me int, v []T, gotData [][]T) {
 	off := make([]int, len(gotData))
 	wi, word := -1, uint64(0)
 	src, run := 0, 0
@@ -214,9 +229,15 @@ func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.Vect
 		off[src] += run
 		run = 0
 	}
-	forEachRankRun(rnk, vec, func(_, owner, _, cnt int) {
+	self := vec.Cursor()
+	forEachRankRun(rnk, vec, func(_, owner, base, cnt int) {
 		if owner != src && run > 0 {
 			flush()
+		}
+		if owner == me {
+			_, lo, _ := self.Seek(base)
+			wi, word = placeBits(a, sel, wi, word, v[lo:lo+cnt])
+			return
 		}
 		src = owner
 		run += cnt
@@ -224,24 +245,38 @@ func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.Vect
 	if run > 0 {
 		flush()
 	}
-	for _, data := range gotData {
-		putBuf(data)
+	for src, data := range gotData {
+		if src != me {
+			putBuf(data)
+		}
 	}
 }
 
 // serveVecRequests answers the owner side of UNPACK's two-phase
 // exchange: for every received request segment, the owner copies the
 // requested run out of its local vector portion into the requester's
-// reply, a pooled buffer of exactly the requested length. The planned
-// and unplanned paths share this helper, so a served request costs the
-// same (one header read plus one op per copied word) either way.
-func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, gotReqs [][]reqSeg) [][]T {
-	replies := make([][]T, len(gotReqs))
+// reply, a pooled buffer of exactly the requested length, and words[src]
+// is that length. The owner's own requests are charged alike, but their
+// reply stays empty: the owner places those runs from v itself, and the
+// reply still travels at its full word count. The planned and unplanned
+// paths share this helper, so a served request costs the same (one
+// header read plus one op per copied word) either way.
+func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, gotReqs [][]reqSeg) (replies [][]T, words []int) {
+	replies = make([][]T, len(gotReqs))
+	words = make([]int, len(gotReqs))
+	me := p.Rank()
 	cur := vec.Cursor()
 	for src, list := range gotReqs {
 		total := 0
 		for _, rq := range list {
 			total += rq.Count
+		}
+		words[src] = total
+		if src == me {
+			for _, rq := range list {
+				p.Charge(1 + rq.Count) // read request, copy data
+			}
+			continue
 		}
 		out := getBuf[T](total)
 		k := 0
@@ -252,5 +287,5 @@ func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, g
 		}
 		replies[src] = out
 	}
-	return replies
+	return replies, words
 }
