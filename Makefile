@@ -83,9 +83,10 @@ perfgate:
 # experiment's cost-model run must show a cache hit rate >= 0.99 after
 # warmup, and a measured row on the real backend at the repo
 # benchmark's pack-warm shape (N=2^20, P=2, W=64, CMS PACK then CSS
-# UNPACK, one mask per paper density, minimum of 7 alternating round
-# trips each) must show warm round trips summing to no more than cold
-# ones (packbench exits non-zero when either check fails).
+# UNPACK, one mask per paper density, minimum of 21 alternating round
+# trips each, enough for the minimum to hold steady on a noisy 2-CPU
+# host) must show warm round trips summing to no more than cold ones
+# (packbench exits non-zero when either check fails).
 planbench:
 	$(GO) run ./cmd/packbench -exp planrepeat -quick -seed 1 -plan-gate
 

@@ -125,7 +125,7 @@ type WarmColdPerf struct {
 
 // WarmColdTrips is how many round trips of each kind planbench's measured
 // row times per density.
-const WarmColdTrips = 7
+const WarmColdTrips = 21
 
 // Sums returns the cold and warm round-trip times summed over the
 // densities.

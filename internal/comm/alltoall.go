@@ -34,18 +34,6 @@ const tagA2AProbe = tagA2A + (1 << 18)
 // which the paper's implementation also routes through the network
 // rather than turning into a local copy.
 func AlltoallV[T any](g Group, send [][]T, wordsPerElem int) [][]T {
-	return AlltoallVOpt(g, send, wordsPerElem, A2AOptions{})
-}
-
-// wordsPool recycles the per-call word-count scratch of AlltoallVOpt.
-// AlltoallVW only reads the counts while sending, so the slice can be
-// returned to the pool as soon as it comes back; sync.Pool hands an
-// object to at most one goroutine at a time, so concurrently running
-// machines never share a scratch slice.
-var wordsPool = sync.Pool{New: func() any { return new([]int) }}
-
-// AlltoallVOpt is AlltoallV with explicit options.
-func AlltoallVOpt[T any](g Group, send [][]T, wordsPerElem int, opt A2AOptions) [][]T {
 	wp := wordsPool.Get().(*[]int)
 	words := *wp
 	if cap(words) < len(send) {
@@ -55,11 +43,18 @@ func AlltoallVOpt[T any](g Group, send [][]T, wordsPerElem int, opt A2AOptions) 
 	for i, buf := range send {
 		words[i] = len(buf) * wordsPerElem
 	}
-	recv := AlltoallVW(g, send, words, opt)
+	recv := AlltoallVW(g, send, words, A2AOptions{})
 	*wp = words
 	wordsPool.Put(wp)
 	return recv
 }
+
+// wordsPool recycles the per-call word-count scratch of AlltoallV.
+// AlltoallVW only reads the counts while sending, so the slice can be
+// returned to the pool as soon as it comes back; sync.Pool hands an
+// object to at most one goroutine at a time, so concurrently running
+// machines never share a scratch slice.
+var wordsPool = sync.Pool{New: func() any { return new([]int) }}
 
 // AlltoallVW is the general form of AlltoallV: words[i] gives the
 // machine-word size of the message for member i (which may differ from

@@ -20,6 +20,15 @@ func runGroups(t *testing.T, n int, params sim.Params, body func(g Group)) *sim.
 	return m
 }
 
+// elemWords is AlltoallVW's word counts for one word per element.
+func elemWords(send [][]int) []int {
+	words := make([]int, len(send))
+	for i, buf := range send {
+		words[i] = len(buf)
+	}
+	return words
+}
+
 func TestNewGroupValidation(t *testing.T) {
 	m := sim.MustNew(sim.Config{Procs: 4})
 	err := m.Run(func(p *sim.Proc) {
@@ -276,7 +285,7 @@ func TestAlltoallVAllVariants(t *testing.T) {
 					}
 					send[dst] = buf
 				}
-				recv := AlltoallVOpt(g, send, 1, opt)
+				recv := AlltoallVW(g, send, elemWords(send), opt)
 				for src := 0; src < n; src++ {
 					k := (src + g.Index()) % 3
 					if len(recv[src]) != k {
@@ -350,7 +359,7 @@ func TestAlltoallVSkipEmptySavesStartups(t *testing.T) {
 			if g.Index() == 0 {
 				send[1] = []int{9}
 			}
-			AlltoallVOpt(g, send, 1, opt)
+			AlltoallVW(g, send, elemWords(send), opt)
 		})
 		return m.MaxClock()
 	}

@@ -45,7 +45,7 @@ func collectiveWorkload(results [][]int) func(g Group) {
 				}
 				send[i] = buf
 			}
-			recv := AlltoallVOpt(g, send, 1, opt)
+			recv := AlltoallVW(g, send, elemWords(send), opt)
 			for i := range recv {
 				out = append(out, len(recv[i]))
 				out = append(out, recv[i]...)

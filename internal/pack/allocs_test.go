@@ -9,12 +9,12 @@ import (
 	"packunpack/internal/sim"
 )
 
-// composeAllocs measures the heap allocations of one compose call for
-// rank 0 of a P=4 cyclic layout with an n-element global array. The
-// ranking stage (a collective) runs once up front; the compose
-// functions themselves are pure local work, so they can be measured
-// after the machine run on a quiet heap.
-func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, a, v []int, rnk *ranking.Result, vec dist.VectorDist)) float64 {
+// composeAllocs measures the heap allocations of one cold
+// composeSegments call under scheme's charge policy, for rank 0 of a
+// P=4 cyclic layout with an n-element global array. The ranking stage
+// (a collective) runs once up front; compose itself is pure local work,
+// so it can be measured after the machine run on a quiet heap.
+func composeAllocs(t *testing.T, n int, scheme Scheme) float64 {
 	t.Helper()
 	l := dist.MustLayout(dist.Dim{N: n, P: 4, W: 8})
 	machine := sim.MustNew(sim.Config{Procs: 4})
@@ -44,36 +44,30 @@ func composeAllocs(t *testing.T, n int, compose func(p *sim.Proc, cs *coldScan, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel := mask.Bits(m)
+	cs := newColdScan(l, sel, Options{Scheme: scheme})
+	counts := segmentCounts(rnk, vec)
+	v := make([]int, vec.LocalLen(0))
 	// Charging against a finished machine's rank-0 proc is harmless:
 	// it only advances that proc's (no longer read) virtual clock.
-	cs := &coldScan{w0: l.Dims[0].W, sel: mask.Bits(m)}
-	v := make([]int, vec.LocalLen(0))
 	return testing.AllocsPerRun(20, func() {
-		compose(proc, cs, a, v, rnk, vec)
+		composeSegments(proc, rnk, vec, counts, sel, a, v, cs)
 	})
 }
 
 // TestComposeHotPathAllocations is the allocation-regression guard for
-// the exact-sized send lists: the compose functions must allocate a
-// small constant number of buffers (the counts, the header and pair
-// arenas, one data buffer per destination) regardless of how many
-// elements are selected. Per-element append growth would scale these
-// numbers with n.
+// the exact-sized send lists: a cold compose must allocate a small
+// constant number of buffers (the header arena, the batches, one data
+// buffer per destination) regardless of how many elements are
+// selected, under every scheme's charge policy. Per-element append
+// growth would scale these numbers with n.
 func TestComposeHotPathAllocations(t *testing.T) {
 	const maxAllocs = 10.0
 	for _, n := range []int{1024, 8192} {
-		css := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a, _ []int, rnk *ranking.Result, vec dist.VectorDist) {
-			send := make([][]pair[int], 4)
-			composePairsCSS(p, cs, a, rnk, vec, send)
-		})
-		if css > maxAllocs {
-			t.Errorf("composePairsCSS(n=%d): %.0f allocs/run, want <= %.0f (send lists must be exact-sized)", n, css, maxAllocs)
-		}
-		cms := composeAllocs(t, n, func(p *sim.Proc, cs *coldScan, a, v []int, rnk *ranking.Result, vec dist.VectorDist) {
-			composeSegments(p, rnk, vec, segmentCounts(rnk, vec), cs.sel, a, v, cs)
-		})
-		if cms > maxAllocs {
-			t.Errorf("composeSegments(n=%d): %.0f allocs/run, want <= %.0f (segment/data buffers must be exact-sized)", n, cms, maxAllocs)
+		for _, scheme := range []Scheme{SchemeSSS, SchemeCSS, SchemeCMS} {
+			if got := composeAllocs(t, n, scheme); got > maxAllocs {
+				t.Errorf("composeSegments(n=%d) under %v: %.0f allocs/run, want <= %.0f (segment/data buffers must be exact-sized)", n, scheme, got, maxAllocs)
+			}
 		}
 	}
 }

@@ -20,15 +20,7 @@ func Count(p transport.Endpoint, l *dist.Layout, m []bool) (int, error) {
 	if p.NProcs() != l.Procs() {
 		return 0, fmt.Errorf("pack: machine has %d processors but layout needs %d", p.NProcs(), l.Procs())
 	}
-	n := 0
-	for _, sel := range m {
-		if sel {
-			n++
-		}
-	}
-	p.Charge(len(m))
-	_, total := comm.World(p).PrefixReductionSum([]int{n}, comm.PRSDirect)
-	return total[0], nil
+	return countSelected(p, m), nil
 }
 
 // CountGeneral is Count for ragged layouts (arbitrary extents).
@@ -39,6 +31,12 @@ func CountGeneral(p transport.Endpoint, gl *dist.GeneralLayout, m []bool) (int, 
 	if p.NProcs() != gl.Procs() {
 		return 0, fmt.Errorf("pack: machine has %d processors but layout needs %d", p.NProcs(), gl.Procs())
 	}
+	return countSelected(p, m), nil
+}
+
+// countSelected is COUNT after its input checks: the local mask scan
+// and the single-word reduction-sum.
+func countSelected(p transport.Endpoint, m []bool) int {
 	n := 0
 	for _, sel := range m {
 		if sel {
@@ -47,5 +45,5 @@ func CountGeneral(p transport.Endpoint, gl *dist.GeneralLayout, m []bool) (int, 
 	}
 	p.Charge(len(m))
 	_, total := comm.World(p).PrefixReductionSum([]int{n}, comm.PRSDirect)
-	return total[0], nil
+	return total[0]
 }

@@ -215,102 +215,87 @@ func kernelVecs(t *testing.T, size int) []dist.VectorDist {
 	return out
 }
 
-// TestCollectSliceMatchesReference pins the cold compact-scheme PACK
-// compose, which walks the call's bitset, to the branchy slice scan:
-// composeSegments (CMS) must send every owner the segment headers the
-// reference cuts, with the data the reference cuts from
-// refCollectSlice's output, and composePairsCSS the same (datum, rank)
-// pairs, with the same charges in the same order, per slice and per
-// segment. The composing rank's own segments carry no data; their data
-// must be in its result portion at the segments' local offsets, so the
-// CMS compose runs once as each of the two owners. Every case runs
-// under both scan policies and with segments cut at VectorW 0 and 2.
+// TestCollectSliceMatchesReference pins the cold PACK compose, which
+// walks the call's bitset, to the branchy slice scan: under every
+// scheme's charge policy, composeSegments must send every owner the
+// segment headers the reference cuts, with the data the reference cuts
+// from refCollectSlice's output, and book the reference's charges in
+// the reference's order: CMS per slice and per segment, CSS per slice
+// (its scan with the datum writes, then its rank writes), SSS one datum
+// and rank write per record at the end. The composing rank's own
+// segments carry no data; their data must be in its result portion at
+// the segments' local offsets, so compose runs once as each of the two
+// owners. Every case runs under both scan policies and with segments
+// cut at VectorW 0 and 2.
 func TestCollectSliceMatchesReference(t *testing.T) {
 	for _, kc := range kernelCases() {
 		rnk := kc.rankingOf()
 		for vi, vec := range kernelVecs(t, rnk.Size) {
 			segs := kc.refSegments(vec)
 			for _, whole := range []bool{false, true} {
-				name := fmt.Sprintf("%s vector %d whole=%v", kc.name, vi, whole)
-				cs := &coldScan{w0: kc.g.w0, sel: kc.sel, whole: whole}
-
-				// CMS: [slices], then per segment the slice's scan
-				// (at its first segment) and two header words.
-				want := &chargeLog{}
-				want.Charge(kc.g.slices)
+				// The messages, and each scheme's reference charges.
 				wantHdr, wantData := make([][]reqSeg, 2), make([][]int, 2)
+				cms, css, sss := &chargeLog{}, &chargeLog{}, &chargeLog{}
+				cms.Charge(kc.g.slices)
+				css.Charge(kc.g.slices)
 				var collected []int
 				for _, sg := range segs {
 					if sg.skip == 0 {
-						collected = refCollectSlice(want, kc.g, kc.a, kc.m, sg.slice, kc.counts[sg.slice], whole, nil)
+						n := kc.counts[sg.slice]
+						collected = refCollectSlice(cms, kc.g, kc.a, kc.m, sg.slice, n, whole, nil)
+						refCollectSlice(css, kc.g, kc.a, kc.m, sg.slice, n, whole, nil)
+						css.Charge(n)
 					}
 					wantHdr[sg.dst] = append(wantHdr[sg.dst], reqSeg{Base: sg.base, Count: sg.count})
 					wantData[sg.dst] = append(wantData[sg.dst], collected[sg.skip:sg.skip+sg.count]...)
-					want.Charge(2)
+					cms.Charge(2)
 				}
-				for me := range 2 {
-					got := &chargeLog{rank: me}
-					v := make([]int, vec.LocalLen(me))
-					send := composeSegments(got, rnk, vec, segmentCounts(rnk, vec), kc.sel, kc.a, v, cs)
-					for dst, msg := range send {
-						var hdr []reqSeg
-						var data []int
-						for _, b := range msg {
-							hdr, data = b.Segs, b.Data
-						}
-						if dst == me {
-							if data != nil {
-								t.Fatalf("%s CMS as %d: the self message carries data %v", name, me, data)
+				sss.Charge(2 * rnk.LocalTrue)
+				for _, policy := range []struct {
+					scheme Scheme
+					want   *chargeLog
+				}{{SchemeSSS, sss}, {SchemeCSS, css}, {SchemeCMS, cms}} {
+					want := policy.want
+					name := fmt.Sprintf("%s vector %d whole=%v %v", kc.name, vi, whole, policy.scheme)
+					cs := &coldScan{scheme: policy.scheme, w0: kc.g.w0, sel: kc.sel, whole: whole}
+					for me := range 2 {
+						got := &chargeLog{rank: me}
+						v := make([]int, vec.LocalLen(me))
+						send := composeSegments(got, rnk, vec, segmentCounts(rnk, vec), kc.sel, kc.a, v, cs)
+						for dst, msg := range send {
+							var hdr []reqSeg
+							var data []int
+							for _, b := range msg {
+								hdr, data = b.Segs, b.Data
 							}
-							for _, sg := range hdr {
-								_, lo := vec.Owner(sg.Base)
-								data = append(data, v[lo:lo+sg.Count]...)
+							if dst == me {
+								if data != nil {
+									t.Fatalf("%s as %d: the self message carries data %v", name, me, data)
+								}
+								for _, sg := range hdr {
+									_, lo := vec.Owner(sg.Base)
+									data = append(data, v[lo:lo+sg.Count]...)
+								}
+							}
+							if !slices.Equal(hdr, wantHdr[dst]) || !slices.Equal(data, wantData[dst]) {
+								t.Fatalf("%s as %d to %d: segments %v data %v, reference %v %v", name, me, dst, hdr, data, wantHdr[dst], wantData[dst])
 							}
 						}
-						if !slices.Equal(hdr, wantHdr[dst]) || !slices.Equal(data, wantData[dst]) {
-							t.Fatalf("%s CMS as %d to %d: segments %v data %v, reference %v %v", name, me, dst, hdr, data, wantHdr[dst], wantData[dst])
+						if !slices.Equal(got.ops, want.ops) {
+							t.Fatalf("%s as %d: charged %v, reference %v", name, me, got.ops, want.ops)
 						}
 					}
-					if !slices.Equal(got.ops, want.ops) {
-						t.Fatalf("%s CMS as %d: charged %v, reference %v", name, me, got.ops, want.ops)
-					}
-				}
-
-				// CSS pairs: [slices], then per non-empty slice its
-				// scan with datum writes, and its rank writes.
-				want = &chargeLog{}
-				want.Charge(kc.g.slices)
-				wantPairs := make([][]pair[int], 2)
-				for _, sg := range segs {
-					if sg.skip == 0 {
-						n := kc.counts[sg.slice]
-						collected = refCollectSlice(want, kc.g, kc.a, kc.m, sg.slice, n, whole, nil)
-						want.Charge(n)
-					}
-					for i := range sg.count {
-						wantPairs[sg.dst] = append(wantPairs[sg.dst], pair[int]{Datum: collected[sg.skip+i], Rank: sg.base + i})
-					}
-				}
-				got := &chargeLog{}
-				pairs := make([][]pair[int], 2)
-				composePairsCSS(got, cs, kc.a, rnk, vec, pairs)
-				for dst := range pairs {
-					if !slices.Equal(pairs[dst], wantPairs[dst]) {
-						t.Fatalf("%s CSS to %d: pairs %v, reference %v", name, dst, pairs[dst], wantPairs[dst])
-					}
-				}
-				if !slices.Equal(got.ops, want.ops) {
-					t.Fatalf("%s CSS: charged %v, reference %v", name, got.ops, want.ops)
 				}
 			}
 		}
 	}
 }
 
-// TestPlaceIntoSliceMatchesReference pins the cold CSS UNPACK, whose
+// TestPlaceIntoSliceMatchesReference pins the cold UNPACK, whose
 // requests and placement walk the call's bitset, to the branchy
-// placement: requestSegments must request the reference's segments
-// with the reference's charges, and placeReplies, given each peer's
+// placement: requestSegments must request the reference's segments,
+// with the reference's charges under CSS and one rank resolve and
+// request write per element under SSS, and placeReplies, given each peer's
 // reply and its own vector portion, must leave the array
 // refPlaceIntoSlice leaves, while the per-segment rescan charges it
 // books match the reference's, segment for segment, in the order the
@@ -343,8 +328,13 @@ func TestPlaceIntoSliceMatchesReference(t *testing.T) {
 					}
 				}
 
+				sss := &chargeLog{}
+				sssReqs, sssOps := requestSegments(sss, rnk, vec, segmentCounts(rnk, vec), &coldScan{scheme: SchemeSSS, w0: kc.g.w0, sel: kc.sel, whole: whole})
+				if want := []int{2 * rnk.LocalTrue}; !slices.Equal(sss.ops, want) || sssOps != nil {
+					t.Fatalf("%s SSS: request charges %v and rescans %v, want %v and none", name, sss.ops, sssOps, want)
+				}
 				got := &chargeLog{}
-				reqs, ops := requestSegments(got, rnk, vec, segmentCounts(rnk, vec), &coldScan{w0: kc.g.w0, sel: kc.sel, whole: whole})
+				reqs, ops := requestSegments(got, rnk, vec, segmentCounts(rnk, vec), &coldScan{scheme: SchemeCSS, w0: kc.g.w0, sel: kc.sel, whole: whole})
 				wantOps := []int{kc.g.slices}
 				for range segs {
 					wantOps = append(wantOps, 2)
@@ -354,8 +344,8 @@ func TestPlaceIntoSliceMatchesReference(t *testing.T) {
 				}
 				var placeOps []int
 				for src := range reqs {
-					if !slices.Equal(reqs[src], wantReqs[src]) {
-						t.Fatalf("%s: requests to %d %v, reference %v", name, src, reqs[src], wantReqs[src])
+					if !slices.Equal(reqs[src], wantReqs[src]) || !slices.Equal(sssReqs[src], wantReqs[src]) {
+						t.Fatalf("%s: requests to %d %v (SSS %v), reference %v", name, src, reqs[src], sssReqs[src], wantReqs[src])
 					}
 					placeOps = append(placeOps, ops[src]...)
 				}
@@ -524,7 +514,7 @@ func BenchmarkKernelCollect(b *testing.B) {
 	b.Run("bitset+scan", func(b *testing.B) {
 		benchKernels(b, func(b *testing.B, kb kernelBench) {
 			out := make([]int, kb.selected())
-			cs := &coldScan{w0: kb.g.w0, sel: kb.sel}
+			cs := &coldScan{scheme: SchemeCSS, w0: kb.g.w0, sel: kb.sel}
 			for b.Loop() {
 				collectBits(out, kb.a, kb.sel, -1, 0)
 				for slice, n := range kb.counts {

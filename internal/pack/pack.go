@@ -4,19 +4,23 @@
 // personalized communication (package comm).
 //
 // Three scheme variants are provided for PACK and two for UNPACK
-// (Section 6):
+// (Section 6). They differ in what a processor stores and in how its
+// messages are encoded, and this package reproduces that difference in
+// what it charges, not in host work: every scheme runs one host data
+// path, which cuts a call's selected elements into segments of
+// consecutive ranks (forEachRankRun) and sends each peer one segBatch.
 //
 //   - SchemeSSS, the simple storage scheme: a record is saved for every
-//     selected element during the initial scan, and messages carry
-//     (datum, global rank) pairs.
+//     selected element during the initial scan, and messages are
+//     charged as (datum, global rank) pairs, two words per element.
 //   - SchemeCSS, the compact storage scheme: nothing is saved per
 //     element; the slice counter array PS_c and the final base-rank
 //     array PS_f are compared to regenerate ranks and destinations,
-//     at the cost of a second slice scan. Messages still carry
-//     (datum, rank) pairs.
+//     at the cost of a second slice scan. Messages are still charged
+//     as (datum, rank) pairs.
 //   - SchemeCMS, the compact message scheme: CSS storage plus
 //     run-length message encoding — consecutive ranks per destination
-//     are shipped as segments (base rank, count, datum...).
+//     are charged as segments (base rank, count, datum...).
 //
 // The result vector defaults to the paper's block distribution, but any
 // block-cyclic vector distribution is supported (Options.VectorW);
@@ -62,6 +66,11 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
+// known reports whether s is one of the three schemes. A cold call's
+// scheme is its charge policy, so an unknown value must be rejected
+// rather than run as some scheme's charges.
+func (s Scheme) known() bool { return s >= SchemeSSS && s <= SchemeCMS }
+
 // PhaseM2M is the sim phase name under which the many-to-many
 // personalized communication of the redistribution stage is booked.
 const PhaseM2M = "m2m"
@@ -104,39 +113,36 @@ func (o Options) rankingOptions(keepRecords bool) ranking.Options {
 	}
 }
 
-// pair is the (datum value, global rank) message unit of the simple
-// storage and compact storage schemes (two machine words).
-type pair[T any] struct {
-	Datum T
-	Rank  int
-}
-
-// segBatch is the compact message scheme's message to one peer: a
+// segBatch is a call's message to one peer under every scheme: a
 // (base rank, count) header per segment, in local order, and the
 // segments' data back to back in one buffer. The ranks of a segment's
-// data are Base, Base+1, ..., so only the two header words travel per
-// segment. Data comes from the message pool (pool.go), and the
-// receiver returns it once decomposed. The self message carries its
-// headers and no data: composeSegments collected that data straight
-// into V.
+// data are Base, Base+1, ..., so the host ships no rank per element,
+// even where the scheme charges one (exchangeSegments). Data comes from
+// the message pool (pool.go), and the receiver returns it once
+// decomposed. The self message carries its headers and no data:
+// composeSegments collected that data straight into V.
 type segBatch[T any] struct {
 	Segs []reqSeg
 	Data []T
 }
 
-// exchangeSegments runs the compact message scheme's many-to-many
-// exchange and decomposes the received segments into v, the local
-// result portion: each segment costs its two header words plus one op
-// per datum. counts is the segmentCounts the messages were composed
-// from, and the word counts come from it, so the self message, which
-// carries no data, is sent and charged at its full size. Its segments
-// are charged but not copied: they are in v already. Cold and planned
-// PACK share it, so both send the same messages.
-func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], counts []int, vec dist.VectorDist, v []T, a2a comm.A2AOptions) {
+// exchangeSegments runs PACK's many-to-many exchange and decomposes the
+// received segments into v, the local result portion. Every call sends
+// the same messages; cs sets their words and decomposition charges: a
+// (datum, rank) pair per element under cold SSS and CSS, and otherwise
+// a two-word header per segment plus one word per datum. counts is the
+// segmentCounts the messages were composed from, and the word counts
+// come from it, so the self message, which carries no data, is sent and
+// charged at its full size. Its segments are charged but not copied:
+// they are in v already.
+func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], counts []int, vec dist.VectorDist, v []T, a2a comm.A2AOptions, cs *coldScan) {
 	n := vec.P
 	words := make([]int, n)
 	for dst := range words {
-		words[dst] = 2*counts[dst] + counts[n+dst]
+		words[dst] = 2*counts[dst] + counts[n+dst] // a header per segment, then the data
+		if cs.pairs() {
+			words[dst] = 2 * counts[n+dst] // a (datum, rank) pair per element
+		}
 	}
 	prev := p.SetPhase(PhaseM2M)
 	recv := comm.AlltoallVW(comm.World(p), send, words, a2a)
@@ -145,15 +151,12 @@ func exchangeSegments[T any](p transport.Endpoint, send [][]segBatch[T], counts 
 	cur := vec.Cursor()
 	for src, msg := range recv {
 		for _, b := range msg {
+			cs.chargeDecompose(p, b.Segs)
 			if src == me {
-				for _, s := range b.Segs {
-					p.Charge(2 + s.Count) // header + data decomposition
-				}
 				continue
 			}
 			data := b.Data
 			for _, s := range b.Segs {
-				p.Charge(2 + s.Count) // header + data decomposition
 				_, lo, _ := cur.Seek(s.Base)
 				copy(v[lo:lo+s.Count], data[:s.Count])
 				data = data[s.Count:]
@@ -199,60 +202,30 @@ func packImpl[T any](p transport.Endpoint, l *dist.Layout, a []T, m []bool, opt 
 	if len(a) != l.LocalSize() || len(m) != l.LocalSize() {
 		return nil, fmt.Errorf("pack: local array %d / mask %d, layout needs %d", len(a), len(m), l.LocalSize())
 	}
-	sel := mask.Bits(m)
-	if opt.Plans != nil {
-		return packPlanned(p, l, a, sel, opt, pad, nVec)
+	if !opt.Scheme.known() {
+		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
 	}
-	rnk, err := ranking.RankBits(p, l, sel, opt.rankingOptions(opt.Scheme == SchemeSSS))
+	pl, cs, err := callPlan(p, l, mask.Bits(m), opt, nVec)
 	if err != nil {
 		return nil, err
 	}
-	size := rnk.Size
-	if nVec >= 0 {
-		if size > nVec {
-			return nil, fmt.Errorf("pack: VECTOR too short: %d < Size=%d", nVec, size)
-		}
-		size = nVec
-	}
-	vec, err := dist.NewVectorDist(size, p.NProcs(), opt.VectorW)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result[T]{Vec: vec, Ranking: rnk, V: make([]T, vec.LocalLen(p.Rank()))}
-	if nVec >= 0 {
+	return execPackPlan(p, pl, a, pad, cs)
+}
+
+// execPackPlan executes a plan as PACK, for every call: the result
+// set-up, then composeSegments and exchangeSegments under the charge
+// policy cs. pad is only consulted for plans with a VECTOR length.
+func execPackPlan[T any](p transport.Endpoint, pl *Plan, a, pad []T, cs *coldScan) (*Result[T], error) {
+	vec := pl.vec
+	res := &Result[T]{Vec: vec, Ranking: pl.rnk, V: make([]T, vec.LocalLen(p.Rank()))}
+	if pl.nVec >= 0 {
 		if len(pad) != len(res.V) {
 			return nil, fmt.Errorf("pack: local VECTOR portion has %d elements, distribution gives %d", len(pad), len(res.V))
 		}
 		copy(res.V, pad)
 		p.Charge(len(pad)) // initialize the result from the pad vector
 	}
-	cs := &coldScan{w0: l.Dims[0].W, sel: sel, whole: opt.WholeSliceScan}
-
-	switch opt.Scheme {
-	case SchemeSSS, SchemeCSS:
-		send := make([][]pair[T], p.NProcs())
-		if opt.Scheme == SchemeSSS {
-			composePairsSSS(p, a, rnk, vec, send)
-		} else {
-			composePairsCSS(p, cs, a, rnk, vec, send)
-		}
-		prev := p.SetPhase(PhaseM2M)
-		recv := comm.AlltoallVOpt(comm.World(p), send, 2, opt.A2A)
-		p.SetPhase(prev)
-		cur := vec.Cursor()
-		for _, buf := range recv {
-			p.Charge(2 * len(buf)) // message decomposition
-			for _, pr := range buf {
-				_, lo, _ := cur.Seek(pr.Rank)
-				res.V[lo] = pr.Datum
-			}
-		}
-	case SchemeCMS:
-		counts := segmentCounts(rnk, vec)
-		exchangeSegments(p, composeSegments(p, rnk, vec, counts, sel, a, res.V, cs), counts, vec, res.V, opt.A2A)
-	default:
-		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
-	}
+	exchangeSegments(p, composeSegments(p, pl.rnk, vec, pl.counts, pl.sel, a, res.V, cs), pl.counts, vec, res.V, pl.opt.A2A, cs)
 	return res, nil
 }
 
@@ -281,32 +254,49 @@ func carve[E any](lists [][]E, counts []int) {
 	}
 }
 
-// composePairsSSS builds the per-destination (datum, rank) messages
-// from the records saved by the simple storage scheme.
-func composePairsSSS[T any](p transport.Endpoint, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T]) {
-	counts := make([]int, len(send))
-	cur := vec.Cursor()
-	for _, rec := range rnk.Records {
-		dst, _, _ := cur.Seek(rnk.RankOf(rec))
-		counts[dst]++
-	}
-	carve(send, counts)
-	for _, rec := range rnk.Records {
-		r := rnk.RankOf(rec)
-		dst, _, _ := cur.Seek(r)
-		send[dst] = append(send[dst], pair[T]{Datum: a[rec.Off], Rank: r})
-	}
-	p.Charge(2 * len(rnk.Records)) // write datum and rank per element
+// coldScan is an unplanned call's charge policy. Its scheme picks the
+// Charge calls the call makes and the words each message is sent at;
+// the host work is the same under every scheme, and scheme tests sit
+// per message or per segment, never in a per-element loop. The slice
+// width W_0, the call's mask bitset and the scan policy charge the
+// compact storage schemes' second slice scan (§6.1). A planned call
+// passes nil and charges its bulk-copy formula instead.
+type coldScan struct {
+	scheme Scheme
+	w0     int
+	sel    []uint64
+	whole  bool
 }
 
-// coldScan is what an unplanned compact-scheme call needs to charge the
-// paper's second slice scan (§6.1): the slice width W_0, the call's
-// mask bitset and the scan policy. A planned call passes nil and
-// charges its bulk-copy formula instead.
-type coldScan struct {
-	w0    int
-	sel   []uint64
-	whole bool
+// newColdScan returns the charge policy of an unplanned call on layout
+// l with mask bitset sel.
+func newColdScan(l *dist.Layout, sel []uint64, opt Options) *coldScan {
+	return &coldScan{scheme: opt.Scheme, w0: l.Dims[0].W, sel: sel, whole: opt.WholeSliceScan}
+}
+
+// records reports whether the call keeps the simple storage scheme's
+// per-element records, and so charges per record instead of per slice.
+func (cs *coldScan) records() bool { return cs != nil && cs.scheme == SchemeSSS }
+
+// pairs reports whether PACK's messages are charged as (datum, rank)
+// pairs: a cold SSS or CSS call.
+func (cs *coldScan) pairs() bool { return cs != nil && cs.scheme != SchemeCMS }
+
+// chargeDecompose books the decomposition of one received PACK message
+// of segments segs: once per message under the pair schemes, once per
+// segment otherwise.
+func (cs *coldScan) chargeDecompose(p transport.Endpoint, segs []reqSeg) {
+	if !cs.pairs() {
+		for _, s := range segs {
+			p.Charge(2 + s.Count) // header + data decomposition
+		}
+		return
+	}
+	n := 0
+	for _, s := range segs {
+		n += s.Count
+	}
+	p.Charge(2 * n) // message decomposition
 }
 
 // scanLen is the charged length of the scan that finds the first upto
@@ -355,15 +345,15 @@ func nthSet(sel []uint64, lo, k int) int {
 	return wi<<6 + bits.TrailingZeros64(word)
 }
 
-// forEachRankRun walks the segments of the compact schemes: for every
-// non-empty slice, the consecutive ranks PS_f[slice].. are split at the
-// result vector's block boundaries, and fn sees one piece at a time, in
-// local order: its slice, destination, base rank and count. The walk
-// only reads the ranking's slice arrays, so callers may use it as an
-// uncharged sizing pre-pass, and it follows the vector's blocks with a
-// cursor that divides only when the walk jumps a block. Cold compose,
-// cold UNPACK requests and plan execution all cut their segments here,
-// which is why a planned call sends exactly the messages of a cold one.
+// forEachRankRun walks a call's segments: for every non-empty slice,
+// the consecutive ranks PS_f[slice].. are split at the result vector's
+// block boundaries, and fn sees one piece at a time, in local order: its
+// slice, destination, base rank and count. The walk only reads the
+// ranking's slice arrays, so callers may use it as an uncharged sizing
+// pre-pass, and it follows the vector's blocks with a cursor that
+// divides only when the walk jumps a block. Compose, UNPACK requests and
+// placement cut their segments here under every scheme, cold or
+// planned, which is why every call sends the same messages.
 func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, fn func(slice, dst, base, cnt int)) {
 	cur := vec.Cursor()
 	for slice, n := range rnk.PSc {
@@ -379,9 +369,9 @@ func forEachRankRun(rnk *ranking.Result, vec dist.VectorDist, fn func(slice, dst
 
 // segmentCounts returns, per destination, the number of segments
 // forEachRankRun cuts for it (counts[:P]) and the number of elements
-// they hold (counts[P:]): the exact sizes of the compact schemes'
-// per-destination lists and buffers. It is an uncharged sizing walk; a
-// plan stores its result.
+// they hold (counts[P:]): the exact sizes of the per-destination lists
+// and buffers, from which every message's words follow. It is an
+// uncharged sizing walk; a plan stores its result.
 func segmentCounts(rnk *ranking.Result, vec dist.VectorDist) []int {
 	n := vec.P
 	counts := make([]int, 2*n)
@@ -392,53 +382,22 @@ func segmentCounts(rnk *ranking.Result, vec dist.VectorDist) []int {
 	return counts
 }
 
-// composePairsCSS regenerates ranks by comparing PS_c with PS_f
-// (Section 6.1) and builds (datum, rank) messages with a second slice
-// scan; only slices with at least one selected element are scanned.
-// The host walks the call's bitset segment by segment, and each
-// non-empty slice charges its scan and datum writes, then its rank
-// writes, when its first segment comes up.
-func composePairsCSS[T any](p transport.Endpoint, cs *coldScan, a []T, rnk *ranking.Result, vec dist.VectorDist, send [][]pair[T]) {
-	carve(send, segmentCounts(rnk, vec)[len(send):])
-	p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
-	sel := cs.sel
-	wi, word := -1, uint64(0)
-	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
-		if c := rnk.PSc[slice]; base == rnk.PSf[slice] {
-			p.Charge(cs.scanLen(slice, c, c) + c) // element reads + datum writes
-			p.Charge(c)                           // rank writes
-		}
-		out := send[dst]
-		k := len(out)
-		out = out[:k+cnt]
-		for i := range out[k:] {
-			for word == 0 {
-				wi++
-				word = sel[wi]
-			}
-			out[k+i] = pair[T]{Datum: a[wi<<6|bits.TrailingZeros64(word)], Rank: base + i}
-			word &= word - 1
-		}
-		send[dst] = out
-	})
-}
-
-// composeSegments builds the compact message scheme's messages, one
-// segBatch per destination: the consecutive ranks r0..r0+n-1 of a
-// slice are split at the result vector's block boundaries, and each
-// piece travels as (base rank, count, data...). The smaller the
-// vector's blocks, the more segments (Section 6.2). counts is
-// segmentCounts(rnk, vec). Each peer's data buffer comes from the
-// message pool at its exact final length, and the bitset walk fills it
-// once per stretch of consecutive segments bound for that peer. A
-// segment bound for the calling rank itself is collected straight into
-// v, its local result portion, at the segment's local offset, and its
-// batch keeps only the headers. Cold and planned PACK share it and send
-// the same messages: a cold call (cs non-nil) charges the counter-array
-// check, each non-empty slice's second scan and datum writes, and two
-// header words per segment, in walk order; a planned call (cs nil)
-// charges the bulk-copy formula once, one PS_c read per slice, two
-// header words per segment and one op per datum.
+// composeSegments builds PACK's messages, one segBatch per
+// destination: the consecutive ranks r0..r0+n-1 of a slice are split at
+// the result vector's block boundaries, and each piece travels as
+// (base rank, count, data...). The smaller the vector's blocks, the
+// more segments (Section 6.2). counts is segmentCounts(rnk, vec). Each
+// peer's data buffer comes from the message pool at its exact final
+// length, and the bitset walk fills it once per stretch of consecutive
+// segments bound for that peer. A segment bound for the calling rank
+// itself is collected straight into v, its local result portion, at the
+// segment's local offset, and its batch keeps only the headers. The
+// charges, in walk order: cold SSS one datum and rank write per record,
+// at the end; cold CSS and CMS the counter-array check, then at each
+// non-empty slice's first segment its second scan with the datum
+// writes, then CSS its rank writes, and CMS two header words per
+// segment; a plan (cs nil) the bulk-copy formula once, one PS_c read
+// per slice, two header words per segment and one op per datum.
 func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, a, v []T, cs *coldScan) [][]segBatch[T] {
 	n := vec.P
 	me := p.Rank()
@@ -455,7 +414,8 @@ func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.
 			send[dst] = batches[dst : dst+1 : dst+1]
 		}
 	}
-	if cs != nil {
+	scans := cs != nil && !cs.records() // the compact storage schemes
+	if scans {
 		p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
 	}
 	wi, word := -1, uint64(0)
@@ -482,18 +442,26 @@ func composeSegments[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.
 			runDst = dst
 			run += cnt
 		}
-		if cs != nil {
+		if scans {
 			if c := rnk.PSc[slice]; base == rnk.PSf[slice] {
 				p.Charge(cs.scanLen(slice, c, c) + c) // element reads + datum writes
+				if cs.pairs() {
+					p.Charge(c) // rank writes
+				}
 			}
-			p.Charge(2) // segment header (base rank + count)
+			if !cs.pairs() {
+				p.Charge(2) // segment header (base rank + count)
+			}
 		}
 	})
 	if run > 0 {
 		flush()
 	}
-	if cs == nil {
+	switch {
+	case cs == nil:
 		p.Charge(len(rnk.PSc) + 2*segs + rnk.LocalTrue)
+	case cs.records():
+		p.Charge(2 * rnk.LocalTrue) // write datum and rank per record
 	}
 	return send
 }

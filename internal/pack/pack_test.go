@@ -3,6 +3,7 @@ package pack
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"packunpack/internal/comm"
@@ -10,6 +11,7 @@ import (
 	"packunpack/internal/mask"
 	"packunpack/internal/seq"
 	"packunpack/internal/sim"
+	"packunpack/internal/transport"
 )
 
 // layouts used across the correctness tests: a spread of ranks, grid
@@ -264,6 +266,59 @@ func TestSchemeString(t *testing.T) {
 	for s, want := range cases {
 		if got := s.String(); got != want {
 			t.Errorf("Scheme(%d).String() = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// TestUnknownSchemeRejected pins the input check of the scheme, which
+// is a cold call's charge policy: Pack, Unpack and CompilePlan, cold
+// and with a plan cache, must return an error for a scheme outside the
+// three on every rank of both backends, and must do so before any
+// collective, so the machine sends no message.
+func TestUnknownSchemeRejected(t *testing.T) {
+	const procs = 2
+	l := dist.MustLayout(dist.Dim{N: 16, P: procs, W: 2})
+	gen := mask.NewRandom(0.5, 3, 16)
+	calls := map[string]func(p transport.Endpoint, opt Options) error{
+		"Pack": func(p transport.Endpoint, opt Options) error {
+			_, err := Pack(p, l, make([]int, l.LocalSize()), mask.FillLocal(l, p.Rank(), gen), opt)
+			return err
+		},
+		"Unpack": func(p transport.Endpoint, opt Options) error {
+			vec, _ := dist.NewBlockVector(16, procs)
+			v := make([]int, vec.LocalLen(p.Rank()))
+			_, err := Unpack(p, l, v, 16, mask.FillLocal(l, p.Rank(), gen), make([]int, l.LocalSize()), opt)
+			return err
+		},
+		"CompilePlan": func(p transport.Endpoint, opt Options) error {
+			_, err := CompilePlan(p, l, mask.FillLocal(l, p.Rank(), gen), opt)
+			return err
+		},
+	}
+	for _, backend := range []transport.Backend{transport.BackendSim, transport.BackendReal} {
+		for name, call := range calls {
+			for _, plans := range []*PlanCache{nil, NewPlanCache()} {
+				m, err := transport.New(backend, sim.Config{Procs: procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				errs := make([]error, procs)
+				if err := m.Run(func(p transport.Endpoint) {
+					errs[p.Rank()] = call(p, Options{Scheme: Scheme(7), Plans: plans})
+				}); err != nil {
+					t.Fatalf("%v %s plans=%v: %v", backend, name, plans != nil, err)
+				}
+				for r, err := range errs {
+					if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+						t.Errorf("%v %s plans=%v: rank %d returned %v, want an unknown-scheme error", backend, name, plans != nil, r, err)
+					}
+				}
+				for _, s := range m.Stats() {
+					if s.MsgsSent != 0 {
+						t.Errorf("%v %s plans=%v: rank %d sent %d messages before rejecting the scheme", backend, name, plans != nil, s.Rank, s.MsgsSent)
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,17 +5,17 @@ package pack
 // with the same (layout, mask, options) execute the compiled plan
 // instead, paying no ranking collective.
 //
-// A plan keeps exactly what a cold compact-scheme call derives from
-// its ranking: the slice arrays PS_f and PS_c, the vector
-// distribution, and the local mask as a bitset (one uint64 per 64
-// elements). Execution cuts the same segments a cold call cuts
-// (forEachRankRun) and runs the same compose and placement code: a
-// planned PACK is the compact message scheme's composeSegments, and a
-// planned UNPACK is the compact storage scheme's requests and placement
-// walk. Only the charges differ (the bulk-copy formula, see below). So
-// a warm call sends exactly the messages of a cold CMS PACK or CSS
-// UNPACK, whatever scheme the options name, and its host work skips the
-// ranking stage.
+// A plan keeps exactly what any call derives from its ranking: the
+// slice arrays PS_f and PS_c, the vector distribution, and the local
+// mask as a bitset (one uint64 per 64 elements). Every call executes a
+// plan (execPackPlan, execUnpackPlan): a cold call ranks, derives a plan
+// for that call alone (rankPlan) and executes it under its scheme's
+// charges (coldScan); a compiled plan is executed under the bulk-copy
+// charges (see below). Execution cuts the same segments either way
+// (forEachRankRun) and runs the same compose, request and placement
+// code, so a warm call sends exactly the messages of a cold CMS PACK or
+// CSS UNPACK, whatever scheme the options name, and its host work skips
+// the ranking stage.
 //
 // The transparent cache path (Options.Plans) must keep a collective
 // invariant: ranking is a collective, so every processor of the
@@ -54,9 +54,9 @@ type Plan struct {
 	// plans compiled through the explicit CompilePlan API.
 	gfp uint64
 	vec dist.VectorDist
-	// rnk is the trimmed ranking result (Size/PSf/PSc/LocalTrue, never
-	// Records); planned results share it across calls, so treat it as
-	// read-only.
+	// rnk is the ranking result: trimmed (Size/PSf/PSc/LocalTrue, never
+	// Records) in a compiled plan, whose results share it across calls,
+	// so treat it as read-only.
 	rnk *ranking.Result
 	// sel is the local mask as a bitset: element i is bit i%64 of
 	// word i/64.
@@ -211,27 +211,39 @@ func CompilePlan(p transport.Endpoint, l *dist.Layout, m []bool, opt Options) (*
 	if len(m) != l.LocalSize() {
 		return nil, fmt.Errorf("pack: local mask %d, layout needs %d", len(m), l.LocalSize())
 	}
+	if !opt.Scheme.known() {
+		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
+	}
 	return compilePlan(p, l, mask.Bits(m), opt, -1)
 }
 
 // compilePlan compiles the call's mask bitset sel, which the plan then
 // owns.
 func compilePlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options, vecLen int) (*Plan, error) {
-	switch opt.Scheme {
-	case SchemeSSS, SchemeCSS, SchemeCMS:
-	default:
-		return nil, fmt.Errorf("pack: unknown scheme %v", opt.Scheme)
+	pl, err := rankPlan(p, l, sel, opt, vecLen, false)
+	if err != nil {
+		return nil, err
 	}
-	rnk, err := ranking.RankBits(p, l, sel, ranking.Options{
-		PRS: opt.PRS, KeepRecords: false, SeparatePrefixReduce: opt.SeparatePrefixReduce,
-	})
+	pl.opt.Plans = nil      // a plan must not retain the cache that holds it
+	p.Charge(l.LocalSize()) // one read per mask element: the bitset pack
+	return pl, nil
+}
+
+// rankPlan runs the ranking collective over the call's mask bitset sel
+// and derives the call's plan: the vector distribution of Size
+// elements, or of vecLen when it is not -1 (PackVector's VECTOR length,
+// UNPACK's N'), and the segment counts. keepRecords keeps the simple
+// storage scheme's per-element records, with their charges, for a cold
+// SSS call; the segment walks read only the slice arrays.
+func rankPlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options, vecLen int, keepRecords bool) (*Plan, error) {
+	rnk, err := ranking.RankBits(p, l, sel, opt.rankingOptions(keepRecords))
 	if err != nil {
 		return nil, err
 	}
 	size := rnk.Size
 	if vecLen >= 0 {
 		if size > vecLen {
-			return nil, fmt.Errorf("pack: plan vector too short: %d < Size=%d", vecLen, size)
+			return nil, fmt.Errorf("pack: vector too short: %d < Size=%d", vecLen, size)
 		}
 		size = vecLen
 	}
@@ -239,10 +251,7 @@ func compilePlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk, sel: sel, counts: segmentCounts(rnk, vec)}
-	pl.opt.Plans = nil      // a plan must not retain the cache that holds it
-	p.Charge(l.LocalSize()) // one read per mask element: the bitset pack
-	return pl, nil
+	return &Plan{layout: l, opt: opt, nVec: vecLen, vec: vec, rnk: rnk, sel: sel, counts: segmentCounts(rnk, vec)}, nil
 }
 
 // collectBits writes the next len(out) selected elements of a, in
@@ -284,43 +293,6 @@ func placeBits[T any](a []T, sel []uint64, wi int, word uint64, data []T) (int, 
 	return wi, word
 }
 
-// execPackPlan executes a compiled plan as PACK: bitset compose, the
-// compact message scheme's exchange and decomposition. pad is only
-// consulted for plans compiled with a VECTOR length.
-func execPackPlan[T any](p transport.Endpoint, pl *Plan, a []T, pad []T) (*Result[T], error) {
-	if len(a) != pl.layout.LocalSize() {
-		return nil, fmt.Errorf("pack: local array %d, plan's layout needs %d", len(a), pl.layout.LocalSize())
-	}
-	vec := pl.vec
-	res := &Result[T]{Vec: vec, Ranking: pl.rnk, V: make([]T, vec.LocalLen(p.Rank()))}
-	if pl.nVec >= 0 {
-		if len(pad) != len(res.V) {
-			return nil, fmt.Errorf("pack: local VECTOR portion has %d elements, distribution gives %d", len(pad), len(res.V))
-		}
-		copy(res.V, pad)
-		p.Charge(len(pad)) // initialize the result from the pad vector
-	}
-	exchangeSegments(p, composeSegments(p, pl.rnk, vec, pl.counts, pl.sel, a, res.V, nil), pl.counts, vec, res.V, pl.opt.A2A)
-	return res, nil
-}
-
-// execUnpackPlan executes a compiled plan as UNPACK: the compact
-// storage scheme's requests, serving and placement walk, under the
-// planned charges (unpackCompact).
-func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*UnpackResult[T], error) {
-	if pl.opt.Scheme == SchemeCMS {
-		return nil, fmt.Errorf("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
-	}
-	l := pl.layout
-	if len(field) != l.LocalSize() {
-		return nil, fmt.Errorf("unpack: local field %d, plan's layout needs %d", len(field), l.LocalSize())
-	}
-	if want := pl.vec.LocalLen(p.Rank()); len(v) != want {
-		return nil, fmt.Errorf("unpack: local vector has %d elements, plan's distribution gives %d", len(v), want)
-	}
-	return unpackCompact(p, pl.rnk, pl.vec, pl.counts, pl.sel, v, field, pl.opt.A2A, nil), nil
-}
-
 // PlanPack executes a compiled plan as PACK (the explicit two-step
 // API: compile once with CompilePlan, execute per call with no
 // per-call ranking or cache negotiation at all).
@@ -328,13 +300,38 @@ func PlanPack[T any](p transport.Endpoint, pl *Plan, a []T) (*Result[T], error) 
 	if pl.nVec >= 0 {
 		return nil, fmt.Errorf("pack: plan was compiled with a VECTOR length; execute it through PackVector's transparent cache path")
 	}
-	return execPackPlan(p, pl, a, nil)
+	if len(a) != pl.layout.LocalSize() {
+		return nil, fmt.Errorf("pack: local array %d, plan's layout needs %d", len(a), pl.layout.LocalSize())
+	}
+	return execPackPlan(p, pl, a, nil, nil)
 }
 
 // PlanUnpack executes a compiled plan as UNPACK against the plan's
 // vector distribution (N' = the plan's vector size).
 func PlanUnpack[T any](p transport.Endpoint, pl *Plan, v []T, field []T) (*UnpackResult[T], error) {
-	return execUnpackPlan(p, pl, v, field)
+	if pl.opt.Scheme == SchemeCMS {
+		return nil, errUnpackCMS
+	}
+	if len(field) != pl.layout.LocalSize() {
+		return nil, fmt.Errorf("unpack: local field %d, plan's layout needs %d", len(field), pl.layout.LocalSize())
+	}
+	if want := pl.vec.LocalLen(p.Rank()); len(v) != want {
+		return nil, fmt.Errorf("unpack: local vector has %d elements, plan's distribution gives %d", len(v), want)
+	}
+	return execUnpackPlan(p, pl, v, field, nil), nil
+}
+
+// callPlan returns the plan a PACK or UNPACK call executes and its
+// charge policy: with a plan cache, the cached plan (compiled on a
+// miss) under the bulk-copy charges (nil); without one, a plan ranked
+// for this call alone, under its scheme's charges.
+func callPlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options, vecLen int) (*Plan, *coldScan, error) {
+	if opt.Plans != nil {
+		pl, err := cachedPlan(p, l, sel, opt, vecLen)
+		return pl, nil, err
+	}
+	pl, err := rankPlan(p, l, sel, opt, vecLen, opt.Scheme == SchemeSSS)
+	return pl, newColdScan(l, sel, opt), err
 }
 
 // cachedPlan is the front half of the transparent cache path:
@@ -359,23 +356,4 @@ func cachedPlan(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options,
 		cache.put(fp, p.Rank(), pl)
 	}
 	return pl, nil
-}
-
-// packPlanned is the transparent cache path of packImpl: fingerprint,
-// collective lookup, compile on a miss, bulk execute.
-func packPlanned[T any](p transport.Endpoint, l *dist.Layout, a []T, sel []uint64, opt Options, pad []T, nVec int) (*Result[T], error) {
-	pl, err := cachedPlan(p, l, sel, opt, nVec)
-	if err != nil {
-		return nil, err
-	}
-	return execPackPlan(p, pl, a, pad)
-}
-
-// unpackPlanned is the transparent cache path of Unpack.
-func unpackPlanned[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, sel []uint64, field []T, opt Options) (*UnpackResult[T], error) {
-	pl, err := cachedPlan(p, l, sel, opt, nPrime)
-	if err != nil {
-		return nil, err
-	}
-	return execUnpackPlan(p, pl, v, field)
 }

@@ -1,11 +1,12 @@
 package pack
 
 // This file is the message-buffer pool. Two kinds of message carry one
-// buffer of elements each: a compact-scheme PACK message (its segments'
-// data, one buffer per peer) and an UNPACK reply (the served vector
-// runs, one buffer per requesting peer). Each call used to allocate
-// those buffers fresh, and the allocator zeroed memory that the call
-// then overwrote in full. The pool keeps them across calls instead.
+// buffer of elements each, under every scheme: a PACK message (its
+// segments' data, one buffer per peer) and an UNPACK reply (the served
+// vector runs, one buffer per requesting peer). Each call used to
+// allocate those buffers fresh, and the allocator zeroed memory that
+// the call then overwrote in full. The pool keeps them across calls
+// instead.
 // Only peer-bound data is pooled: a rank's message to itself is still
 // sent and charged at its full word count, but with no data payload,
 // because the rank places its own data itself (PACK collects it

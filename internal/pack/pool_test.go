@@ -57,9 +57,10 @@ func poolRoundTrip[T comparable](m transport.Machine, l *dist.Layout, gmask []bo
 
 // TestMessagePoolOwnership runs PACK then UNPACK concurrently on
 // several real-backend machines, which all draw their message buffers
-// from the one process-wide pool: every scheme, plans off and on, P 3
-// and 4, int and string elements, a fresh random mask and vector block
-// size per round. Every result must match internal/seq, so a buffer
+// from the one process-wide pool: every scheme, cold (SSS, CSS and CMS
+// PACK, SSS and CSS UNPACK, each on the one segment path) and planned,
+// P 3 and 4, int and string elements, a fresh random mask and vector
+// block size per round. Every result must match internal/seq, so a buffer
 // that went back to the pool while a peer still read it, or that
 // carried stale elements into another call, shows as a wrong element;
 // under -race (make real-race) it also shows as a data race.

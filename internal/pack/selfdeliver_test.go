@@ -38,10 +38,28 @@ func (s *selfSends) Send(dst, tag int, payload any, words int) {
 	s.Endpoint.Send(dst, tag, payload, words)
 }
 
-// checkSelfDelivery runs one compact PACK and one compact UNPACK of
-// its result, stage by stage, on rank ep from the segments of rnk over
-// vec (counts is segmentCounts(rnk, vec); cs is nil for a plan) and
-// returns the first way they break self-delivery:
+// selfPolicy is one way a call charges its self messages: PACK's under
+// pack, UNPACK's under unpack (both nil for a plan), with the words the
+// three self messages (PACK's segments, UNPACK's requests and its
+// reply) must travel at for segs segments holding elems elements.
+type selfPolicy struct {
+	name         string
+	pack, unpack Scheme
+	planned      bool
+	words        func(segs, elems int) []int
+}
+
+var selfPolicies = []selfPolicy{
+	{"cold SSS", SchemeSSS, SchemeSSS, false, func(segs, elems int) []int { return []int{2 * elems, elems, elems} }},
+	{"cold CSS", SchemeCSS, SchemeCSS, false, func(segs, elems int) []int { return []int{2 * elems, 2 * segs, elems} }},
+	{"cold CMS", SchemeCMS, SchemeCSS, false, func(segs, elems int) []int { return []int{2*segs + elems, 2 * segs, elems} }},
+	{"planned", SchemeCMS, SchemeCSS, true, func(segs, elems int) []int { return []int{2*segs + elems, 2 * segs, elems} }},
+}
+
+// checkSelfDelivery runs one PACK and one UNPACK of its result, stage
+// by stage, on rank ep from the segments of rnk over vec (counts is
+// segmentCounts(rnk, vec)) under the charge policies packCS and
+// unpackCS, and returns the first way they break self-delivery:
 //
 //   - composeSegments' self batch must carry the rank's own segment
 //     headers and no data, and those segments must already be in V,
@@ -50,9 +68,9 @@ func (s *selfSends) Send(dst, tag int, payload any, words int) {
 //   - serveVecRequests must fill no reply for the rank's own requests
 //     while sizing it at their words;
 //   - placement must leave the rank's portion of seq.Unpack;
-//   - the three self messages (PACK's segments, UNPACK's requests and
-//     its reply) must each travel at the words of their segments.
-func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, vec dist.VectorDist, counts []int, cs *coldScan) error {
+//   - the three self messages must each travel at the words pol gives
+//     for the rank's own segments.
+func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, vec dist.VectorDist, counts []int, pol selfPolicy, packCS, unpackCS *coldScan) error {
 	p := &selfSends{Endpoint: ep}
 	me := p.Rank()
 	var own []reqSeg
@@ -62,7 +80,7 @@ func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, 
 		}
 	})
 	v := make([]int, vec.LocalLen(me))
-	send := composeSegments(p, rnk, vec, counts, sc.sel, sc.a, v, cs)
+	send := composeSegments(p, rnk, vec, counts, sc.sel, sc.a, v, packCS)
 	var self segBatch[int]
 	if len(send[me]) > 0 {
 		self = send[me][0]
@@ -76,7 +94,7 @@ func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, 
 			return fmt.Errorf("after compose, V holds %v for ranks %d.., want %v", got, s.Base, want)
 		}
 	}
-	exchangeSegments(p, send, counts, vec, v, comm.A2AOptions{})
+	exchangeSegments(p, send, counts, vec, v, comm.A2AOptions{}, packCS)
 	for i, x := range v {
 		if want := sc.packed[vec.ToGlobal(me, i)]; x != want {
 			return fmt.Errorf("PACK: V[%d] = %d, seq.Pack gives %d", i, x, want)
@@ -84,13 +102,13 @@ func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, 
 	}
 
 	world := comm.World(p)
-	reqs, _ := requestSegments(p, rnk, vec, counts, cs)
+	reqs, _ := requestSegments(p, rnk, vec, counts, unpackCS)
 	reqWords := make([]int, len(reqs))
-	for dst, list := range reqs {
-		reqWords[dst] = 2 * len(list)
+	for dst := range reqs {
+		reqWords[dst] = pol.words(counts[dst], counts[len(reqs)+dst])[1]
 	}
 	gotReqs := comm.AlltoallVW(world, reqs, reqWords, comm.A2AOptions{})
-	replies, words := serveVecRequests(p, vec, v, gotReqs)
+	replies, words := serveVecRequests(p, vec, v, gotReqs, unpackCS)
 	ownWords := 0
 	for _, s := range own {
 		ownWords += s.Count
@@ -104,18 +122,19 @@ func checkSelfDelivery(ep transport.Endpoint, sc selfCase, rnk *ranking.Result, 
 	if !slices.Equal(out, sc.placed) {
 		return fmt.Errorf("UNPACK: A = %v, seq.Unpack gives %v", out, sc.placed)
 	}
-	if want := []int{2*len(own) + ownWords, 2 * len(own), ownWords}; !slices.Equal(p.words, want) {
+	if want := pol.words(len(own), ownWords); !slices.Equal(p.words, want) {
 		return fmt.Errorf("self messages of %v words, want %v", p.words, want)
 	}
 	return nil
 }
 
-// TestSelfDeliveryCompact pins self-delivery in the compact exchanges
-// at P 2 and 3, cold (ranking, then the CMS compose and CSS placement
-// of a cold call) and planned (a compiled plan's arrays), with segments
-// cut at a block and at a block-cyclic result vector: a rank's own
-// segments skip the message buffers, and the results still equal
-// internal/seq's.
+// TestSelfDeliveryCompact pins self-delivery in the exchanges of every
+// scheme at P 2 and 3, cold (ranking, then compose and placement under
+// the SSS, CSS and CMS charge policies, CMS PACK with CSS UNPACK) and
+// planned (a compiled plan's arrays), with segments cut at a block and
+// at a block-cyclic result vector: a rank's own segments skip the
+// message buffers, the self messages travel at the scheme's words, and
+// the results still equal internal/seq's.
 func TestSelfDeliveryCompact(t *testing.T) {
 	for _, procs := range []int{2, 3} {
 		l := dist.MustLayout(dist.Dim{N: procs * 40, P: procs, W: 4})
@@ -129,28 +148,26 @@ func TestSelfDeliveryCompact(t *testing.T) {
 		placed := dist.Scatter(l, seq.Unpack(packed, gmask, field))
 		locals, fLocals, mLocals := dist.Scatter(l, global), dist.Scatter(l, field), dist.Scatter(l, gmask)
 		for _, vw := range []int{0, 3} {
-			for _, planned := range []bool{false, true} {
-				name := fmt.Sprintf("P=%d VectorW=%d planned=%v", procs, vw, planned)
+			for _, pol := range selfPolicies {
+				name := fmt.Sprintf("P=%d VectorW=%d %s", procs, vw, pol.name)
 				m := sim.MustNew(sim.Config{Procs: procs})
 				err := m.Run(func(sp *sim.Proc) {
 					var p transport.Endpoint = sp
 					r := p.Rank()
 					sc := selfCase{a: locals[r], field: fLocals[r], sel: mask.Bits(mLocals[r]), packed: packed, placed: placed[r]}
-					opt := Options{Scheme: SchemeCMS, VectorW: vw}
+					opt := Options{Scheme: pol.pack, VectorW: vw}
 					var err error
-					if planned {
+					if pol.planned {
 						var pl *Plan
 						if pl, err = CompilePlan(p, l, mLocals[r], opt); err == nil {
-							err = checkSelfDelivery(p, sc, pl.rnk, pl.vec, pl.counts, nil)
+							err = checkSelfDelivery(p, sc, pl.rnk, pl.vec, pl.counts, pol, nil, nil)
 						}
 					} else {
-						var rnk *ranking.Result
-						if rnk, err = ranking.RankBits(p, l, sc.sel, opt.rankingOptions(false)); err == nil {
-							var vec dist.VectorDist
-							if vec, err = dist.NewVectorDist(rnk.Size, procs, vw); err == nil {
-								cs := &coldScan{w0: l.Dims[0].W, sel: sc.sel}
-								err = checkSelfDelivery(p, sc, rnk, vec, segmentCounts(rnk, vec), cs)
-							}
+						var pl *Plan
+						if pl, err = rankPlan(p, l, sc.sel, opt, -1, pol.pack == SchemeSSS); err == nil {
+							packCS := newColdScan(l, sc.sel, opt)
+							unpackCS := newColdScan(l, sc.sel, Options{Scheme: pol.unpack})
+							err = checkSelfDelivery(p, sc, pl.rnk, pl.vec, pl.counts, pol, packCS, unpackCS)
 						}
 					}
 					if err != nil {
@@ -169,10 +186,10 @@ func TestSelfDeliveryCompact(t *testing.T) {
 // P=2 under a BLOCK layout (W = N/2) with a full mask, every selected
 // element's rank falls in its own processor's vector block, so every
 // PACK segment and UNPACK request is self-bound and the self messages
-// carry no data payload. On both backends, CMS PACK, CSS UNPACK and SSS
-// UNPACK must send the same words with SkipEmpty as without it, and
-// exactly the empty peer messages fewer: P(P-1) per exchange, one
-// exchange for PACK and two for UNPACK.
+// carry no data payload. On both backends, PACK under every scheme and
+// UNPACK under SSS and CSS must send the same words with SkipEmpty as
+// without it, and exactly the empty peer messages fewer: P(P-1) per
+// exchange, one exchange for PACK and two for UNPACK.
 func TestSkipEmptyAllSelfExchange(t *testing.T) {
 	const procs, n = 2, 64
 	l := dist.MustLayout(dist.Dim{N: n, P: procs, W: n / procs})
@@ -188,6 +205,8 @@ func TestSkipEmptyAllSelfExchange(t *testing.T) {
 		unpack    bool
 		exchanges int
 	}{
+		{"SSS PACK", SchemeSSS, false, 1},
+		{"CSS PACK", SchemeCSS, false, 1},
 		{"CMS PACK", SchemeCMS, false, 1},
 		{"CSS UNPACK", SchemeCSS, true, 2},
 		{"SSS UNPACK", SchemeSSS, true, 2},

@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -20,11 +21,11 @@ type UnpackResult[T any] struct {
 	Ranking *ranking.Result
 }
 
-// reqSeg is a compact request: "send me the Count vector elements
-// starting at global rank Base" (two machine words). The simple
-// storage scheme sends one single-element segment per selected element
-// (its effective request size is one word, the rank; we charge one
-// word accordingly).
+// reqSeg is a segment of consecutive ranks, Base to Base+Count-1 (two
+// machine words): a PACK message's header, and UNPACK's request "send
+// me the Count vector elements starting at global rank Base". Under the
+// simple storage scheme a request is charged as Count single-rank
+// requests of one word each.
 type reqSeg struct {
 	Base  int
 	Count int
@@ -47,12 +48,12 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	if len(m) != l.LocalSize() || len(field) != l.LocalSize() {
 		return nil, fmt.Errorf("unpack: local mask %d / field %d, layout needs %d", len(m), len(field), l.LocalSize())
 	}
-	if opt.Scheme == SchemeCMS {
-		return nil, fmt.Errorf("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
-	}
-	sel := mask.Bits(m)
-	if opt.Plans != nil {
-		return unpackPlanned(p, l, v, nPrime, sel, field, opt)
+	switch opt.Scheme {
+	case SchemeSSS, SchemeCSS:
+	case SchemeCMS:
+		return nil, errUnpackCMS
+	default:
+		return nil, fmt.Errorf("unpack: unknown scheme %v", opt.Scheme)
 	}
 	vec, err := dist.NewVectorDist(nPrime, p.NProcs(), opt.VectorW)
 	if err != nil {
@@ -61,138 +62,84 @@ func Unpack[T any](p transport.Endpoint, l *dist.Layout, v []T, nPrime int, m []
 	if want := vec.LocalLen(p.Rank()); len(v) != want {
 		return nil, fmt.Errorf("unpack: local vector has %d elements, distribution of N'=%d gives %d", len(v), nPrime, want)
 	}
-
-	rnk, err := ranking.RankBits(p, l, sel, opt.rankingOptions(opt.Scheme == SchemeSSS))
+	pl, cs, err := callPlan(p, l, mask.Bits(m), opt, nPrime)
 	if err != nil {
 		return nil, err
 	}
-	if rnk.Size > nPrime {
-		return nil, fmt.Errorf("unpack: vector too short: N'=%d < Size=%d", nPrime, rnk.Size)
-	}
-	if opt.Scheme != SchemeSSS {
-		cs := &coldScan{w0: l.Dims[0].W, sel: sel, whole: opt.WholeSliceScan}
-		return unpackCompact(p, rnk, vec, segmentCounts(rnk, vec), sel, v, field, opt.A2A, cs), nil
-	}
-
-	// ---- SSS: one single-rank request per saved record, remembering
-	// which record each request serves. The lists are pre-sized to
-	// their exact final lengths (uncharged host bookkeeping), so the
-	// append loop never reallocates. ----
-	n := p.NProcs()
-	reqs := make([][]reqSeg, n)
-	reqWords := make([]int, n)
-	recIdx := make([][]int, n)
-	counts := make([]int, n)
-	cur := vec.Cursor()
-	for _, rec := range rnk.Records {
-		dst, _, _ := cur.Seek(rnk.RankOf(rec))
-		counts[dst]++
-	}
-	carve(reqs, counts)
-	carve(recIdx, counts)
-	for ri, rec := range rnk.Records {
-		r := rnk.RankOf(rec)
-		dst, _, _ := cur.Seek(r)
-		reqs[dst] = append(reqs[dst], reqSeg{Base: r, Count: 1})
-		recIdx[dst] = append(recIdx[dst], ri)
-		reqWords[dst]++ // one word per individual rank request
-	}
-	p.Charge(2 * len(rnk.Records)) // resolve rank, write request
-
-	gotData := fetchRuns(p, vec, v, reqs, reqWords, opt.A2A)
-
-	// ---- Place: field values where the mask is false, vector data
-	// where it is true. The field array is copied whole and the
-	// placement below overwrites every selected position. The
-	// requests a rank sent itself were answered with no data, so
-	// their elements are read straight from v. ----
-	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
-	p.Charge(l.LocalSize()) // the local field-array transfer pass
-	me := p.Rank()
-	for src, data := range gotData {
-		if src == me {
-			self := vec.Cursor()
-			for i, ri := range recIdx[src] {
-				_, lo, _ := self.Seek(reqs[src][i].Base)
-				res.A[rnk.Records[ri].Off] = v[lo]
-			}
-			p.Charge(2 * len(recIdx[src])) // read record, write datum
-			continue
-		}
-		for i, ri := range recIdx[src] {
-			res.A[rnk.Records[ri].Off] = data[i]
-		}
-		p.Charge(2 * len(data)) // read record, write datum
-		putBuf(data)
-	}
-	return res, nil
+	return execUnpackPlan(p, pl, v, field, cs), nil
 }
 
-// fetchRuns is UNPACK's two-phase redistribution: the requests travel
-// to the vector owners, the owners serve them, and the replies travel
-// back. gotData[src] is a peer src's reply, the requested runs back to
-// back in request order; it is a pooled buffer, which the caller
-// returns once placed. The reply a rank sends itself has no data (the
-// caller reads its own runs from v), so gotData[p.Rank()] is nil.
-func fetchRuns[T any](p transport.Endpoint, vec dist.VectorDist, v []T, reqs [][]reqSeg, words []int, a2a comm.A2AOptions) [][]T {
+// errUnpackCMS rejects the compact message scheme, which names a PACK
+// message encoding.
+var errUnpackCMS = errors.New("unpack: the compact message scheme applies to PACK only (requests are already compact under CSS)")
+
+// execUnpackPlan executes a plan as UNPACK, for every call, under the
+// charge policy cs: the requests of requestSegments travel to the
+// vector owners, the owners serve them, the replies travel back, and
+// after the field-array transfer placeReplies' bitset walk places them.
+// The placement is charged after it: for cold CSS the paper's rescan
+// per segment, grouped by owner as the replies arrive; for cold SSS a
+// record read and a datum write per element, owner by owner; for a plan
+// two header words per segment and one op per datum.
+func execUnpackPlan[T any](p transport.Endpoint, pl *Plan, v, field []T, cs *coldScan) *UnpackResult[T] {
+	rnk, vec, counts := pl.rnk, pl.vec, pl.counts
+	reqs, ops := requestSegments(p, rnk, vec, counts, cs)
+	n := vec.P
+	words, segs := make([]int, n), 0
+	for dst := range words {
+		words[dst] = 2 * counts[dst] // a (base rank, count) header per segment
+		if cs.records() {
+			words[dst] = counts[n+dst] // a rank per element
+		}
+		segs += counts[dst]
+	}
 	world := comm.World(p)
 	prev := p.SetPhase(PhaseM2M)
-	gotReqs := comm.AlltoallVW(world, reqs, words, a2a)
+	gotReqs := comm.AlltoallVW(world, reqs, words, pl.opt.A2A)
 	p.SetPhase(prev)
-	replies, replyWords := serveVecRequests(p, vec, v, gotReqs)
+	replies, replyWords := serveVecRequests(p, vec, v, gotReqs, cs)
 	prev = p.SetPhase(PhaseM2M)
-	gotData := comm.AlltoallVW(world, replies, replyWords, a2a)
+	gotData := comm.AlltoallVW(world, replies, replyWords, pl.opt.A2A)
 	p.SetPhase(prev)
-	return gotData
-}
-
-// unpackCompact is the compact storage scheme's UNPACK after the
-// ranking, shared by cold calls and plans: the (base rank, count)
-// requests of requestSegments, the owners serving them, the field-array
-// transfer, and placement of the replies by placeReplies' bitset walk;
-// counts is segmentCounts(rnk, vec). A cold call (cs non-nil) charges
-// the paper's placement rescan per segment, grouped by owner as the
-// replies arrive; a planned call charges two header words per segment
-// and one op per datum.
-func unpackCompact[T any](p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, sel []uint64, v, field []T, a2a comm.A2AOptions, cs *coldScan) *UnpackResult[T] {
-	reqs, ops := requestSegments(p, rnk, vec, counts, cs)
-	words := make([]int, len(reqs))
-	segs := 0
-	for dst, list := range reqs {
-		words[dst] = 2 * len(list)
-		segs += len(list)
-	}
-	gotData := fetchRuns(p, vec, v, reqs, words, a2a)
 	res := &UnpackResult[T]{A: slices.Clone(field), Ranking: rnk}
 	p.Charge(len(field)) // the local field-array transfer pass
-	placeReplies(res.A, sel, rnk, vec, p.Rank(), v, gotData)
-	if cs == nil {
+	placeReplies(res.A, pl.sel, rnk, vec, p.Rank(), v, gotData)
+	switch {
+	case cs == nil:
 		p.Charge(2*segs + rnk.LocalTrue) // per segment: header read + bulk word copy
-		return res
-	}
-	for _, list := range ops {
-		for _, n := range list {
-			p.Charge(n)
+	case cs.records():
+		for src := range n {
+			p.Charge(2 * counts[n+src]) // read record, write datum
+		}
+	default:
+		for _, list := range ops {
+			for _, c := range list {
+				p.Charge(c)
+			}
 		}
 	}
 	return res
 }
 
-// requestSegments cuts the compact storage scheme's requests: one
-// (base rank, count) segment per forEachRankRun piece, listed per
-// vector owner in local order; counts is segmentCounts(rnk, vec). A
-// cold call (cs non-nil) charges the counter-array check and then each
-// request header as it is written, and returns, in the same per-owner
-// lists, the charge of the rescan that will place each segment
-// (scanLen up to the segment's last element, plus one write per
-// element), so that unpackCompact can book them in the order the
-// paper's placement loop visits the replies. A planned call charges
-// the check and the headers once.
+// requestSegments cuts UNPACK's requests: one (base rank, count)
+// segment per forEachRankRun piece, listed per vector owner in local
+// order; counts is segmentCounts(rnk, vec). The charge policy cs picks
+// the charges:
+//   - cold SSS: one rank resolve and request write per record, once at
+//     the end;
+//   - cold CSS: the counter-array check, then each request header as it
+//     is written; it also returns, in the same per-owner lists, the
+//     charge of the rescan that will place each segment (scanLen up to
+//     the segment's last element, plus one write per element), so that
+//     execUnpackPlan can book them in the order the paper's placement
+//     loop visits the replies;
+//   - a plan (cs nil): the check and the headers once.
 func requestSegments(p transport.Endpoint, rnk *ranking.Result, vec dist.VectorDist, counts []int, cs *coldScan) (reqs [][]reqSeg, ops [][]int) {
 	n := vec.P
 	reqs = make([][]reqSeg, n)
 	carve(reqs, counts[:n])
-	if cs != nil {
+	scans := cs != nil && !cs.records() // the compact storage scheme
+	if scans {
 		ops = make([][]int, n)
 		carve(ops, counts[:n])
 		p.Charge(len(rnk.PSc)) // check the counter array, one read per slice
@@ -201,13 +148,16 @@ func requestSegments(p transport.Endpoint, rnk *ranking.Result, vec dist.VectorD
 	forEachRankRun(rnk, vec, func(slice, dst, base, cnt int) {
 		reqs[dst] = append(reqs[dst], reqSeg{Base: base, Count: cnt})
 		segs++
-		if cs != nil {
+		if scans {
 			ops[dst] = append(ops[dst], cs.scanLen(slice, base-rnk.PSf[slice]+cnt, rnk.PSc[slice])+cnt)
 			p.Charge(2) // request segment header
 		}
 	})
-	if cs == nil {
+	switch {
+	case cs == nil:
 		p.Charge(len(rnk.PSc) + 2*segs) // counter-array check + request headers
+	case cs.records():
+		p.Charge(2 * rnk.LocalTrue) // resolve rank, write request
 	}
 	return reqs, ops
 }
@@ -258,30 +208,32 @@ func placeReplies[T any](a []T, sel []uint64, rnk *ranking.Result, vec dist.Vect
 // reply, a pooled buffer of exactly the requested length, and words[src]
 // is that length. The owner's own requests are charged alike, but their
 // reply stays empty: the owner places those runs from v itself, and the
-// reply still travels at its full word count. The planned and unplanned
-// paths share this helper, so a served request costs the same (one
-// header read plus one op per copied word) either way.
-func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, gotReqs [][]reqSeg) (replies [][]T, words []int) {
+// reply still travels at its full word count. Every call serves the same
+// runs; a served request costs one header read plus one op per copied
+// word, except under cold SSS, where each element is a single-rank
+// request of its own (two ops).
+func serveVecRequests[T any](p transport.Endpoint, vec dist.VectorDist, v []T, gotReqs [][]reqSeg, cs *coldScan) (replies [][]T, words []int) {
 	replies = make([][]T, len(gotReqs))
 	words = make([]int, len(gotReqs))
 	me := p.Rank()
 	cur := vec.Cursor()
 	for src, list := range gotReqs {
-		total := 0
 		for _, rq := range list {
-			total += rq.Count
-		}
-		words[src] = total
-		if src == me {
-			for _, rq := range list {
+			words[src] += rq.Count
+			if !cs.records() {
 				p.Charge(1 + rq.Count) // read request, copy data
+				continue
 			}
+			for range rq.Count {
+				p.Charge(2) // read a single-rank request, copy its datum
+			}
+		}
+		if src == me {
 			continue
 		}
-		out := getBuf[T](total)
+		out := getBuf[T](words[src])
 		k := 0
 		for _, rq := range list {
-			p.Charge(1 + rq.Count) // read request, copy data
 			_, lo, _ := cur.Seek(rq.Base)
 			k += copy(out[k:], v[lo:lo+rq.Count])
 		}

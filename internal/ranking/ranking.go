@@ -216,7 +216,10 @@ func RankBits(p transport.Endpoint, l *dist.Layout, sel []uint64, opt Options) (
 		res.PSc = cloneInts(ps[0])
 		p.Charge(len(res.PSc))
 	} else {
-		res.PSc = cloneInts(ps[0]) // free bookkeeping for assertions
+		// SSS keeps records instead and charges no counter array, but
+		// the host's segment walk (pack's forEachRankRun) reads PS_c
+		// under every scheme, so it is filled here uncharged.
+		res.PSc = cloneInts(ps[0])
 	}
 
 	// ---- Intermediate steps (Figure 2). ----

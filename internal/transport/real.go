@@ -55,9 +55,6 @@ type RealConfig struct {
 	// read them, so configuring the same constants as the sim oracle
 	// keeps both backends taking identical decisions.
 	Params sim.Params
-	// NoPin disables locking processor goroutines to OS threads even
-	// when the host has enough cores.
-	NoPin bool
 	// Sink, when non-nil, receives every structured event (sim.Event
 	// schema, wall-clock microsecond timestamps) as it is produced —
 	// the real-backend counterpart of sim.Config.Sink, and like it the
@@ -162,7 +159,7 @@ func (m *RealMachine) Run(body func(Endpoint)) error {
 	for i := range m.waitSrc {
 		m.waitSrc[i] = -1
 	}
-	pin := !m.cfg.NoPin && n <= runtime.NumCPU()
+	pin := n <= runtime.NumCPU()
 
 	procs := make([]*realProc, n)
 	for i := range procs {

@@ -252,14 +252,17 @@ func GatherGeneral[T any](l *GeneralLayout, locals [][]T) []T {
 type Scheme = pack.Scheme
 
 const (
-	// SSS is the simple storage scheme: per-element records,
-	// (datum, rank) pair messages.
+	// SSS is the simple storage scheme: per-element records, messages
+	// charged as (datum, rank) pairs.
 	SSS = pack.SchemeSSS
 	// CSS is the compact storage scheme: no per-element records,
-	// counter/base-rank comparison plus a second slice scan.
+	// counter/base-rank comparison plus a second slice scan; messages
+	// still charged as pairs.
 	CSS = pack.SchemeCSS
-	// CMS is the compact message scheme: CSS storage plus run-length
-	// (base rank, count, data...) segment messages. PACK only.
+	// CMS is the compact message scheme: CSS storage plus messages
+	// charged as run-length (base rank, count, data...) segments. PACK
+	// only. Under every scheme the host sends segments; the scheme
+	// decides what the cost model charges for them.
 	CMS = pack.SchemeCMS
 )
 
